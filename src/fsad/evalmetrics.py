@@ -37,6 +37,10 @@ def _as_binary(scores, labels, who: str):
         raise MetricError(f"{who}: {s.size} scores vs {y.size} labels")
     if s.size == 0:
         raise MetricError(f"{who}: empty input")
+    bad = np.count_nonzero(~np.isfinite(s))
+    if bad:
+        # a NaN never equals itself, so the tie-group scans would not advance
+        raise MetricError(f"{who}: {bad} non-finite scores")
     if not np.isin(y, (0, 1)).all():
         raise MetricError(f"{who}: labels must be 0 or 1")
     return s, y.astype(np.int64)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
+from .clsa import ClsaOutput
 from .errors import CapacityError, ContractError, DomainError
 from .numcore import NORM_FLOOR, Tensor
 
@@ -146,6 +147,14 @@ def score_batch(model, visual_taps: dict[int, Tensor], labels,
     from .model import forward
     with nc.no_grad():
         out = forward(model, visual_taps)
+    return score_aligned(model, out, labels, protos, lam, eps)
+
+
+def score_aligned(model, out: ClsaOutput, labels, protos: PrototypeSet,
+                  lam: float = LAMBDA_DEFAULT,
+                  eps: float = EPS_DEFAULT) -> ScoreReport:
+    """Dual-branch scores of a batch whose forward pass has already run."""
+    with nc.no_grad():
         tau = model.tau()
         sem = semantic_scores(out.visual, out.class_vectors["abnormal"], tau)
         sem_raw = np.atleast_1d(sem.data)

@@ -4,6 +4,11 @@ Operations record onto the innermost active :class:`GradTape` whenever any
 input requires a gradient; :func:`backward` replays the tape in exact reverse
 execution order, accumulating (never overwriting) into ``grad`` buffers.
 Everything runs in 64-bit precision so finite-difference checks are decisive.
+
+Every kernel keeps the exact sequence of IEEE operations of its reference
+formula, so outputs and gradients are bit-identical however the work is
+buffered: training under the benchmark protocol amplifies a last-bit
+difference into a visible change of the final metrics.
 """
 
 from __future__ import annotations
@@ -109,11 +114,15 @@ def _as_tensor(x) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("inputs", "output", "backward", "name")
+    """One recorded op. ``needs[i]`` says whether input i wants a gradient;
+    backward closures take it and return None for the inputs that do not."""
 
-    def __init__(self, name, inputs, output, backward):
+    __slots__ = ("inputs", "needs", "output", "backward", "name")
+
+    def __init__(self, name, inputs, needs, output, backward):
         self.name = name
         self.inputs = inputs
+        self.needs = needs
         self.output = output
         self.backward = backward
 
@@ -150,13 +159,16 @@ def no_grad():
 
 
 def _record(name: str, inputs: Sequence[Tensor], out_data: Array,
-            backward: Callable[[Array], Sequence[Array | None]]) -> Tensor:
+            backward: Callable[[Array, Sequence[bool]],
+                               Sequence[Array | None]]) -> Tensor:
     """Wrap ``out_data`` and, if a tape is live and an input needs grad, record."""
     out = Tensor(out_data)
     tape = _TAPES[-1] if _TAPES else None
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        tape.nodes.append(_Node(name, tuple(inputs), out, backward))
+    if tape is not None:
+        needs = tuple(t.requires_grad for t in inputs)
+        if any(needs):
+            out.requires_grad = True
+            tape.nodes.append(_Node(name, tuple(inputs), needs, out, backward))
     return out
 
 
@@ -164,7 +176,9 @@ def backward(loss: Tensor, tape: GradTape) -> None:
     """Populate grad buffers of every requires_grad tensor reachable from loss.
 
     The tape is replayed in exact reverse execution order; contributions from
-    multiple uses of the same tensor are added, never overwritten.
+    multiple uses of the same tensor are added, never overwritten. Nothing
+    writes into a gradient array in place, so a first contribution is kept
+    as is, even when it is a view shared with another input's gradient.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -174,14 +188,15 @@ def backward(loss: Tensor, tape: GradTape) -> None:
         out_grad = grads.get(id(node.output))
         if out_grad is None:
             continue
-        for tensor, g in zip(node.inputs, node.backward(out_grad)):
-            if g is None or not tensor.requires_grad:
+        for tensor, need, g in zip(node.inputs, node.needs,
+                                   node.backward(out_grad, node.needs)):
+            if g is None or not need:
                 continue
             key = id(tensor)
             if key in grads:
                 grads[key] = grads[key] + g
             else:
-                grads[key] = np.array(g, dtype=np.float64, copy=True)
+                grads[key] = np.asarray(g)
                 holders[key] = tensor
     for key, g in grads.items():
         t = holders[key]
@@ -202,42 +217,48 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g.reshape(shape)
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: incompatible shapes {a.shape} vs {b.shape}") from None
+def _shape_error(op: str, a: Tensor, b: Tensor) -> ShapeError:
+    return ShapeError(f"{op}: incompatible shapes {a.shape} vs {b.shape}")
 
 
 # ---------------------------------------------------------------------------
 # elementwise
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    out = a.data + b.data
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise _shape_error("add", a, b) from None
 
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+    def bwd(g, needs):
+        return (_unbroadcast(g, a.shape) if needs[0] else None,
+                _unbroadcast(g, b.shape) if needs[1] else None)
 
     return _record("add", (a, b), out, bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
-    out = a.data - b.data
+    try:
+        out = a.data - b.data
+    except ValueError:
+        raise _shape_error("sub", a, b) from None
 
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+    def bwd(g, needs):
+        return (_unbroadcast(g, a.shape) if needs[0] else None,
+                _unbroadcast(-g, b.shape) if needs[1] else None)
 
     return _record("sub", (a, b), out, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-    out = a.data * b.data
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise _shape_error("mul", a, b) from None
 
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+    def bwd(g, needs):
+        return (_unbroadcast(g * b.data, a.shape) if needs[0] else None,
+                _unbroadcast(g * a.data, b.shape) if needs[1] else None)
 
     return _record("mul", (a, b), out, bwd)
 
@@ -246,7 +267,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
     out = x.data * c
 
-    def bwd(g):
+    def bwd(g, _needs):
         return (g * c,)
 
     return _record("scale", (x,), out, bwd)
@@ -256,7 +277,7 @@ def mean_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     n = x.shape[axis]
     out = x.data.mean(axis=axis, keepdims=keepdims)
 
-    def bwd(g):
+    def bwd(g, _needs):
         if not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / n, x.shape).copy(),)
@@ -267,7 +288,7 @@ def mean_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     out = np.asarray(x.data.sum())
 
-    def bwd(g):
+    def bwd(g, _needs):
         return (np.broadcast_to(g, x.shape).copy(),)
 
     return _record("sum_all", (x,), out, bwd)
@@ -284,10 +305,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
     out = a.data @ b.data
 
-    def bwd(g):
-        da = g @ np.swapaxes(b.data, -1, -2)
-        db = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(da, a.shape), _unbroadcast(db, b.shape)
+    def bwd(g, needs):
+        da = db = None
+        if needs[0]:
+            da = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        if needs[1]:
+            db = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        return da, db
 
     return _record("matmul", (a, b), out, bwd)
 
@@ -298,7 +322,7 @@ def transpose(x: Tensor) -> Tensor:
         raise ShapeError(f"transpose needs >=2-d input, got {x.shape}")
     out = np.swapaxes(x.data, -1, -2)
 
-    def bwd(g):
+    def bwd(g, _needs):
         return (np.swapaxes(g, -1, -2),)
 
     return _record("transpose", (x,), out, bwd)
@@ -307,7 +331,7 @@ def transpose(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = x.data.reshape(shape)
 
-    def bwd(g):
+    def bwd(g, _needs):
         return (g.reshape(x.shape),)
 
     return _record("reshape", (x,), out, bwd)
@@ -318,7 +342,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     out = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.shape[axis] for p in parts]
 
-    def bwd(g):
+    def bwd(g, _needs):
         return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
     return _record("concat", parts, out, bwd)
@@ -331,7 +355,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = tuple(idx)
     out = x.data[idx]
 
-    def bwd(g):
+    def bwd(g, _needs):
         full = np.zeros_like(x.data)
         full[idx] = g
         return (full,)
@@ -349,7 +373,7 @@ def sigmoid(x: Tensor) -> Tensor:
     e = np.exp(np.where(pos, -x.data, x.data))
     out = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    def bwd(g):
+    def bwd(g, _needs):
         d = g * out * (1.0 - out)
         if _CORRUPT_SIGMOID_BACKWARD:
             d = d * 1.01
@@ -366,7 +390,7 @@ def silu(x: Tensor) -> Tensor:
 def exp(x: Tensor) -> Tensor:
     out = np.exp(x.data)
 
-    def bwd(g):
+    def bwd(g, _needs):
         return (g * out,)
 
     return _record("exp", (x,), out, bwd)
@@ -375,7 +399,7 @@ def exp(x: Tensor) -> Tensor:
 def log(x: Tensor) -> Tensor:
     out = np.log(x.data)
 
-    def bwd(g):
+    def bwd(g, _needs):
         return (g / x.data,)
 
     return _record("log", (x,), out, bwd)
@@ -388,7 +412,7 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     out = np.clip(x.data, lo, hi)
     inside = (x.data >= lo) & (x.data <= hi)
 
-    def bwd(g):
+    def bwd(g, _needs):
         return (g * inside,)
 
     return _record("clip", (x,), out, bwd)
@@ -400,7 +424,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
 
-    def bwd(g):
+    def bwd(g, _needs):
         dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
@@ -414,7 +438,7 @@ def layernorm_rows(x: Tensor, eps: float = 1e-6) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     out = (x.data - mu) * inv
 
-    def bwd(g):
+    def bwd(g, _needs):
         gm = g.mean(axis=-1, keepdims=True)
         gym = (g * out).mean(axis=-1, keepdims=True)
         return (inv * (g - gm - out * gym),)
@@ -439,7 +463,7 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     dots = a.data @ b.data
     out = dots / (na[..., 0] * nb)
 
-    def bwd(g):
+    def bwd(g, _needs):
         ge = g[..., None]
         cos_e = out[..., None]
         live_a = (raw_na > NORM_FLOOR).astype(np.float64)
@@ -478,42 +502,38 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         return np.swapaxes(x.reshape(x.shape[:-1] + (heads, dh)), -3, -2)
 
     def join(x: Array) -> Array:
-        # [..., heads, T, dh] -> [..., T, d]
+        # [..., heads, T, dh] -> [..., T, d]; the reshape copies the swapped
+        # axes into a fresh array, so no further copy is needed
         x = np.swapaxes(x, -3, -2)
-        return x.reshape(x.shape[:-2] + (d,)).copy()
+        return x.reshape(x.shape[:-2] + (d,))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = (qh @ np.swapaxes(kh, -1, -2)) * inv_sqrt
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    weights = e / e.sum(axis=-1, keepdims=True)
-    out_h = weights @ vh
-    out = join(out_h)
+    # softmax(scores * inv_sqrt) over the last axis, step by step in the one
+    # score buffer: the same operations in the same order as the out-of-place
+    # chain, without a fresh temporary per step
+    weights = qh @ np.swapaxes(kh, -1, -2)
+    weights *= inv_sqrt
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out = join(weights @ vh)
 
-    def bwd(g):
+    def bwd(g, _needs):
         gh = split(g)
         dvh = np.swapaxes(weights, -1, -2) @ gh
-        dw = gh @ np.swapaxes(vh, -1, -2)
-        ds = weights * (dw - (dw * weights).sum(axis=-1, keepdims=True))
-        dqh = (ds @ kh) * inv_sqrt
-        dkh = (np.swapaxes(ds, -1, -2) @ qh) * inv_sqrt
+        # ds = weights * (dw - rowsum(dw * weights)), in the dw buffer
+        ds = gh @ np.swapaxes(vh, -1, -2)
+        ds -= (ds * weights).sum(axis=-1, keepdims=True)
+        ds *= weights
+        dqh = ds @ kh
+        dqh *= inv_sqrt
+        dkh = np.swapaxes(ds, -1, -2) @ qh
+        dkh *= inv_sqrt
         return (_unbroadcast(join(dqh), q.shape),
                 _unbroadcast(join(dkh), k.shape),
                 _unbroadcast(join(dvh), v.shape))
 
     return _record("attention", (q, k, v), out, bwd)
-
-
-def attention_weights(q: Array, k: Array, heads: int) -> Array:
-    """Attention weight matrices [..., heads, Tq, Tk] for probing; no tape."""
-    d = q.shape[-1]
-    dh = d // heads
-    qh = np.swapaxes(q.reshape(q.shape[:-1] + (heads, dh)), -3, -2)
-    kh = np.swapaxes(k.reshape(k.shape[:-1] + (heads, dh)), -3, -2)
-    scores = (qh @ np.swapaxes(kh, -1, -2)) / np.sqrt(dh)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from .config import RunConfig
 from .errors import ConfigError
 from .evalmetrics import (MetricReport, auc, average_precision, compute_report,
                           threshold_from_support)
-from .inference import (ScoreReport, build_prototypes, ensemble, score_batch)
+from .inference import (ScoreReport, build_prototypes, ensemble, score_aligned,
+                        score_batch)
 from .model import (Model, forward, init_model, named_parameters,
                     parameter_groups)
 from .numcore import GradTape, Tensor, backward
@@ -140,8 +141,8 @@ def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
                                   {"normal": ep.idx_norm, "abnormal": ep.idx_abn})
     qry_t = {l: Tensor(a) for l, a in qry.items()}
     report = score_batch(model, qry_t, yq, protos, lam=lam, eps=cfg["infer.eps"])
-    sup_report = score_batch(model, sup_t, ysup, protos, lam=lam,
-                             eps=cfg["infer.eps"])
+    sup_report = score_aligned(model, sup_out, ysup, protos, lam=lam,
+                               eps=cfg["infer.eps"])
     thr = threshold_from_support(sup_report.final, ysup)
     metrics = compute_report(report.final, yq, thr)
     return EpisodeRun(index=index, episode_seed=episode_seed,

@@ -1,5 +1,8 @@
 """Metric oracles: brute-force pair counting, step sums, threshold search."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -159,3 +162,27 @@ def test_compute_report_consistency():
     assert rep.auc == 1.0 and rep.ap == 1.0
     assert rep.acc == (rep.tp + rep.tn) / 4
     assert rep.f1 == 1.0
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging: SIGALRM raises inside the guarded block."""
+    def expire(signum, frame):
+        raise TimeoutError(f"metric call still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("metric", [auc, average_precision, threshold_from_support])
+def test_non_finite_scores_rejected_promptly(metric, bad):
+    with _deadline(5):
+        with pytest.raises(MetricError, match="non-finite"):
+            metric([0.1, bad, 0.8, 0.9], [0, 0, 1, 1])
+        with pytest.raises(MetricError, match="non-finite"):
+            compute_report([0.1, 0.2, bad, 0.9], [0, 0, 1, 1], 0.5)

@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsad import numcore as nc
 from fsad.backbone import BackboneSpec
+from fsad.config import RunConfig
 from fsad.errors import CapacityError, ContractError, DomainError
 from fsad.inference import (build_prototypes, ensemble, minmax_normalize,
                             proto_distance, proto_scores, score_batch,
                             semantic_score, semantic_scores)
-from fsad.model import init_model
+from fsad.model import forward, init_model, named_parameters
 from fsad.numcore import GradTape, Tensor
+from fsad.runner import build_feature_store, model_from_config, take
+from fsad.synthdata import generate_dataset, sample_episode
 
 D = 16
 
@@ -180,3 +185,59 @@ def test_score_batch_lambda_endpoints_match_single_branches():
     proto_only = score_batch(model, query, labels, protos, lam=0.0)
     np.testing.assert_array_equal(sem_only.final, sem_only.sem_norm)
     np.testing.assert_array_equal(proto_only.final, proto_only.proto_norm)
+
+
+# ---------------------------------------------------------------------------
+# batch invariance of the raw branch scores
+
+@pytest.fixture(scope="module")
+def wide_episode():
+    """A seq model with every parameter jittered off its init (open gates,
+    live adapters) and one episode of 392 queries, as ``fsad eval`` scores."""
+    cfg = RunConfig({"episode.query_per_class": 196})
+    dataset = generate_dataset(cfg.dataset_spec())
+    store = build_feature_store(cfg.backbone_spec(), dataset)
+    model = model_from_config(cfg)
+    rng = np.random.default_rng(41)
+    for p in named_parameters(model).values():
+        p.data = p.data + rng.normal(0.0, 0.05, size=p.shape)
+    ep = sample_episode(dataset, cfg["episode.k"], 0, cfg["episode.query_per_class"])
+    taps = model.spec.selected_visual
+    with nc.no_grad():
+        sup = forward(model, {l: Tensor(a) for l, a in
+                              take(store, taps, ep.support_ids).items()})
+    protos = build_prototypes(sup.visual, {"normal": ep.idx_norm,
+                                           "abnormal": ep.idx_abn})
+    query = take(store, taps, ep.query_ids)
+    labels = store.labels[ep.query_ids]
+    whole = score_batch(model, {l: Tensor(a) for l, a in query.items()},
+                        labels, protos)
+    return model, protos, query, labels, whole
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_raw_scores_bit_identical_across_chunks_and_order(wide_episode, data):
+    model, protos, query, labels, whole = wide_episode
+    n = labels.size
+    order = np.array(data.draw(st.permutations(range(n)), label="order"))
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=12),
+                            label="cuts"))
+    sem = np.empty(n)
+    proto = np.empty(n)
+    for ids in np.split(order, cuts):
+        rep = score_batch(model, {l: Tensor(a[ids]) for l, a in query.items()},
+                          labels[ids], protos)
+        sem[ids] = rep.sem_raw
+        proto[ids] = rep.proto_raw
+    assert np.array_equal(sem, whole.sem_raw)
+    assert np.array_equal(proto, whole.proto_raw)
+
+
+def test_raw_scores_bit_identical_one_query_at_a_time(wide_episode):
+    model, protos, query, labels, whole = wide_episode
+    for i in range(labels.size):
+        rep = score_batch(model, {l: Tensor(a[i:i + 1]) for l, a in query.items()},
+                          labels[i:i + 1], protos)
+        assert rep.sem_raw[0] == whole.sem_raw[i]
+        assert rep.proto_raw[0] == whole.proto_raw[i]

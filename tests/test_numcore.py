@@ -282,3 +282,115 @@ def test_attention_shape_errors():
         nc.attention(q, Tensor(np.ones((3, 8))), Tensor(np.ones((4, 8))), 2)
     with pytest.raises(ShapeError):
         nc.attention(q, Tensor(np.ones((3, 8))), Tensor(np.ones((3, 8))), 3)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity against the out-of-place reference formulas
+#
+# Training under the benchmark protocol turns a last-bit difference into a
+# visible metric change, so the kernels must keep every IEEE operation and its
+# order. The references below are the plain out-of-place formulas, with a
+# backward that computes every input gradient; equality is exact.
+
+def _attention_reference(q, k, v, heads, g):
+    """Out-of-place attention forward and (dq, dk, dv) for upstream grad g."""
+    d = q.shape[-1]
+    dh = d // heads
+    inv_sqrt = 1.0 / np.sqrt(dh)
+
+    def split(x):
+        return np.swapaxes(x.reshape(x.shape[:-1] + (heads, dh)), -3, -2)
+
+    def join(x):
+        x = np.swapaxes(x, -3, -2)
+        return x.reshape(x.shape[:-2] + (d,)).copy()
+
+    def unbroadcast(x, shape):
+        extra = x.ndim - len(shape)
+        return x.sum(axis=tuple(range(extra))) if extra > 0 else x
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = (qh @ np.swapaxes(kh, -1, -2)) * inv_sqrt
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    weights = e / e.sum(axis=-1, keepdims=True)
+    out = join(weights @ vh)
+    gh = split(g)
+    dvh = np.swapaxes(weights, -1, -2) @ gh
+    dw = gh @ np.swapaxes(vh, -1, -2)
+    ds = weights * (dw - (dw * weights).sum(axis=-1, keepdims=True))
+    dqh = (ds @ kh) * inv_sqrt
+    dkh = (np.swapaxes(ds, -1, -2) @ qh) * inv_sqrt
+    return out, (unbroadcast(join(dqh), q.shape), unbroadcast(join(dkh), k.shape),
+                 unbroadcast(join(dvh), v.shape))
+
+
+# text rows alone; text against a batch of images (context injection, at
+# training and at eval_wide batch size); patches against both classes' text
+# rows (semantic guidance)
+ATTENTION_SHAPES = [((9, 32), (9, 32)), ((9, 32), (8, 16, 32)),
+                    ((9, 32), (392, 16, 32)), ((8, 16, 32), (8, 18, 32))]
+
+
+@pytest.mark.parametrize("q_shape,kv_shape", ATTENTION_SHAPES)
+def test_attention_bit_identical_to_reference(q_shape, kv_shape):
+    rng = np.random.default_rng(29)
+    q, k, v = (Tensor(rng.normal(size=s), requires_grad=True)
+               for s in (q_shape, kv_shape, kv_shape))
+    with GradTape() as tape:
+        out = nc.attention(q, k, v, 4)
+        proj = rng.normal(size=out.shape)
+        loss = nc.sum_all(nc.mul(out, Tensor(proj)))
+    backward(loss, tape)
+    # d loss / d out is exactly proj: sum_all seeds ones, and 1.0 * x == x
+    want, (dq, dk, dv) = _attention_reference(q.data, k.data, v.data, 4, proj)
+    assert np.array_equal(out.data, want)
+    assert np.array_equal(q.grad, dq)
+    assert np.array_equal(k.grad, dk)
+    assert np.array_equal(v.grad, dv)
+
+
+def test_attention_frozen_inputs_get_no_grad():
+    rng = np.random.default_rng(30)
+    q = Tensor(rng.normal(size=(9, 32)), requires_grad=True)
+    k, v = Tensor(rng.normal(size=(8, 16, 32))), Tensor(rng.normal(size=(8, 16, 32)))
+    with GradTape() as tape:
+        out = nc.attention(q, k, v, 4)
+        proj = rng.normal(size=out.shape)
+        loss = nc.sum_all(nc.mul(out, Tensor(proj)))
+    backward(loss, tape)
+    _, (dq, _, _) = _attention_reference(q.data, k.data, v.data, 4, proj)
+    assert np.array_equal(q.grad, dq)
+    assert k.grad is None and v.grad is None
+
+
+@pytest.mark.parametrize("frozen", [0, 1])
+def test_binary_ops_skip_frozen_grads_bit_exactly(frozen):
+    """A frozen operand gets no gradient and the live one is unchanged."""
+    rng = np.random.default_rng(31 + frozen)
+    a_data, b_data = rng.normal(size=(8, 16, 32)), rng.normal(size=(32, 32))
+    m_data = rng.normal(size=(8, 16, 32))
+    g = rng.normal(size=(8, 16, 32))
+    cases = [
+        (nc.matmul, (a_data, b_data),
+         (g @ b_data.T, (np.swapaxes(a_data, -1, -2) @ g).sum(axis=0))),
+        (nc.mul, (a_data, m_data), (g * m_data, g * a_data)),
+        (nc.add, (a_data, m_data), (g, g)),
+        (nc.sub, (a_data, m_data), (g, -g)),
+    ]
+    for op, (x, y), want in cases:
+        ins = [Tensor(x), Tensor(y)]
+        live = 1 - frozen
+        ins[live].requires_grad = True
+        with GradTape() as tape:
+            loss = nc.sum_all(nc.mul(op(*ins), Tensor(g)))
+        backward(loss, tape)
+        assert ins[frozen].grad is None, op.__name__
+        assert np.array_equal(ins[live].grad, want[live]), op.__name__
+
+
+def test_binary_ops_raise_shape_error_on_mismatch():
+    a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3)))
+    for op in (nc.add, nc.sub, nc.mul):
+        with pytest.raises(ShapeError, match=op.__name__):
+            op(a, b)
