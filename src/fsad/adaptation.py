@@ -48,7 +48,7 @@ class ResidualAdapter:
 
     @property
     def width(self) -> int:
-        return self.down.shape[0]
+        return self.down.shape[-2]
 
     def contribution(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.width:
@@ -87,13 +87,18 @@ class PromptBank:
             self.class_embeddings[cls] = Tensor(vec)
 
     def assemble(self, cls: str) -> Tensor:
-        """Prompt matrix [context rows..., class row] for one class."""
+        """Prompt matrix [context rows..., class row] for one class.
+
+        In a stacked model the context is [E, 1, L, d] and the class
+        embedding [E, 1, d]; the rows then join on the second-to-last axis.
+        """
         if cls not in self.class_embeddings:
             raise DomainError(f"unknown class {cls!r}, expected one of {CLASSES}")
         e = self.class_embeddings[cls]
+        row = nc.reshape(e, e.shape[:-1] + (1, e.shape[-1]))
         if self.prompt_len == 0:
-            return nc.reshape(e, (1, e.shape[0]))
-        return nc.concat([self.context, nc.reshape(e, (1, e.shape[0]))], axis=0)
+            return row
+        return nc.concat([self.context, row], axis=-2)
 
 
 @dataclass

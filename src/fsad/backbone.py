@@ -199,15 +199,17 @@ def encode_prompt(enc: ToyEncoder, prompt: Tensor) -> tuple[dict[int, Tensor], T
 
     The class embedding sits in the last prompt row; the class vector is that
     row of the final block's output. Differentiable w.r.t. the prompt.
+    Leading axes (a stacked model's [E, 1, rows, d]) pass through.
     """
-    if prompt.ndim != 2 or prompt.shape[1] != enc.spec.d:
-        raise ShapeError(f"prompt must be [rows, {enc.spec.d}], got {prompt.shape}")
-    rows = prompt.shape[0]
+    if prompt.ndim < 2 or prompt.shape[-1] != enc.spec.d:
+        raise ShapeError(f"prompt must be [..., rows, {enc.spec.d}], got {prompt.shape}")
+    rows = prompt.shape[-2]
     if rows < 1:
         raise ShapeError("prompt needs at least the class row")
     x = nc.add(prompt, Tensor(sinusoid_positions(rows, enc.spec.d)))
     taps = enc.run(x)
-    class_vec = nc.reshape(nc.narrow(enc._last, 0, rows - 1, 1), (enc.spec.d,))
+    picked = nc.narrow(enc._last, prompt.ndim - 2, rows - 1, 1)
+    class_vec = nc.reshape(picked, prompt.shape[:-2] + (enc.spec.d,))
     return taps, class_vec
 
 

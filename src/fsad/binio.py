@@ -29,11 +29,6 @@ class ByteWriter:
             raise FormatError(f"u32 out of range: {value}")
         self._parts.append(struct.pack("<I", value))
 
-    def u64(self, value: int) -> None:
-        if not 0 <= value < 2 ** 64:
-            raise FormatError(f"u64 out of range: {value}")
-        self._parts.append(struct.pack("<Q", value))
-
     def f32_array(self, arr: np.ndarray) -> None:
         self._parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
@@ -81,9 +76,6 @@ class ByteReader:
 
     def u32(self, what: str = "u32") -> int:
         return struct.unpack("<I", self._take(4, what))[0]
-
-    def u64(self, what: str = "u64") -> int:
-        return struct.unpack("<Q", self._take(8, what))[0]
 
     def f32_array(self, shape: tuple[int, ...], what: str = "f32 array") -> np.ndarray:
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1

@@ -47,7 +47,7 @@ class CrossAttentionBlock:
 
 def mhca(q: Tensor, k: Tensor, v: Tensor, block: CrossAttentionBlock) -> Tensor:
     """Cross-attention with learned projections; output matches query shape."""
-    d = block.wq.shape[0]
+    d = block.wq.shape[-1]
     if q.shape[-1] != d or k.shape[-1] != d or v.shape[-1] != d:
         raise ShapeError(f"mhca width {d} vs q {q.shape}, k {k.shape}, v {v.shape}")
     att = nc.attention(nc.matmul(q, block.wq), nc.matmul(k, block.wk),

@@ -59,3 +59,9 @@ class MetricError(FsadError, ValueError):
     """Metric undefined for the given inputs."""
 
     category = "metric"
+
+
+class NumericError(FsadError, ValueError):
+    """A value went non-finite: a diverging training or a corrupt tensor."""
+
+    category = "numeric"

@@ -5,10 +5,15 @@ them as an ordered name -> tensor mapping split into a fast group (prompts,
 alignment, logit scale) and a slow group (adapters), and serializes exactly
 that mapping into a checkpoint file. Checkpoints store 64-bit floats so a
 save/load cycle is bit-exact.
+
+A stacked Model holds E independent episodes: every learnable tensor and
+class embedding carries a leading episode axis shaped to broadcast against
+the activations it meets, so the ordinary forward code runs all E at once.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass
 
@@ -21,7 +26,7 @@ from .adaptation import (ALPHA_INIT, DEFAULT_PROMPT_LEN, DEFAULT_REDUCTION,
 from .backbone import BackboneSpec, ToyEncoder, build_backbone, encode_prompt, layer_map
 from .binio import ByteReader, ByteWriter
 from .clsa import ClsaOutput, ClsaState, clsa_forward, init_clsa
-from .errors import CompatError, FormatError
+from .errors import CompatError, ContractError, FormatError, NumericError
 from .numcore import Tensor
 
 CHECKPOINT_MAGIC = b"HAAP"
@@ -92,6 +97,67 @@ def named_parameters(model: Model) -> dict[str, Tensor]:
     out["clsa.beta_v"] = model.clsa.gates.beta_v
     out["logit.rho"] = model.rho
     return out
+
+
+def _episode_tensors(model: Model) -> dict[str, Tensor]:
+    """Every tensor that differs between episodes: the parameters plus the
+    (fixed, seed-drawn) class embeddings."""
+    out = named_parameters(model)
+    for cls, emb in model.adapt.prompts.class_embeddings.items():
+        out[f"class.{cls}"] = emb
+    return out
+
+
+def _stacked_shape(name: str, shape: tuple[int, ...],
+                   episodes: int) -> tuple[int, ...]:
+    """[E, 1, *shape] for matrices, the prompt context and class embeddings.
+    The scalar gates scale [E, B, rows, d] activations, so they become
+    [E, 1, 1, 1]; rho scales [E, B, P] patch logits, so [E, 1, 1]."""
+    if shape:
+        return (episodes, 1) + shape
+    return (episodes, 1, 1) if name == "logit.rho" else (episodes, 1, 1, 1)
+
+
+def _structure(model: Model):
+    return (model.strategy, model.spec,
+            [(name, p.shape, p.requires_grad)
+             for name, p in named_parameters(model).items()])
+
+
+def stack_size(model: Model) -> int | None:
+    """Episodes in a stacked model; None for an ordinary one."""
+    return model.rho.shape[0] if model.rho.ndim else None
+
+
+def stack_models(models: list[Model]) -> Model:
+    """One model that trains the given same-structure models side by side.
+
+    The stack shares the first model's frozen encoders and copies its
+    learnable set; episode e of every stacked tensor is models[e]'s tensor.
+    """
+    first = models[0]
+    if any(_structure(m) != _structure(first) for m in models):
+        raise ContractError("stacked models must share strategy, taps, "
+                            "parameter shapes and learnable set")
+    shared = {id(obj): obj for obj in (first.spec, first.visual_enc,
+                                       first.text_enc)}
+    stacked = copy.deepcopy(first, shared)
+    per_model = [_episode_tensors(m) for m in models]
+    for name, t in _episode_tensors(stacked).items():
+        t.data = np.stack([tensors[name].data for tensors in per_model]).reshape(
+            _stacked_shape(name, t.shape, len(models)))
+    return stacked
+
+
+def unstack_model(stacked: Model, models: list[Model]) -> None:
+    """Write episode e of every stacked tensor back into models[e]."""
+    if stack_size(stacked) != len(models):
+        raise ContractError(f"stack of {stack_size(stacked)} episodes "
+                            f"vs {len(models)} models")
+    source = _episode_tensors(stacked)
+    for e, m in enumerate(models):
+        for name, t in _episode_tensors(m).items():
+            t.data = source[name].data[e].reshape(t.shape).copy()
 
 
 def parameter_groups(model: Model) -> dict[str, list[str]]:
@@ -184,6 +250,9 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         ndim = r.u32("rank")
         shape = tuple(r.u32("dim") for _ in range(ndim))
         tensors[name] = r.f64_array(shape, f"entry {name}")
+        bad = tensors[name].size - np.count_nonzero(np.isfinite(tensors[name]))
+        if bad:
+            raise NumericError(f"{path}: entry {name} has {bad} non-finite values")
     r.expect_exhausted()
     return meta, tensors
 

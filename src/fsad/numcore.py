@@ -294,6 +294,16 @@ def sum_all(x: Tensor) -> Tensor:
     return _record("sum_all", (x,), out, bwd)
 
 
+def sum_last(x: Tensor) -> Tensor:
+    """Sum over the last axis; on 1-d input the same reduction as sum_all."""
+    out = np.asarray(x.data.sum(axis=-1))
+
+    def bwd(g, _needs):
+        return (np.broadcast_to(np.expand_dims(g, -1), x.shape).copy(),)
+
+    return _record("sum_last", (x,), out, bwd)
+
+
 # ---------------------------------------------------------------------------
 # linear algebra
 

@@ -4,6 +4,9 @@ Frozen visual features are encoded once per corpus and sliced per episode
 and per tap subset, so ablation grids never re-run the image tower. Grid
 cells share trained models wherever only the evaluation side differs (for
 example the dual-branch and semantic-only readings of one training run).
+The trainings one grid or sweep call asks for train in stacks: episodes of
+the same structure share one tape (``model.stack_models``), each
+bit-identical to training it alone.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from .evalmetrics import (MetricReport, auc, average_precision, compute_report,
 from .inference import (ScoreReport, build_prototypes, ensemble, score_aligned,
                         score_batch)
 from .model import (Model, forward, init_model, named_parameters,
-                    parameter_groups)
+                    parameter_groups, stack_models, unstack_model)
 from .numcore import GradTape, Tensor, backward
 from .synthdata import Episode, Sample, sample_episode
-from .training import TraceRow, bce_loss, train_episode, training_scores
+from .training import (TraceRow, TrainConfig, bce_loss, train_episode,
+                       training_scores)
 
 LAMBDA_POINTS = tuple(round(0.1 * i, 1) for i in range(11))
 BETA_POINTS = (0.0, 0.25, 0.5, 1.0, 2.0)
@@ -108,12 +112,15 @@ def model_from_config(cfg: RunConfig, mspec: BackboneSpec | None = None,
     )
 
 
+def _sample(cfg: RunConfig, dataset: list[Sample], index: int) -> Episode:
+    return sample_episode(dataset, cfg["episode.k"], cfg["episode.seed"] + index,
+                          cfg["episode.query_per_class"])
+
+
 def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
                 index: int = 0, *, strategy: str | None = None,
                 mspec: BackboneSpec | None = None, train: bool = True,
-                adapters: bool = True, train_cfg=None, lam: float | None = None,
-                gate_init: float | None = None,
-                gates_learnable: bool | None = None,
+                adapters: bool = True, lam: float | None = None,
                 model: Model | None = None) -> EpisodeRun:
     """Sample episode ``index``, optionally train on its support, score its
     queries, and derive metrics with a support-calibrated threshold."""
@@ -121,19 +128,16 @@ def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     lam = cfg["infer.lam"] if lam is None else lam
     episode_seed = cfg["episode.seed"] + index
     model_seed = cfg["model.seed"] + index
-    ep = sample_episode(dataset, cfg["episode.k"], episode_seed,
-                        cfg["episode.query_per_class"])
+    ep = _sample(cfg, dataset, index)
     sup = take(store, mspec.selected_visual, ep.support_ids)
     qry = take(store, mspec.selected_visual, ep.query_ids)
     if model is None:
-        model = model_from_config(cfg, mspec, model_seed, strategy,
-                                  gate_init, gates_learnable)
+        model = model_from_config(cfg, mspec, model_seed, strategy)
     if not adapters:
         set_adapters_trainable(model, False)
     ysup = store.labels[ep.support_ids]
     yq = store.labels[ep.query_ids]
-    trace = (train_episode(model, sup, ysup, train_cfg or cfg.train_config())
-             if train else [])
+    trace = train_episode(model, sup, ysup, cfg.train_config()) if train else []
     sup_t = {l: Tensor(a) for l, a in sup.items()}
     with nc.no_grad():
         sup_out = forward(model, sup_t)
@@ -149,6 +153,81 @@ def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
                       model_seed=model_seed, strategy=model.strategy, lam=lam,
                       model=model, episode=ep, trace=trace, report=report,
                       support_report=sup_report, metrics=metrics)
+
+
+# ---------------------------------------------------------------------------
+# stacked trainings
+
+@dataclass(frozen=True)
+class Training:
+    """One training a grid asks for: episode ``index`` under a model recipe.
+    None fields take the run config's value."""
+
+    index: int
+    mspec: BackboneSpec | None = None
+    strategy: str | None = None
+    gate_init: float | None = None
+    gates_learnable: bool | None = None
+
+    def structure(self) -> "Training":
+        """Trainings that agree here may share a stack: they differ only in
+        their episode (support set, model seed) and initial gate value."""
+        return replace(self, index=0, gate_init=None)
+
+
+def stack_capacity(config: TrainConfig, support: int) -> int:
+    """Episodes per stack: a step holds at most ``batch_size`` support rows,
+    the most a single episode's step can hold."""
+    return config.batch_size // min(config.batch_size, support)
+
+
+def train_and_score(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
+                    trainings: list[Training], read) -> list:
+    """Train every requested training, score it through ``run_episode`` and
+    return ``read(run)`` for each, in request order.
+
+    Same-structure trainings train together, up to ``stack_capacity``
+    episodes per stack; a stack of one trains the model itself. Each run is
+    read as soon as it is scored, so one stack of models is alive at a time.
+    """
+    out: list = [None] * len(trainings)
+    cap = stack_capacity(cfg.train_config(), 2 * cfg["episode.k"])
+    groups: dict[Training, list[int]] = {}
+    for pos, t in enumerate(trainings):
+        groups.setdefault(t.structure(), []).append(pos)
+    for positions in groups.values():
+        for lo in range(0, len(positions), cap):
+            stack = positions[lo:lo + cap]
+            trained = _train_stack(cfg, store, dataset,
+                                   [trainings[pos] for pos in stack])
+            for pos, (model, trace) in zip(stack, trained):
+                run = run_episode(cfg, store, dataset, trainings[pos].index,
+                                  mspec=trainings[pos].mspec, train=False,
+                                  model=model)
+                out[pos] = read(replace(run, trace=trace))
+    return out
+
+
+def _train_stack(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
+                 stack: list[Training]) -> list[tuple[Model, list[TraceRow]]]:
+    """Train same-structure trainings in one tape; (model, trace) for each."""
+    tcfg = cfg.train_config()
+    models, sups, labels = [], [], []
+    for t in stack:
+        mspec = t.mspec or cfg.backbone_spec()
+        models.append(model_from_config(cfg, mspec, cfg["model.seed"] + t.index,
+                                        t.strategy, t.gate_init,
+                                        t.gates_learnable))
+        ep = _sample(cfg, dataset, t.index)
+        sups.append(take(store, mspec.selected_visual, ep.support_ids))
+        labels.append(store.labels[ep.support_ids])
+    if len(stack) == 1:
+        return [(models[0], train_episode(models[0], sups[0], labels[0], tcfg))]
+    stacked = stack_models(models)
+    feats = {layer: np.stack([sup[layer] for sup in sups]) for layer in sups[0]}
+    traces = train_episode(stacked, feats, np.stack(labels), tcfg)
+    unstack_model(stacked, models)
+    return list(zip(models, traces))
 
 
 def eval_at_lambda(report: ScoreReport, lam: float) -> tuple[float, float]:
@@ -201,8 +280,8 @@ class StrategyGrid:
     loss_last: list[float]
 
 
-def strategy_grid(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
-                  train_cfg=None) -> StrategyGrid:
+def strategy_grid(cfg: RunConfig, store: FeatureStore,
+                  dataset: list[Sample]) -> StrategyGrid:
     """Seed-averaged grid over adaptation components and alignment strategies.
 
     Row 1 is the zero-adaptation baseline (nothing trained, semantic branch
@@ -213,21 +292,23 @@ def strategy_grid(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     cells = {name: Cell() for name in
              ("untrained_sem", "untrained_dual", "none_sem", "none_dual",
               "v2t_dual", "t2v_dual", "seq_dual")}
-    loss_first: list[float] = []
-    loss_last: list[float] = []
-    for i in range(cfg["episode.count"]):
+    count = cfg["episode.count"]
+    for i in range(count):
         base = run_episode(cfg, store, dataset, i, strategy="none", train=False)
         cells["untrained_sem"].add(*eval_at_lambda(base.report, 1.0))
         cells["untrained_dual"].add(*eval_at_lambda(base.report, lam_dual))
-        for strat in ("none", "v2t", "t2v", "seq"):
-            run = run_episode(cfg, store, dataset, i, strategy=strat,
-                              train_cfg=train_cfg, lam=lam_dual)
-            cells[f"{strat}_dual"].add(*eval_at_lambda(run.report, lam_dual))
-            if strat == "none":
-                cells["none_sem"].add(*eval_at_lambda(run.report, 1.0))
-            if strat == "seq" and run.trace:
-                loss_first.append(run.trace[0].loss)
-                loss_last.append(run.trace[-1].loss)
+    trainings = [Training(i, strategy=s) for s in ("none", "v2t", "t2v", "seq")
+                 for i in range(count)]
+    runs = train_and_score(cfg, store, dataset, trainings,
+                           lambda run: (run.report, run.trace))
+    for t, (report, _) in zip(trainings, runs):
+        cells[f"{t.strategy}_dual"].add(*eval_at_lambda(report, lam_dual))
+        if t.strategy == "none":
+            cells["none_sem"].add(*eval_at_lambda(report, 1.0))
+    seq_traces = [trace for t, (_, trace) in zip(trainings, runs)
+                  if t.strategy == "seq" and trace]
+    loss_first = [trace[0].loss for trace in seq_traces]
+    loss_last = [trace[-1].loss for trace in seq_traces]
     cell_of = {1: "untrained_sem", 2: "none_sem", 3: "none_dual",
                4: "v2t_dual", 5: "t2v_dual", 6: "seq_dual"}
     rows = [{"row": row, "adapters": adapters, "strategy": strat, "dual": dual,
@@ -256,17 +337,21 @@ class StageGrid:
     cells: dict[str, Cell]
 
 
-def stage_grid(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
-               train_cfg=None) -> StageGrid:
+def stage_grid(cfg: RunConfig, store: FeatureStore,
+               dataset: list[Sample]) -> StageGrid:
     """Seed-averaged adaptation-depth ablation at the configured strategy."""
+    specs = stage_specs(cfg.backbone_spec())
+    count = cfg["episode.count"]
+    trainings = [Training(i, mspec=mspec) for _, mspec in specs
+                 for i in range(count)]
+    scored = train_and_score(cfg, store, dataset, trainings,
+                             lambda run: (run.metrics.auc, run.metrics.ap))
     cells: dict[str, Cell] = {}
     rows = []
-    for name, mspec in stage_specs(cfg.backbone_spec()):
+    for j, (name, mspec) in enumerate(specs):
         cell = cells[name] = Cell()
-        for i in range(cfg["episode.count"]):
-            run = run_episode(cfg, store, dataset, i, mspec=mspec,
-                              train_cfg=train_cfg)
-            cell.add(run.metrics.auc, run.metrics.ap)
+        for a, p in scored[j * count:(j + 1) * count]:
+            cell.add(a, p)
         rows.append({"stage": name,
                      "visual_taps": ",".join(map(str, mspec.selected_visual)),
                      "text_taps": ",".join(map(str, mspec.selected_text)),
@@ -278,21 +363,22 @@ def stage_grid(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
 # sensitivity sweeps
 
 def lambda_sweep(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
-                 points=LAMBDA_POINTS, train_cfg=None) -> list[dict]:
+                 points=LAMBDA_POINTS) -> list[dict]:
     """One training run per seed, re-blended at every ensemble weight.
 
     Emits one row per (point, seed) and a closing mean row per point.
     """
     if not points:
         raise ConfigError("sweep grid is empty")
-    runs = [run_episode(cfg, store, dataset, i, train_cfg=train_cfg)
-            for i in range(cfg["episode.count"])]
+    trainings = [Training(i) for i in range(cfg["episode.count"])]
+    runs = train_and_score(cfg, store, dataset, trainings,
+                           lambda run: (run.episode_seed, run.report))
     rows = []
     for lam in points:
-        scored = [eval_at_lambda(r.report, lam) for r in runs]
-        rows += [{"parameter": "lambda", "value": lam, "seed": r.episode_seed,
+        scored = [eval_at_lambda(report, lam) for _, report in runs]
+        rows += [{"parameter": "lambda", "value": lam, "seed": seed,
                   "auc": a, "ap": p}
-                 for r, (a, p) in zip(runs, scored)]
+                 for (seed, _), (a, p) in zip(runs, scored)]
         rows.append({"parameter": "lambda", "value": lam, "seed": "mean",
                      "auc": float(np.mean([a for a, _ in scored])),
                      "ap": float(np.mean([p for _, p in scored]))})
@@ -300,23 +386,25 @@ def lambda_sweep(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
 
 
 def beta_sweep(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
-               points=BETA_POINTS, train_cfg=None) -> list[dict]:
-    """Fixed, non-learnable gate values; a full training run per point."""
+               points=BETA_POINTS) -> list[dict]:
+    """Fixed, non-learnable gate values; a full training run per point.
+    Stacks span gate values: the gate is a value, not a structure."""
     if not points:
         raise ConfigError("sweep grid is empty")
+    count = cfg["episode.count"]
+    trainings = [Training(i, gate_init=float(beta), gates_learnable=False)
+                 for beta in points for i in range(count)]
+    runs = train_and_score(
+        cfg, store, dataset, trainings,
+        lambda run: (run.episode_seed, run.metrics.auc, run.metrics.ap))
     rows = []
-    for beta in points:
-        scored = []
-        for i in range(cfg["episode.count"]):
-            run = run_episode(cfg, store, dataset, i, train_cfg=train_cfg,
-                              gate_init=float(beta), gates_learnable=False)
-            scored.append((run.metrics.auc, run.metrics.ap))
-            rows.append({"parameter": "beta", "value": beta,
-                         "seed": run.episode_seed, "auc": run.metrics.auc,
-                         "ap": run.metrics.ap})
+    for j, beta in enumerate(points):
+        block = runs[j * count:(j + 1) * count]
+        rows += [{"parameter": "beta", "value": beta, "seed": seed,
+                  "auc": a, "ap": p} for seed, a, p in block]
         rows.append({"parameter": "beta", "value": beta, "seed": "mean",
-                     "auc": float(np.mean([a for a, _ in scored])),
-                     "ap": float(np.mean([p for _, p in scored]))})
+                     "auc": float(np.mean([a for _, a, _ in block])),
+                     "ap": float(np.mean([p for _, _, p in block]))})
     return rows
 
 
@@ -378,6 +466,7 @@ def gradcheck_ops(seed: int = 0, tol: float = GRADCHECK_TOL) -> list[GradCheckRo
         ("scale", lambda t: nc.scale(t[0], 1.7), [a]),
         ("mean_axis", lambda t: nc.mean_axis(t[0], 1), [a]),
         ("sum_all", lambda t: nc.sum_all(t[0]), [a]),
+        ("sum_last", lambda t: nc.sum_last(t[0]), [a]),
         ("matmul", lambda t: nc.matmul(t[0], t[1]),
          [rng.normal(size=(3, 4)), rng.normal(size=(4, 5))]),
         ("matmul_batched", lambda t: nc.matmul(t[0], t[1]),

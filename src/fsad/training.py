@@ -3,6 +3,8 @@
 Prompts, alignment blocks and the logit scale train at the fast rate;
 adapters train ten times slower. Support features come precomputed from the
 frozen visual tower, so each step differentiates only the adaptation stack.
+A stacked model (``model.stack_models``) trains several independent
+episodes in one tape, each bit-identical to training it alone.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigError, ContractError, DomainError
+from .errors import ConfigError, ContractError, DomainError, NumericError
 from .inference import semantic_scores
-from .model import FAST_GROUP, Model, forward, named_parameters, parameter_groups
+from .model import (FAST_GROUP, Model, forward, named_parameters,
+                    parameter_groups, stack_size)
 from .numcore import GradTape, Tensor, backward
 
 
@@ -28,7 +31,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -43,21 +45,23 @@ SCORE_FLOOR = 1e-12
 
 
 def bce_loss(scores: Tensor, labels) -> Tensor:
-    """Mean binary cross-entropy over probability scores.
+    """Mean binary cross-entropy over probability scores, per episode.
 
-    Scores are clamped away from {0, 1} so saturated sigmoids cannot produce
-    infinite log terms; clamped entries contribute zero gradient.
+    Labels are [n] (one episode: a scalar loss) or [E, n] (a stack: one
+    loss per episode); scores take the labels' shape. Scores are clamped
+    away from {0, 1} so saturated sigmoids cannot produce infinite log
+    terms; clamped entries contribute zero gradient.
     """
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
+    y = np.atleast_1d(np.asarray(labels, dtype=np.float64))
     if y.size == 0:
         raise ContractError("empty batch in loss")
     if scores.data.size != y.size:
         raise ContractError(f"{scores.data.size} scores vs {y.size} labels")
-    flat = nc.clip(nc.reshape(scores, (y.size,)), SCORE_FLOOR, 1.0 - SCORE_FLOOR)
-    ones = Tensor(np.ones(y.size))
+    flat = nc.clip(nc.reshape(scores, y.shape), SCORE_FLOOR, 1.0 - SCORE_FLOOR)
+    ones = Tensor(np.ones(y.shape))
     pos = nc.mul(Tensor(y), nc.log(flat))
     neg = nc.mul(Tensor(1.0 - y), nc.log(nc.sub(ones, flat)))
-    return nc.scale(nc.sum_all(nc.add(pos, neg)), -1.0 / y.size)
+    return nc.scale(nc.sum_last(nc.add(pos, neg)), -1.0 / y.shape[-1])
 
 
 def cosine_lr(base_lr: float, epoch: int, total: int) -> float:
@@ -116,16 +120,47 @@ class TraceRow:
     loss: float
 
 
+def _first_nonfinite(model: Model, episode: int | None = None) -> str | None:
+    """Name of the first parameter, or of its slice for one episode of a
+    stack, that holds a non-finite value."""
+    return next((name for name, p in named_parameters(model).items()
+                 if not np.isfinite(p.data if episode is None
+                                    else p.data[episode]).all()), None)
+
+
+def _loss_error(model: Model, losses: np.ndarray, epoch: int) -> NumericError:
+    """Name the epoch, the first diverged episode of a stack and that
+    episode's first non-finite parameter."""
+    episode = int(np.flatnonzero(~np.isfinite(losses.reshape(-1)))[0])
+    stacked = stack_size(model) is not None
+    culprit = _first_nonfinite(model, episode if stacked else None)
+    return NumericError(
+        f"training diverged: non-finite loss at epoch {epoch}"
+        + (f" in episode {episode} of the stack" if stacked else "")
+        + (f"; first non-finite parameter {culprit}" if culprit
+           else "; all parameters still finite"))
+
+
 def train_episode(model: Model, support_feats: dict[int, np.ndarray], labels,
-                  config: TrainConfig) -> list[TraceRow]:
+                  config: TrainConfig) -> list[TraceRow] | list[list[TraceRow]]:
     """Optimize the adaptation stack on one support set.
 
     support_feats maps visual taps to [B, P, d] frozen features; labels is
     the matching 0/1 vector. Mini-batches are consecutive fixed-order slices
     capped at the configured batch size, so runs are fully deterministic.
+    Returns the per-epoch trace.
+
+    A stacked model of E episodes takes [E, B, P, d] features and [E, B]
+    labels and returns one trace per episode. The step's loss is the sum of
+    the per-episode losses, so each episode's gradient is the one it would
+    get alone. Raises NumericError at the first non-finite loss, or if the
+    last update left a parameter non-finite.
     """
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n = y.size
+    stacked = stack_size(model) is not None
+    y = np.asarray(labels, dtype=np.int64)
+    if not stacked:
+        y = y.reshape(-1)
+    n = y.shape[-1]
     if n == 0:
         raise ContractError("empty support set")
     groups = parameter_groups(model)
@@ -134,22 +169,32 @@ def train_episode(model: Model, support_feats: dict[int, np.ndarray], labels,
     opt = AdamW(named_parameters(model), weight_decay=config.weight_decay,
                 beta1=config.beta1, beta2=config.beta2, eps=config.eps)
     bounds = list(range(0, n, min(config.batch_size, n))) + [n]
-    trace: list[TraceRow] = []
+    traces: list[list[TraceRow]] = [[] for _ in range(y.size // n)]
     for epoch in range(config.epochs):
         decay = cosine_lr(1.0, epoch, config.epochs)
         lrs = {name: base * decay for name, base in rate_key.items()}
-        total_loss = 0.0
+        total_loss = np.zeros(y.shape[:-1])
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            batch = {layer: Tensor(feats[lo:hi])
+            batch = {layer: Tensor(feats[..., lo:hi, :, :])
                      for layer, feats in support_feats.items()}
             with GradTape() as tape:
                 scores = training_scores(model, batch)
-                loss = bce_loss(scores, y[lo:hi])
+                loss = bce_loss(scores, y[..., lo:hi])
+                objective = nc.sum_all(loss) if stacked else loss
+            if not np.isfinite(loss.data).all():
+                raise _loss_error(model, loss.data, epoch)
             opt.zero_grad()
-            backward(loss, tape)
+            backward(objective, tape)
             opt.step(lrs)
-            total_loss += loss.item() * (hi - lo)
-        trace.append(TraceRow(epoch=epoch, lr_fast=config.lr_fast * decay,
-                              lr_slow=config.lr_slow * decay, loss=total_loss / n))
+            total_loss += loss.data * (hi - lo)
+        for trace, episode_loss in zip(traces, np.reshape(total_loss / n, -1)):
+            trace.append(TraceRow(epoch=epoch, lr_fast=config.lr_fast * decay,
+                                  lr_slow=config.lr_slow * decay,
+                                  loss=float(episode_loss)))
     opt.zero_grad()
-    return trace
+    # the last step's update is never scored by a loss
+    culprit = _first_nonfinite(model) if config.epochs else None
+    if culprit:
+        raise NumericError(f"training diverged: parameter {culprit} is "
+                           f"non-finite after the last epoch")
+    return traces if stacked else traces[0]

@@ -162,6 +162,24 @@ def test_prompt_shape_errors():
     _, txt = build_backbone(small_spec())
     with pytest.raises(ShapeError):
         encode_prompt(txt, Tensor(np.zeros((4, 8))))
+    with pytest.raises(ShapeError):
+        encode_prompt(txt, Tensor(np.zeros(16)))
+    with pytest.raises(ShapeError):
+        encode_prompt(txt, Tensor(np.zeros((2, 1, 0, 16))))
+
+
+def test_stacked_prompts_encode_like_each_alone():
+    _, txt = build_backbone(small_spec())
+    rng = np.random.default_rng(6)
+    prompts = rng.normal(size=(3, 1, 5, 16)) * 0.1
+    taps, vec = encode_prompt(txt, Tensor(prompts))
+    assert vec.shape == (3, 1, 16)
+    for e in range(3):
+        taps_e, vec_e = encode_prompt(txt, Tensor(prompts[e, 0]))
+        np.testing.assert_array_equal(vec.data[e, 0], vec_e.data)
+        for layer in taps_e:
+            np.testing.assert_array_equal(taps[layer].data[e, 0],
+                                          taps_e[layer].data)
 
 
 def test_layer_map_positional():

@@ -8,7 +8,7 @@ import pytest
 from fsad.backbone import load_feature_bundle
 from fsad.cli import main
 from fsad.config import RunConfig, load_config
-from fsad.model import load_checkpoint, named_parameters
+from fsad.model import load_checkpoint, named_parameters, save_checkpoint
 from fsad.runner import build_feature_store, model_from_config, run_episode
 from fsad.synthdata import generate_dataset
 
@@ -141,6 +141,28 @@ def test_eval_compat_error_names_field(cfg_file, trained, tmp_path, capsys):
     assert rc != 0
     err = capsys.readouterr().err
     assert "error[compat]" in err and "prompt_len" in err
+
+
+def test_diverging_train_is_a_numeric_error(cfg_file, tmp_path, capsys):
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--config", cfg_file, "--out", str(tmp_path / "x"),
+                   "--epochs", "30", "--set", "train.lr_fast=1e3",
+                   "--set", "train.lr_slow=1e3"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error[numeric]" in err and "non-finite loss at epoch" in err
+    assert not (tmp_path / "x" / "model.ckpt").exists()
+
+
+def test_eval_rejects_non_finite_checkpoint(cfg_file, tmp_path, capsys):
+    model = model_from_config(load_config(cfg_file))
+    named_parameters(model)["logit.rho"].data = np.asarray(np.inf)
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(model, str(path))
+    rc = main(["eval", "--config", cfg_file, "--out", str(tmp_path / "x"),
+               "--checkpoint", str(path)])
+    assert rc == 1
+    assert "error[numeric]" in capsys.readouterr().err
 
 
 def test_eval_missing_checkpoint(cfg_file, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from fsad import numcore as nc
 from fsad.backbone import BackboneSpec
 from fsad.binio import ByteWriter
-from fsad.errors import CompatError, FormatError
+from fsad.errors import CompatError, FormatError, NumericError
 from fsad.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, FAST_GROUP,
                         SLOW_GROUP, apply_checkpoint, backbone_checksum, forward,
                         forward_text, init_model, load_checkpoint,
@@ -155,6 +155,17 @@ def test_checkpoint_shape_guard(tmp_path):
     other = small_model(reduction=2)  # same names, different adapter shapes
     with pytest.raises(CompatError, match="shape"):
         apply_checkpoint(other, path)
+
+
+def test_checkpoint_with_non_finite_values_rejected(tmp_path):
+    model = small_model()
+    named_parameters(model)["clsa.beta_v"].data = np.asarray(np.nan)
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(model, path)
+    with pytest.raises(NumericError, match=r"clsa\.beta_v has 1 non-finite"):
+        load_checkpoint(path)
+    with pytest.raises(NumericError):
+        apply_checkpoint(small_model(), path)
 
 
 def rewrite_entries(src, dst, mutate):

@@ -394,3 +394,28 @@ def test_binary_ops_raise_shape_error_on_mismatch():
     for op in (nc.add, nc.sub, nc.mul):
         with pytest.raises(ShapeError, match=op.__name__):
             op(a, b)
+
+
+def test_sum_last_on_a_vector_is_sum_all_bit_for_bit():
+    rng = np.random.default_rng(31)
+    data = rng.normal(size=37) * 10.0 ** rng.integers(-8, 8, size=37)
+    a = Tensor(data.copy(), requires_grad=True)
+    b = Tensor(data.copy(), requires_grad=True)
+    with GradTape() as tape:
+        la = nc.scale(nc.sum_last(a), 0.3)
+        lb = nc.scale(nc.sum_all(b), 0.3)
+    backward(la, tape)
+    backward(lb, tape)
+    assert la.shape == lb.shape == ()
+    assert la.item() == lb.item()
+    np.testing.assert_array_equal(a.grad, b.grad)
+
+
+def test_sum_last_rows_match_each_row_alone():
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(3, 4, 19))
+    got = nc.sum_last(Tensor(x)).data
+    assert got.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            assert got[i, j] == nc.sum_all(Tensor(x[i, j])).item()

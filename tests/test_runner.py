@@ -190,9 +190,9 @@ def test_default_sweep_grids():
 def test_gradcheck_ops_cover_engine_and_pass():
     rows = gradcheck_ops()
     names = {r.name for r in rows}
-    assert {"add", "sub", "mul", "scale", "mean_axis", "sum_all", "matmul",
-            "transpose", "reshape", "concat", "narrow", "sigmoid", "silu",
-            "exp", "log", "clip", "softmax_rows", "layernorm_rows",
+    assert {"add", "sub", "mul", "scale", "mean_axis", "sum_all", "sum_last",
+            "matmul", "transpose", "reshape", "concat", "narrow", "sigmoid",
+            "silu", "exp", "log", "clip", "softmax_rows", "layernorm_rows",
             "cosine_rows", "attention"} <= names
     assert all(r.ok for r in rows)
     assert max(r.rel_err for r in rows) < 1e-4

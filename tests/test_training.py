@@ -5,7 +5,7 @@ import pytest
 
 from fsad import numcore as nc
 from fsad.backbone import BackboneSpec
-from fsad.errors import ConfigError, ContractError, DomainError
+from fsad.errors import ConfigError, ContractError, DomainError, NumericError
 from fsad.model import (backbone_checksum, forward, init_model, named_parameters,
                         state_checksum)
 from fsad.inference import semantic_scores
@@ -59,6 +59,17 @@ def test_bce_contract_guards():
         bce_loss(Tensor(np.zeros(0)), [])
     with pytest.raises(ContractError):
         bce_loss(Tensor(np.full(3, 0.5)), [1, 0])
+
+
+def test_bce_keeps_one_loss_per_episode():
+    scores = np.array([[0.3, 0.8, 0.6], [0.9, 0.1, 0.5]])
+    labels = np.array([[1, 0, 1], [0, 0, 1]])
+    per_episode = bce_loss(Tensor(scores), labels)
+    assert per_episode.shape == (2,)
+    for e in range(2):
+        alone = bce_loss(Tensor(scores[e]), labels[e])
+        assert alone.shape == ()
+        assert per_episode.data[e] == alone.item()
 
 
 def test_bce_gradient_matches_closed_form():
@@ -246,3 +257,39 @@ def test_batch_size_caps_at_support_size():
     trace = train_episode(model, feats, labels,
                           TrainConfig(epochs=1, batch_size=16))
     assert len(trace) == 1 and np.isfinite(trace[0].loss)
+
+
+# --- divergence ----------------------------------------------------------------
+
+def test_diverging_training_raises_numeric_error():
+    # at these rates the loss turns NaN within a few epochs; training must
+    # stop there instead of running on with non-finite parameters
+    feats, labels = support(seed=7)
+    cfg = TrainConfig(epochs=30, lr_fast=1e3, lr_slow=1e3)
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match=r"non-finite loss at epoch \d+; first "
+                                r"non-finite parameter \S+"):
+        train_episode(small_model(), feats, labels, cfg)
+
+
+def test_divergence_in_the_last_update_is_reported():
+    # no loss scores the final step's update; the end-of-training check
+    # must catch parameters that it left non-finite
+    spec = BackboneSpec()
+    rng = np.random.default_rng(0)
+    feats = {l: rng.normal(size=(8, spec.patches, spec.d))
+             for l in spec.selected_visual}
+    cfg = TrainConfig(epochs=3, lr_fast=1e3, lr_slow=1e3)
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match="non-finite after the last epoch"):
+        train_episode(init_model(spec, seed=1000), feats, np.arange(8) % 2, cfg)
+
+
+def test_non_finite_parameter_stops_training_at_its_first_step():
+    model = small_model()
+    model.adapt.prompts.context.data[0, 0] = np.inf
+    feats, labels = support(seed=8)
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericError, match=r"epoch 0; first non-finite parameter "
+                                r"prompt\.context"):
+        train_episode(model, feats, labels, TrainConfig(epochs=3))
