@@ -4,8 +4,9 @@ The visual tower patchifies an image and reports patch tokens at selected
 tap layers; the text tower runs a prompt matrix and reports hidden states at
 its own taps plus the final-layer class vector. Weights are drawn once from
 a seeded Gaussian and never trained; gradients pass through them to
-learnable inputs (needed for prompt tuning). A feature-bundle file format
-lets externally computed features replace the toy towers.
+learnable inputs (needed for prompt tuning). A feature bundle stores one
+image's visual-tower features only: the text tower must run on learnable
+prompts, so text features cannot be precomputed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .numcore import Tensor
 CLASSES = ("normal", "abnormal")
 
 BUNDLE_MAGIC = b"HAAF"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 _TAG_VISUAL = 11
 _TAG_TEXT = 12
@@ -218,75 +219,29 @@ def layer_map(spec: BackboneSpec) -> list[tuple[int, int]]:
     return list(zip(spec.selected_visual, spec.selected_text))
 
 
-def evenly_spaced_map(vision_total: int, text_total: int,
-                      stages: int) -> list[tuple[int, int]]:
-    """Stage pairing for unequal towers: visual taps at even depth fractions,
-    each mapped to the text layer at the same relative depth."""
-    if stages < 1 or stages > min(vision_total, text_total):
-        raise ConfigError(f"cannot place {stages} stages in towers "
-                          f"({vision_total}, {text_total})")
-    pairs = []
-    for i in range(1, stages + 1):
-        v = round(i * vision_total / stages)
-        t = round(v * text_total / vision_total)
-        pairs.append((v, max(1, t)))
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # feature bundles
 
 @dataclass
 class FeatureBundle:
-    """Per-layer features for one image plus per-class text features."""
+    """Frozen visual-tower features for one image, per tap layer."""
 
     d: int
     visual: dict[int, np.ndarray] = field(default_factory=dict)
-    text: dict[str, dict[int, np.ndarray]] = field(default_factory=dict)
-    class_vectors: dict[str, np.ndarray] = field(default_factory=dict)
 
     def validate(self) -> None:
         for layer, arr in self.visual.items():
             if arr.ndim != 2 or arr.shape[1] != self.d:
                 raise ShapeError(f"visual layer {layer}: shape {arr.shape} "
                                  f"does not match width {self.d}")
-        layer_sets = {cls: tuple(sorted(per)) for cls, per in self.text.items()}
-        if len(set(layer_sets.values())) > 1:
-            raise ShapeError(f"text layer sets differ across classes: {layer_sets}")
-        for cls, per in self.text.items():
-            for layer, arr in per.items():
-                if arr.ndim != 2 or arr.shape[1] != self.d:
-                    raise ShapeError(f"text {cls} layer {layer}: shape {arr.shape} "
-                                     f"does not match width {self.d}")
-        if set(self.class_vectors) != set(self.text):
-            raise ShapeError("class vector set does not match text class set")
-        for cls, vec in self.class_vectors.items():
-            if vec.shape != (self.d,):
-                raise ShapeError(f"class vector {cls}: shape {vec.shape}")
 
     def __eq__(self, other):
         if not isinstance(other, FeatureBundle) or self.d != other.d:
             return False
-        if (self.visual.keys() != other.visual.keys()
-                or self.text.keys() != other.text.keys()):
+        if self.visual.keys() != other.visual.keys():
             return False
-        if any(not np.array_equal(self.visual[k], other.visual[k]) for k in self.visual):
-            return False
-        for cls in self.text:
-            if self.text[cls].keys() != other.text[cls].keys():
-                return False
-            if any(not np.array_equal(self.text[cls][m], other.text[cls][m])
-                   for m in self.text[cls]):
-                return False
-        return all(np.array_equal(self.class_vectors[c], other.class_vectors[c])
-                   for c in self.class_vectors)
-
-
-def _class_order(bundle: FeatureBundle) -> list[str]:
-    names = list(bundle.text)
-    if sorted(names) == sorted(CLASSES[:len(names)]):
-        return [c for c in CLASSES if c in names]
-    return names
+        return all(np.array_equal(self.visual[k], other.visual[k])
+                   for k in self.visual)
 
 
 def save_feature_bundle(bundle: FeatureBundle, path: str) -> None:
@@ -301,26 +256,8 @@ def save_feature_bundle(bundle: FeatureBundle, path: str) -> None:
         w.u32(layer)
         w.u32(arr.shape[0])
         w.f32_array(arr)
-    classes = _class_order(bundle)
-    layers = sorted(next(iter(bundle.text.values()))) if bundle.text else []
-    w.u32(len(classes))
-    w.u32(len(layers))
-    for cls in classes:
-        for layer in layers:
-            arr = bundle.text[cls][layer]
-            w.u32(layer)
-            w.u32(arr.shape[0])
-            w.f32_array(arr)
-    for cls in classes:
-        w.f32_array(bundle.class_vectors[cls])
     with open(path, "wb") as fh:
         fh.write(w.getvalue())
-
-
-def _load_names(count: int) -> list[str]:
-    if count == len(CLASSES):
-        return list(CLASSES)
-    return [f"class{i}" for i in range(count)]
 
 
 def load_feature_bundle(path: str) -> FeatureBundle:
@@ -337,18 +274,6 @@ def load_feature_bundle(path: str) -> FeatureBundle:
         layer = r.u32("visual layer id")
         p = r.u32("patch count")
         bundle.visual[layer] = r.f32_array((p, d), f"visual layer {layer}")
-    n_classes = r.u32("class count")
-    n_layers = r.u32("text layer count")
-    names = _load_names(n_classes)
-    for cls in names:
-        per = {}
-        for _ in range(n_layers):
-            layer = r.u32("text layer id")
-            rows = r.u32("text row count")
-            per[layer] = r.f32_array((rows, d), f"text {cls} layer {layer}")
-        bundle.text[cls] = per
-    for cls in names:
-        bundle.class_vectors[cls] = r.f32_array((d,), f"class vector {cls}")
     r.expect_exhausted()
     bundle.validate()
     return bundle

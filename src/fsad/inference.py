@@ -15,7 +15,7 @@ import numpy as np
 from . import numcore as nc
 from .clsa import ClsaOutput
 from .errors import CapacityError, ContractError, DomainError
-from .numcore import NORM_FLOOR, Tensor
+from .numcore import Tensor
 
 EPS_DEFAULT = 1e-8
 LAMBDA_DEFAULT = 0.5
@@ -38,12 +38,6 @@ def semantic_scores(visual: dict[int, Tensor], t_abn: Tensor, tau: Tensor) -> Te
         per_image = nc.mean_axis(per_patch, per_patch.ndim - 1)
         total = per_image if total is None else nc.add(total, per_image)
     return nc.scale(total, 1.0 / len(visual))
-
-
-def semantic_score(visual: dict[int, Tensor], t_abn: Tensor, tau: Tensor) -> float:
-    """Single-sample semantic score as a plain float."""
-    with nc.no_grad():
-        return float(semantic_scores(visual, t_abn, tau).data)
 
 
 @dataclass
@@ -73,12 +67,6 @@ def build_prototypes(support_visual: dict[int, Tensor],
     return protos
 
 
-def _cos_rows(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    nr = np.maximum(np.linalg.norm(rows, axis=-1), NORM_FLOOR)
-    nv = max(np.linalg.norm(vec), NORM_FLOOR)
-    return (rows @ vec) / (nr * nv)
-
-
 def proto_distance(query_visual: dict[int, Tensor], protos: PrototypeSet,
                    cls: str) -> np.ndarray:
     """Sum over layers of one minus the mean patch cosine to the prototype.
@@ -89,7 +77,8 @@ def proto_distance(query_visual: dict[int, Tensor], protos: PrototypeSet,
         raise DomainError(f"no prototype for class {cls!r}")
     total = None
     for layer, v in query_visual.items():
-        cos = _cos_rows(v.data, protos.vectors[cls][layer])
+        with nc.no_grad():
+            cos = nc.cosine_rows(v, Tensor(protos.vectors[cls][layer])).data
         term = 1.0 - cos.mean(axis=-1)
         total = term if total is None else total + term
     return np.asarray(total)

@@ -1,10 +1,12 @@
 """Full trainable state: adapters, prompts, alignment blocks, logit scale.
 
-One Model owns the frozen encoder pair plus every learnable tensor, exposes
-them as an ordered name -> tensor mapping split into a fast group (prompts,
-alignment, logit scale) and a slow group (adapters), and serializes exactly
-that mapping into a checkpoint file. Checkpoints store 64-bit floats so a
-save/load cycle is bit-exact.
+One Model owns the frozen text encoder, the tower that gradients pass
+through to the prompts, plus every learnable tensor. Visual features arrive
+precomputed, so a Model never holds or runs the visual tower. It exposes
+the learnable tensors as an ordered name -> tensor mapping split into a fast
+group (prompts, alignment, logit scale) and a slow group (adapters), and
+serializes exactly that mapping into a checkpoint file. Checkpoints store
+64-bit floats so a save/load cycle is bit-exact.
 
 A stacked Model holds E independent episodes: every learnable tensor and
 class embedding carries a leading episode axis shaped to broadcast against
@@ -23,7 +25,7 @@ from . import numcore as nc
 from .adaptation import (ALPHA_INIT, DEFAULT_PROMPT_LEN, DEFAULT_REDUCTION,
                          AdaptationState, apply_text_adapter,
                          apply_visual_adapter, init_adaptation)
-from .backbone import BackboneSpec, ToyEncoder, build_backbone, encode_prompt, layer_map
+from .backbone import BackboneSpec, ToyEncoder, encode_prompt, layer_map
 from .binio import ByteReader, ByteWriter
 from .clsa import ClsaOutput, ClsaState, clsa_forward, init_clsa
 from .errors import CompatError, ContractError, FormatError, NumericError
@@ -40,10 +42,9 @@ SLOW_GROUP = "slow"
 
 @dataclass
 class Model:
-    """Frozen encoders plus every learnable tensor of the adaptation stack."""
+    """Frozen text encoder plus every learnable tensor of the adaptation stack."""
 
     spec: BackboneSpec
-    visual_enc: ToyEncoder
     text_enc: ToyEncoder
     adapt: AdaptationState
     clsa: ClsaState
@@ -66,14 +67,14 @@ def init_model(spec: BackboneSpec, seed: int, strategy: str = "seq",
                gates_learnable: bool = True,
                alpha_init: float = ALPHA_INIT,
                clsa_heads: int | None = None) -> Model:
-    visual_enc, text_enc = build_backbone(spec)
+    text_enc = ToyEncoder(spec, "text")
     adapt = init_adaptation(spec, seed, prompt_len=prompt_len, reduction=reduction,
                             alpha_init=alpha_init)
     clsa = init_clsa(layer_map(spec), spec.d, clsa_heads or spec.heads, seed,
                      gate_init=gate_init, gates_learnable=gates_learnable)
     rho = Tensor(np.full((), RHO_INIT), requires_grad=True)
-    return Model(spec=spec, visual_enc=visual_enc, text_enc=text_enc, adapt=adapt,
-                 clsa=clsa, rho=rho, strategy=strategy, seed=seed)
+    return Model(spec=spec, text_enc=text_enc, adapt=adapt, clsa=clsa, rho=rho,
+                 strategy=strategy, seed=seed)
 
 
 def named_parameters(model: Model) -> dict[str, Tensor]:
@@ -132,15 +133,15 @@ def stack_size(model: Model) -> int | None:
 def stack_models(models: list[Model]) -> Model:
     """One model that trains the given same-structure models side by side.
 
-    The stack shares the first model's frozen encoders and copies its
-    learnable set; episode e of every stacked tensor is models[e]'s tensor.
+    The stack shares the first model's spec and frozen text encoder and
+    copies its learnable set; episode e of every stacked tensor is
+    models[e]'s tensor.
     """
     first = models[0]
     if any(_structure(m) != _structure(first) for m in models):
         raise ContractError("stacked models must share strategy, taps, "
                             "parameter shapes and learnable set")
-    shared = {id(obj): obj for obj in (first.spec, first.visual_enc,
-                                       first.text_enc)}
+    shared = {id(obj): obj for obj in (first.spec, first.text_enc)}
     stacked = copy.deepcopy(first, shared)
     per_model = [_episode_tensors(m) for m in models]
     for name, t in _episode_tensors(stacked).items():
@@ -295,9 +296,9 @@ def state_checksum(model: Model) -> str:
 
 
 def backbone_checksum(model: Model) -> str:
-    """sha256 over the frozen encoder weights, for freeze audits."""
+    """sha256 over the frozen text encoder weights, for freeze audits: the
+    text tower is the one that gradients pass through."""
     h = hashlib.sha256()
-    for enc in (model.visual_enc, model.text_enc):
-        for w in enc.all_weights():
-            h.update(np.ascontiguousarray(w.data, dtype="<f8").tobytes())
+    for w in model.text_enc.all_weights():
+        h.update(np.ascontiguousarray(w.data, dtype="<f8").tobytes())
     return h.hexdigest()

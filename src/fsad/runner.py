@@ -4,9 +4,9 @@ Frozen visual features are encoded once per corpus and sliced per episode
 and per tap subset, so ablation grids never re-run the image tower. Grid
 cells share trained models wherever only the evaluation side differs (for
 example the dual-branch and semantic-only readings of one training run).
-The trainings one grid or sweep call asks for train in stacks: episodes of
-the same structure share one tape (``model.stack_models``), each
-bit-identical to training it alone.
+Each grid or sweep call is one plan of ``RunSpec`` values (``run_plan``):
+its trained episodes of the same structure share one tape
+(``model.stack_models``), each bit-identical to training it alone.
 """
 
 from __future__ import annotations
@@ -87,26 +87,37 @@ class EpisodeRun:
     metrics: MetricReport
 
 
-def set_adapters_trainable(model: Model, trainable: bool) -> None:
-    """Toggle the bottleneck adapters (and their gate) in or out of training."""
-    for name, p in named_parameters(model).items():
-        if name.startswith(("rav.", "rat.")):
-            p.requires_grad = trainable
+@dataclass(frozen=True)
+class RunSpec:
+    """One episode run a report asks for: episode ``index`` under a model
+    recipe, trained on its support or scored as initialized. None fields
+    take the run config's value."""
+
+    index: int = 0
+    mspec: BackboneSpec | None = None
+    strategy: str | None = None
+    gate_init: float | None = None
+    gates_learnable: bool | None = None
+    train: bool = True
+
+    def structure(self) -> "RunSpec":
+        """Specs that agree here may share a stack: they differ only in
+        their episode (support set, model seed) and initial gate value."""
+        return replace(self, index=0, gate_init=None)
 
 
-def model_from_config(cfg: RunConfig, mspec: BackboneSpec | None = None,
-                      model_seed: int | None = None, strategy: str | None = None,
-                      gate_init: float | None = None,
-                      gates_learnable: bool | None = None) -> Model:
+def model_from_config(cfg: RunConfig, spec: RunSpec = RunSpec()) -> Model:
+    """The freshly initialized model of one spec, seeded by its episode."""
     return init_model(
-        mspec or cfg.backbone_spec(),
-        seed=cfg["model.seed"] if model_seed is None else model_seed,
-        strategy=strategy or cfg["clsa.strategy"],
+        spec.mspec or cfg.backbone_spec(),
+        seed=cfg["model.seed"] + spec.index,
+        strategy=spec.strategy or cfg["clsa.strategy"],
         prompt_len=cfg["adapt.prompt_len"],
         reduction=cfg["adapt.reduction"],
-        gate_init=cfg["clsa.gate_init"] if gate_init is None else gate_init,
+        gate_init=(cfg["clsa.gate_init"]
+                   if spec.gate_init is None else spec.gate_init),
         gates_learnable=(cfg["clsa.gates_learnable"]
-                         if gates_learnable is None else gates_learnable),
+                         if spec.gates_learnable is None else spec.gates_learnable),
         alpha_init=cfg["adapt.alpha_init"],
         clsa_heads=cfg["clsa.heads"],
     )
@@ -118,23 +129,19 @@ def _sample(cfg: RunConfig, dataset: list[Sample], index: int) -> Episode:
 
 
 def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
-                index: int = 0, *, strategy: str | None = None,
-                mspec: BackboneSpec | None = None, train: bool = True,
-                adapters: bool = True, lam: float | None = None,
+                index: int = 0, *, train: bool = True,
                 model: Model | None = None) -> EpisodeRun:
     """Sample episode ``index``, optionally train on its support, score its
-    queries, and derive metrics with a support-calibrated threshold."""
-    mspec = mspec or cfg.backbone_spec()
-    lam = cfg["infer.lam"] if lam is None else lam
-    episode_seed = cfg["episode.seed"] + index
-    model_seed = cfg["model.seed"] + index
+    queries, and derive metrics with a support-calibrated threshold.
+
+    ``model`` defaults to the config's model for this episode; its taps
+    select the features, and ``infer.lam`` blends the two branches."""
+    lam = cfg["infer.lam"]
     ep = _sample(cfg, dataset, index)
-    sup = take(store, mspec.selected_visual, ep.support_ids)
-    qry = take(store, mspec.selected_visual, ep.query_ids)
     if model is None:
-        model = model_from_config(cfg, mspec, model_seed, strategy)
-    if not adapters:
-        set_adapters_trainable(model, False)
+        model = model_from_config(cfg, RunSpec(index))
+    sup = take(store, model.spec.selected_visual, ep.support_ids)
+    qry = take(store, model.spec.selected_visual, ep.query_ids)
     ysup = store.labels[ep.support_ids]
     yq = store.labels[ep.query_ids]
     trace = train_episode(model, sup, ysup, cfg.train_config()) if train else []
@@ -149,31 +156,15 @@ def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
                                eps=cfg["infer.eps"])
     thr = threshold_from_support(sup_report.final, ysup)
     metrics = compute_report(report.final, yq, thr)
-    return EpisodeRun(index=index, episode_seed=episode_seed,
-                      model_seed=model_seed, strategy=model.strategy, lam=lam,
-                      model=model, episode=ep, trace=trace, report=report,
-                      support_report=sup_report, metrics=metrics)
+    return EpisodeRun(index=index, episode_seed=cfg["episode.seed"] + index,
+                      model_seed=cfg["model.seed"] + index,
+                      strategy=model.strategy, lam=lam, model=model, episode=ep,
+                      trace=trace, report=report, support_report=sup_report,
+                      metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
-# stacked trainings
-
-@dataclass(frozen=True)
-class Training:
-    """One training a grid asks for: episode ``index`` under a model recipe.
-    None fields take the run config's value."""
-
-    index: int
-    mspec: BackboneSpec | None = None
-    strategy: str | None = None
-    gate_init: float | None = None
-    gates_learnable: bool | None = None
-
-    def structure(self) -> "Training":
-        """Trainings that agree here may share a stack: they differ only in
-        their episode (support set, model seed) and initial gate value."""
-        return replace(self, index=0, gate_init=None)
-
+# run plans
 
 def stack_capacity(config: TrainConfig, support: int) -> int:
     """Episodes per stack: a step holds at most ``batch_size`` support rows,
@@ -181,53 +172,45 @@ def stack_capacity(config: TrainConfig, support: int) -> int:
     return config.batch_size // min(config.batch_size, support)
 
 
-def train_and_score(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
-                    trainings: list[Training], read) -> list:
-    """Train every requested training, score it through ``run_episode`` and
-    return ``read(run)`` for each, in request order.
+def run_plan(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
+             specs: list[RunSpec], read) -> list:
+    """Run every spec, score it through ``run_episode`` and return
+    ``read(run)`` for each, in request order.
 
-    Same-structure trainings train together, up to ``stack_capacity``
-    episodes per stack; a stack of one trains the model itself. Each run is
-    read as soon as it is scored, so one stack of models is alive at a time.
+    Same-structure specs run together, up to ``stack_capacity`` episodes
+    at a time; a trained group of two or more shares one tape, and a
+    group of one trains the model itself. Each run is read as soon as it
+    is scored, so one stack of models is alive at a time.
     """
-    out: list = [None] * len(trainings)
-    cap = stack_capacity(cfg.train_config(), 2 * cfg["episode.k"])
-    groups: dict[Training, list[int]] = {}
-    for pos, t in enumerate(trainings):
-        groups.setdefault(t.structure(), []).append(pos)
-    for positions in groups.values():
+    tcfg = cfg.train_config()
+    cap = stack_capacity(tcfg, 2 * cfg["episode.k"])
+    groups: dict[RunSpec, list[int]] = {}
+    for pos, spec in enumerate(specs):
+        groups.setdefault(spec.structure(), []).append(pos)
+    out: list = [None] * len(specs)
+    for structure, positions in groups.items():
         for lo in range(0, len(positions), cap):
             stack = positions[lo:lo + cap]
-            trained = _train_stack(cfg, store, dataset,
-                                   [trainings[pos] for pos in stack])
-            for pos, (model, trace) in zip(stack, trained):
-                run = run_episode(cfg, store, dataset, trainings[pos].index,
-                                  mspec=trainings[pos].mspec, train=False,
-                                  model=model)
+            models = [model_from_config(cfg, specs[pos]) for pos in stack]
+            traces = [[] for _ in stack]
+            if structure.train:
+                eps = [_sample(cfg, dataset, specs[pos].index) for pos in stack]
+                sups = [take(store, models[0].spec.selected_visual, ep.support_ids)
+                        for ep in eps]
+                labels = [store.labels[ep.support_ids] for ep in eps]
+                if len(stack) == 1:
+                    traces = [train_episode(models[0], sups[0], labels[0], tcfg)]
+                else:
+                    stacked = stack_models(models)
+                    feats = {layer: np.stack([sup[layer] for sup in sups])
+                             for layer in sups[0]}
+                    traces = train_episode(stacked, feats, np.stack(labels), tcfg)
+                    unstack_model(stacked, models)
+            for pos, model, trace in zip(stack, models, traces):
+                run = run_episode(cfg, store, dataset, specs[pos].index,
+                                  train=False, model=model)
                 out[pos] = read(replace(run, trace=trace))
     return out
-
-
-def _train_stack(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
-                 stack: list[Training]) -> list[tuple[Model, list[TraceRow]]]:
-    """Train same-structure trainings in one tape; (model, trace) for each."""
-    tcfg = cfg.train_config()
-    models, sups, labels = [], [], []
-    for t in stack:
-        mspec = t.mspec or cfg.backbone_spec()
-        models.append(model_from_config(cfg, mspec, cfg["model.seed"] + t.index,
-                                        t.strategy, t.gate_init,
-                                        t.gates_learnable))
-        ep = _sample(cfg, dataset, t.index)
-        sups.append(take(store, mspec.selected_visual, ep.support_ids))
-        labels.append(store.labels[ep.support_ids])
-    if len(stack) == 1:
-        return [(models[0], train_episode(models[0], sups[0], labels[0], tcfg))]
-    stacked = stack_models(models)
-    feats = {layer: np.stack([sup[layer] for sup in sups]) for layer in sups[0]}
-    traces = train_episode(stacked, feats, np.stack(labels), tcfg)
-    unstack_model(stacked, models)
-    return list(zip(models, traces))
 
 
 def eval_at_lambda(report: ScoreReport, lam: float) -> tuple[float, float]:
@@ -293,20 +276,18 @@ def strategy_grid(cfg: RunConfig, store: FeatureStore,
              ("untrained_sem", "untrained_dual", "none_sem", "none_dual",
               "v2t_dual", "t2v_dual", "seq_dual")}
     count = cfg["episode.count"]
-    for i in range(count):
-        base = run_episode(cfg, store, dataset, i, strategy="none", train=False)
-        cells["untrained_sem"].add(*eval_at_lambda(base.report, 1.0))
-        cells["untrained_dual"].add(*eval_at_lambda(base.report, lam_dual))
-    trainings = [Training(i, strategy=s) for s in ("none", "v2t", "t2v", "seq")
-                 for i in range(count)]
-    runs = train_and_score(cfg, store, dataset, trainings,
-                           lambda run: (run.report, run.trace))
-    for t, (report, _) in zip(trainings, runs):
-        cells[f"{t.strategy}_dual"].add(*eval_at_lambda(report, lam_dual))
-        if t.strategy == "none":
-            cells["none_sem"].add(*eval_at_lambda(report, 1.0))
-    seq_traces = [trace for t, (_, trace) in zip(trainings, runs)
-                  if t.strategy == "seq" and trace]
+    specs = [RunSpec(i, strategy="none", train=False) for i in range(count)]
+    specs += [RunSpec(i, strategy=s) for s in ("none", "v2t", "t2v", "seq")
+              for i in range(count)]
+    runs = run_plan(cfg, store, dataset, specs,
+                    lambda run: (run.report, run.trace))
+    for spec, (report, _) in zip(specs, runs):
+        prefix = spec.strategy if spec.train else "untrained"
+        cells[f"{prefix}_dual"].add(*eval_at_lambda(report, lam_dual))
+        if spec.strategy == "none":
+            cells[f"{prefix}_sem"].add(*eval_at_lambda(report, 1.0))
+    seq_traces = [trace for spec, (_, trace) in zip(specs, runs)
+                  if spec.strategy == "seq" and trace]
     loss_first = [trace[0].loss for trace in seq_traces]
     loss_last = [trace[-1].loss for trace in seq_traces]
     cell_of = {1: "untrained_sem", 2: "none_sem", 3: "none_dual",
@@ -342,10 +323,10 @@ def stage_grid(cfg: RunConfig, store: FeatureStore,
     """Seed-averaged adaptation-depth ablation at the configured strategy."""
     specs = stage_specs(cfg.backbone_spec())
     count = cfg["episode.count"]
-    trainings = [Training(i, mspec=mspec) for _, mspec in specs
-                 for i in range(count)]
-    scored = train_and_score(cfg, store, dataset, trainings,
-                             lambda run: (run.metrics.auc, run.metrics.ap))
+    scored = run_plan(cfg, store, dataset,
+                      [RunSpec(i, mspec=mspec) for _, mspec in specs
+                       for i in range(count)],
+                      lambda run: (run.metrics.auc, run.metrics.ap))
     cells: dict[str, Cell] = {}
     rows = []
     for j, (name, mspec) in enumerate(specs):
@@ -370,9 +351,9 @@ def lambda_sweep(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     """
     if not points:
         raise ConfigError("sweep grid is empty")
-    trainings = [Training(i) for i in range(cfg["episode.count"])]
-    runs = train_and_score(cfg, store, dataset, trainings,
-                           lambda run: (run.episode_seed, run.report))
+    runs = run_plan(cfg, store, dataset,
+                    [RunSpec(i) for i in range(cfg["episode.count"])],
+                    lambda run: (run.episode_seed, run.report))
     rows = []
     for lam in points:
         scored = [eval_at_lambda(report, lam) for _, report in runs]
@@ -392,10 +373,10 @@ def beta_sweep(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     if not points:
         raise ConfigError("sweep grid is empty")
     count = cfg["episode.count"]
-    trainings = [Training(i, gate_init=float(beta), gates_learnable=False)
-                 for beta in points for i in range(count)]
-    runs = train_and_score(
-        cfg, store, dataset, trainings,
+    runs = run_plan(
+        cfg, store, dataset,
+        [RunSpec(i, gate_init=float(beta), gates_learnable=False)
+         for beta in points for i in range(count)],
         lambda run: (run.episode_seed, run.metrics.auc, run.metrics.ap))
     rows = []
     for j, beta in enumerate(points):

@@ -170,27 +170,30 @@ def train_episode(model: Model, support_feats: dict[int, np.ndarray], labels,
                 beta1=config.beta1, beta2=config.beta2, eps=config.eps)
     bounds = list(range(0, n, min(config.batch_size, n))) + [n]
     traces: list[list[TraceRow]] = [[] for _ in range(y.size // n)]
-    for epoch in range(config.epochs):
-        decay = cosine_lr(1.0, epoch, config.epochs)
-        lrs = {name: base * decay for name, base in rate_key.items()}
-        total_loss = np.zeros(y.shape[:-1])
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            batch = {layer: Tensor(feats[..., lo:hi, :, :])
-                     for layer, feats in support_feats.items()}
-            with GradTape() as tape:
-                scores = training_scores(model, batch)
-                loss = bce_loss(scores, y[..., lo:hi])
-                objective = nc.sum_all(loss) if stacked else loss
-            if not np.isfinite(loss.data).all():
-                raise _loss_error(model, loss.data, epoch)
-            opt.zero_grad()
-            backward(objective, tape)
-            opt.step(lrs)
-            total_loss += loss.data * (hi - lo)
-        for trace, episode_loss in zip(traces, np.reshape(total_loss / n, -1)):
-            trace.append(TraceRow(epoch=epoch, lr_fast=config.lr_fast * decay,
-                                  lr_slow=config.lr_slow * decay,
-                                  loss=float(episode_loss)))
+    # a diverging run overflows before its loss turns non-finite; the
+    # NumericError below reports it, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            decay = cosine_lr(1.0, epoch, config.epochs)
+            lrs = {name: base * decay for name, base in rate_key.items()}
+            total_loss = np.zeros(y.shape[:-1])
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                batch = {layer: Tensor(feats[..., lo:hi, :, :])
+                         for layer, feats in support_feats.items()}
+                with GradTape() as tape:
+                    scores = training_scores(model, batch)
+                    loss = bce_loss(scores, y[..., lo:hi])
+                    objective = nc.sum_all(loss) if stacked else loss
+                if not np.isfinite(loss.data).all():
+                    raise _loss_error(model, loss.data, epoch)
+                opt.zero_grad()
+                backward(objective, tape)
+                opt.step(lrs)
+                total_loss += loss.data * (hi - lo)
+            for trace, episode_loss in zip(traces, np.reshape(total_loss / n, -1)):
+                trace.append(TraceRow(epoch=epoch, lr_fast=config.lr_fast * decay,
+                                      lr_slow=config.lr_slow * decay,
+                                      loss=float(episode_loss)))
     opt.zero_grad()
     # the last step's update is never scored by a loss
     culprit = _first_nonfinite(model) if config.epochs else None

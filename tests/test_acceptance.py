@@ -263,9 +263,7 @@ def test_10_format_round_trips(tmp_path):
     rng = np.random.default_rng(10)
     f32 = lambda shape: rng.normal(size=shape).astype(np.float32).astype(np.float64)
     bundle = FeatureBundle(
-        d=8, visual={2: f32((5, 8)), 4: f32((5, 8))},
-        text={"normal": {1: f32((3, 8))}, "abnormal": {1: f32((3, 8))}},
-        class_vectors={"normal": f32((8,)), "abnormal": f32((8,))})
+        d=8, visual={2: f32((5, 8)), 4: f32((5, 8))})
     bpath = tmp_path / "x.haafb"
     save_feature_bundle(bundle, str(bpath))
     bundle_ok = load_feature_bundle(str(bpath)) == bundle

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from fsad import numcore as nc
-from fsad.backbone import (CLASSES, BackboneSpec, FeatureBundle, build_backbone,
+from fsad.backbone import (BackboneSpec, FeatureBundle, build_backbone,
                            encode_image, encode_images, encode_prompt,
-                           evenly_spaced_map, layer_map, load_feature_bundle,
-                           save_feature_bundle)
+                           layer_map, load_feature_bundle, save_feature_bundle)
 from fsad.errors import ConfigError, FormatError, ShapeError
 from fsad.numcore import GradTape, Tensor, backward
 
@@ -188,20 +187,9 @@ def test_layer_map_positional():
     assert layer_map(single) == [(3, 2)]
 
 
-def test_evenly_spaced_map_large_towers():
-    assert evenly_spaced_map(24, 12, 4) == [(6, 3), (12, 6), (18, 9), (24, 12)]
-    with pytest.raises(ConfigError):
-        evenly_spaced_map(4, 2, 5)
-
-
 def _random_bundle(rng, d=16):
     f32 = lambda *s: rng.normal(size=s).astype(np.float32).astype(np.float64)
-    return FeatureBundle(
-        d=d,
-        visual={2: f32(4, d), 4: f32(4, d)},
-        text={c: {1: f32(5, d), 2: f32(5, d)} for c in CLASSES},
-        class_vectors={c: f32(d) for c in CLASSES},
-    )
+    return FeatureBundle(d=d, visual={2: f32(4, d), 4: f32(4, d)})
 
 
 def test_bundle_round_trip(tmp_path):
@@ -229,6 +217,18 @@ def test_bundle_corrupt_magic(tmp_path):
     raw[0] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
+        load_feature_bundle(str(path))
+
+
+def test_bundle_version_1_rejected(tmp_path):
+    # version 1 bundles carried text sections that cannot feed prompt tuning
+    rng = np.random.default_rng(12)
+    path = tmp_path / "x.haafb"
+    save_feature_bundle(_random_bundle(rng), str(path))
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="unsupported version 1"):
         load_feature_bundle(str(path))
 
 

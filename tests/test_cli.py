@@ -9,7 +9,8 @@ from fsad.backbone import load_feature_bundle
 from fsad.cli import main
 from fsad.config import RunConfig, load_config
 from fsad.model import load_checkpoint, named_parameters, save_checkpoint
-from fsad.runner import build_feature_store, model_from_config, run_episode
+from fsad.runner import (RunSpec, build_feature_store, model_from_config,
+                         run_episode)
 from fsad.synthdata import generate_dataset
 
 SMALL = {
@@ -72,7 +73,7 @@ def test_synth_emit_features_roundtrip(cfg_file, tmp_path):
     store = build_feature_store(cfg.backbone_spec(),
                                 generate_dataset(cfg.dataset_spec()))
     bundle = load_feature_bundle(str(files[5]))
-    assert bundle.d == 16 and bundle.text == {}
+    assert bundle.d == 16
     assert sorted(bundle.visual) == [2, 4]
     # bundles store features at f32 precision
     np.testing.assert_array_equal(bundle.visual[4],
@@ -183,9 +184,10 @@ def test_ablate_reports(cfg_file, tmp_path):
     cfg = load_config(cfg_file)
     dataset = generate_dataset(cfg.dataset_spec())
     store = build_feature_store(cfg.backbone_spec(), dataset)
-    base = [run_episode(cfg, store, dataset, i, strategy="none",
-                        train=False, lam=1.0).metrics.auc
-            for i in range(cfg["episode.count"])]
+    sem_only = RunConfig({**cfg.values, "infer.lam": 1.0})
+    base = [run_episode(sem_only, store, dataset, i, train=False,
+                        model=model_from_config(cfg, RunSpec(i, strategy="none")))
+            .metrics.auc for i in range(cfg["episode.count"])]
     assert float(rows[0][header.index("auc")]) == float(np.mean(base))
     sheader, srows = read_report(out / "ablate_stages.csv")
     assert col(sheader, srows, "stage") == ["stage1", "stage2", "all"]
@@ -204,12 +206,24 @@ def test_sweep_reports(cfg_file, tmp_path):
     cfg = load_config(cfg_file)
     dataset = generate_dataset(cfg.dataset_spec())
     store = build_feature_store(cfg.backbone_spec(), dataset)
-    none = [run_episode(cfg, store, dataset, i, strategy="none").metrics.auc
+    none = [run_episode(cfg, store, dataset, i, model=model_from_config(
+                cfg, RunSpec(i, strategy="none"))).metrics.auc
             for i in range(cfg["episode.count"])]
     zero = [float(r[bheader.index("auc")]) for r in brows
             if r[bheader.index("value")] == "0.0"
             and r[bheader.index("seed")] != "mean"]
     assert zero == none
+
+
+def test_diverging_train_reports_only_numeric_error(cfg_file, tmp_path, capsys):
+    # under the suite's error::RuntimeWarning filter a numpy overflow
+    # warning would escape as an exception instead of error[numeric]
+    assert main(["train", "--config", cfg_file, "--out", str(tmp_path),
+                 "--set", "train.lr_fast=1e3", "--set", "train.lr_slow=1e3",
+                 "--set", "train.epochs=30"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[numeric]: training diverged")
+    assert "Warning" not in err
 
 
 def test_gradcheck_reports_every_parameter(cfg_file, tmp_path):

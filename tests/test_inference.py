@@ -11,9 +11,9 @@ from fsad.config import RunConfig
 from fsad.errors import CapacityError, ContractError, DomainError
 from fsad.inference import (build_prototypes, ensemble, minmax_normalize,
                             proto_distance, proto_scores, score_batch,
-                            semantic_score, semantic_scores)
+                            semantic_scores)
 from fsad.model import forward, init_model, named_parameters
-from fsad.numcore import GradTape, Tensor
+from fsad.numcore import Tensor
 from fsad.runner import build_feature_store, model_from_config, take
 from fsad.synthdata import generate_dataset, sample_episode
 
@@ -64,15 +64,6 @@ def test_semantic_scores_lie_in_unit_interval():
     t_abn = Tensor(np.random.default_rng(5).normal(size=D))
     s = semantic_scores(visual, t_abn, Tensor(np.asarray(50.0))).data
     assert np.all(s > 0) and np.all(s < 1)
-
-
-def test_semantic_score_is_plain_float_and_records_nothing():
-    visual = rand_visual(6)
-    t_abn = Tensor(np.random.default_rng(7).normal(size=D), requires_grad=True)
-    with GradTape() as tape:
-        val = semantic_score(visual, t_abn, Tensor(np.asarray(10.0)))
-    assert isinstance(val, float)
-    assert len(tape) == 0
 
 
 def test_semantic_scores_needs_layers():

@@ -7,7 +7,7 @@ from fsad.config import RunConfig
 from fsad.errors import ConfigError
 from fsad.evalmetrics import auc
 from fsad.model import named_parameters, state_checksum
-from fsad.runner import (BETA_POINTS, LAMBDA_POINTS, beta_sweep,
+from fsad.runner import (BETA_POINTS, LAMBDA_POINTS, RunSpec, beta_sweep,
                          build_feature_store, eval_at_lambda, gradcheck_all,
                          gradcheck_episode, gradcheck_ops, lambda_sweep,
                          model_from_config, run_episode, stage_grid,
@@ -72,22 +72,8 @@ def test_run_episode_untrained_is_fresh_init(world):
     cfg, store, dataset = world
     run = run_episode(cfg, store, dataset, 0, train=False)
     assert run.trace == []
-    fresh = model_from_config(cfg, model_seed=run.model_seed)
+    fresh = model_from_config(cfg, RunSpec(run.index))
     assert state_checksum(run.model) == state_checksum(fresh)
-
-
-def test_run_episode_adapters_off_freezes_them(world):
-    cfg, store, dataset = world
-    run = run_episode(cfg, store, dataset, 0, adapters=False)
-    fresh = model_from_config(cfg, model_seed=run.model_seed)
-    before = named_parameters(fresh)
-    after = named_parameters(run.model)
-    for name in after:
-        moved = not np.array_equal(after[name].data, before[name].data)
-        if name.startswith(("rav.", "rat.")):
-            assert not moved, name
-        else:
-            assert moved, name
 
 
 def test_run_episode_deterministic(world):
@@ -159,7 +145,8 @@ def test_beta_zero_equals_strategy_none_exactly(world):
     cfg, store, dataset = world
     rows = beta_sweep(cfg, store, dataset, points=(0.0,))
     assert len(rows) == cfg["episode.count"] + 1
-    none_aucs = [run_episode(cfg, store, dataset, i, strategy="none").metrics.auc
+    none_aucs = [run_episode(cfg, store, dataset, i, model=model_from_config(
+                     cfg, RunSpec(i, strategy="none"))).metrics.auc
                  for i in range(cfg["episode.count"])]
     sweep_aucs = [r["auc"] for r in rows if r["seed"] != "mean"]
     assert sweep_aucs == none_aucs

@@ -11,9 +11,9 @@ from fsad.config import RunConfig
 from fsad.errors import ContractError, NumericError
 from fsad.model import (init_model, named_parameters, stack_models, stack_size,
                         state_checksum, unstack_model)
-from fsad.runner import (Training, beta_sweep, build_feature_store,
-                         lambda_sweep, run_episode, stack_capacity, stage_grid,
-                         strategy_grid, train_and_score)
+from fsad.runner import (RunSpec, beta_sweep, build_feature_store,
+                         lambda_sweep, run_episode, run_plan, stack_capacity,
+                         stage_grid, strategy_grid)
 from fsad.synthdata import generate_dataset
 from fsad.training import TrainConfig, train_episode
 
@@ -179,9 +179,9 @@ def test_stack_capacity_bounds_rows_per_step():
 
 def test_three_episodes_train_as_two_plus_one(world, stack_sizes):
     cfg, store, dataset = world
-    got = train_and_score(cfg, store, dataset, [Training(i) for i in range(3)],
-                          lambda run: (state_checksum(run.model), run.trace,
-                                       run.metrics))
+    got = run_plan(cfg, store, dataset, [RunSpec(i) for i in range(3)],
+                   lambda run: (state_checksum(run.model), run.trace,
+                                run.metrics))
     assert stack_sizes == [2, None]
     for i, (checksum, trace, metrics) in enumerate(got):
         alone = run_episode(cfg, store, dataset, i)

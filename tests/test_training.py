@@ -266,9 +266,8 @@ def test_diverging_training_raises_numeric_error():
     # stop there instead of running on with non-finite parameters
     feats, labels = support(seed=7)
     cfg = TrainConfig(epochs=30, lr_fast=1e3, lr_slow=1e3)
-    with np.errstate(all="ignore"), pytest.raises(
-            NumericError, match=r"non-finite loss at epoch \d+; first "
-                                r"non-finite parameter \S+"):
+    with pytest.raises(NumericError, match=r"non-finite loss at epoch \d+; "
+                                           r"first non-finite parameter \S+"):
         train_episode(small_model(), feats, labels, cfg)
 
 
@@ -280,8 +279,7 @@ def test_divergence_in_the_last_update_is_reported():
     feats = {l: rng.normal(size=(8, spec.patches, spec.d))
              for l in spec.selected_visual}
     cfg = TrainConfig(epochs=3, lr_fast=1e3, lr_slow=1e3)
-    with np.errstate(all="ignore"), pytest.raises(
-            NumericError, match="non-finite after the last epoch"):
+    with pytest.raises(NumericError, match="non-finite after the last epoch"):
         train_episode(init_model(spec, seed=1000), feats, np.arange(8) % 2, cfg)
 
 
@@ -289,7 +287,6 @@ def test_non_finite_parameter_stops_training_at_its_first_step():
     model = small_model()
     model.adapt.prompts.context.data[0, 0] = np.inf
     feats, labels = support(seed=8)
-    with np.errstate(all="ignore"), pytest.raises(
-            NumericError, match=r"epoch 0; first non-finite parameter "
-                                r"prompt\.context"):
+    with pytest.raises(NumericError, match=r"epoch 0; first non-finite "
+                                           r"parameter prompt\.context"):
         train_episode(model, feats, labels, TrainConfig(epochs=3))
