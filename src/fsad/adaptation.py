@@ -23,7 +23,6 @@ from .numcore import Tensor
 _TAG_RAV = 21
 _TAG_RAT = 22
 _TAG_PROMPT = 23
-_TAG_CLASS_EMB = 24
 
 DEFAULT_PROMPT_LEN = 8
 DEFAULT_REDUCTION = 4
@@ -41,7 +40,6 @@ class ResidualAdapter:
         if d % reduction != 0:
             raise ShapeError(f"width {d} not divisible by reduction {reduction}")
         hidden = d // reduction
-        self.reduction = reduction
         self.down = Tensor(rng.normal(0.0, WEIGHT_STD, size=(d, hidden)),
                            requires_grad=True)
         self.up = Tensor(np.zeros((hidden, d)), requires_grad=True)

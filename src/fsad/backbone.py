@@ -59,6 +59,8 @@ class BackboneSpec:
         if max(self.selected_text) > self.text_layers or min(self.selected_text) < 1:
             raise ConfigError(f"text taps {self.selected_text} outside "
                               f"1..{self.text_layers}")
+        if self.d < 1 or self.heads < 1:
+            raise ConfigError(f"width {self.d} and heads {self.heads} must be >= 1")
         if self.d % self.heads != 0:
             raise ConfigError(f"width {self.d} not divisible by {self.heads} heads")
         if self.patch_grid[0] < 1 or self.patch_grid[1] < 1:
@@ -103,7 +105,6 @@ class ToyEncoder:
 
     def __init__(self, spec: BackboneSpec, kind: str):
         self.spec = spec
-        self.kind = kind
         tag = _TAG_VISUAL if kind == "visual" else _TAG_TEXT
         n = spec.vision_layers if kind == "visual" else spec.text_layers
         self.taps = spec.selected_visual if kind == "visual" else spec.selected_text
@@ -127,15 +128,15 @@ class ToyEncoder:
             self._patch_proj[patch_dim] = got
         return got
 
-    def run(self, x: Tensor) -> dict[int, Tensor]:
-        """Feed embedded tokens through all blocks, recording tap outputs."""
+    def run(self, x: Tensor) -> tuple[dict[int, Tensor], Tensor]:
+        """Feed embedded tokens through all blocks: the tap outputs and the
+        last block's output."""
         taps = {}
         for i, block in enumerate(self.blocks, start=1):
             x = block.forward(x)
             if i in self.taps:
                 taps[i] = self._emit(x)
-        self._last = x
-        return taps
+        return taps, x
 
     def _emit(self, x: Tensor) -> Tensor:
         if not self.center_taps:
@@ -152,11 +153,6 @@ class ToyEncoder:
         return out
 
 
-def build_backbone(spec: BackboneSpec) -> tuple[ToyEncoder, ToyEncoder]:
-    """Deterministic (visual, text) encoder pair for a spec."""
-    return ToyEncoder(spec, "visual"), ToyEncoder(spec, "text")
-
-
 def _patchify(image: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
     if image.ndim != 3 or image.shape[2] != 3:
         raise ShapeError(f"image must be [H, W, 3], got {image.shape}")
@@ -169,19 +165,15 @@ def _patchify(image: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
     return tiles.reshape(rows * cols, ph * pw * 3)
 
 
-def encode_image(enc: ToyEncoder, image: np.ndarray) -> dict[int, Tensor]:
-    """Patch tokens [P, d] at each visual tap; never tracked for gradients."""
-    return encode_images(enc, [image])[0]
-
-
 def encode_images(enc: ToyEncoder, images: list[np.ndarray]) -> list[dict[int, Tensor]]:
-    """Batched encode: one pass of [B, P, d] through the tower."""
+    """Patch tokens [P, d] at each visual tap, per image, from one pass of
+    [B, P, d] through the tower; never tracked for gradients."""
     flat = np.stack([_patchify(np.asarray(img, dtype=np.float64), enc.spec.patch_grid)
                      for img in images])
     with nc.no_grad():
         proj = enc.patch_projection(flat.shape[-1])
         x = nc.add(nc.matmul(Tensor(flat), proj), enc.pos)
-        taps = enc.run(x)
+        taps, _ = enc.run(x)
     return [{layer: Tensor(t.data[b]) for layer, t in taps.items()}
             for b in range(len(images))]
 
@@ -208,8 +200,8 @@ def encode_prompt(enc: ToyEncoder, prompt: Tensor) -> tuple[dict[int, Tensor], T
     if rows < 1:
         raise ShapeError("prompt needs at least the class row")
     x = nc.add(prompt, Tensor(sinusoid_positions(rows, enc.spec.d)))
-    taps = enc.run(x)
-    picked = nc.narrow(enc._last, prompt.ndim - 2, rows - 1, 1)
+    taps, last = enc.run(x)
+    picked = nc.narrow(last, prompt.ndim - 2, rows - 1, 1)
     class_vec = nc.reshape(picked, prompt.shape[:-2] + (enc.spec.d,))
     return taps, class_vec
 

@@ -8,6 +8,7 @@ and corruption surface as :class:`FormatError` pointing at the failing byte.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -77,15 +78,16 @@ class ByteReader:
     def u32(self, what: str = "u32") -> int:
         return struct.unpack("<I", self._take(4, what))[0]
 
+    def _array(self, shape: tuple[int, ...], dtype: str, what: str) -> np.ndarray:
+        # a Python int count cannot wrap: an oversized header is a truncation
+        raw = self._take(np.dtype(dtype).itemsize * math.prod(shape), what)
+        return np.frombuffer(raw, dtype=dtype).astype(np.float64).reshape(shape)
+
     def f32_array(self, shape: tuple[int, ...], what: str = "f32 array") -> np.ndarray:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = self._take(4 * count, what)
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+        return self._array(shape, "<f4", what)
 
     def f64_array(self, shape: tuple[int, ...], what: str = "f64 array") -> np.ndarray:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = self._take(8 * count, what)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        return self._array(shape, "<f8", what)
 
     def string(self, what: str = "string") -> str:
         n = self.u32(f"{what} length")

@@ -26,20 +26,13 @@ STRATEGIES = ("none", "v2t", "t2v", "seq")
 class CrossAttentionBlock:
     """Projected multi-head cross-attention: softmax(QK'/sqrt)V through W_o."""
 
-    def __init__(self, d: int, heads: int, rng=None):
+    def __init__(self, d: int, heads: int, rng):
         if d % heads != 0:
             raise ShapeError(f"width {d} not divisible by {heads} heads")
         self.heads = heads
-        if rng is None:
-            mats = [np.eye(d) for _ in range(4)]
-        else:
-            mats = [rng.normal(0.0, WEIGHT_STD, size=(d, d)) for _ in range(4)]
-        self.wq, self.wk, self.wv, self.wo = (Tensor(m, requires_grad=True)
-                                              for m in mats)
-
-    @classmethod
-    def identity(cls, d: int, heads: int) -> "CrossAttentionBlock":
-        return cls(d, heads, rng=None)
+        self.wq, self.wk, self.wv, self.wo = (
+            Tensor(rng.normal(0.0, WEIGHT_STD, size=(d, d)), requires_grad=True)
+            for _ in range(4))
 
     def weights(self):
         return {"wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo}

@@ -184,7 +184,8 @@ class RunConfig:
             raise ConfigError(f"infer.lam must lie in [0, 1], got {self['infer.lam']}")
         if self["infer.eps"] <= 0:
             raise ConfigError(f"infer.eps must be positive, got {self['infer.eps']}")
-        for key in ("episode.k", "episode.query_per_class", "episode.count"):
+        for key in ("episode.k", "episode.query_per_class", "episode.count",
+                    "adapt.reduction", "clsa.heads"):
             if self[key] < 1:
                 raise ConfigError(f"{key} must be >= 1, got {self[key]}")
         if self["adapt.prompt_len"] < 0:

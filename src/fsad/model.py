@@ -70,8 +70,9 @@ def init_model(spec: BackboneSpec, seed: int, strategy: str = "seq",
     text_enc = ToyEncoder(spec, "text")
     adapt = init_adaptation(spec, seed, prompt_len=prompt_len, reduction=reduction,
                             alpha_init=alpha_init)
-    clsa = init_clsa(layer_map(spec), spec.d, clsa_heads or spec.heads, seed,
-                     gate_init=gate_init, gates_learnable=gates_learnable)
+    heads = spec.heads if clsa_heads is None else clsa_heads
+    clsa = init_clsa(layer_map(spec), spec.d, heads, seed, gate_init=gate_init,
+                     gates_learnable=gates_learnable)
     rho = Tensor(np.full((), RHO_INIT), requires_grad=True)
     return Model(spec=spec, text_enc=text_enc, adapt=adapt, clsa=clsa, rho=rho,
                  strategy=strategy, seed=seed)
@@ -188,13 +189,12 @@ def forward_visual(model: Model, visual_taps: dict[int, Tensor]) -> dict[int, Te
             for layer in model.spec.selected_visual}
 
 
-def forward(model: Model, visual_taps: dict[int, Tensor],
-            strategy: str | None = None) -> ClsaOutput:
+def forward(model: Model, visual_taps: dict[int, Tensor]) -> ClsaOutput:
     """Adapt both modalities then align them under the model's strategy."""
     adapted_v = forward_visual(model, visual_taps)
     adapted_t = forward_text(model)
     return clsa_forward(model.pairs, adapted_v, adapted_t, model.clsa,
-                        strategy or model.strategy)
+                        model.strategy)
 
 
 # ---------------------------------------------------------------------------

@@ -25,16 +25,6 @@ Array = np.ndarray
 # Norm floor for cosine similarity on (near-)degenerate rows.
 NORM_FLOOR = 1e-12
 
-# Test hook: when enabled, sigmoid's backward is deliberately wrong so the
-# gradient checker can prove it detects broken derivatives.
-_CORRUPT_SIGMOID_BACKWARD = False
-
-
-def set_backward_corruption(enabled: bool) -> None:
-    """Enable or disable the deliberate sigmoid-backward corruption."""
-    global _CORRUPT_SIGMOID_BACKWARD
-    _CORRUPT_SIGMOID_BACKWARD = bool(enabled)
-
 
 class Tensor:
     """N-d float64 array, optionally tracked for differentiation.
@@ -73,44 +63,8 @@ class Tensor:
             raise ContractError(f"item() needs a single value, shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class _Node:
@@ -384,10 +338,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def bwd(g, _needs):
-        d = g * out * (1.0 - out)
-        if _CORRUPT_SIGMOID_BACKWARD:
-            d = d * 1.01
-        return (d,)
+        return (g * out * (1.0 - out),)
 
     return _record("sigmoid", (x,), out, bwd)
 

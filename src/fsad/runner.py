@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numcore as nc
-from .backbone import BackboneSpec, build_backbone, encode_images
+from .backbone import BackboneSpec, ToyEncoder, encode_images
 from .config import RunConfig
 from .errors import ConfigError
 from .evalmetrics import (MetricReport, auc, average_precision, compute_report,
@@ -49,8 +49,8 @@ class FeatureStore:
 
 def build_feature_store(spec: BackboneSpec, dataset: list[Sample]) -> FeatureStore:
     """Encode every sample once through the frozen visual tower."""
-    visual_enc, _ = build_backbone(spec)
-    per_image = encode_images(visual_enc, [s.image for s in dataset])
+    per_image = encode_images(ToyEncoder(spec, "visual"),
+                              [s.image for s in dataset])
     feats = {layer: np.stack([f[layer].data for f in per_image])
              for layer in spec.selected_visual}
     labels = np.array([s.label for s in dataset], dtype=np.int64)
@@ -526,10 +526,18 @@ def gradcheck_episode(cfg: RunConfig, coords_per_param: int = 8,
 
 
 def gradcheck_all(cfg: RunConfig, corrupt: bool = False) -> list[GradCheckRow]:
-    """Op suite plus episode-loss suite; ``corrupt`` flips the test-mode
-    backward fault for negative-control runs."""
-    nc.set_backward_corruption(corrupt)
+    """Op suite plus episode-loss suite; ``corrupt`` runs both with a wrong
+    sigmoid derivative, a negative control the checks must fail."""
+    sigmoid = nc.sigmoid
+
+    def corrupted(x: Tensor) -> Tensor:
+        # y + 0.01 * (y - y): the same forward, a backward 1.01 times too large
+        y = sigmoid(x)
+        return nc.add(y, nc.scale(nc.sub(y, Tensor(y.data)), 0.01))
+
+    if corrupt:
+        nc.sigmoid = corrupted
     try:
         return gradcheck_ops() + gradcheck_episode(cfg)
     finally:
-        nc.set_backward_corruption(False)
+        nc.sigmoid = sigmoid

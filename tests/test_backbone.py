@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from fsad import numcore as nc
-from fsad.backbone import (BackboneSpec, FeatureBundle, build_backbone,
-                           encode_image, encode_images, encode_prompt,
-                           layer_map, load_feature_bundle, save_feature_bundle)
+from fsad.backbone import (BUNDLE_MAGIC, BUNDLE_VERSION, BackboneSpec,
+                           FeatureBundle, ToyEncoder, encode_images,
+                           encode_prompt, layer_map, load_feature_bundle,
+                           save_feature_bundle)
+from fsad.binio import ByteWriter
 from fsad.errors import ConfigError, FormatError, ShapeError
 from fsad.numcore import GradTape, Tensor, backward
 
@@ -40,74 +42,74 @@ def test_default_spec_taps_and_head_width():
 
 
 def test_build_deterministic():
-    v1, t1 = build_backbone(small_spec())
-    v2, t2 = build_backbone(small_spec())
+    v1, t1 = ToyEncoder(small_spec(), "visual"), ToyEncoder(small_spec(), "text")
+    v2, t2 = ToyEncoder(small_spec(), "visual"), ToyEncoder(small_spec(), "text")
     np.testing.assert_array_equal(v1.blocks[0].wq.data, v2.blocks[0].wq.data)
     np.testing.assert_array_equal(t1.blocks[-1].w2.data, t2.blocks[-1].w2.data)
-    v3, _ = build_backbone(small_spec(seed=6))
+    v3 = ToyEncoder(small_spec(seed=6), "visual")
     assert not np.array_equal(v1.blocks[0].wq.data, v3.blocks[0].wq.data)
 
 
 def test_encode_image_shapes_and_determinism():
     spec = small_spec()
-    vis, _ = build_backbone(spec)
+    vis = ToyEncoder(spec, "visual")
     rng = np.random.default_rng(0)
     img = rand_image(rng)
-    taps = encode_image(vis, img)
+    taps = encode_images(vis, [img])[0]
     assert sorted(taps) == [2, 4]
     for t in taps.values():
         assert t.shape == (4, 16) and not t.requires_grad
-    taps2 = encode_image(vis, img)
+    taps2 = encode_images(vis, [img])[0]
     for layer in taps:
         np.testing.assert_array_equal(taps[layer].data, taps2[layer].data)
 
 
 def test_default_patch_count():
-    vis, _ = build_backbone(BackboneSpec())
-    taps = encode_image(vis, np.zeros((32, 32, 3)))
+    vis = ToyEncoder(BackboneSpec(), "visual")
+    taps = encode_images(vis, [np.zeros((32, 32, 3))])[0]
     assert all(t.shape == (16, 32) for t in taps.values())
 
 
 def test_encode_batch_matches_single():
     spec = small_spec()
-    vis, _ = build_backbone(spec)
+    vis = ToyEncoder(spec, "visual")
     rng = np.random.default_rng(1)
     imgs = [rand_image(rng) for _ in range(3)]
     batched = encode_images(vis, imgs)
     for img, taps in zip(imgs, batched):
-        single = encode_image(vis, img)
+        single = encode_images(vis, [img])[0]
         for layer in single:
             np.testing.assert_allclose(taps[layer].data, single[layer].data, atol=1e-12)
 
 
 def test_patch_perturbation_moves_some_tokens():
     spec = small_spec()
-    vis, _ = build_backbone(spec)
+    vis = ToyEncoder(spec, "visual")
     rng = np.random.default_rng(2)
     img = rand_image(rng)
     other = img.copy()
     other[0:4, 0:4, :] += 0.25
-    a = encode_image(vis, img)
-    b = encode_image(vis, other)
+    a = encode_images(vis, [img])[0]
+    b = encode_images(vis, [other])[0]
     assert any(not np.array_equal(a[l].data, b[l].data) for l in a)
 
 
 def test_encode_image_rejects_indivisible():
-    vis, _ = build_backbone(small_spec())
+    vis = ToyEncoder(small_spec(), "visual")
     with pytest.raises(ShapeError):
-        encode_image(vis, np.zeros((9, 8, 3)))
+        encode_images(vis, [np.zeros((9, 8, 3))])
 
 
 def test_encode_image_not_recorded_on_tape():
-    vis, _ = build_backbone(small_spec())
+    vis = ToyEncoder(small_spec(), "visual")
     with GradTape() as tape:
-        encode_image(vis, np.zeros((8, 8, 3)))
+        encode_images(vis, [np.zeros((8, 8, 3))])
     assert len(tape) == 0
 
 
 def test_prompt_gradient_reaches_context_rows():
     spec = small_spec()
-    _, txt = build_backbone(spec)
+    txt = ToyEncoder(spec, "text")
     rng = np.random.default_rng(3)
     prompt = Tensor(rng.normal(size=(5, 16)) * 0.1, requires_grad=True)
     with GradTape() as tape:
@@ -122,7 +124,7 @@ def test_prompt_gradient_reaches_context_rows():
 
 def test_prompt_gradient_matches_finite_difference():
     spec = small_spec()
-    _, txt = build_backbone(spec)
+    txt = ToyEncoder(spec, "text")
     rng = np.random.default_rng(4)
     prompt = Tensor(rng.normal(size=(3, 16)) * 0.1, requires_grad=True)
     with GradTape() as tape:
@@ -140,7 +142,7 @@ def test_prompt_gradient_matches_finite_difference():
 
 
 def test_class_row_changes_class_vector():
-    _, txt = build_backbone(small_spec())
+    txt = ToyEncoder(small_spec(), "text")
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 16)) * 0.1
     b = a.copy()
@@ -151,14 +153,14 @@ def test_class_row_changes_class_vector():
 
 
 def test_single_row_prompt_encodes():
-    _, txt = build_backbone(small_spec())
+    txt = ToyEncoder(small_spec(), "text")
     taps, vec = encode_prompt(txt, Tensor(np.zeros((1, 16))))
     assert vec.shape == (16,)
     assert all(t.shape == (1, 16) for t in taps.values())
 
 
 def test_prompt_shape_errors():
-    _, txt = build_backbone(small_spec())
+    txt = ToyEncoder(small_spec(), "text")
     with pytest.raises(ShapeError):
         encode_prompt(txt, Tensor(np.zeros((4, 8))))
     with pytest.raises(ShapeError):
@@ -168,7 +170,7 @@ def test_prompt_shape_errors():
 
 
 def test_stacked_prompts_encode_like_each_alone():
-    _, txt = build_backbone(small_spec())
+    txt = ToyEncoder(small_spec(), "text")
     rng = np.random.default_rng(6)
     prompts = rng.normal(size=(3, 1, 5, 16)) * 0.1
     taps, vec = encode_prompt(txt, Tensor(prompts))
@@ -243,6 +245,19 @@ def test_bundle_truncation_reports_offset(tmp_path):
     assert "offset" in str(err.value)
 
 
+def test_bundle_overflowing_shape_is_format_error(tmp_path):
+    # width and patch count of 0xFFFFFFFF wrap a 64-bit element count; the
+    # file must still read as truncated, not fail inside numpy
+    w = ByteWriter()
+    w.raw(BUNDLE_MAGIC)
+    for field in (BUNDLE_VERSION, 0xFFFFFFFF, 1, 2, 0xFFFFFFFF):
+        w.u32(field)  # version, width, layer count, layer id, patch count
+    path = tmp_path / "huge.haafb"
+    path.write_bytes(w.getvalue())
+    with pytest.raises(FormatError, match="truncated"):
+        load_feature_bundle(str(path))
+
+
 def test_bundle_width_mismatch_rejected(tmp_path):
     rng = np.random.default_rng(11)
     bundle = _random_bundle(rng)
@@ -252,6 +267,6 @@ def test_bundle_width_mismatch_rejected(tmp_path):
 
 
 def test_backbone_weights_not_learnable():
-    vis, txt = build_backbone(small_spec())
+    vis, txt = ToyEncoder(small_spec(), "visual"), ToyEncoder(small_spec(), "text")
     for enc in (vis, txt):
         assert all(not w.requires_grad for w in enc.all_weights())

@@ -253,6 +253,17 @@ def test_error_and_usage_exit_codes(cfg_file, capsys):
     assert main(["eval"]) == 2  # missing required --checkpoint
 
 
+@pytest.mark.parametrize("assignment", [
+    "backbone.heads=0", "backbone.heads=-4", "backbone.d=0", "backbone.d=-4",
+    "adapt.reduction=0", "adapt.reduction=-4", "clsa.heads=0", "clsa.heads=-4"])
+def test_nonpositive_sizes_are_config_errors(cfg_file, tmp_path, capsys,
+                                             assignment):
+    assert main(["train", "--config", cfg_file, "--out", str(tmp_path),
+                 "--set", assignment]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]") and "Traceback" not in err
+
+
 def test_config_echo_reproduces_run(cfg_file, trained, tmp_path):
     out = tmp_path / "re"
     echo = trained / "effective.cfg"

@@ -22,10 +22,18 @@ def inputs(seed=0, p=5, prompt_rows=4):
     return visual, text
 
 
+def identity_block():
+    """A block whose four projections are the identity."""
+    block = CrossAttentionBlock(D, HEADS, np.random.default_rng(0))
+    for w in block.weights().values():
+        w.data = np.eye(D)
+    return block
+
+
 def test_single_key_attention_returns_value_row():
     # With identity projections and one key row there is nothing to weigh:
     # every query must come back as exactly that value row.
-    block = CrossAttentionBlock.identity(D, HEADS)
+    block = identity_block()
     rng = np.random.default_rng(1)
     q = Tensor(rng.normal(size=(6, D)))
     kv = Tensor(rng.normal(size=(1, D)))
@@ -35,12 +43,12 @@ def test_single_key_attention_returns_value_row():
 
 
 def test_mhca_width_guard_and_head_divisibility():
-    block = CrossAttentionBlock.identity(D, HEADS)
+    block = identity_block()
     with pytest.raises(ShapeError):
         mhca(Tensor(np.zeros((2, 8))), Tensor(np.zeros((3, D))),
              Tensor(np.zeros((3, D))), block)
     with pytest.raises(ShapeError):
-        CrossAttentionBlock(15, 4)
+        CrossAttentionBlock(15, 4, np.random.default_rng(0))
 
 
 def test_closed_gates_are_bit_exact_identity_for_every_strategy():

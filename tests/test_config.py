@@ -116,3 +116,9 @@ def test_every_key_has_documented_default():
     rendered = cfg.text()
     for key in defaults():
         assert f"{key} = " in rendered
+
+
+def test_default_config_hash_is_pinned():
+    # every report's first line carries this hash
+    assert RunConfig({}).hash() == (
+        "65fbfeebaffcd5408d8139d0d502f9773022e186785e1bdd7167f957a3e60af8")

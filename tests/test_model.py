@@ -106,10 +106,12 @@ def test_forward_shapes_batched():
 
 
 def test_strategy_override_in_forward():
+    # forward runs the model's own strategy: seq, or none for a model of
+    # the same seed that was built with strategy="none"
     model = small_model(gate_init=1.0)
     taps = rand_taps(model.spec, seed=3)
-    seq = forward(model, taps)  # model default strategy
-    none = forward(model, taps, strategy="none")
+    seq = forward(model, taps)
+    none = forward(small_model(gate_init=1.0, strategy="none"), taps)
     assert model.strategy == "seq"
     assert not np.array_equal(seq.visual[2].data, none.visual[2].data)
     np.testing.assert_array_equal(none.visual[2].data, taps[2].data)
@@ -192,6 +194,23 @@ def rewrite_entries(src, dst, mutate):
         w.f64_array(arr)
     with open(dst, "wb") as fh:
         fh.write(w.getvalue())
+
+
+def test_checkpoint_overflowing_shape_is_format_error(tmp_path):
+    # two dims of 0xFFFFFFFF wrap a 64-bit element count; the file must
+    # still read as truncated, not fail inside numpy
+    w = ByteWriter()
+    w.raw(CHECKPOINT_MAGIC)
+    w.u32(CHECKPOINT_VERSION)
+    for field in (16, 4, 0, 0, 1):  # d, prompt_len, no taps, one entry
+        w.u32(field)
+    w.string("prompt.context")
+    for field in (2, 0xFFFFFFFF, 0xFFFFFFFF):  # rank, dims
+        w.u32(field)
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(w.getvalue())
+    with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(str(path))
 
 
 def test_checkpoint_name_mismatch_guards(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fsad import numcore as nc
 from fsad.config import RunConfig
 from fsad.errors import ConfigError
 from fsad.evalmetrics import auc
@@ -199,10 +200,12 @@ def test_gradcheck_episode_covers_every_parameter():
 
 def test_gradcheck_negative_control():
     cfg = RunConfig(dict(SMALL))
+    sigmoid = nc.sigmoid
     rows = gradcheck_all(cfg, corrupt=True)
     assert any(not r.ok for r in rows)
     sigmoid_row = [r for r in rows if r.name == "sigmoid"][0]
     assert not sigmoid_row.ok
-    # corruption toggle must not leak
+    # the corrupted sigmoid must not leak
+    assert nc.sigmoid is sigmoid
     clean = gradcheck_ops()
     assert all(r.ok for r in clean)
