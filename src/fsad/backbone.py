@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numcore as nc
 from .binio import ByteReader, ByteWriter
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, ShapeError
 from .numcore import Tensor
 
 CLASSES = ("normal", "abnormal")
@@ -63,7 +63,7 @@ class BackboneSpec:
             raise ConfigError(f"width {self.d} and heads {self.heads} must be >= 1")
         if self.d % self.heads != 0:
             raise ConfigError(f"width {self.d} not divisible by {self.heads} heads")
-        if self.patch_grid[0] < 1 or self.patch_grid[1] < 1:
+        if len(self.patch_grid) != 2 or min(self.patch_grid) < 1:
             raise ConfigError(f"bad patch grid {self.patch_grid}")
 
     @property
@@ -238,9 +238,7 @@ class FeatureBundle:
 
 def save_feature_bundle(bundle: FeatureBundle, path: str) -> None:
     bundle.validate()
-    w = ByteWriter()
-    w.raw(BUNDLE_MAGIC)
-    w.u32(BUNDLE_VERSION)
+    w = ByteWriter(BUNDLE_MAGIC, BUNDLE_VERSION)
     w.u32(bundle.d)
     w.u32(len(bundle.visual))
     for layer in sorted(bundle.visual):
@@ -248,18 +246,11 @@ def save_feature_bundle(bundle: FeatureBundle, path: str) -> None:
         w.u32(layer)
         w.u32(arr.shape[0])
         w.f32_array(arr)
-    with open(path, "wb") as fh:
-        fh.write(w.getvalue())
+    w.save(path)
 
 
 def load_feature_bundle(path: str) -> FeatureBundle:
-    with open(path, "rb") as fh:
-        r = ByteReader(fh.read(), label=str(path))
-    r.magic(BUNDLE_MAGIC)
-    pos = r.offset
-    version = r.u32("version")
-    if version != BUNDLE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}", offset=pos)
+    r = ByteReader.open(path, BUNDLE_MAGIC, BUNDLE_VERSION)
     d = r.u32("width")
     bundle = FeatureBundle(d=d)
     for _ in range(r.u32("visual layer count")):

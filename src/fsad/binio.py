@@ -1,9 +1,10 @@
 """Little-endian binary primitives with byte-offset error reporting.
 
 Both on-disk artifact formats (feature bundles, parameter checkpoints) are
-built from the same envelope: a 4-byte magic, a u32 version, then a body of
-u32 counts and raw float arrays. Readers track their offset so truncation
-and corruption surface as :class:`FormatError` pointing at the failing byte.
+built from the same envelope, owned here: a 4-byte magic, a u32 version,
+then a body of u32 counts and raw float arrays. Readers track their offset
+so truncation and corruption surface as :class:`FormatError` pointing at
+the failing byte; a non-finite float raises :class:`NumericError`.
 """
 
 from __future__ import annotations
@@ -13,17 +14,15 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, NumericError
 
 
 class ByteWriter:
-    """Accumulates little-endian fields into one bytes payload."""
+    """Accumulates one file's little-endian fields after its header."""
 
-    def __init__(self):
-        self._parts: list[bytes] = []
-
-    def raw(self, b: bytes) -> None:
-        self._parts.append(b)
+    def __init__(self, magic: bytes, version: int):
+        self._parts: list[bytes] = [magic]
+        self.u32(version)
 
     def u32(self, value: int) -> None:
         if not 0 <= value < 2 ** 32:
@@ -41,21 +40,33 @@ class ByteWriter:
         self.u32(len(b))
         self._parts.append(b)
 
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+    def save(self, path: str) -> None:
+        with open(path, "wb") as fh:
+            fh.write(b"".join(self._parts))
 
 
 class ByteReader:
     """Sequential little-endian reader; every failure names its byte offset."""
 
-    def __init__(self, payload: bytes, label: str = "payload"):
+    def __init__(self, payload: bytes, label: str):
         self._buf = payload
         self._pos = 0
         self._label = label
 
-    @property
-    def offset(self) -> int:
-        return self._pos
+    @classmethod
+    def open(cls, path: str, magic: bytes, version: int) -> "ByteReader":
+        """A reader positioned after the file's checked magic and version."""
+        with open(path, "rb") as fh:
+            r = cls(fh.read(), label=str(path))
+        got = r._take(len(magic), "magic")
+        if got != magic:
+            raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}",
+                              offset=0)
+        found = r.u32("version")
+        if found != version:
+            raise FormatError(f"{path}: unsupported version {found}",
+                              offset=len(magic))
+        return r
 
     def _take(self, n: int, what: str) -> bytes:
         if self._pos + n > len(self._buf):
@@ -65,23 +76,18 @@ class ByteReader:
         self._pos += n
         return out
 
-    def raw(self, n: int, what: str = "bytes") -> bytes:
-        return self._take(n, what)
-
-    def magic(self, expected: bytes) -> None:
-        pos = self._pos
-        got = self._take(len(expected), "magic")
-        if got != expected:
-            raise FormatError(
-                f"{self._label}: bad magic {got!r}, expected {expected!r}", offset=pos)
-
     def u32(self, what: str = "u32") -> int:
         return struct.unpack("<I", self._take(4, what))[0]
 
     def _array(self, shape: tuple[int, ...], dtype: str, what: str) -> np.ndarray:
         # a Python int count cannot wrap: an oversized header is a truncation
         raw = self._take(np.dtype(dtype).itemsize * math.prod(shape), what)
-        return np.frombuffer(raw, dtype=dtype).astype(np.float64).reshape(shape)
+        arr = np.frombuffer(raw, dtype=dtype)
+        # count before the f64 cast, which warns on a signalling NaN
+        bad = arr.size - np.count_nonzero(np.isfinite(arr))
+        if bad:
+            raise NumericError(f"{self._label}: {what} has {bad} non-finite values")
+        return arr.astype(np.float64).reshape(shape)
 
     def f32_array(self, shape: tuple[int, ...], what: str = "f32 array") -> np.ndarray:
         return self._array(shape, "<f4", what)

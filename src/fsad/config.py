@@ -1,8 +1,10 @@
 """Flat key=value run configuration with a typed schema and a content hash.
 
 The file format is one `section.key = value` assignment per line, with `#`
-comments and blank lines ignored. Every key has a documented default below;
-unknown keys and duplicate assignments are hard errors so configs stay
+comments and blank lines ignored. Every key has a typed default: the
+`data.*` and `train.*` keys are the fields of `DatasetSpec` and
+`TrainConfig`, the rest are listed below. Unknown keys, duplicate
+assignments and non-finite floats are hard errors so configs stay
 diff-friendly and typo-proof. The effective (fully merged) config can be
 rendered back to canonical text, and its sha256 hash excludes the output
 directory so relocating results does not change run identity.
@@ -11,6 +13,8 @@ directory so relocating results does not change run identity.
 from __future__ import annotations
 
 import hashlib
+import math
+from dataclasses import fields
 
 from .backbone import BackboneSpec
 from .clsa import STRATEGIES
@@ -45,6 +49,13 @@ _PARSERS = {
     "ints": _parse_ints,
 }
 
+
+def _fields_of(prefix: str, spec) -> dict[str, tuple[str, object]]:
+    """A spec class's fields as keys `prefix.name`. Under postponed
+    annotations a field's type is its annotation string, a parser name."""
+    return {f"{prefix}.{f.name}": (f.type, f.default) for f in fields(spec)}
+
+
 # key -> (type name, default). The authoritative list of every config key.
 SCHEMA: dict[str, tuple[str, object]] = {
     # frozen encoder pair
@@ -57,18 +68,7 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "backbone.heads": ("int", 4),
     "backbone.seed": ("int", 0),
     # synthetic corpus
-    "data.seed": ("int", 0),
-    "data.height": ("int", 32),
-    "data.width": ("int", 32),
-    "data.freq_min": ("float", 2.0),
-    "data.freq_max": ("float", 4.0),
-    "data.noise_std": ("float", 0.05),
-    "data.blob_radius_min": ("float", 4.0),
-    "data.blob_radius_max": ("float", 8.0),
-    "data.contrast_shift": ("float", 0.3),
-    "data.anomaly_freq_factor": ("float", 2.0),
-    "data.n_normal": ("int", 200),
-    "data.n_abnormal": ("int", 200),
+    **_fields_of("data", DatasetSpec),
     # episode protocol
     "episode.k": ("int", 4),
     "episode.query_per_class": ("int", 50),
@@ -87,14 +87,7 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "infer.lam": ("float", 0.5),
     "infer.eps": ("float", 1e-8),
     # episode optimization
-    "train.epochs": ("int", 50),
-    "train.batch_size": ("int", 16),
-    "train.lr_fast": ("float", 1e-4),
-    "train.lr_slow": ("float", 1e-5),
-    "train.weight_decay": ("float", 0.01),
-    "train.beta1": ("float", 0.9),
-    "train.beta2": ("float", 0.999),
-    "train.eps": ("float", 1e-8),
+    **_fields_of("train", TrainConfig),
     # artifacts
     "run.out": ("str", "out"),
 }
@@ -142,18 +135,20 @@ def _format_value(kind: str, value) -> str:
     return repr(value) if kind == "float" else str(value)
 
 
+def _canonical(values: dict[str, object], keys) -> str:
+    return "\n".join(f"{key} = {_format_value(SCHEMA[key][0], values[key])}"
+                     for key in keys)
+
+
 def effective_text(values: dict[str, object]) -> str:
     """Canonical rendering of a fully merged config, one key per line."""
-    lines = [f"{key} = {_format_value(SCHEMA[key][0], values[key])}"
-             for key in sorted(SCHEMA)]
-    return "\n".join(lines) + "\n"
+    return _canonical(values, sorted(SCHEMA)) + "\n"
 
 
 def config_hash(values: dict[str, object]) -> str:
     """sha256 of the canonical text, ignoring where outputs are written."""
-    lines = [f"{key} = {_format_value(SCHEMA[key][0], values[key])}"
-             for key in sorted(SCHEMA) if key != OUT_KEY]
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    text = _canonical(values, sorted(set(SCHEMA) - {OUT_KEY}))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class RunConfig:
@@ -174,6 +169,9 @@ class RunConfig:
         return self.values[key]
 
     def _validate(self) -> None:
+        for key, (kind, _) in SCHEMA.items():
+            if kind == "float" and not math.isfinite(self[key]):
+                raise ConfigError(f"{key} must be finite, got {self[key]}")
         self.backbone_spec()  # spec constructors own the structural checks
         self.dataset_spec()
         self.train_config()
@@ -192,47 +190,25 @@ class RunConfig:
             raise ConfigError("adapt.prompt_len must be >= 0")
 
     def backbone_spec(self) -> BackboneSpec:
-        grid = self["backbone.patch_grid"]
-        if len(grid) != 2:
-            raise ConfigError(f"backbone.patch_grid needs two entries, got {grid}")
         return BackboneSpec(
             d=self["backbone.d"],
             vision_layers=self["backbone.vision_layers"],
             text_layers=self["backbone.text_layers"],
             selected_visual=self["backbone.visual_taps"],
             selected_text=self["backbone.text_taps"],
-            patch_grid=(grid[0], grid[1]),
+            patch_grid=self["backbone.patch_grid"],
             heads=self["backbone.heads"],
             seed=self["backbone.seed"],
         )
 
+    def _spec(self, prefix: str, spec):
+        return spec(**{f.name: self[f"{prefix}.{f.name}"] for f in fields(spec)})
+
     def dataset_spec(self) -> DatasetSpec:
-        return DatasetSpec(
-            seed=self["data.seed"],
-            height=self["data.height"],
-            width=self["data.width"],
-            freq_min=self["data.freq_min"],
-            freq_max=self["data.freq_max"],
-            noise_std=self["data.noise_std"],
-            blob_radius_min=self["data.blob_radius_min"],
-            blob_radius_max=self["data.blob_radius_max"],
-            contrast_shift=self["data.contrast_shift"],
-            anomaly_freq_factor=self["data.anomaly_freq_factor"],
-            n_normal=self["data.n_normal"],
-            n_abnormal=self["data.n_abnormal"],
-        )
+        return self._spec("data", DatasetSpec)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self["train.epochs"],
-            batch_size=self["train.batch_size"],
-            lr_fast=self["train.lr_fast"],
-            lr_slow=self["train.lr_slow"],
-            weight_decay=self["train.weight_decay"],
-            beta1=self["train.beta1"],
-            beta2=self["train.beta2"],
-            eps=self["train.eps"],
-        )
+        return self._spec("train", TrainConfig)
 
     def text(self) -> str:
         return effective_text(self.values)

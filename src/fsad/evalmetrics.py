@@ -46,6 +46,17 @@ def _as_binary(scores, labels, who: str):
     return s, y.astype(np.int64)
 
 
+def _tie_groups(ss: np.ndarray):
+    """(start, stop) of each run of equal values in sorted scores."""
+    i, n = 0, ss.size
+    while i < n:
+        j = i
+        while j < n and ss[j] == ss[i]:
+            j += 1
+        yield i, j
+        i = j
+
+
 def auc(scores, labels) -> float:
     """Probability a random positive outscores a random negative (ties half)."""
     s, y = _as_binary(scores, labels, "auc")
@@ -57,15 +68,8 @@ def auc(scores, labels) -> float:
     ss, ys = s[order], y[order]
     # doubled rank sum over positives: a tied block spanning sorted slots
     # [i, j) contributes (i+1 + j) per member, an integer
-    double_rank_pos = 0
-    i = 0
-    n = s.size
-    while i < n:
-        j = i
-        while j < n and ss[j] == ss[i]:
-            j += 1
-        double_rank_pos += (i + 1 + j) * int(ys[i:j].sum())
-        i = j
+    double_rank_pos = sum((i + 1 + j) * int(ys[i:j].sum())
+                          for i, j in _tie_groups(ss))
     double_u = double_rank_pos - n_pos * (n_pos + 1)
     return double_u / (2 * n_pos * n_neg)
 
@@ -80,19 +84,11 @@ def average_precision(scores, labels) -> float:
     ss, ys = s[order], y[order]
     ap = 0.0
     tp_prev = 0
-    seen = 0
-    i = 0
-    n = s.size
-    while i < n:
-        j = i
-        while j < n and ss[j] == ss[i]:
-            j += 1
+    for i, j in _tie_groups(ss):
         tp = tp_prev + int(ys[i:j].sum())
-        seen = j
         if tp > tp_prev:
-            ap += (tp - tp_prev) / n_pos * (tp / seen)
+            ap += (tp - tp_prev) / n_pos * (tp / j)
         tp_prev = tp
-        i = j
     return ap
 
 

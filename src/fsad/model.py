@@ -28,7 +28,7 @@ from .adaptation import (ALPHA_INIT, DEFAULT_PROMPT_LEN, DEFAULT_REDUCTION,
 from .backbone import BackboneSpec, ToyEncoder, encode_prompt, layer_map
 from .binio import ByteReader, ByteWriter
 from .clsa import ClsaOutput, ClsaState, clsa_forward, init_clsa
-from .errors import CompatError, ContractError, FormatError, NumericError
+from .errors import CompatError, ContractError
 from .numcore import Tensor
 
 CHECKPOINT_MAGIC = b"HAAP"
@@ -200,60 +200,57 @@ def forward(model: Model, visual_taps: dict[int, Tensor]) -> ClsaOutput:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _write_meta(w: ByteWriter, model: Model) -> None:
-    w.u32(model.spec.d)
-    w.u32(model.adapt.prompts.prompt_len)
-    w.u32(len(model.spec.selected_visual))
-    for layer in model.spec.selected_visual:
-        w.u32(layer)
-    w.u32(len(model.spec.selected_text))
-    for layer in model.spec.selected_text:
-        w.u32(layer)
+# The settings a checkpoint records, in file order: key, the name format
+# errors give it, its kind and its value on a model. An int is one u32; a
+# tuple is a u32 count, then its entries.
+_SETTINGS = (
+    ("d", "width", int, lambda m: m.spec.d),
+    ("prompt_len", "prompt length", int, lambda m: m.adapt.prompts.prompt_len),
+    ("selected_visual", "visual tap", tuple, lambda m: m.spec.selected_visual),
+    ("selected_text", "text tap", tuple, lambda m: m.spec.selected_text),
+)
+
+
+def checkpoint_meta(model: Model) -> dict:
+    """The settings a checkpoint of this model records and must match."""
+    return {key: get(model) for key, _, _, get in _SETTINGS}
+
+
+def write_checkpoint(path: str, meta: dict, tensors: dict[str, np.ndarray]) -> None:
+    """The exact inverse of :func:`load_checkpoint`."""
+    w = ByteWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    for key, _, kind, _ in _SETTINGS:
+        if kind is tuple:
+            w.u32(len(meta[key]))
+        for v in meta[key] if kind is tuple else (meta[key],):
+            w.u32(v)
+    w.u32(len(tensors))
+    for name, arr in tensors.items():
+        w.string(name)
+        w.u32(arr.ndim)
+        for dim in arr.shape:
+            w.u32(dim)
+        w.f64_array(arr)
+    w.save(path)
 
 
 def save_checkpoint(model: Model, path: str) -> None:
-    w = ByteWriter()
-    w.raw(CHECKPOINT_MAGIC)
-    w.u32(CHECKPOINT_VERSION)
-    _write_meta(w, model)
-    params = named_parameters(model)
-    w.u32(len(params))
-    for name, tensor in params.items():
-        w.string(name)
-        w.u32(tensor.ndim)
-        for dim in tensor.shape:
-            w.u32(dim)
-        w.f64_array(tensor.data)
-    with open(path, "wb") as fh:
-        fh.write(w.getvalue())
+    write_checkpoint(path, checkpoint_meta(model),
+                     {name: t.data for name, t in named_parameters(model).items()})
 
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """(meta, name -> array). Meta carries d, prompt rows and tap lists."""
-    with open(path, "rb") as fh:
-        r = ByteReader(fh.read(), label=str(path))
-    r.magic(CHECKPOINT_MAGIC)
-    pos = r.offset
-    version = r.u32("version")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}", offset=pos)
-    meta = {
-        "d": r.u32("width"),
-        "prompt_len": r.u32("prompt length"),
-    }
-    meta["selected_visual"] = tuple(r.u32("visual tap")
-                                    for _ in range(r.u32("visual tap count")))
-    meta["selected_text"] = tuple(r.u32("text tap")
-                                  for _ in range(r.u32("text tap count")))
+    """(meta, name -> array); meta holds the settings of `checkpoint_meta`."""
+    r = ByteReader.open(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    meta = {key: r.u32(what) if kind is int else
+            tuple(r.u32(what) for _ in range(r.u32(f"{what} count")))
+            for key, what, kind, _ in _SETTINGS}
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.u32("entry count")):
         name = r.string("entry name")
         ndim = r.u32("rank")
         shape = tuple(r.u32("dim") for _ in range(ndim))
         tensors[name] = r.f64_array(shape, f"entry {name}")
-        bad = tensors[name].size - np.count_nonzero(np.isfinite(tensors[name]))
-        if bad:
-            raise NumericError(f"{path}: entry {name} has {bad} non-finite values")
     r.expect_exhausted()
     return meta, tensors
 
@@ -261,16 +258,10 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
 def apply_checkpoint(model: Model, path: str) -> None:
     """Overwrite the model's learnable tensors from a checkpoint file."""
     meta, tensors = load_checkpoint(path)
-    checks = [
-        ("d", model.spec.d),
-        ("prompt_len", model.adapt.prompts.prompt_len),
-        ("selected_visual", model.spec.selected_visual),
-        ("selected_text", model.spec.selected_text),
-    ]
-    for field_name, want in checks:
-        if meta[field_name] != want:
-            raise CompatError(f"checkpoint field {field_name}: "
-                              f"file has {meta[field_name]}, model has {want}")
+    for key, want in checkpoint_meta(model).items():
+        if meta[key] != want:
+            raise CompatError(f"checkpoint field {key}: "
+                              f"file has {meta[key]}, model has {want}")
     params = named_parameters(model)
     missing = sorted(set(params) - set(tensors))
     extra = sorted(set(tensors) - set(params))

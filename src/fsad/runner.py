@@ -343,27 +343,30 @@ def stage_grid(cfg: RunConfig, store: FeatureStore,
 # ---------------------------------------------------------------------------
 # sensitivity sweeps
 
+def _sweep_rows(parameter: str, points, scored) -> list[dict]:
+    """One row per seed and a closing mean row per point; scored[j] holds
+    the (seed, auc, ap) runs of points[j]."""
+    rows = []
+    for value, runs in zip(points, scored):
+        rows += [{"parameter": parameter, "value": value, "seed": seed,
+                  "auc": a, "ap": p} for seed, a, p in runs]
+        rows.append({"parameter": parameter, "value": value, "seed": "mean",
+                     "auc": float(np.mean([a for _, a, _ in runs])),
+                     "ap": float(np.mean([p for _, _, p in runs]))})
+    return rows
+
+
 def lambda_sweep(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
                  points=LAMBDA_POINTS) -> list[dict]:
-    """One training run per seed, re-blended at every ensemble weight.
-
-    Emits one row per (point, seed) and a closing mean row per point.
-    """
+    """One training run per seed, re-blended at every ensemble weight."""
     if not points:
         raise ConfigError("sweep grid is empty")
     runs = run_plan(cfg, store, dataset,
                     [RunSpec(i) for i in range(cfg["episode.count"])],
                     lambda run: (run.episode_seed, run.report))
-    rows = []
-    for lam in points:
-        scored = [eval_at_lambda(report, lam) for _, report in runs]
-        rows += [{"parameter": "lambda", "value": lam, "seed": seed,
-                  "auc": a, "ap": p}
-                 for (seed, _), (a, p) in zip(runs, scored)]
-        rows.append({"parameter": "lambda", "value": lam, "seed": "mean",
-                     "auc": float(np.mean([a for a, _ in scored])),
-                     "ap": float(np.mean([p for _, p in scored]))})
-    return rows
+    return _sweep_rows("lambda", points,
+                       [[(seed, *eval_at_lambda(report, lam))
+                         for seed, report in runs] for lam in points])
 
 
 def beta_sweep(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
@@ -378,15 +381,9 @@ def beta_sweep(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
         [RunSpec(i, gate_init=float(beta), gates_learnable=False)
          for beta in points for i in range(count)],
         lambda run: (run.episode_seed, run.metrics.auc, run.metrics.ap))
-    rows = []
-    for j, beta in enumerate(points):
-        block = runs[j * count:(j + 1) * count]
-        rows += [{"parameter": "beta", "value": beta, "seed": seed,
-                  "auc": a, "ap": p} for seed, a, p in block]
-        rows.append({"parameter": "beta", "value": beta, "seed": "mean",
-                     "auc": float(np.mean([a for _, a, _ in block])),
-                     "ap": float(np.mean([p for _, _, p in block]))})
-    return rows
+    return _sweep_rows("beta", points,
+                       [runs[j * count:(j + 1) * count]
+                        for j in range(len(points))])
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,12 @@ class TrainConfig:
             raise ConfigError("learning rates must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigError(f"Adam betas must lie in [0, 1), "
+                              f"got {self.beta1} and {self.beta2}")
+        if not (self.eps > 0 and self.weight_decay >= 0):
+            raise ConfigError(f"eps must be positive and weight decay >= 0, "
+                              f"got {self.eps} and {self.weight_decay}")
 
 
 SCORE_FLOOR = 1e-12

@@ -1,5 +1,8 @@
 """Frozen encoders: determinism, tap plumbing, gradient transparency, bundles."""
 
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from fsad.backbone import (BUNDLE_MAGIC, BUNDLE_VERSION, BackboneSpec,
                            encode_prompt, layer_map, load_feature_bundle,
                            save_feature_bundle)
 from fsad.binio import ByteWriter
-from fsad.errors import ConfigError, FormatError, ShapeError
+from fsad.errors import ConfigError, FormatError, NumericError, ShapeError
 from fsad.numcore import GradTape, Tensor, backward
 
 
@@ -31,6 +34,12 @@ def test_spec_validation():
         small_spec(selected_visual=(2, 9))
     with pytest.raises(ConfigError):
         small_spec(heads=3)
+
+
+@pytest.mark.parametrize("grid", [(), (4,), (4, 4, 4), (0, 4), (4, -1)])
+def test_spec_patch_grid_needs_two_positive_entries(grid):
+    with pytest.raises(ConfigError, match="patch grid"):
+        BackboneSpec(patch_grid=grid)
 
 
 def test_default_spec_taps_and_head_width():
@@ -248,14 +257,27 @@ def test_bundle_truncation_reports_offset(tmp_path):
 def test_bundle_overflowing_shape_is_format_error(tmp_path):
     # width and patch count of 0xFFFFFFFF wrap a 64-bit element count; the
     # file must still read as truncated, not fail inside numpy
-    w = ByteWriter()
-    w.raw(BUNDLE_MAGIC)
-    for field in (BUNDLE_VERSION, 0xFFFFFFFF, 1, 2, 0xFFFFFFFF):
-        w.u32(field)  # version, width, layer count, layer id, patch count
+    w = ByteWriter(BUNDLE_MAGIC, BUNDLE_VERSION)
+    for field in (0xFFFFFFFF, 1, 2, 0xFFFFFFFF):
+        w.u32(field)  # width, layer count, layer id, patch count
     path = tmp_path / "huge.haafb"
-    path.write_bytes(w.getvalue())
+    w.save(str(path))
     with pytest.raises(FormatError, match="truncated"):
         load_feature_bundle(str(path))
+
+
+@pytest.mark.parametrize("bits", [0x7F800000, 0x7F800001])  # inf, signalling NaN
+def test_bundle_non_finite_payload_rejected_quietly(tmp_path, bits):
+    path = tmp_path / "x.haafb"
+    save_feature_bundle(_random_bundle(np.random.default_rng(12)), str(path))
+    raw = bytearray(path.read_bytes())
+    # header: magic, version, width, layer count, layer id, patch count
+    raw[24:28] = struct.pack("<I", bits)
+    path.write_bytes(bytes(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="visual layer 2 has 1 non-finite"):
+            load_feature_bundle(str(path))
 
 
 def test_bundle_width_mismatch_rejected(tmp_path):

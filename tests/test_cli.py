@@ -264,6 +264,21 @@ def test_nonpositive_sizes_are_config_errors(cfg_file, tmp_path, capsys,
     assert err.startswith("error[config]") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("assignment", [
+    "train.eps=-1", "train.weight_decay=-0.5", "train.beta2=1.5",
+    "train.beta1=1.0", "data.contrast_shift=inf", "train.lr_fast=nan",
+    "train.lr_slow=inf", "clsa.gate_init=nan", "adapt.alpha_init=inf",
+    "data.noise_std=nan", "infer.eps=nan"])
+def test_bad_float_settings_are_config_errors(cfg_file, tmp_path, capsys,
+                                              assignment):
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_file, "--out", str(out),
+                 "--set", assignment]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_config_echo_reproduces_run(cfg_file, trained, tmp_path):
     out = tmp_path / "re"
     echo = trained / "effective.cfg"

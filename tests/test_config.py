@@ -2,8 +2,8 @@
 
 import pytest
 
-from fsad.config import (RunConfig, config_hash, defaults, effective_text,
-                         load_config, parse_config_text)
+from fsad.config import (SCHEMA, RunConfig, config_hash, defaults,
+                         effective_text, load_config, parse_config_text)
 from fsad.errors import ConfigError
 
 
@@ -122,3 +122,13 @@ def test_default_config_hash_is_pinned():
     # every report's first line carries this hash
     assert RunConfig({}).hash() == (
         "65fbfeebaffcd5408d8139d0d502f9773022e186785e1bdd7167f957a3e60af8")
+
+
+def test_every_float_key_rejects_non_finite_values():
+    # dicts reach RunConfig without the text parser, so it checks them itself
+    floats = [key for key, (kind, _) in SCHEMA.items() if kind == "float"]
+    assert len(floats) == 17
+    for key in floats:
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="must be finite"):
+                RunConfig({key: bad})

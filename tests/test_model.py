@@ -11,7 +11,7 @@ from fsad.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, FAST_GROUP,
                         SLOW_GROUP, apply_checkpoint, backbone_checksum, forward,
                         forward_text, init_model, load_checkpoint,
                         named_parameters, parameter_groups, save_checkpoint,
-                        state_checksum)
+                        state_checksum, write_checkpoint)
 from fsad.numcore import Tensor
 
 
@@ -174,41 +174,27 @@ def rewrite_entries(src, dst, mutate):
     """Re-serialize a checkpoint with its entry dict passed through mutate."""
     meta, tensors = load_checkpoint(src)
     mutate(tensors)
-    w = ByteWriter()
-    w.raw(CHECKPOINT_MAGIC)
-    w.u32(CHECKPOINT_VERSION)
-    w.u32(meta["d"])
-    w.u32(meta["prompt_len"])
-    w.u32(len(meta["selected_visual"]))
-    for l in meta["selected_visual"]:
-        w.u32(l)
-    w.u32(len(meta["selected_text"]))
-    for l in meta["selected_text"]:
-        w.u32(l)
-    w.u32(len(tensors))
-    for name, arr in tensors.items():
-        w.string(name)
-        w.u32(arr.ndim)
-        for dim in arr.shape:
-            w.u32(dim)
-        w.f64_array(arr)
-    with open(dst, "wb") as fh:
-        fh.write(w.getvalue())
+    write_checkpoint(dst, meta, tensors)
+
+
+def test_write_checkpoint_inverts_load(tmp_path):
+    src, dst = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(small_model(), str(src))
+    write_checkpoint(str(dst), *load_checkpoint(str(src)))
+    assert dst.read_bytes() == src.read_bytes()
 
 
 def test_checkpoint_overflowing_shape_is_format_error(tmp_path):
     # two dims of 0xFFFFFFFF wrap a 64-bit element count; the file must
     # still read as truncated, not fail inside numpy
-    w = ByteWriter()
-    w.raw(CHECKPOINT_MAGIC)
-    w.u32(CHECKPOINT_VERSION)
+    w = ByteWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     for field in (16, 4, 0, 0, 1):  # d, prompt_len, no taps, one entry
         w.u32(field)
     w.string("prompt.context")
     for field in (2, 0xFFFFFFFF, 0xFFFFFFFF):  # rank, dims
         w.u32(field)
     path = tmp_path / "huge.ckpt"
-    path.write_bytes(w.getvalue())
+    w.save(str(path))
     with pytest.raises(FormatError, match="truncated"):
         load_checkpoint(str(path))
 

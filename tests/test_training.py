@@ -163,6 +163,14 @@ def test_config_defaults_and_guards():
         TrainConfig(batch_size=0)
 
 
+@pytest.mark.parametrize("setting", [
+    {"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 1.5}, {"eps": 0.0},
+    {"eps": -1.0}, {"weight_decay": -0.5}])
+def test_config_rejects_out_of_range_optimizer_settings(setting):
+    with pytest.raises(ConfigError):
+        TrainConfig(**setting)
+
+
 # --- episodes ----------------------------------------------------------------
 
 def test_zero_epochs_leaves_model_bit_identical():

@@ -1,0 +1,54 @@
+"""Run a fixed small CLI matrix and keep every output under one directory.
+
+    python tools/outputs.py DIR
+
+Each step runs ``fsad.cli.main`` with ``--out DIR/<step>``, at
+``episode.count=3``, 5 epochs and the benchmark learning rates. The
+package is imported from this checkout's ``src``. Run the script from two
+checkouts with the same relative DIR and compare them with ``diff -r``:
+an empty diff means the change kept every output byte-equal, including
+each ``effective.cfg`` (which records ``run.out``). Exits non-zero if any
+step does.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from fsad.cli import main  # noqa: E402
+
+COMMON = ["--set", "episode.count=3", "--set", "train.epochs=5",
+          "--set", "train.lr_fast=0.03", "--set", "train.lr_slow=0.003"]
+
+
+def steps(root: str) -> list[tuple[str, list[str]]]:
+    return [
+        ("synth", ["synth", "--emit-features"]),
+        ("train_k4", ["train"]),
+        ("train_k16", ["train", "--set", "episode.k=16"]),
+        ("eval_k4", ["eval", "--checkpoint", f"{root}/train_k4/model.ckpt"]),
+        ("ablate", ["ablate"]),
+        ("sweep", ["sweep", "--which", "all"]),
+        ("gradcheck", ["gradcheck"]),
+        ("gradcheck_corrupt", ["gradcheck", "--corrupt"]),
+    ]
+
+
+def run(root: str) -> int:
+    failed = []
+    for name, argv in steps(root):
+        print(f"== {name}", flush=True)
+        if main(argv + COMMON + ["--out", f"{root}/{name}"]) != 0:
+            failed.append(name)
+    if failed:
+        print(f"failed steps: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} DIR")
+    sys.exit(run(sys.argv[1]))
