@@ -4,8 +4,8 @@ The file format is one `section.key = value` assignment per line, with `#`
 comments and blank lines ignored. Every key has a typed default: the
 `data.*` and `train.*` keys are the fields of `DatasetSpec` and
 `TrainConfig`, the rest are listed below. Unknown keys, duplicate
-assignments and non-finite floats are hard errors so configs stay
-diff-friendly and typo-proof. The effective (fully merged) config can be
+assignments, values of the wrong type and non-finite floats are hard
+errors so configs stay diff-friendly and typo-proof. The effective (fully merged) config can be
 rendered back to canonical text, and its sha256 hash excludes the output
 directory so relocating results does not change run identity.
 """
@@ -151,6 +151,31 @@ def config_hash(values: dict[str, object]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _typed(key: str, value):
+    """A dict value checked against its key's schema type, stored as the
+    text parser would store it, so the config hashes as its own text."""
+    kind, _ = SCHEMA[key]
+    if kind == "int" and _is_int(value):
+        return value
+    if kind == "float" and (_is_int(value) or isinstance(value, float)):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{key} must be finite, got {value}") from None
+    if kind == "bool" and isinstance(value, bool):
+        return value
+    if kind == "str" and isinstance(value, str):
+        return value
+    if (kind == "ints" and isinstance(value, (tuple, list))
+            and all(_is_int(v) for v in value)):
+        return tuple(value)
+    raise ConfigError(f"{key} takes a value of type {kind}, got {value!r}")
+
+
 class RunConfig:
     """Fully merged, validated view over the flat key space."""
 
@@ -159,7 +184,7 @@ class RunConfig:
         for key, value in values.items():
             if key not in SCHEMA:
                 raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = value
+            merged[key] = _typed(key, value)
         self.values = merged
         self._validate()
 

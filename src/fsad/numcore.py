@@ -127,19 +127,22 @@ def _record(name: str, inputs: Sequence[Tensor], out_data: Array,
 
 
 def backward(loss: Tensor, tape: GradTape) -> None:
-    """Populate grad buffers of every requires_grad tensor reachable from loss.
+    """Populate grad buffers of every requires_grad leaf reachable from loss.
 
-    The tape is replayed in exact reverse execution order; contributions from
-    multiple uses of the same tensor are added, never overwritten. Nothing
-    writes into a gradient array in place, so a first contribution is kept
-    as is, even when it is a view shared with another input's gradient.
+    A leaf is a tensor that no node on this tape produced; intermediates
+    keep ``grad=None``, and each one's gradient is dropped as soon as its
+    producing node has used it. The tape is replayed in exact reverse
+    execution order; contributions from multiple uses of the same tensor
+    are added, never overwritten. Nothing writes into a gradient array in
+    place, so a first contribution is kept as is, even when it is a view
+    shared with another input's gradient.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
     for node in reversed(tape.nodes):
-        out_grad = grads.get(id(node.output))
+        out_grad = grads.pop(id(node.output), None)
         if out_grad is None:
             continue
         for tensor, need, g in zip(node.inputs, node.needs,

@@ -27,12 +27,14 @@ from .model import (Model, forward, init_model, named_parameters,
                     parameter_groups, stack_models, unstack_model)
 from .numcore import GradTape, Tensor, backward
 from .synthdata import Episode, Sample, sample_episode
-from .training import (TraceRow, TrainConfig, bce_loss, train_episode,
-                       training_scores)
+from .training import TraceRow, bce_loss, train_episode, training_scores
 
 LAMBDA_POINTS = tuple(round(0.1 * i, 1) for i in range(11))
 BETA_POINTS = (0.0, 0.25, 0.5, 1.0, 2.0)
 GRADCHECK_TOL = 1e-4
+# Episodes per stack at any k: per-episode step time stops falling beyond
+# about five, while each further episode still adds its activations.
+MAX_STACK = 5
 
 
 # ---------------------------------------------------------------------------
@@ -166,31 +168,24 @@ def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
 # ---------------------------------------------------------------------------
 # run plans
 
-def stack_capacity(config: TrainConfig, support: int) -> int:
-    """Episodes per stack: a step holds at most ``batch_size`` support rows,
-    the most a single episode's step can hold."""
-    return config.batch_size // min(config.batch_size, support)
-
-
 def run_plan(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
              specs: list[RunSpec], read) -> list:
     """Run every spec, score it through ``run_episode`` and return
     ``read(run)`` for each, in request order.
 
-    Same-structure specs run together, up to ``stack_capacity`` episodes
-    at a time; a trained group of two or more shares one tape, and a
+    Same-structure specs run together, up to ``MAX_STACK`` episodes at a
+    time; a trained group of two or more shares one tape, and a
     group of one trains the model itself. Each run is read as soon as it
     is scored, so one stack of models is alive at a time.
     """
     tcfg = cfg.train_config()
-    cap = stack_capacity(tcfg, 2 * cfg["episode.k"])
     groups: dict[RunSpec, list[int]] = {}
     for pos, spec in enumerate(specs):
         groups.setdefault(spec.structure(), []).append(pos)
     out: list = [None] * len(specs)
     for structure, positions in groups.items():
-        for lo in range(0, len(positions), cap):
-            stack = positions[lo:lo + cap]
+        for lo in range(0, len(positions), MAX_STACK):
+            stack = positions[lo:lo + MAX_STACK]
             models = [model_from_config(cfg, specs[pos]) for pos in stack]
             traces = [[] for _ in stack]
             if structure.train:

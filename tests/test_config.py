@@ -1,7 +1,10 @@
 """Config parsing: schema enforcement, merge order, canonical text, hashing."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fsad.clsa import STRATEGIES
 from fsad.config import (SCHEMA, RunConfig, config_hash, defaults,
                          effective_text, load_config, parse_config_text)
 from fsad.errors import ConfigError
@@ -132,3 +135,61 @@ def test_every_float_key_rejects_non_finite_values():
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ConfigError, match="must be finite"):
                 RunConfig({key: bad})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("clsa.gates_learnable", "no"),        # hashed as the default true
+    ("episode.k", 4.5),
+    ("episode.k", True),
+    ("infer.lam", True),
+    ("train.lr_fast", "0.1"),             # an uncategorized TypeError
+    pytest.param("train.lr_fast", 10 ** 400, id="train.lr_fast-huge_int"),
+    ("backbone.patch_grid", (True, 2)),
+    ("backbone.visual_taps", (2.0, 4.0)),
+    ("run.out", 3),
+])
+def test_dict_values_must_have_their_key_type(key, value):
+    with pytest.raises(ConfigError, match=key):
+        RunConfig({key: value})
+
+
+@pytest.mark.parametrize("key, value, stored", [
+    ("clsa.gate_init", 0, 0.0),
+    ("train.lr_fast", 1, 1.0),
+    ("backbone.visual_taps", [2, 4, 6, 8], (2, 4, 6, 8)),
+])
+def test_dict_values_are_stored_as_the_parser_stores_them(key, value, stored):
+    cfg = RunConfig({key: value})
+    assert cfg[key] == stored and type(cfg[key]) is type(stored)
+    assert cfg.hash() == RunConfig({key: stored}).hash()
+    assert cfg.hash() == RunConfig(parse_config_text(cfg.text())).hash()
+
+
+def _near_default(key):
+    """Values of the key's type, mostly valid, ints included for floats."""
+    kind, default = SCHEMA[key]
+    if kind == "float":
+        return st.one_of(st.integers(0, 3), st.floats(-1.0, 4.0))
+    if kind == "int":
+        return st.integers(default, default + 3)
+    if kind == "bool":
+        return st.booleans()
+    if kind == "ints":
+        return st.sampled_from([default, list(default), default[::-1]])
+    if key == "clsa.strategy":
+        return st.sampled_from(STRATEGIES)
+    return st.text("abc_/.-0123", min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(sorted(SCHEMA)), max_size=5, unique=True)
+       .flatmap(lambda keys: st.fixed_dictionaries(
+           {key: _near_default(key) for key in keys})))
+def test_config_hash_survives_its_own_text(values):
+    try:
+        cfg = RunConfig(values)
+    except ConfigError:
+        assume(False)
+    again = RunConfig(parse_config_text(cfg.text()))
+    assert again.hash() == cfg.hash()
+    assert again.text() == cfg.text()

@@ -1,5 +1,7 @@
 """Tensor core: forward oracles, finite-difference gradient checks, tape rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,39 @@ def test_grad_accumulates_across_backward_calls():
             y = nc.sum_all(nc.scale(x, 3.0))
         backward(y, tape)
     np.testing.assert_allclose(x.grad, [6.0], atol=0)
+
+
+def test_backward_sets_grad_on_leaves_only():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with GradTape() as tape:
+        mid = nc.scale(x, 3.0)
+        y = nc.sum_all(nc.mul(mid, mid))
+    backward(y, tape)
+    np.testing.assert_array_equal(x.grad, [18.0, 36.0])
+    assert mid.grad is None and y.grad is None
+
+
+def test_backward_drops_each_gradient_once_used():
+    factors = [1.0 + i / 64 for i in range(50)]
+    x = Tensor(np.ones((128, 128)), requires_grad=True)
+    with GradTape() as tape:
+        y = x
+        for c in factors:
+            y = nc.scale(y, c)
+        loss = nc.sum_all(y)
+    tracemalloc.start()
+    try:
+        backward(loss, tape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # holding all 50 intermediate gradients would take 6.4 MiB
+    assert peak < 4 * x.data.nbytes
+    want = np.ones((128, 128))
+    for c in reversed(factors):
+        want = want * c
+    np.testing.assert_array_equal(x.grad, want)
+    assert y.grad is None
 
 
 def test_no_grad_suppresses_recording():

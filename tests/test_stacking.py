@@ -12,8 +12,8 @@ from fsad.errors import ContractError, NumericError
 from fsad.model import (init_model, named_parameters, stack_models, stack_size,
                         state_checksum, unstack_model)
 from fsad.runner import (RunSpec, beta_sweep, build_feature_store,
-                         lambda_sweep, run_episode, run_plan, stack_capacity,
-                         stage_grid, strategy_grid)
+                         lambda_sweep, run_episode, run_plan, stage_grid,
+                         strategy_grid)
 from fsad.synthdata import generate_dataset
 from fsad.training import TrainConfig, train_episode
 
@@ -142,7 +142,7 @@ GRID = {
     "backbone.patch_grid": (2, 2), "backbone.heads": 4,
     "data.n_normal": 12, "data.n_abnormal": 12, "data.height": 16,
     "data.width": 16, "data.blob_radius_min": 2.0, "data.blob_radius_max": 4.0,
-    # k=4 at batch 16: stacks of two, so three episodes split 2 + 1
+    # three episodes per cell: each cell's trained runs form one stack of 3
     "episode.k": 4, "episode.query_per_class": 3, "episode.count": 3,
     "train.epochs": 3, "train.lr_fast": 0.03, "train.lr_slow": 0.003,
     "adapt.prompt_len": 4, "clsa.heads": 4,
@@ -170,19 +170,18 @@ def stack_sizes(monkeypatch):
     return seen
 
 
-def test_stack_capacity_bounds_rows_per_step():
-    assert stack_capacity(TrainConfig(), 8) == 2     # k=4
-    assert stack_capacity(TrainConfig(), 32) == 1    # k=16
-    assert stack_capacity(TrainConfig(batch_size=16), 3) == 5
-    assert stack_capacity(TrainConfig(batch_size=4), 8) == 1
+@pytest.fixture
+def one_at_a_time(monkeypatch):
+    """Calling it makes every later run_plan train its episodes alone."""
+    return lambda: monkeypatch.setattr(runner, "MAX_STACK", 1)
 
 
-def test_three_episodes_train_as_two_plus_one(world, stack_sizes):
+def test_seven_episodes_train_as_five_plus_two(world, stack_sizes):
     cfg, store, dataset = world
-    got = run_plan(cfg, store, dataset, [RunSpec(i) for i in range(3)],
+    got = run_plan(cfg, store, dataset, [RunSpec(i) for i in range(7)],
                    lambda run: (state_checksum(run.model), run.trace,
                                 run.metrics))
-    assert stack_sizes == [2, None]
+    assert stack_sizes == [5, 2]
     for i, (checksum, trace, metrics) in enumerate(got):
         alone = run_episode(cfg, store, dataset, i)
         assert checksum == state_checksum(alone.model)
@@ -195,29 +194,40 @@ def strategy_rows(*world):
     return grid.rows, grid.loss_first, grid.loss_last
 
 
-@pytest.mark.parametrize("grid", [
-    strategy_rows,
-    lambda *world: stage_grid(*world).rows,
-    lambda_sweep,
-    beta_sweep,
+@pytest.mark.parametrize("grid, sizes", [
+    (strategy_rows, [3] * 4),              # one stack per trained strategy
+    (lambda *world: stage_grid(*world).rows, [3] * 3),   # one per stage
+    (lambda_sweep, [3]),
+    (beta_sweep, [5] * 3),                 # 5 gate values x 3 episodes
 ], ids=["strategy", "stage", "lambda", "beta"])
-def test_grid_rows_equal_one_episode_at_a_time(world, grid, monkeypatch,
-                                               stack_sizes):
+def test_grid_rows_equal_one_episode_at_a_time(world, grid, sizes, stack_sizes,
+                                               one_at_a_time):
     stacked = grid(*world)
-    assert 2 in stack_sizes
-    monkeypatch.setattr(runner, "stack_capacity", lambda config, support: 1)
+    assert stack_sizes == sizes
+    one_at_a_time()
     stack_sizes.clear()
     alone = grid(*world)
-    assert set(stack_sizes) == {None}
+    assert stack_sizes == [None] * sum(sizes)
     assert stacked == alone
 
 
-def test_k16_never_stacks(stack_sizes):
+def test_k16_stacks_and_matches_one_at_a_time(stack_sizes, one_at_a_time):
+    # 32 support rows at batch 16: two mini-batches per epoch, so every
+    # step after the first sees the Adam state of a step on other rows
     cfg = RunConfig({**GRID, "episode.k": 16, "episode.count": 2,
                      "data.n_normal": 19, "data.n_abnormal": 19,
-                     "train.epochs": 1})
+                     "train.epochs": 2})
     dataset = generate_dataset(cfg.dataset_spec())
     store = build_feature_store(cfg.backbone_spec(), dataset)
-    beta_sweep(cfg, store, dataset, points=(0.0, 1.0))
-    lambda_sweep(cfg, store, dataset, points=(0.5,))
+
+    def rows():
+        return (beta_sweep(cfg, store, dataset, points=(0.0, 1.0)),
+                lambda_sweep(cfg, store, dataset, points=(0.5,)))
+
+    stacked = rows()
+    assert stack_sizes == [4, 2]
+    one_at_a_time()
+    stack_sizes.clear()
+    alone = rows()
     assert stack_sizes == [None] * 6
+    assert stacked == alone

@@ -32,6 +32,8 @@ def steps(root: str) -> list[tuple[str, list[str]]]:
         ("eval_k4", ["eval", "--checkpoint", f"{root}/train_k4/model.ckpt"]),
         ("ablate", ["ablate"]),
         ("sweep", ["sweep", "--which", "all"]),
+        ("ablate_k16", ["ablate", "--set", "episode.k=16"]),
+        ("sweep_k16", ["sweep", "--which", "all", "--set", "episode.k=16"]),
         ("gradcheck", ["gradcheck"]),
         ("gradcheck_corrupt", ["gradcheck", "--corrupt"]),
     ]
