@@ -17,16 +17,28 @@ import numpy as np
 
 from . import numcore as nc
 from .backbone import CLASSES, WEIGHT_STD, BackboneSpec
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .numcore import Tensor
 
 _TAG_RAV = 21
 _TAG_RAT = 22
 _TAG_PROMPT = 23
 
-DEFAULT_PROMPT_LEN = 8
-DEFAULT_REDUCTION = 4
-ALPHA_INIT = 0.1
+
+@dataclass(frozen=True)
+class AdaptSpec:
+    """Adaptation recipe: learnable prompt rows, the adapters' bottleneck
+    ratio and the text gate's initial value."""
+
+    prompt_len: int = 8
+    reduction: int = 4
+    alpha_init: float = 0.1
+
+    def __post_init__(self):
+        if self.prompt_len < 0:
+            raise ConfigError("adapt.prompt_len must be >= 0")
+        if self.reduction < 1:
+            raise ConfigError(f"adapt.reduction must be >= 1, got {self.reduction}")
 
 
 class ResidualAdapter:
@@ -110,19 +122,17 @@ class AdaptationState:
 
 
 def init_adaptation(spec: BackboneSpec, seed: int,
-                    prompt_len: int = DEFAULT_PROMPT_LEN,
-                    reduction: int = DEFAULT_REDUCTION,
-                    alpha_init: float = ALPHA_INIT) -> AdaptationState:
+                    adapt: AdaptSpec) -> AdaptationState:
     """One visual adapter per visual tap, one text adapter per text tap,
     a shared prompt bank, and a small nonzero alpha_t."""
     def rng(tag, *extra):
         return np.random.default_rng(np.random.SeedSequence((seed, tag) + extra))
 
-    visual = {layer: ResidualAdapter(spec.d, reduction, rng(_TAG_RAV, layer))
+    visual = {layer: ResidualAdapter(spec.d, adapt.reduction, rng(_TAG_RAV, layer))
               for layer in spec.selected_visual}
-    text = {layer: ResidualAdapter(spec.d, reduction, rng(_TAG_RAT, layer))
+    text = {layer: ResidualAdapter(spec.d, adapt.reduction, rng(_TAG_RAT, layer))
             for layer in spec.selected_text}
-    prompts = PromptBank(spec.d, prompt_len, rng(_TAG_PROMPT))
-    alpha = Tensor(np.asarray(float(alpha_init)), requires_grad=True)
+    prompts = PromptBank(spec.d, adapt.prompt_len, rng(_TAG_PROMPT))
+    alpha = Tensor(np.asarray(float(adapt.alpha_init)), requires_grad=True)
     return AdaptationState(visual_adapters=visual, text_adapters=text,
                            prompts=prompts, alpha_t=alpha)

@@ -23,6 +23,24 @@ _TAG_CLSA = 31
 STRATEGIES = ("none", "v2t", "t2v", "seq")
 
 
+@dataclass(frozen=True)
+class ClsaSpec:
+    """Alignment recipe: the strategy, the heads of every attention block
+    and the shared gate pair's initial value and learnability."""
+
+    strategy: str = "seq"
+    heads: int = 4
+    gate_init: float = 0.0
+    gates_learnable: bool = True
+
+    def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"clsa.strategy must be one of {STRATEGIES}, "
+                              f"got {self.strategy!r}")
+        if self.heads < 1:
+            raise ConfigError(f"clsa.heads must be >= 1, got {self.heads}")
+
+
 class CrossAttentionBlock:
     """Projected multi-head cross-attention: softmax(QK'/sqrt)V through W_o."""
 
@@ -51,7 +69,7 @@ def mhca(q: Tensor, k: Tensor, v: Tensor, block: CrossAttentionBlock) -> Tensor:
 class GatePair:
     """Learnable residual scales for the two alignment directions."""
 
-    def __init__(self, init: float = 0.0, learnable: bool = True):
+    def __init__(self, init: float, learnable: bool):
         self.beta_t = Tensor(np.full((), float(init)), requires_grad=learnable)
         self.beta_v = Tensor(np.full((), float(init)), requires_grad=learnable)
 
@@ -77,17 +95,17 @@ class ClsaState:
     gates: GatePair
 
 
-def init_clsa(pairs: list[tuple[int, int]], d: int, heads: int, seed: int,
-              gate_init: float = 0.0, gates_learnable: bool = True) -> ClsaState:
+def init_clsa(pairs: list[tuple[int, int]], d: int, seed: int,
+              spec: ClsaSpec) -> ClsaState:
     """Fresh blocks per mapped pair, keyed by the pair's visual layer."""
     def rng(direction, layer):
         return np.random.default_rng(
             np.random.SeedSequence((seed, _TAG_CLSA, direction, layer)))
 
-    v2t = {l: CrossAttentionBlock(d, heads, rng(0, l)) for l, _ in pairs}
-    t2v = {l: CrossAttentionBlock(d, heads, rng(1, l)) for l, _ in pairs}
+    v2t = {l: CrossAttentionBlock(d, spec.heads, rng(0, l)) for l, _ in pairs}
+    t2v = {l: CrossAttentionBlock(d, spec.heads, rng(1, l)) for l, _ in pairs}
     return ClsaState(v2t_blocks=v2t, t2v_blocks=t2v,
-                     gates=GatePair(gate_init, gates_learnable))
+                     gates=GatePair(spec.gate_init, spec.gates_learnable))
 
 
 @dataclass

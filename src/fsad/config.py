@@ -1,13 +1,14 @@
 """Flat key=value run configuration with a typed schema and a content hash.
 
 The file format is one `section.key = value` assignment per line, with `#`
-comments and blank lines ignored. Every key has a typed default: the
-`data.*` and `train.*` keys are the fields of `DatasetSpec` and
-`TrainConfig`, the rest are listed below. Unknown keys, duplicate
-assignments, values of the wrong type and non-finite floats are hard
-errors so configs stay diff-friendly and typo-proof. The effective (fully merged) config can be
-rendered back to canonical text, and its sha256 hash excludes the output
-directory so relocating results does not change run identity.
+comments and blank lines ignored. Every key has a typed default. Each
+section but `backbone.*` is the fields of one spec class (`SECTIONS`), which
+owns the section's defaults and checks; `backbone.*` maps onto
+`BackboneSpec`'s fields by hand. Unknown keys, duplicate assignments, values
+of the wrong type, non-finite floats and multi-line strings are hard errors
+so configs stay diff-friendly and typo-proof. The effective (fully merged)
+config can be rendered back to canonical text, and its sha256 hash excludes
+the output directory so relocating results does not change run identity.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import hashlib
 import math
 from dataclasses import fields
 
+from .adaptation import AdaptSpec
 from .backbone import BackboneSpec
-from .clsa import STRATEGIES
+from .clsa import ClsaSpec
 from .errors import ConfigError
-from .synthdata import DatasetSpec
+from .inference import InferSpec
+from .synthdata import DatasetSpec, EpisodeSpec
 from .training import TrainConfig
 
 OUT_KEY = "run.out"
@@ -56,39 +59,27 @@ def _fields_of(prefix: str, spec) -> dict[str, tuple[str, object]]:
     return {f"{prefix}.{f.name}": (f.type, f.default) for f in fields(spec)}
 
 
+# backbone.* key -> BackboneSpec field; the two tap keys rename theirs.
+# Each key takes its field's default, and a tuple default makes it `ints`.
+_BACKBONE = {"d": "d", "vision_layers": "vision_layers",
+             "text_layers": "text_layers", "visual_taps": "selected_visual",
+             "text_taps": "selected_text", "patch_grid": "patch_grid",
+             "heads": "heads", "seed": "seed"}
+_BACKBONE_DEFAULTS = {f.name: f.default for f in fields(BackboneSpec)}
+
+# section -> the spec class whose fields are its keys and which owns their
+# defaults and checks
+SECTIONS = {"data": DatasetSpec, "episode": EpisodeSpec, "adapt": AdaptSpec,
+            "clsa": ClsaSpec, "infer": InferSpec, "train": TrainConfig}
+
 # key -> (type name, default). The authoritative list of every config key.
 SCHEMA: dict[str, tuple[str, object]] = {
-    # frozen encoder pair
-    "backbone.d": ("int", 32),
-    "backbone.vision_layers": ("int", 8),
-    "backbone.text_layers": ("int", 4),
-    "backbone.visual_taps": ("ints", (2, 4, 6, 8)),
-    "backbone.text_taps": ("ints", (1, 2, 3, 4)),
-    "backbone.patch_grid": ("ints", (4, 4)),
-    "backbone.heads": ("int", 4),
-    "backbone.seed": ("int", 0),
-    # synthetic corpus
-    **_fields_of("data", DatasetSpec),
-    # episode protocol
-    "episode.k": ("int", 4),
-    "episode.query_per_class": ("int", 50),
-    "episode.count": ("int", 20),
-    "episode.seed": ("int", 0),
-    # learnable stack
+    **{f"backbone.{key}": ("ints" if isinstance(_BACKBONE_DEFAULTS[name], tuple)
+                           else "int", _BACKBONE_DEFAULTS[name])
+       for key, name in _BACKBONE.items()},
     "model.seed": ("int", 1000),
-    "adapt.prompt_len": ("int", 8),
-    "adapt.reduction": ("int", 4),
-    "adapt.alpha_init": ("float", 0.1),
-    "clsa.strategy": ("str", "seq"),
-    "clsa.heads": ("int", 4),
-    "clsa.gate_init": ("float", 0.0),
-    "clsa.gates_learnable": ("bool", True),
-    # dual-branch scoring
-    "infer.lam": ("float", 0.5),
-    "infer.eps": ("float", 1e-8),
-    # episode optimization
-    **_fields_of("train", TrainConfig),
-    # artifacts
+    **{key: entry for prefix, spec in SECTIONS.items()
+       for key, entry in _fields_of(prefix, spec).items()},
     "run.out": ("str", "out"),
 }
 
@@ -169,6 +160,10 @@ def _typed(key: str, value):
     if kind == "bool" and isinstance(value, bool):
         return value
     if kind == "str" and isinstance(value, str):
+        # a line break or an edge space would not survive effective.cfg
+        if value != value.strip() or len(value.splitlines()) > 1:
+            raise ConfigError(f"{key} must be one line without leading or "
+                              f"trailing whitespace, got {value!r}")
         return value
     if (kind == "ints" and isinstance(value, (tuple, list))
             and all(_is_int(v) for v in value)):
@@ -197,43 +192,24 @@ class RunConfig:
         for key, (kind, _) in SCHEMA.items():
             if kind == "float" and not math.isfinite(self[key]):
                 raise ConfigError(f"{key} must be finite, got {self[key]}")
-        self.backbone_spec()  # spec constructors own the structural checks
-        self.dataset_spec()
-        self.train_config()
-        if self["clsa.strategy"] not in STRATEGIES:
-            raise ConfigError(f"clsa.strategy must be one of {STRATEGIES}, "
-                              f"got {self['clsa.strategy']!r}")
-        if not 0.0 <= self["infer.lam"] <= 1.0:
-            raise ConfigError(f"infer.lam must lie in [0, 1], got {self['infer.lam']}")
-        if self["infer.eps"] <= 0:
-            raise ConfigError(f"infer.eps must be positive, got {self['infer.eps']}")
-        for key in ("episode.k", "episode.query_per_class", "episode.count",
-                    "adapt.reduction", "clsa.heads"):
-            if self[key] < 1:
-                raise ConfigError(f"{key} must be >= 1, got {self[key]}")
-        if self["adapt.prompt_len"] < 0:
-            raise ConfigError("adapt.prompt_len must be >= 0")
+        self.backbone_spec()  # spec constructors own every other check
+        for prefix in SECTIONS:
+            self.section(prefix)
 
     def backbone_spec(self) -> BackboneSpec:
-        return BackboneSpec(
-            d=self["backbone.d"],
-            vision_layers=self["backbone.vision_layers"],
-            text_layers=self["backbone.text_layers"],
-            selected_visual=self["backbone.visual_taps"],
-            selected_text=self["backbone.text_taps"],
-            patch_grid=self["backbone.patch_grid"],
-            heads=self["backbone.heads"],
-            seed=self["backbone.seed"],
-        )
+        return BackboneSpec(**{name: self[f"backbone.{key}"]
+                               for key, name in _BACKBONE.items()})
 
-    def _spec(self, prefix: str, spec):
+    def section(self, prefix: str):
+        """The spec object of one section, e.g. ``section("clsa")``."""
+        spec = SECTIONS[prefix]
         return spec(**{f.name: self[f"{prefix}.{f.name}"] for f in fields(spec)})
 
     def dataset_spec(self) -> DatasetSpec:
-        return self._spec("data", DatasetSpec)
+        return self.section("data")
 
     def train_config(self) -> TrainConfig:
-        return self._spec("train", TrainConfig)
+        return self.section("train")
 
     def text(self) -> str:
         return effective_text(self.values)

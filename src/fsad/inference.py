@@ -14,11 +14,23 @@ import numpy as np
 
 from . import numcore as nc
 from .clsa import ClsaOutput
-from .errors import CapacityError, ContractError, DomainError
+from .errors import CapacityError, ConfigError, ContractError, DomainError
 from .numcore import Tensor
 
-EPS_DEFAULT = 1e-8
-LAMBDA_DEFAULT = 0.5
+
+@dataclass(frozen=True)
+class InferSpec:
+    """Scoring recipe: the semantic branch's blend weight and the prototype
+    branch's denominator guard."""
+
+    lam: float = 0.5
+    eps: float = 1e-8
+
+    def __post_init__(self):
+        if not 0.0 <= self.lam <= 1.0:
+            raise ConfigError(f"infer.lam must lie in [0, 1], got {self.lam}")
+        if self.eps <= 0:
+            raise ConfigError(f"infer.eps must be positive, got {self.eps}")
 
 
 def semantic_scores(visual: dict[int, Tensor], t_abn: Tensor, tau: Tensor) -> Tensor:
@@ -84,8 +96,7 @@ def proto_distance(query_visual: dict[int, Tensor], protos: PrototypeSet,
     return np.asarray(total)
 
 
-def proto_scores(d_norm: np.ndarray, d_abn: np.ndarray,
-                 eps: float = EPS_DEFAULT) -> np.ndarray:
+def proto_scores(d_norm: np.ndarray, d_abn: np.ndarray, eps: float) -> np.ndarray:
     """Relative proximity to the abnormal prototype, in [0, 1)."""
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
@@ -130,18 +141,16 @@ class ScoreReport:
 
 
 def score_batch(model, visual_taps: dict[int, Tensor], labels,
-                protos: PrototypeSet, lam: float = LAMBDA_DEFAULT,
-                eps: float = EPS_DEFAULT) -> ScoreReport:
+                protos: PrototypeSet, infer: InferSpec = InferSpec()) -> ScoreReport:
     """Full dual-branch pass over one batch of frozen visual features."""
     from .model import forward
     with nc.no_grad():
         out = forward(model, visual_taps)
-    return score_aligned(model, out, labels, protos, lam, eps)
+    return score_aligned(model, out, labels, protos, infer)
 
 
 def score_aligned(model, out: ClsaOutput, labels, protos: PrototypeSet,
-                  lam: float = LAMBDA_DEFAULT,
-                  eps: float = EPS_DEFAULT) -> ScoreReport:
+                  infer: InferSpec = InferSpec()) -> ScoreReport:
     """Dual-branch scores of a batch whose forward pass has already run."""
     with nc.no_grad():
         tau = model.tau()
@@ -149,10 +158,10 @@ def score_aligned(model, out: ClsaOutput, labels, protos: PrototypeSet,
         sem_raw = np.atleast_1d(sem.data)
         d_norm = np.atleast_1d(proto_distance(out.visual, protos, "normal"))
         d_abn = np.atleast_1d(proto_distance(out.visual, protos, "abnormal"))
-    proto_raw = proto_scores(d_norm, d_abn, eps)
+    proto_raw = proto_scores(d_norm, d_abn, infer.eps)
     sem_norm = minmax_normalize(sem_raw)
     proto_norm = minmax_normalize(proto_raw)
-    final = ensemble(sem_norm, proto_norm, lam)
+    final = ensemble(sem_norm, proto_norm, infer.lam)
     return ScoreReport(sem_raw=sem_raw, proto_raw=proto_raw, sem_norm=sem_norm,
                        proto_norm=proto_norm, final=final,
-                       labels=np.asarray(labels, dtype=np.int64), lam=lam)
+                       labels=np.asarray(labels, dtype=np.int64), lam=infer.lam)

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .adaptation import (ALPHA_INIT, DEFAULT_PROMPT_LEN, DEFAULT_REDUCTION,
-                         AdaptationState, apply_text_adapter,
+from .adaptation import (AdaptationState, AdaptSpec, apply_text_adapter,
                          apply_visual_adapter, init_adaptation)
 from .backbone import BackboneSpec, ToyEncoder, encode_prompt, layer_map
 from .binio import ByteReader, ByteWriter
-from .clsa import ClsaOutput, ClsaState, clsa_forward, init_clsa
+from .clsa import ClsaOutput, ClsaSpec, ClsaState, clsa_forward, init_clsa
 from .errors import CompatError, ContractError
 from .numcore import Tensor
 
@@ -50,7 +49,6 @@ class Model:
     clsa: ClsaState
     rho: Tensor
     strategy: str
-    seed: int
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -60,22 +58,13 @@ class Model:
         return nc.exp(self.rho)
 
 
-def init_model(spec: BackboneSpec, seed: int, strategy: str = "seq",
-               prompt_len: int = DEFAULT_PROMPT_LEN,
-               reduction: int = DEFAULT_REDUCTION,
-               gate_init: float = 0.0,
-               gates_learnable: bool = True,
-               alpha_init: float = ALPHA_INIT,
-               clsa_heads: int | None = None) -> Model:
-    text_enc = ToyEncoder(spec, "text")
-    adapt = init_adaptation(spec, seed, prompt_len=prompt_len, reduction=reduction,
-                            alpha_init=alpha_init)
-    heads = spec.heads if clsa_heads is None else clsa_heads
-    clsa = init_clsa(layer_map(spec), spec.d, heads, seed, gate_init=gate_init,
-                     gates_learnable=gates_learnable)
-    rho = Tensor(np.full((), RHO_INIT), requires_grad=True)
-    return Model(spec=spec, text_enc=text_enc, adapt=adapt, clsa=clsa, rho=rho,
-                 strategy=strategy, seed=seed)
+def init_model(spec: BackboneSpec, seed: int, adapt: AdaptSpec = AdaptSpec(),
+               clsa: ClsaSpec = ClsaSpec()) -> Model:
+    return Model(spec=spec, text_enc=ToyEncoder(spec, "text"),
+                 adapt=init_adaptation(spec, seed, adapt),
+                 clsa=init_clsa(layer_map(spec), spec.d, seed, clsa),
+                 rho=Tensor(np.full((), RHO_INIT), requires_grad=True),
+                 strategy=clsa.strategy)
 
 
 def named_parameters(model: Model) -> dict[str, Tensor]:

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import numcore as nc
 from .backbone import BackboneSpec, ToyEncoder, encode_images
+from .clsa import ClsaSpec
 from .config import RunConfig
 from .errors import ConfigError
 from .evalmetrics import (MetricReport, auc, average_precision, compute_report,
@@ -26,7 +27,7 @@ from .inference import (ScoreReport, build_prototypes, ensemble, score_aligned,
 from .model import (Model, forward, init_model, named_parameters,
                     parameter_groups, stack_models, unstack_model)
 from .numcore import GradTape, Tensor, backward
-from .synthdata import Episode, Sample, sample_episode
+from .synthdata import Episode, EpisodeSpec, Sample, sample_episode
 from .training import TraceRow, bce_loss, train_episode, training_scores
 
 LAMBDA_POINTS = tuple(round(0.1 * i, 1) for i in range(11))
@@ -97,37 +98,26 @@ class RunSpec:
 
     index: int = 0
     mspec: BackboneSpec | None = None
-    strategy: str | None = None
-    gate_init: float | None = None
-    gates_learnable: bool | None = None
+    clsa: ClsaSpec | None = None
     train: bool = True
 
     def structure(self) -> "RunSpec":
         """Specs that agree here may share a stack: they differ only in
         their episode (support set, model seed) and initial gate value."""
-        return replace(self, index=0, gate_init=None)
+        return replace(self, index=0,
+                       clsa=self.clsa and replace(self.clsa, gate_init=0.0))
 
 
 def model_from_config(cfg: RunConfig, spec: RunSpec = RunSpec()) -> Model:
     """The freshly initialized model of one spec, seeded by its episode."""
-    return init_model(
-        spec.mspec or cfg.backbone_spec(),
-        seed=cfg["model.seed"] + spec.index,
-        strategy=spec.strategy or cfg["clsa.strategy"],
-        prompt_len=cfg["adapt.prompt_len"],
-        reduction=cfg["adapt.reduction"],
-        gate_init=(cfg["clsa.gate_init"]
-                   if spec.gate_init is None else spec.gate_init),
-        gates_learnable=(cfg["clsa.gates_learnable"]
-                         if spec.gates_learnable is None else spec.gates_learnable),
-        alpha_init=cfg["adapt.alpha_init"],
-        clsa_heads=cfg["clsa.heads"],
-    )
+    return init_model(spec.mspec or cfg.backbone_spec(),
+                      cfg["model.seed"] + spec.index, cfg.section("adapt"),
+                      spec.clsa or cfg.section("clsa"))
 
 
-def _sample(cfg: RunConfig, dataset: list[Sample], index: int) -> Episode:
-    return sample_episode(dataset, cfg["episode.k"], cfg["episode.seed"] + index,
-                          cfg["episode.query_per_class"])
+def _sample(episode: EpisodeSpec, dataset: list[Sample], index: int) -> Episode:
+    return sample_episode(dataset, episode.k, episode.seed + index,
+                          episode.query_per_class)
 
 
 def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
@@ -137,9 +127,9 @@ def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     queries, and derive metrics with a support-calibrated threshold.
 
     ``model`` defaults to the config's model for this episode; its taps
-    select the features, and ``infer.lam`` blends the two branches."""
-    lam = cfg["infer.lam"]
-    ep = _sample(cfg, dataset, index)
+    select the features, and ``infer.*`` sets the scoring."""
+    infer, episode = cfg.section("infer"), cfg.section("episode")
+    ep = _sample(episode, dataset, index)
     if model is None:
         model = model_from_config(cfg, RunSpec(index))
     sup = take(store, model.spec.selected_visual, ep.support_ids)
@@ -153,14 +143,13 @@ def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
         protos = build_prototypes(sup_out.visual,
                                   {"normal": ep.idx_norm, "abnormal": ep.idx_abn})
     qry_t = {l: Tensor(a) for l, a in qry.items()}
-    report = score_batch(model, qry_t, yq, protos, lam=lam, eps=cfg["infer.eps"])
-    sup_report = score_aligned(model, sup_out, ysup, protos, lam=lam,
-                               eps=cfg["infer.eps"])
+    report = score_batch(model, qry_t, yq, protos, infer)
+    sup_report = score_aligned(model, sup_out, ysup, protos, infer)
     thr = threshold_from_support(sup_report.final, ysup)
     metrics = compute_report(report.final, yq, thr)
-    return EpisodeRun(index=index, episode_seed=cfg["episode.seed"] + index,
+    return EpisodeRun(index=index, episode_seed=episode.seed + index,
                       model_seed=cfg["model.seed"] + index,
-                      strategy=model.strategy, lam=lam, model=model, episode=ep,
+                      strategy=model.strategy, lam=infer.lam, model=model, episode=ep,
                       trace=trace, report=report, support_report=sup_report,
                       metrics=metrics)
 
@@ -178,7 +167,7 @@ def run_plan(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     group of one trains the model itself. Each run is read as soon as it
     is scored, so one stack of models is alive at a time.
     """
-    tcfg = cfg.train_config()
+    tcfg, episode = cfg.train_config(), cfg.section("episode")
     groups: dict[RunSpec, list[int]] = {}
     for pos, spec in enumerate(specs):
         groups.setdefault(spec.structure(), []).append(pos)
@@ -189,7 +178,7 @@ def run_plan(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
             models = [model_from_config(cfg, specs[pos]) for pos in stack]
             traces = [[] for _ in stack]
             if structure.train:
-                eps = [_sample(cfg, dataset, specs[pos].index) for pos in stack]
+                eps = [_sample(episode, dataset, specs[pos].index) for pos in stack]
                 sups = [take(store, models[0].spec.selected_visual, ep.support_ids)
                         for ep in eps]
                 labels = [store.labels[ep.support_ids] for ep in eps]
@@ -266,23 +255,24 @@ def strategy_grid(cfg: RunConfig, store: FeatureStore,
     only). Rows 2 and 3 share one training run per seed and differ only in
     the evaluation branch blend.
     """
-    lam_dual = cfg["infer.lam"]
+    lam_dual = cfg.section("infer").lam
     cells = {name: Cell() for name in
              ("untrained_sem", "untrained_dual", "none_sem", "none_dual",
               "v2t_dual", "t2v_dual", "seq_dual")}
-    count = cfg["episode.count"]
-    specs = [RunSpec(i, strategy="none", train=False) for i in range(count)]
-    specs += [RunSpec(i, strategy=s) for s in ("none", "v2t", "t2v", "seq")
-              for i in range(count)]
+    count, clsa = cfg.section("episode").count, cfg.section("clsa")
+    specs = [RunSpec(i, clsa=replace(clsa, strategy="none"), train=False)
+             for i in range(count)]
+    specs += [RunSpec(i, clsa=replace(clsa, strategy=s))
+              for s in ("none", "v2t", "t2v", "seq") for i in range(count)]
     runs = run_plan(cfg, store, dataset, specs,
                     lambda run: (run.report, run.trace))
     for spec, (report, _) in zip(specs, runs):
-        prefix = spec.strategy if spec.train else "untrained"
+        prefix = spec.clsa.strategy if spec.train else "untrained"
         cells[f"{prefix}_dual"].add(*eval_at_lambda(report, lam_dual))
-        if spec.strategy == "none":
+        if spec.clsa.strategy == "none":
             cells[f"{prefix}_sem"].add(*eval_at_lambda(report, 1.0))
     seq_traces = [trace for spec, (_, trace) in zip(specs, runs)
-                  if spec.strategy == "seq" and trace]
+                  if spec.clsa.strategy == "seq" and trace]
     loss_first = [trace[0].loss for trace in seq_traces]
     loss_last = [trace[-1].loss for trace in seq_traces]
     cell_of = {1: "untrained_sem", 2: "none_sem", 3: "none_dual",
@@ -317,7 +307,7 @@ def stage_grid(cfg: RunConfig, store: FeatureStore,
                dataset: list[Sample]) -> StageGrid:
     """Seed-averaged adaptation-depth ablation at the configured strategy."""
     specs = stage_specs(cfg.backbone_spec())
-    count = cfg["episode.count"]
+    count = cfg.section("episode").count
     scored = run_plan(cfg, store, dataset,
                       [RunSpec(i, mspec=mspec) for _, mspec in specs
                        for i in range(count)],
@@ -357,7 +347,7 @@ def lambda_sweep(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     if not points:
         raise ConfigError("sweep grid is empty")
     runs = run_plan(cfg, store, dataset,
-                    [RunSpec(i) for i in range(cfg["episode.count"])],
+                    [RunSpec(i) for i in range(cfg.section("episode").count)],
                     lambda run: (run.episode_seed, run.report))
     return _sweep_rows("lambda", points,
                        [[(seed, *eval_at_lambda(report, lam))
@@ -370,10 +360,10 @@ def beta_sweep(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     Stacks span gate values: the gate is a value, not a structure."""
     if not points:
         raise ConfigError("sweep grid is empty")
-    count = cfg["episode.count"]
+    count, clsa = cfg.section("episode").count, cfg.section("clsa")
     runs = run_plan(
         cfg, store, dataset,
-        [RunSpec(i, gate_init=float(beta), gates_learnable=False)
+        [RunSpec(i, clsa=replace(clsa, gate_init=float(beta), gates_learnable=False))
          for beta in points for i in range(count)],
         lambda run: (run.episode_seed, run.metrics.auc, run.metrics.ap))
     return _sweep_rows("beta", points,

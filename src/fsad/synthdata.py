@@ -51,6 +51,23 @@ class DatasetSpec:
             raise ConfigError("noise std must be nonnegative")
 
 
+@dataclass(frozen=True)
+class EpisodeSpec:
+    """Episode protocol: K support and a fixed query size per class, over
+    ``count`` episodes whose seeds start at ``seed``."""
+
+    k: int = 4
+    query_per_class: int = 50
+    count: int = 20
+    seed: int = 0
+
+    def __post_init__(self):
+        for name in ("k", "query_per_class", "count"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"episode.{name} must be >= 1, "
+                                  f"got {getattr(self, name)}")
+
+
 @dataclass
 class Sample:
     """One labeled image; abnormal samples carry their planted disk."""
@@ -123,7 +140,7 @@ def generate_dataset(spec: DatasetSpec) -> list[Sample]:
 
 
 def sample_episode(dataset: list[Sample], k: int, seed: int,
-                   query_per_class: int = 50) -> Episode:
+                   query_per_class: int = EpisodeSpec.query_per_class) -> Episode:
     """Draw K support and a fixed-size query per class, without replacement."""
     norm_ids = [i for i, s in enumerate(dataset) if s.label == 0]
     abn_ids = [i for i, s in enumerate(dataset) if s.label == 1]

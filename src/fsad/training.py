@@ -80,11 +80,11 @@ def cosine_lr(base_lr: float, epoch: int, total: int) -> float:
 class AdamW:
     """Decoupled-weight-decay Adam over named parameters with per-name rates."""
 
-    def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor],
+                 config: TrainConfig = TrainConfig()):
         self.params = {n: p for n, p in params.items() if p.requires_grad}
-        self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.weight_decay = config.weight_decay
+        self.beta1, self.beta2, self.eps = config.beta1, config.beta2, config.eps
         self.step_count = 0
         self._m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self._v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
@@ -172,8 +172,7 @@ def train_episode(model: Model, support_feats: dict[int, np.ndarray], labels,
     groups = parameter_groups(model)
     rate_key = {name: (config.lr_fast if group == FAST_GROUP else config.lr_slow)
                 for group, names in groups.items() for name in names}
-    opt = AdamW(named_parameters(model), weight_decay=config.weight_decay,
-                beta1=config.beta1, beta2=config.beta2, eps=config.eps)
+    opt = AdamW(named_parameters(model), config)
     bounds = list(range(0, n, min(config.batch_size, n))) + [n]
     traces: list[list[TraceRow]] = [[] for _ in range(y.size // n)]
     # a diverging run overflows before its loss turns non-finite; the

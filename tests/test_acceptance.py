@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from fsad import numcore as nc
-from fsad.adaptation import (apply_text_adapter, apply_visual_adapter,
-                             init_adaptation)
+from fsad.adaptation import (AdaptSpec, apply_text_adapter,
+                             apply_visual_adapter, init_adaptation)
 from fsad.backbone import (BackboneSpec, FeatureBundle, load_feature_bundle,
                            save_feature_bundle)
 from fsad.cli import main
-from fsad.clsa import clsa_forward, init_clsa
+from fsad.clsa import ClsaSpec, clsa_forward, init_clsa
 from fsad.config import RunConfig
 from fsad.errors import CompatError, FormatError
 from fsad.evalmetrics import auc, average_precision
@@ -97,7 +97,7 @@ def test_02_gate_identity_suite():
     text = {tl: {cls: Tensor(rng.normal(size=(9, spec.d)))
                  for cls in ("normal", "abnormal")} for _, tl in pairs}
 
-    state = init_clsa(pairs, spec.d, spec.heads, seed=1)  # gates init to 0
+    state = init_clsa(pairs, spec.d, 1, ClsaSpec(heads=spec.heads))  # gates init to 0
     out = clsa_forward(pairs, visual, text, state, "seq")
     clsa_id = (all(np.array_equal(out.visual[vl].data, visual[vl].data)
                    for vl, _ in pairs)
@@ -105,7 +105,7 @@ def test_02_gate_identity_suite():
                                       text[tl][c].data)
                        for _, tl in pairs for c in ("normal", "abnormal")))
 
-    adapt = init_adaptation(spec, seed=2)
+    adapt = init_adaptation(spec, 2, AdaptSpec())
     ad = adapt.text_adapters[spec.selected_text[0]]
     ad.up.data = rng.normal(size=ad.up.data.shape)  # loaded, not zero-init
     t = Tensor(rng.normal(size=(9, spec.d)))
@@ -113,7 +113,7 @@ def test_02_gate_identity_suite():
         apply_text_adapter(t, ad, Tensor(np.asarray(0.0))).data, t.data)
 
     v = Tensor(rng.normal(size=(spec.patches, spec.d)))
-    fresh = init_adaptation(spec, seed=3).visual_adapters[spec.selected_visual[0]]
+    fresh = init_adaptation(spec, 3, AdaptSpec()).visual_adapters[spec.selected_visual[0]]
     visual_id = np.array_equal(apply_visual_adapter(v, fresh).data, v.data)
 
     model = init_model(spec, seed=4)  # zero-init adapters, zero gates
@@ -178,7 +178,7 @@ def test_04_sequentiality_probe():
     bumped = {vl: Tensor(v.data + 0.25) for vl, v in visual.items()}
     text = {tl: {cls: Tensor(rng.normal(size=(9, spec.d)))
                  for cls in ("normal", "abnormal")} for _, tl in pairs}
-    state = init_clsa(pairs, spec.d, spec.heads, seed=6, gate_init=0.5)
+    state = init_clsa(pairs, spec.d, 6, ClsaSpec(heads=spec.heads, gate_init=0.5))
     probe = pairs[0][0]
     moved = {}
     for strategy in ("seq", "t2v"):
@@ -292,7 +292,7 @@ def test_10_format_round_trips(tmp_path):
         raises(FormatError, lambda: apply_checkpoint(
             clone, write(bad, raw + b"\0"))),
         raises(CompatError, lambda: apply_checkpoint(
-            init_model(spec, seed=1, prompt_len=6), str(cpath))),
+            init_model(spec, 1, AdaptSpec(prompt_len=6)), str(cpath))),
         raises(FormatError, lambda: load_feature_bundle(
             write(bad, b"ZZZZ" + braw[4:]))),
         raises(FormatError, lambda: load_feature_bundle(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fsad import numcore as nc
-from fsad.adaptation import (ALPHA_INIT, PromptBank, ResidualAdapter,
+from fsad.adaptation import (AdaptSpec, PromptBank, ResidualAdapter,
                              apply_text_adapter, apply_visual_adapter,
                              init_adaptation)
 from fsad.backbone import CLASSES, BackboneSpec
@@ -111,14 +111,14 @@ def test_zero_context_rows_leaves_single_class_row():
 
 def test_init_adaptation_layout_and_determinism():
     spec = small_spec()
-    st1 = init_adaptation(spec, seed=3)
-    st2 = init_adaptation(spec, seed=3)
+    st1 = init_adaptation(spec, 3, AdaptSpec())
+    st2 = init_adaptation(spec, 3, AdaptSpec())
     assert sorted(st1.visual_adapters) == [2, 4]
     assert sorted(st1.text_adapters) == [1, 2]
     np.testing.assert_array_equal(st1.visual_adapters[2].down.data,
                                   st2.visual_adapters[2].down.data)
     np.testing.assert_array_equal(st1.prompts.context.data, st2.prompts.context.data)
-    st3 = init_adaptation(spec, seed=4)
+    st3 = init_adaptation(spec, 4, AdaptSpec())
     assert not np.array_equal(st1.visual_adapters[2].down.data,
                               st3.visual_adapters[2].down.data)
     # per-layer adapters are independent draws
@@ -127,9 +127,9 @@ def test_init_adaptation_layout_and_determinism():
 
 
 def test_alpha_starts_small_nonzero_and_learnable():
-    st = init_adaptation(small_spec(), seed=0)
-    assert float(st.alpha_t.data) == ALPHA_INIT
-    assert 0.0 < ALPHA_INIT < 1.0
+    st = init_adaptation(small_spec(), 0, AdaptSpec())
+    assert float(st.alpha_t.data) == AdaptSpec().alpha_init
+    assert 0.0 < AdaptSpec().alpha_init < 1.0
     assert st.alpha_t.requires_grad
 
 

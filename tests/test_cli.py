@@ -1,6 +1,7 @@
 """End-to-end command line checks on a small corpus."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,8 +186,9 @@ def test_ablate_reports(cfg_file, tmp_path):
     dataset = generate_dataset(cfg.dataset_spec())
     store = build_feature_store(cfg.backbone_spec(), dataset)
     sem_only = RunConfig({**cfg.values, "infer.lam": 1.0})
+    none_clsa = replace(cfg.section("clsa"), strategy="none")
     base = [run_episode(sem_only, store, dataset, i, train=False,
-                        model=model_from_config(cfg, RunSpec(i, strategy="none")))
+                        model=model_from_config(cfg, RunSpec(i, clsa=none_clsa)))
             .metrics.auc for i in range(cfg["episode.count"])]
     assert float(rows[0][header.index("auc")]) == float(np.mean(base))
     sheader, srows = read_report(out / "ablate_stages.csv")
@@ -206,8 +208,9 @@ def test_sweep_reports(cfg_file, tmp_path):
     cfg = load_config(cfg_file)
     dataset = generate_dataset(cfg.dataset_spec())
     store = build_feature_store(cfg.backbone_spec(), dataset)
+    none_clsa = replace(cfg.section("clsa"), strategy="none")
     none = [run_episode(cfg, store, dataset, i, model=model_from_config(
-                cfg, RunSpec(i, strategy="none"))).metrics.auc
+                cfg, RunSpec(i, clsa=none_clsa))).metrics.auc
             for i in range(cfg["episode.count"])]
     zero = [float(r[bheader.index("auc")]) for r in brows
             if r[bheader.index("value")] == "0.0"
@@ -277,6 +280,15 @@ def test_bad_float_settings_are_config_errors(cfg_file, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error[config]") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_multiline_out_is_a_config_error(cfg_file, tmp_path, capsys):
+    # a line break in run.out would break the effective.cfg echo
+    assert main(["train", "--config", cfg_file,
+                 "--out", f"{tmp_path}/a\nb"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]") and "run.out" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_config_echo_reproduces_run(cfg_file, trained, tmp_path):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fsad import numcore as nc
-from fsad.clsa import (STRATEGIES, ClsaState, CrossAttentionBlock, GatePair,
-                       clsa_forward, context_injection, init_clsa, mhca,
-                       semantic_guidance)
+from fsad.clsa import (STRATEGIES, ClsaSpec, ClsaState, CrossAttentionBlock,
+                       GatePair, clsa_forward, context_injection, init_clsa,
+                       mhca, semantic_guidance)
 from fsad.errors import ConfigError, ShapeError
 from fsad.numcore import GradTape, Tensor, backward
 
@@ -52,7 +52,7 @@ def test_mhca_width_guard_and_head_divisibility():
 
 
 def test_closed_gates_are_bit_exact_identity_for_every_strategy():
-    state = init_clsa(PAIRS, D, HEADS, seed=3)  # gates default to 0
+    state = init_clsa(PAIRS, D, 3, ClsaSpec(heads=HEADS))  # gates default to 0
     visual, text = inputs()
     for strategy in STRATEGIES:
         out = clsa_forward(PAIRS, visual, text, state, strategy)
@@ -64,9 +64,9 @@ def test_closed_gates_are_bit_exact_identity_for_every_strategy():
 
 
 def test_none_equals_seq_with_zero_gates_bit_exact():
-    state = init_clsa(PAIRS, D, HEADS, seed=4, gate_init=0.7)
+    state = init_clsa(PAIRS, D, 4, ClsaSpec(heads=HEADS, gate_init=0.7))
     zero = ClsaState(v2t_blocks=state.v2t_blocks, t2v_blocks=state.t2v_blocks,
-                     gates=GatePair(0.0))
+                     gates=GatePair(0.0, True))
     visual, text = inputs(seed=2)
     a = clsa_forward(PAIRS, visual, text, zero, "seq")
     b = clsa_forward(PAIRS, visual, text, state, "none")
@@ -78,7 +78,7 @@ def test_none_equals_seq_with_zero_gates_bit_exact():
 
 
 def test_open_gates_change_both_streams():
-    state = init_clsa(PAIRS, D, HEADS, seed=5, gate_init=1.0)
+    state = init_clsa(PAIRS, D, 5, ClsaSpec(heads=HEADS, gate_init=1.0))
     visual, text = inputs(seed=3)
     out = clsa_forward(PAIRS, visual, text, state, "seq")
     for vl, _ in PAIRS:
@@ -89,7 +89,7 @@ def test_open_gates_change_both_streams():
 
 
 def test_strategy_stage_selection():
-    state = init_clsa(PAIRS, D, HEADS, seed=6, gate_init=1.0)
+    state = init_clsa(PAIRS, D, 6, ClsaSpec(heads=HEADS, gate_init=1.0))
     visual, text = inputs(seed=4)
     v2t = clsa_forward(PAIRS, visual, text, state, "v2t")
     t2v = clsa_forward(PAIRS, visual, text, state, "t2v")
@@ -110,7 +110,7 @@ def test_sequential_guidance_keys_track_refined_text():
     # The probe behind the ordering claim: in seq mode the second stage keys
     # are the refined text, so perturbing the visual input moves them; in
     # t2v mode the keys are raw text and stay fixed.
-    state = init_clsa(PAIRS, D, HEADS, seed=7, gate_init=0.5)
+    state = init_clsa(PAIRS, D, 7, ClsaSpec(heads=HEADS, gate_init=0.5))
     visual, text = inputs(seed=5)
     bumped = {vl: Tensor(v.data + 0.25) for vl, v in visual.items()}
     vl = PAIRS[0][0]
@@ -121,7 +121,7 @@ def test_sequential_guidance_keys_track_refined_text():
 
 
 def test_guidance_keys_stack_both_classes_in_canonical_order():
-    state = init_clsa(PAIRS, D, HEADS, seed=8, gate_init=1.0)
+    state = init_clsa(PAIRS, D, 8, ClsaSpec(heads=HEADS, gate_init=1.0))
     visual, text = inputs(seed=6, prompt_rows=4)
     out = clsa_forward(PAIRS, visual, text, state, "t2v")
     vl, tl = PAIRS[0]
@@ -132,7 +132,7 @@ def test_guidance_keys_stack_both_classes_in_canonical_order():
 
 
 def test_class_vectors_come_from_last_pair_last_row():
-    state = init_clsa(PAIRS, D, HEADS, seed=9)
+    state = init_clsa(PAIRS, D, 9, ClsaSpec(heads=HEADS))
     visual, text = inputs(seed=7)
     out = clsa_forward(PAIRS, visual, text, state, "none")
     tl = PAIRS[-1][1]
@@ -143,7 +143,7 @@ def test_class_vectors_come_from_last_pair_last_row():
 
 
 def test_bad_strategy_and_missing_layers_rejected():
-    state = init_clsa(PAIRS, D, HEADS, seed=10)
+    state = init_clsa(PAIRS, D, 10, ClsaSpec(heads=HEADS))
     visual, text = inputs()
     with pytest.raises(ConfigError):
         clsa_forward(PAIRS, visual, text, state, "both")
@@ -154,11 +154,11 @@ def test_bad_strategy_and_missing_layers_rejected():
 
 
 def test_blocks_are_unshared_across_layers_and_directions():
-    state = init_clsa(PAIRS, D, HEADS, seed=11)
+    state = init_clsa(PAIRS, D, 11, ClsaSpec(heads=HEADS))
     assert sorted(state.v2t_blocks) == [2, 4] and sorted(state.t2v_blocks) == [2, 4]
     assert not np.array_equal(state.v2t_blocks[2].wq.data, state.v2t_blocks[4].wq.data)
     assert not np.array_equal(state.v2t_blocks[2].wq.data, state.t2v_blocks[2].wq.data)
-    again = init_clsa(PAIRS, D, HEADS, seed=11)
+    again = init_clsa(PAIRS, D, 11, ClsaSpec(heads=HEADS))
     np.testing.assert_array_equal(state.v2t_blocks[2].wq.data,
                                   again.v2t_blocks[2].wq.data)
 
@@ -166,7 +166,7 @@ def test_blocks_are_unshared_across_layers_and_directions():
 def test_gradients_reach_weights_and_closed_gates():
     # Even at beta = 0 the attention term sits on the tape, so the gates get
     # a gradient; the projection weights do too once the gates are open.
-    state = init_clsa(PAIRS, D, HEADS, seed=12, gate_init=0.0)
+    state = init_clsa(PAIRS, D, 12, ClsaSpec(heads=HEADS, gate_init=0.0))
     visual, text = inputs(seed=8)
     with GradTape() as tape:
         out = clsa_forward(PAIRS, visual, text, state, "seq")
@@ -177,7 +177,7 @@ def test_gradients_reach_weights_and_closed_gates():
     assert state.gates.beta_t.grad is not None and float(state.gates.beta_t.grad) != 0
     assert state.gates.beta_v.grad is not None and float(state.gates.beta_v.grad) != 0
 
-    open_state = init_clsa(PAIRS, D, HEADS, seed=12, gate_init=0.5)
+    open_state = init_clsa(PAIRS, D, 12, ClsaSpec(heads=HEADS, gate_init=0.5))
     with GradTape() as tape:
         out = clsa_forward(PAIRS, visual, text, open_state, "seq")
         loss = nc.sum_all(out.visual[2])

@@ -1,13 +1,18 @@
 """Config parsing: schema enforcement, merge order, canonical text, hashing."""
 
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fsad.clsa import STRATEGIES
+from fsad.adaptation import AdaptSpec
+from fsad.clsa import STRATEGIES, ClsaSpec
 from fsad.config import (SCHEMA, RunConfig, config_hash, defaults,
                          effective_text, load_config, parse_config_text)
 from fsad.errors import ConfigError
+from fsad.inference import InferSpec
+from fsad.synthdata import EpisodeSpec
 
 
 def test_defaults_build_valid_config():
@@ -147,9 +152,33 @@ def test_every_float_key_rejects_non_finite_values():
     ("backbone.patch_grid", (True, 2)),
     ("backbone.visual_taps", (2.0, 4.0)),
     ("run.out", 3),
+    # a str must survive its own effective.cfg line
+    ("run.out", "x\nepisode.k = 8"),
+    ("run.out", "a\rb"),
+    ("run.out", " out "),
+    ("run.out", "out\t"),
 ])
 def test_dict_values_must_have_their_key_type(key, value):
     with pytest.raises(ConfigError, match=key):
+        RunConfig({key: value})
+
+
+@pytest.mark.parametrize("spec, key, value", [
+    (ClsaSpec, "clsa.strategy", "bogus"),
+    (InferSpec, "infer.lam", 1.5),
+    (InferSpec, "infer.eps", 0.0),
+    (EpisodeSpec, "episode.k", 0),
+    (EpisodeSpec, "episode.query_per_class", 0),
+    (EpisodeSpec, "episode.count", 0),
+    (AdaptSpec, "adapt.reduction", 0),
+    (ClsaSpec, "clsa.heads", 0),
+    (AdaptSpec, "adapt.prompt_len", -1),
+])
+def test_section_spec_owns_its_checks(spec, key, value):
+    # a direct library call meets the same check as a config value
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        spec(**{key.split(".")[1]: value})
+    with pytest.raises(ConfigError, match=re.escape(key)):
         RunConfig({key: value})
 
 

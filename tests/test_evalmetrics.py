@@ -5,6 +5,8 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fsad.errors import CapacityError, MetricError
 from fsad.evalmetrics import (auc, average_precision, compute_report,
@@ -114,6 +116,20 @@ def test_oracle_equivalence_exhaustive():
         assert auc(s, y) == brute_auc(s, y)
         assert average_precision(s, y) == brute_ap(s, y)
         done += 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)
+       .flatmap(lambda pool: st.lists(st.tuples(st.sampled_from(pool),
+                                                st.integers(0, 1)),
+                                      min_size=2, max_size=300)))
+def test_oracle_equivalence_heavy_ties(pairs):
+    # up to 300 scores drawn from at most 3 distinct values
+    s = np.array([score for score, _ in pairs])
+    y = np.array([label for _, label in pairs])
+    assume(0 < y.sum() < y.size)
+    assert auc(s, y) == brute_auc(s, y)
+    assert average_precision(s, y) == brute_ap(s, y)
 
 
 def test_threshold_separated_support():

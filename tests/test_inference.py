@@ -9,9 +9,9 @@ from fsad import numcore as nc
 from fsad.backbone import BackboneSpec
 from fsad.config import RunConfig
 from fsad.errors import CapacityError, ContractError, DomainError
-from fsad.inference import (build_prototypes, ensemble, minmax_normalize,
-                            proto_distance, proto_scores, score_batch,
-                            semantic_scores)
+from fsad.inference import (InferSpec, build_prototypes, ensemble,
+                            minmax_normalize, proto_distance, proto_scores,
+                            score_batch, semantic_scores)
 from fsad.model import forward, init_model, named_parameters
 from fsad.numcore import Tensor
 from fsad.runner import build_feature_store, model_from_config, take
@@ -154,7 +154,7 @@ def test_score_batch_fields_consistent():
     protos = build_prototypes(support, idx)
     query = {l: Tensor(rng.normal(size=(6, model.spec.patches, D))) for l in (2, 4)}
     labels = [0, 0, 0, 1, 1, 1]
-    rep = score_batch(model, query, labels, protos, lam=0.3)
+    rep = score_batch(model, query, labels, protos, InferSpec(lam=0.3))
     for field in (rep.sem_raw, rep.proto_raw, rep.sem_norm, rep.proto_norm, rep.final):
         assert field.shape == (6,)
     np.testing.assert_array_equal(rep.labels, labels)
@@ -172,8 +172,8 @@ def test_score_batch_lambda_endpoints_match_single_branches():
     protos = build_prototypes(support, {"normal": [0, 1], "abnormal": [2, 3]})
     query = {l: Tensor(rng.normal(size=(5, model.spec.patches, D))) for l in (2, 4)}
     labels = [0, 0, 1, 1, 1]
-    sem_only = score_batch(model, query, labels, protos, lam=1.0)
-    proto_only = score_batch(model, query, labels, protos, lam=0.0)
+    sem_only = score_batch(model, query, labels, protos, InferSpec(lam=1.0))
+    proto_only = score_batch(model, query, labels, protos, InferSpec(lam=0.0))
     np.testing.assert_array_equal(sem_only.final, sem_only.sem_norm)
     np.testing.assert_array_equal(proto_only.final, proto_only.proto_norm)
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from fsad import numcore as nc
+from fsad.adaptation import AdaptSpec
 from fsad.backbone import BackboneSpec
 from fsad.binio import ByteWriter
+from fsad.clsa import ClsaSpec
 from fsad.errors import CompatError, FormatError, NumericError
 from fsad.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, FAST_GROUP,
                         SLOW_GROUP, apply_checkpoint, backbone_checksum, forward,
@@ -108,10 +110,10 @@ def test_forward_shapes_batched():
 def test_strategy_override_in_forward():
     # forward runs the model's own strategy: seq, or none for a model of
     # the same seed that was built with strategy="none"
-    model = small_model(gate_init=1.0)
+    model = small_model(clsa=ClsaSpec(gate_init=1.0))
     taps = rand_taps(model.spec, seed=3)
     seq = forward(model, taps)
-    none = forward(small_model(gate_init=1.0, strategy="none"), taps)
+    none = forward(small_model(clsa=ClsaSpec(gate_init=1.0, strategy="none")), taps)
     assert model.strategy == "seq"
     assert not np.array_equal(seq.visual[2].data, none.visual[2].data)
     np.testing.assert_array_equal(none.visual[2].data, taps[2].data)
@@ -143,7 +145,7 @@ def test_checkpoint_meta_guards(tmp_path):
     path = str(tmp_path / "m.ckpt")
     save_checkpoint(model, path)
     with pytest.raises(CompatError, match="prompt_len"):
-        apply_checkpoint(small_model(prompt_len=4), path)
+        apply_checkpoint(small_model(adapt=AdaptSpec(prompt_len=4)), path)
     with pytest.raises(CompatError, match=r"\bd\b"):
         apply_checkpoint(init_model(small_spec(d=32, heads=4), seed=7), path)
     with pytest.raises(CompatError, match="selected_visual"):
@@ -154,7 +156,8 @@ def test_checkpoint_shape_guard(tmp_path):
     model = small_model()
     path = str(tmp_path / "m.ckpt")
     save_checkpoint(model, path)
-    other = small_model(reduction=2)  # same names, different adapter shapes
+    # same names, different adapter shapes
+    other = small_model(adapt=AdaptSpec(reduction=2))
     with pytest.raises(CompatError, match="shape"):
         apply_checkpoint(other, path)
 

@@ -1,5 +1,7 @@
 """Orchestration: feature caching, episode mechanics, grids, gradcheck."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,14 @@ from fsad import numcore as nc
 from fsad.config import RunConfig
 from fsad.errors import ConfigError
 from fsad.evalmetrics import auc
-from fsad.model import named_parameters, state_checksum
+from fsad.inference import build_prototypes, proto_distance
+from fsad.model import forward, named_parameters, state_checksum
 from fsad.runner import (BETA_POINTS, LAMBDA_POINTS, RunSpec, beta_sweep,
                          build_feature_store, eval_at_lambda, gradcheck_all,
                          gradcheck_episode, gradcheck_ops, lambda_sweep,
                          model_from_config, run_episode, stage_grid,
                          stage_specs, strategy_grid, take)
-from fsad.synthdata import generate_dataset
+from fsad.synthdata import generate_dataset, sample_episode
 from fsad.training import TrainConfig
 
 SMALL = {
@@ -34,6 +37,52 @@ def world():
     dataset = generate_dataset(cfg.dataset_spec())
     store = build_feature_store(cfg.backbone_spec(), dataset)
     return cfg, store, dataset
+
+
+# every episode.*, adapt.*, clsa.* and infer.* key but k and count off its
+# default (SMALL sets k and count)
+RECIPE = {
+    "episode.query_per_class": 20, "episode.seed": 5,
+    "adapt.prompt_len": 4, "adapt.reduction": 2, "adapt.alpha_init": 0.2,
+    "clsa.strategy": "t2v", "clsa.heads": 2, "clsa.gate_init": 0.25,
+    "clsa.gates_learnable": False, "infer.lam": 0.3, "infer.eps": 1e-6,
+}
+
+
+def test_every_recipe_key_reaches_what_it_configures():
+    cfg = RunConfig({**SMALL, **RECIPE, "data.n_normal": 24, "data.n_abnormal": 24})
+    dataset = generate_dataset(cfg.dataset_spec())
+    store = build_feature_store(cfg.backbone_spec(), dataset)
+    run = run_episode(cfg, store, dataset, 1, train=False)
+    model = run.model
+    assert state_checksum(model) == state_checksum(model_from_config(cfg, RunSpec(1)))
+    clsa = model.clsa
+    assert model.strategy == "t2v"
+    blocks = [*clsa.v2t_blocks.values(), *clsa.t2v_blocks.values()]
+    assert [block.heads for block in blocks] == [2] * 4
+    for gate in (clsa.gates.beta_t, clsa.gates.beta_v):
+        assert float(gate.data) == 0.25 and not gate.requires_grad
+    adapt = model.adapt
+    assert adapt.prompts.context.shape == (4, 16)
+    adapters = [*adapt.visual_adapters.values(), *adapt.text_adapters.values()]
+    assert [a.down.shape for a in adapters] == [(16, 8)] * 4
+    assert float(adapt.alpha_t.data) == 0.2
+    ep = run.episode
+    assert ep.k == 2 and len(ep.support) == 4 and len(ep.query) == 40
+    assert run.episode_seed == 6
+    assert ep.query_ids == sample_episode(dataset, 2, 6, 20).query_ids
+    assert run.report.lam == 0.3
+    taps = model.spec.selected_visual
+    with nc.no_grad():
+        sup = forward(model, {l: nc.Tensor(a) for l, a in
+                              take(store, taps, ep.support_ids).items()})
+        qry = forward(model, {l: nc.Tensor(a) for l, a in
+                              take(store, taps, ep.query_ids).items()})
+    protos = build_prototypes(sup.visual, {"normal": ep.idx_norm,
+                                           "abnormal": ep.idx_abn})
+    d_norm = proto_distance(qry.visual, protos, "normal")
+    d_abn = proto_distance(qry.visual, protos, "abnormal")
+    assert np.array_equal(run.report.proto_raw, d_norm / (d_norm + d_abn + 1e-6))
 
 
 def test_feature_store_layout(world):
@@ -146,8 +195,9 @@ def test_beta_zero_equals_strategy_none_exactly(world):
     cfg, store, dataset = world
     rows = beta_sweep(cfg, store, dataset, points=(0.0,))
     assert len(rows) == cfg["episode.count"] + 1
+    none_clsa = replace(cfg.section("clsa"), strategy="none")
     none_aucs = [run_episode(cfg, store, dataset, i, model=model_from_config(
-                     cfg, RunSpec(i, strategy="none"))).metrics.auc
+                     cfg, RunSpec(i, clsa=none_clsa))).metrics.auc
                  for i in range(cfg["episode.count"])]
     sweep_aucs = [r["auc"] for r in rows if r["seed"] != "mean"]
     assert sweep_aucs == none_aucs

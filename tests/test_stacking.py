@@ -6,7 +6,7 @@ import pytest
 
 from fsad import runner
 from fsad.backbone import BackboneSpec
-from fsad.clsa import STRATEGIES
+from fsad.clsa import STRATEGIES, ClsaSpec
 from fsad.config import RunConfig
 from fsad.errors import ContractError, NumericError
 from fsad.model import (init_model, named_parameters, stack_models, stack_size,
@@ -61,7 +61,8 @@ def assert_stack_matches_alone(make, episodes=2, config=TRAIN):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_stack_matches_alone_for_every_strategy(strategy):
     assert_stack_matches_alone(
-        lambda e: init_model(small_spec(), seed=10 + e, strategy=strategy))
+        lambda e: init_model(small_spec(), seed=10 + e,
+                             clsa=ClsaSpec(strategy=strategy)))
 
 
 def test_stack_matches_alone_for_a_single_pair_stage():
@@ -72,8 +73,9 @@ def test_stack_matches_alone_for_a_single_pair_stage():
 def test_stack_matches_alone_with_a_fixed_gate_per_episode():
     gates = (0.25, 1.0, 2.0)
     assert_stack_matches_alone(
-        lambda e: init_model(small_spec(), seed=30 + e, gate_init=gates[e],
-                             gates_learnable=False), episodes=3)
+        lambda e: init_model(small_spec(), seed=30 + e,
+                             clsa=ClsaSpec(gate_init=gates[e], gates_learnable=False)),
+        episodes=3)
 
 
 def test_stack_matches_alone_over_several_batches_per_epoch():
@@ -115,9 +117,9 @@ def test_unstack_round_trip_and_independence():
 
 def test_stack_rejects_mixed_structure():
     with pytest.raises(ContractError):
-        stack_models([init_model(small_spec(), seed=1, strategy="seq"),
-                      init_model(small_spec(), seed=2, strategy="none")])
-    frozen = init_model(small_spec(), seed=2, gates_learnable=False)
+        stack_models([init_model(small_spec(), 1, clsa=ClsaSpec(strategy="seq")),
+                      init_model(small_spec(), 2, clsa=ClsaSpec(strategy="none"))])
+    frozen = init_model(small_spec(), seed=2, clsa=ClsaSpec(gates_learnable=False))
     with pytest.raises(ContractError):
         stack_models([init_model(small_spec(), seed=1), frozen])
 

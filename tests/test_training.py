@@ -104,7 +104,7 @@ def test_cosine_schedule_is_monotone_decreasing():
 def test_adamw_first_step_closed_form():
     p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = np.array([1.0])
-    opt = AdamW({"p": p}, weight_decay=0.0)
+    opt = AdamW({"p": p}, TrainConfig(weight_decay=0.0))
     opt.step({"p": 0.1})
     assert np.isclose(p.data[0], 0.9, atol=1e-8)
 
@@ -112,15 +112,25 @@ def test_adamw_first_step_closed_form():
 def test_adamw_decoupled_weight_decay():
     p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = np.array([1.0])
-    opt = AdamW({"p": p}, weight_decay=0.01)
+    opt = AdamW({"p": p}, TrainConfig(weight_decay=0.01))
     opt.step({"p": 0.1})
     assert np.isclose(p.data[0], 1.0 - 0.1 * 0.01 - 0.1, atol=1e-8)
 
     q = Tensor(np.array([2.0]), requires_grad=True)
     q.grad = np.zeros(1)
-    opt2 = AdamW({"q": q}, weight_decay=0.5)
+    opt2 = AdamW({"q": q}, TrainConfig(weight_decay=0.5))
     opt2.step({"q": 0.1})
     assert np.isclose(q.data[0], 2.0 * (1.0 - 0.1 * 0.5), atol=1e-12)
+
+
+@pytest.mark.parametrize("setting", [{"beta1": 1.0}, {"eps": 0.0}])
+def test_adamw_settings_come_from_a_checked_train_config(setting):
+    # beta1=1 or eps=0 used to leave NaN parameters after a step
+    p = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(ConfigError):
+        AdamW({"p": p}, TrainConfig(**setting))
+    with pytest.raises(TypeError):
+        AdamW({"p": p}, **setting)
 
 
 def test_adamw_skips_missing_grads_and_frozen_params():

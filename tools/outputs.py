@@ -4,6 +4,9 @@
 
 Each step runs ``fsad.cli.main`` with ``--out DIR/<step>``, at
 ``episode.count=3``, 5 epochs and the benchmark learning rates. The
+``*_recipe`` steps also set every ``episode.*``, ``adapt.*``, ``clsa.*``
+and ``infer.*`` key but ``episode.count`` and ``episode.k`` off its
+default, so a setting the library drops on its way changes an output. The
 package is imported from this checkout's ``src``. Run the script from two
 checkouts with the same relative DIR and compare them with ``diff -r``:
 an empty diff means the change kept every output byte-equal, including
@@ -23,6 +26,13 @@ from fsad.cli import main  # noqa: E402
 COMMON = ["--set", "episode.count=3", "--set", "train.epochs=5",
           "--set", "train.lr_fast=0.03", "--set", "train.lr_slow=0.003"]
 
+RECIPE = [arg for item in (
+    "episode.query_per_class=20", "episode.seed=5",
+    "adapt.prompt_len=4", "adapt.reduction=2", "adapt.alpha_init=0.2",
+    "clsa.strategy=t2v", "clsa.heads=2", "clsa.gate_init=0.25",
+    "clsa.gates_learnable=false", "infer.lam=0.3", "infer.eps=1e-6",
+) for arg in ("--set", item)]
+
 
 def steps(root: str) -> list[tuple[str, list[str]]]:
     return [
@@ -36,6 +46,11 @@ def steps(root: str) -> list[tuple[str, list[str]]]:
         ("sweep_k16", ["sweep", "--which", "all", "--set", "episode.k=16"]),
         ("gradcheck", ["gradcheck"]),
         ("gradcheck_corrupt", ["gradcheck", "--corrupt"]),
+        ("train_recipe", ["train"] + RECIPE),
+        ("eval_recipe", ["eval", "--checkpoint",
+                         f"{root}/train_recipe/model.ckpt"] + RECIPE),
+        ("ablate_recipe", ["ablate"] + RECIPE),
+        ("sweep_recipe", ["sweep", "--which", "all"] + RECIPE),
     ]
 
 
