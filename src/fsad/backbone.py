@@ -59,8 +59,10 @@ class BackboneSpec:
         if max(self.selected_text) > self.text_layers or min(self.selected_text) < 1:
             raise ConfigError(f"text taps {self.selected_text} outside "
                               f"1..{self.text_layers}")
-        if self.d < 1 or self.heads < 1:
-            raise ConfigError(f"width {self.d} and heads {self.heads} must be >= 1")
+        if self.d < 2:  # the two class embeddings take disjoint halves
+            raise ConfigError(f"width {self.d} must be >= 2")
+        if self.heads < 1:
+            raise ConfigError(f"heads {self.heads} must be >= 1")
         if self.d % self.heads != 0:
             raise ConfigError(f"width {self.d} not divisible by {self.heads} heads")
         if len(self.patch_grid) != 2 or min(self.patch_grid) < 1:
@@ -201,9 +203,14 @@ def encode_prompt(enc: ToyEncoder, prompt: Tensor) -> tuple[dict[int, Tensor], T
         raise ShapeError("prompt needs at least the class row")
     x = nc.add(prompt, Tensor(sinusoid_positions(rows, enc.spec.d)))
     taps, last = enc.run(x)
-    picked = nc.narrow(last, prompt.ndim - 2, rows - 1, 1)
-    class_vec = nc.reshape(picked, prompt.shape[:-2] + (enc.spec.d,))
-    return taps, class_vec
+    return taps, class_row(last)
+
+
+def class_row(t: Tensor) -> Tensor:
+    """Last row along the token axis, that axis dropped: the class-embedding
+    position of a prompt or its hidden states."""
+    picked = nc.narrow(t, t.ndim - 2, t.shape[-2] - 1, 1)
+    return nc.reshape(picked, t.shape[:-2] + (t.shape[-1],))
 
 
 def layer_map(spec: BackboneSpec) -> list[tuple[int, int]]:

@@ -139,10 +139,10 @@ def cmd_eval(cfg: RunConfig, args) -> int:
                   for j, qid in enumerate(run.episode.query_ids)]
         m = run.metrics
         mrows.append({"episode": i, "seed": run.episode_seed,
-                      "k": run.episode.k, "strategy": run.strategy,
-                      "lam": run.lam, "auc": m.auc, "ap": m.ap, "f1": m.f1,
-                      "acc": m.acc, "threshold": m.threshold, "tp": m.tp,
-                      "fp": m.fp, "tn": m.tn, "fn": m.fn})
+                      "k": run.episode.k, "strategy": run.model.strategy,
+                      "lam": run.report.lam, "auc": m.auc, "ap": m.ap,
+                      "f1": m.f1, "acc": m.acc, "threshold": m.threshold,
+                      "tp": m.tp, "fp": m.fp, "tn": m.tn, "fn": m.fn})
     write_csv(out / "scores.csv", SCORE_COLS, srows, cfg)
     write_csv(out / "metrics.csv", METRIC_COLS, mrows, cfg)
     mean_auc = float(np.mean([r["auc"] for r in mrows]))

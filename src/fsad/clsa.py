@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .backbone import CLASSES, WEIGHT_STD
+from .backbone import WEIGHT_STD, class_row
 from .errors import ConfigError, ShapeError
 from .numcore import Tensor
 
@@ -118,13 +118,6 @@ class ClsaOutput:
     guidance_keys: dict[int, Tensor | None]
 
 
-def _class_row(t: Tensor) -> Tensor:
-    """Last row along the token axis: the class-embedding position."""
-    rows = t.shape[-2]
-    picked = nc.narrow(t, t.ndim - 2, rows - 1, 1)
-    return nc.reshape(picked, picked.shape[:-2] + (t.shape[-1],))
-
-
 def clsa_forward(pairs: list[tuple[int, int]], visual: dict[int, Tensor],
                  text: dict[int, dict[str, Tensor]], state: ClsaState,
                  strategy: str) -> ClsaOutput:
@@ -132,45 +125,32 @@ def clsa_forward(pairs: list[tuple[int, int]], visual: dict[int, Tensor],
 
     visual maps each visual tap to adapted patch tokens [..., P, d]; text
     maps each text tap to per-class adapted prompt states [(L+1), d]. The
-    class vectors come from the last pair's refined text.
+    strategy is two switches: v2t lets the visual tokens refine the text,
+    and t2v lets the (refined) text guide the visual tokens, its classes'
+    rows concatenated in dict order. The class vectors come from the last
+    pair's refined text.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}, expected {STRATEGIES}")
     out_visual: dict[int, Tensor] = {}
     out_text: dict[int, dict[str, Tensor]] = {}
     guidance: dict[int, Tensor | None] = {}
-    class_vectors: dict[str, Tensor] = {}
     for vl, tl in pairs:
         if vl not in visual:
             raise ConfigError(f"missing visual features for pair layer {vl}")
         if tl not in text:
             raise ConfigError(f"missing text features for pair layer {tl}")
-        v = visual[vl]
-        refined = {}
-        for cls in text[tl]:
-            t = text[tl][cls]
-            if strategy in ("v2t", "seq"):
-                refined[cls] = context_injection(t, v, state.v2t_blocks[vl],
-                                                 state.gates.beta_t)
-            else:
-                refined[cls] = t
-        out_text[tl] = refined
+        v, refined = visual[vl], dict(text[tl])
+        if strategy in ("v2t", "seq"):
+            refined = {cls: context_injection(t, v, state.v2t_blocks[vl],
+                                              state.gates.beta_t)
+                       for cls, t in refined.items()}
+        out_text[tl], guidance[vl], out_visual[vl] = refined, None, v
         if strategy in ("t2v", "seq"):
-            source = refined if strategy == "seq" else text[tl]
-            keys = nc.concat([source[c] for c in _ordered(source)], axis=-2)
-            guidance[vl] = keys
-            out_visual[vl] = semantic_guidance(v, keys, state.t2v_blocks[vl],
-                                               state.gates.beta_v)
-        else:
-            guidance[vl] = None
-            out_visual[vl] = v
-    last_text = out_text[pairs[-1][1]]
-    for cls in last_text:
-        class_vectors[cls] = _class_row(last_text[cls])
+            guidance[vl] = nc.concat(list(refined.values()), axis=-2)
+            out_visual[vl] = semantic_guidance(
+                v, guidance[vl], state.t2v_blocks[vl], state.gates.beta_v)
+    class_vectors = {cls: class_row(t)
+                     for cls, t in out_text[pairs[-1][1]].items()}
     return ClsaOutput(visual=out_visual, text_refined=out_text,
                       class_vectors=class_vectors, guidance_keys=guidance)
-
-
-def _ordered(per_class: dict[str, Tensor]) -> list[str]:
-    known = [c for c in CLASSES if c in per_class]
-    return known + [c for c in per_class if c not in CLASSES]

@@ -2,10 +2,10 @@
 
 The file format is one `section.key = value` assignment per line, with `#`
 comments and blank lines ignored. Every key has a typed default. Each
-section but `backbone.*` is the fields of one spec class (`SECTIONS`), which
-owns the section's defaults and checks; `backbone.*` maps onto
-`BackboneSpec`'s fields by hand. Unknown keys, duplicate assignments, values
-of the wrong type, non-finite floats and multi-line strings are hard errors
+section is the fields of one spec class (`SECTIONS`), which owns the
+section's defaults and checks; `RunConfig` adds the checks that pit one
+section against another. Unknown keys, duplicate assignments, values of
+the wrong type, non-finite floats and multi-line strings are hard errors
 so configs stay diff-friendly and typo-proof. The effective (fully merged)
 config can be rendered back to canonical text, and its sha256 hash excludes
 the output directory so relocating results does not change run identity.
@@ -53,34 +53,35 @@ _PARSERS = {
 }
 
 
-def _fields_of(prefix: str, spec) -> dict[str, tuple[str, object]]:
-    """A spec class's fields as keys `prefix.name`. Under postponed
-    annotations a field's type is its annotation string, a parser name."""
-    return {f"{prefix}.{f.name}": (f.type, f.default) for f in fields(spec)}
-
-
-# backbone.* key -> BackboneSpec field; the two tap keys rename theirs.
-# Each key takes its field's default, and a tuple default makes it `ints`.
-_BACKBONE = {"d": "d", "vision_layers": "vision_layers",
-             "text_layers": "text_layers", "visual_taps": "selected_visual",
-             "text_taps": "selected_text", "patch_grid": "patch_grid",
-             "heads": "heads", "seed": "seed"}
-_BACKBONE_DEFAULTS = {f.name: f.default for f in fields(BackboneSpec)}
-
 # section -> the spec class whose fields are its keys and which owns their
 # defaults and checks
-SECTIONS = {"data": DatasetSpec, "episode": EpisodeSpec, "adapt": AdaptSpec,
-            "clsa": ClsaSpec, "infer": InferSpec, "train": TrainConfig}
+SECTIONS = {"backbone": BackboneSpec, "data": DatasetSpec,
+            "episode": EpisodeSpec, "adapt": AdaptSpec, "clsa": ClsaSpec,
+            "infer": InferSpec, "train": TrainConfig}
+
+# spec field -> its key's name, for the two fields whose names differ
+_KEY_NAMES = {"selected_visual": "visual_taps", "selected_text": "text_taps"}
+
+# a default's Python type -> its key's type name; bool before int, because
+# a bool is an int
+_KINDS = ((bool, "bool"), (int, "int"), (float, "float"), (str, "str"),
+          (tuple, "ints"))
+
+
+def _key(prefix: str, name: str) -> str:
+    return f"{prefix}.{_KEY_NAMES.get(name, name)}"
+
+
+def _entry(default) -> tuple[str, object]:
+    return next(kind for cls, kind in _KINDS if isinstance(default, cls)), default
+
 
 # key -> (type name, default). The authoritative list of every config key.
 SCHEMA: dict[str, tuple[str, object]] = {
-    **{f"backbone.{key}": ("ints" if isinstance(_BACKBONE_DEFAULTS[name], tuple)
-                           else "int", _BACKBONE_DEFAULTS[name])
-       for key, name in _BACKBONE.items()},
-    "model.seed": ("int", 1000),
-    **{key: entry for prefix, spec in SECTIONS.items()
-       for key, entry in _fields_of(prefix, spec).items()},
-    "run.out": ("str", "out"),
+    **{_key(prefix, f.name): _entry(f.default)
+       for prefix, spec in SECTIONS.items() for f in fields(spec)},
+    "model.seed": _entry(1000),
+    "run.out": _entry("out"),
 }
 
 
@@ -154,9 +155,12 @@ def _typed(key: str, value):
         return value
     if kind == "float" and (_is_int(value) or isinstance(value, float)):
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:
-            raise ConfigError(f"{key} must be finite, got {value}") from None
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{key} must be finite, got {value}")
+        return number
     if kind == "bool" and isinstance(value, bool):
         return value
     if kind == "str" and isinstance(value, str):
@@ -189,21 +193,34 @@ class RunConfig:
         return self.values[key]
 
     def _validate(self) -> None:
-        for key, (kind, _) in SCHEMA.items():
-            if kind == "float" and not math.isfinite(self[key]):
-                raise ConfigError(f"{key} must be finite, got {self[key]}")
-        self.backbone_spec()  # spec constructors own every other check
-        for prefix in SECTIONS:
-            self.section(prefix)
-
-    def backbone_spec(self) -> BackboneSpec:
-        return BackboneSpec(**{name: self[f"backbone.{key}"]
-                               for key, name in _BACKBONE.items()})
+        """Each spec constructor checks its own section; the checks here
+        pit one section's keys against another's, so a mismatch fails
+        before any output is written."""
+        specs = {prefix: self.section(prefix) for prefix in SECTIONS}
+        bb, data, ep = specs["backbone"], specs["data"], specs["episode"]
+        for key, divisor in (("clsa.heads", specs["clsa"].heads),
+                             ("adapt.reduction", specs["adapt"].reduction)):
+            if bb.d % divisor:
+                raise ConfigError(f"backbone.d={bb.d} is not divisible by "
+                                  f"{key}={divisor}")
+        rows, cols = bb.patch_grid
+        if data.height % rows or data.width % cols:
+            raise ConfigError(f"data.height={data.height} and data.width="
+                              f"{data.width} are not divisible by "
+                              f"backbone.patch_grid={rows},{cols}")
+        need = ep.k + ep.query_per_class
+        if need > min(data.n_normal, data.n_abnormal):
+            raise ConfigError(f"episode.k + episode.query_per_class = {need} "
+                              f"exceeds data.n_normal={data.n_normal} or "
+                              f"data.n_abnormal={data.n_abnormal}")
 
     def section(self, prefix: str):
         """The spec object of one section, e.g. ``section("clsa")``."""
         spec = SECTIONS[prefix]
-        return spec(**{f.name: self[f"{prefix}.{f.name}"] for f in fields(spec)})
+        return spec(**{f.name: self[_key(prefix, f.name)] for f in fields(spec)})
+
+    def backbone_spec(self) -> BackboneSpec:
+        return self.section("backbone")
 
     def dataset_spec(self) -> DatasetSpec:
         return self.section("data")

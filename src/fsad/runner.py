@@ -33,6 +33,7 @@ from .training import TraceRow, bce_loss, train_episode, training_scores
 LAMBDA_POINTS = tuple(round(0.1 * i, 1) for i in range(11))
 BETA_POINTS = (0.0, 0.25, 0.5, 1.0, 2.0)
 GRADCHECK_TOL = 1e-4
+GRADCHECK_COORDS = 8  # sampled coordinates per parameter in the episode check
 # Episodes per stack at any k: per-episode step time stops falling beyond
 # about five, while each further episode still adds its activations.
 MAX_STACK = 5
@@ -45,7 +46,6 @@ MAX_STACK = 5
 class FeatureStore:
     """Stacked frozen visual features for a whole corpus, keyed by tap."""
 
-    spec: BackboneSpec
     feats: dict[int, np.ndarray]
     labels: np.ndarray
 
@@ -57,7 +57,7 @@ def build_feature_store(spec: BackboneSpec, dataset: list[Sample]) -> FeatureSto
     feats = {layer: np.stack([f[layer].data for f in per_image])
              for layer in spec.selected_visual}
     labels = np.array([s.label for s in dataset], dtype=np.int64)
-    return FeatureStore(spec=spec, feats=feats, labels=labels)
+    return FeatureStore(feats=feats, labels=labels)
 
 
 def take(store: FeatureStore, taps, ids) -> dict[int, np.ndarray]:
@@ -79,9 +79,6 @@ class EpisodeRun:
 
     index: int
     episode_seed: int
-    model_seed: int
-    strategy: str
-    lam: float
     model: Model
     episode: Episode
     trace: list[TraceRow]
@@ -148,10 +145,8 @@ def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     thr = threshold_from_support(sup_report.final, ysup)
     metrics = compute_report(report.final, yq, thr)
     return EpisodeRun(index=index, episode_seed=episode.seed + index,
-                      model_seed=cfg["model.seed"] + index,
-                      strategy=model.strategy, lam=infer.lam, model=model, episode=ep,
-                      trace=trace, report=report, support_report=sup_report,
-                      metrics=metrics)
+                      model=model, episode=ep, trace=trace, report=report,
+                      support_report=sup_report, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +158,8 @@ def run_plan(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     ``read(run)`` for each, in request order.
 
     Same-structure specs run together, up to ``MAX_STACK`` episodes at a
-    time; a trained group of two or more shares one tape, and a
-    group of one trains the model itself. Each run is read as soon as it
+    time; a trained group of two or more shares one tape, and
+    ``run_episode`` trains a group of one. Each run is read as soon as it
     is scored, so one stack of models is alive at a time.
     """
     tcfg, episode = cfg.train_config(), cfg.section("episode")
@@ -176,24 +171,22 @@ def run_plan(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
         for lo in range(0, len(positions), MAX_STACK):
             stack = positions[lo:lo + MAX_STACK]
             models = [model_from_config(cfg, specs[pos]) for pos in stack]
-            traces = [[] for _ in stack]
-            if structure.train:
+            traces = [None] * len(stack)  # None: not trained yet
+            if structure.train and len(stack) > 1:
                 eps = [_sample(episode, dataset, specs[pos].index) for pos in stack]
                 sups = [take(store, models[0].spec.selected_visual, ep.support_ids)
                         for ep in eps]
                 labels = [store.labels[ep.support_ids] for ep in eps]
-                if len(stack) == 1:
-                    traces = [train_episode(models[0], sups[0], labels[0], tcfg)]
-                else:
-                    stacked = stack_models(models)
-                    feats = {layer: np.stack([sup[layer] for sup in sups])
-                             for layer in sups[0]}
-                    traces = train_episode(stacked, feats, np.stack(labels), tcfg)
-                    unstack_model(stacked, models)
+                stacked = stack_models(models)
+                feats = {layer: np.stack([sup[layer] for sup in sups])
+                         for layer in sups[0]}
+                traces = train_episode(stacked, feats, np.stack(labels), tcfg)
+                unstack_model(stacked, models)
             for pos, model, trace in zip(stack, models, traces):
                 run = run_episode(cfg, store, dataset, specs[pos].index,
-                                  train=False, model=model)
-                out[pos] = read(replace(run, trace=trace))
+                                  train=structure.train and trace is None,
+                                  model=model)
+                out[pos] = read(run if trace is None else replace(run, trace=trace))
     return out
 
 
@@ -387,8 +380,7 @@ def _rel_err(ag: np.ndarray, fd: np.ndarray) -> float:
     return float(np.max(np.abs(ag - fd))) / scale if ag.size else 0.0
 
 
-def _check_op(name: str, build, args: list[np.ndarray], rng,
-              tol: float) -> GradCheckRow:
+def _check_op(name: str, build, args: list[np.ndarray], rng) -> GradCheckRow:
     tensors = [Tensor(np.array(a, dtype=np.float64), requires_grad=True)
                for a in args]
     with GradTape() as tape:
@@ -406,12 +398,13 @@ def _check_op(name: str, build, args: list[np.ndarray], rng,
         fd = nc.finite_diff_grad(value, t)
         ag = t.grad if t.grad is not None else np.zeros_like(t.data)
         worst = max(worst, _rel_err(np.asarray(ag), fd))
-    return GradCheckRow(name=name, group="op", rel_err=worst, ok=worst < tol)
+    return GradCheckRow(name=name, group="op", rel_err=worst,
+                        ok=worst < GRADCHECK_TOL)
 
 
-def gradcheck_ops(seed: int = 0, tol: float = GRADCHECK_TOL) -> list[GradCheckRow]:
+def gradcheck_ops() -> list[GradCheckRow]:
     """Finite-difference check of every differentiable tensor operation."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 77)))
+    rng = np.random.default_rng(np.random.SeedSequence((0, 77)))
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))
     pos = np.abs(rng.normal(size=(3, 4))) + 0.5
@@ -452,12 +445,10 @@ def gradcheck_ops(seed: int = 0, tol: float = GRADCHECK_TOL) -> list[GradCheckRo
          [rng.normal(size=(2, 3, 8)), rng.normal(size=(2, 5, 8)),
           rng.normal(size=(2, 5, 8))]),
     ]
-    return [_check_op(name, build, args, rng, tol) for name, build, args in checks]
+    return [_check_op(name, build, args, rng) for name, build, args in checks]
 
 
-def gradcheck_episode(cfg: RunConfig, coords_per_param: int = 8,
-                      h: float = 1e-5, tol: float = GRADCHECK_TOL,
-                      seed: int = 0) -> list[GradCheckRow]:
+def gradcheck_episode(cfg: RunConfig) -> list[GradCheckRow]:
     """Sampled-coordinate finite-difference check of the full episode loss
     against every learnable tensor, at a randomized parameter point.
 
@@ -465,7 +456,7 @@ def gradcheck_episode(cfg: RunConfig, coords_per_param: int = 8,
     up-projections and closed gates would otherwise hide entire gradient
     paths behind structural zeros.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 78)))
+    rng = np.random.default_rng(np.random.SeedSequence((0, 78)))
     spec = cfg.backbone_spec()
     model = model_from_config(cfg)
     params = named_parameters(model)
@@ -476,11 +467,6 @@ def gradcheck_episode(cfg: RunConfig, coords_per_param: int = 8,
              for l in spec.selected_visual}
     labels = np.array([0, 1, 0, 1])
     batch = {l: Tensor(a) for l, a in feats.items()}
-
-    def loss_value() -> float:
-        with nc.no_grad():
-            return float(bce_loss(training_scores(model, batch), labels).data)
-
     with GradTape() as tape:
         loss = bce_loss(training_scores(model, batch), labels)
     backward(loss, tape)
@@ -489,21 +475,25 @@ def gradcheck_episode(cfg: RunConfig, coords_per_param: int = 8,
     rows = []
     for name, p in params.items():
         ag = (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
-        flat = p.data.reshape(-1)
-        count = min(coords_per_param, flat.size)
-        picked = rng.choice(flat.size, size=count, replace=False)
-        fd = np.empty(count)
-        for j, i in enumerate(picked):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_value()
-            flat[i] = orig - h
-            down = loss_value()
-            flat[i] = orig
-            fd[j] = (up - down) / (2.0 * h)
+        picked = rng.choice(p.data.size, size=min(GRADCHECK_COORDS, p.data.size),
+                            replace=False)
+
+        def loss_at(probe: Tensor) -> float:
+            """The loss with the sampled coordinates of ``p`` set to ``probe``."""
+            orig = p.data
+            p.data = orig.copy()
+            p.data.reshape(-1)[picked] = probe.data
+            try:
+                with nc.no_grad():
+                    scores = training_scores(model, batch)
+                    return float(bce_loss(scores, labels).data)
+            finally:
+                p.data = orig
+
+        fd = nc.finite_diff_grad(loss_at, Tensor(p.data.reshape(-1)[picked]))
         rel = _rel_err(ag[picked], fd)
         rows.append(GradCheckRow(name=name, group=group_of[name],
-                                 rel_err=rel, ok=rel < tol))
+                                 rel_err=rel, ok=rel < GRADCHECK_TOL))
     return rows
 
 

@@ -42,6 +42,12 @@ def test_spec_patch_grid_needs_two_positive_entries(grid):
         BackboneSpec(patch_grid=grid)
 
 
+def test_spec_width_needs_both_class_halves():
+    # the two class embeddings take disjoint halves of the width
+    with pytest.raises(ConfigError):
+        BackboneSpec(d=1, heads=1)
+
+
 def test_default_spec_taps_and_head_width():
     spec = BackboneSpec()
     assert spec.selected_visual == (2, 4, 6, 8)

@@ -1,6 +1,7 @@
 """End-to-end command line checks on a small corpus."""
 
 import csv
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -279,6 +280,37 @@ def test_bad_float_settings_are_config_errors(cfg_file, tmp_path, capsys,
                  "--set", assignment]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error[config]") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("assignment", [
+    "clsa.heads=3", "adapt.reduction=3", "episode.query_per_class=11",
+    "backbone.patch_grid=3,3"])
+def test_settings_contradicting_another_section_are_config_errors(
+        cfg_file, tmp_path, capsys, assignment):
+    # each is valid on its own and clashes with a SMALL setting of another
+    # section; the error names both keys and comes before any output
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_file, "--out", str(out),
+                 "--set", assignment]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]") and "Traceback" not in err
+    assert assignment.split("=")[0] in err
+    assert not out.exists()
+
+
+def test_width_one_is_a_config_error(cfg_file, tmp_path, capsys):
+    # at width 1 the normal class embedding's half would be empty
+    out = tmp_path / "run"
+    sets = ["backbone.d=1", "backbone.heads=1", "clsa.heads=1",
+            "adapt.reduction=1"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--config", cfg_file, "--out", str(out)]
+                    + [arg for item in sets for arg in ("--set", item)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error[config]")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Config parsing: schema enforcement, merge order, canonical text, hashing."""
 
+import hashlib
 import re
 
 import pytest
@@ -130,6 +131,13 @@ def test_default_config_hash_is_pinned():
     # every report's first line carries this hash
     assert RunConfig({}).hash() == (
         "65fbfeebaffcd5408d8139d0d502f9773022e186785e1bdd7167f957a3e60af8")
+
+
+def test_schema_is_pinned():
+    # every key's name, type name and default; reports hash their values
+    text = repr(sorted(SCHEMA.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "12e1617b6e8f81fad542c1cd5602fa595d974dc476c4958e7eb5b4a0f00488c1")
 
 
 def test_every_float_key_rejects_non_finite_values():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fsad import numcore as nc
+from fsad import runner
 from fsad.config import RunConfig
 from fsad.errors import ConfigError
 from fsad.evalmetrics import auc
@@ -14,8 +15,8 @@ from fsad.model import forward, named_parameters, state_checksum
 from fsad.runner import (BETA_POINTS, LAMBDA_POINTS, RunSpec, beta_sweep,
                          build_feature_store, eval_at_lambda, gradcheck_all,
                          gradcheck_episode, gradcheck_ops, lambda_sweep,
-                         model_from_config, run_episode, stage_grid,
-                         stage_specs, strategy_grid, take)
+                         model_from_config, run_episode, run_plan,
+                         stage_grid, stage_specs, strategy_grid, take)
 from fsad.synthdata import generate_dataset, sample_episode
 from fsad.training import TrainConfig
 
@@ -110,12 +111,28 @@ def test_run_episode_fields(world):
     cfg, store, dataset = world
     run = run_episode(cfg, store, dataset, 1)
     assert run.episode_seed == cfg["episode.seed"] + 1
-    assert run.model_seed == cfg["model.seed"] + 1
     assert len(run.trace) == cfg["train.epochs"]
     assert run.report.final.shape == (6,)  # 2 classes x 3 queries
     assert set(run.episode.support_ids).isdisjoint(run.episode.query_ids)
     assert 0.0 <= run.metrics.auc <= 1.0
-    assert run.strategy == "seq" and run.lam == 0.5
+    assert run.model.strategy == "seq" and run.report.lam == 0.5
+
+
+def test_run_plan_trains_a_lone_episode_as_run_episode(world, monkeypatch):
+    cfg, store, dataset = world
+    alone = run_episode(cfg, store, dataset, 1)
+    seeds = []
+
+    def counted(*args):
+        seeds.append(args[2])
+        return sample_episode(*args)
+
+    monkeypatch.setattr(runner, "sample_episode", counted)
+    run = run_plan(cfg, store, dataset, [RunSpec(1)], lambda r: r)[0]
+    assert seeds == [cfg["episode.seed"] + 1]  # sampled once
+    assert state_checksum(run.model) == state_checksum(alone.model)
+    assert run.trace == alone.trace
+    np.testing.assert_array_equal(run.report.final, alone.report.final)
 
 
 def test_run_episode_untrained_is_fresh_init(world):

@@ -3,15 +3,17 @@
     python tools/outputs.py DIR
 
 Each step runs ``fsad.cli.main`` with ``--out DIR/<step>``, at
-``episode.count=3``, 5 epochs and the benchmark learning rates. The
-``*_recipe`` steps also set every ``episode.*``, ``adapt.*``, ``clsa.*``
-and ``infer.*`` key but ``episode.count`` and ``episode.k`` off its
-default, so a setting the library drops on its way changes an output. The
-package is imported from this checkout's ``src``. Run the script from two
-checkouts with the same relative DIR and compare them with ``diff -r``:
-an empty diff means the change kept every output byte-equal, including
-each ``effective.cfg`` (which records ``run.out``). Exits non-zero if any
-step does.
+``episode.count=3``, 5 epochs and the benchmark learning rates; a step's
+own settings come last and win. ``ablate_rem`` runs ``episode.count=6``,
+so every structure trains as a stack of five plus a stack of one and the
+single-episode training path is covered too. The ``*_recipe`` steps
+also set every ``episode.*``, ``adapt.*``, ``clsa.*`` and ``infer.*`` key
+but ``episode.count`` and ``episode.k`` off its default, so a setting the
+library drops on its way changes an output. The package is imported from
+this checkout's ``src``. Run the script from two checkouts with the same
+relative DIR and compare them with ``diff -r``: an empty diff means the
+change kept every output byte-equal, including each ``effective.cfg``
+(which records ``run.out``). Exits non-zero if any step does.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ def steps(root: str) -> list[tuple[str, list[str]]]:
         ("ablate", ["ablate"]),
         ("sweep", ["sweep", "--which", "all"]),
         ("ablate_k16", ["ablate", "--set", "episode.k=16"]),
+        ("ablate_rem", ["ablate", "--set", "episode.count=6"]),
         ("sweep_k16", ["sweep", "--which", "all", "--set", "episode.k=16"]),
         ("gradcheck", ["gradcheck"]),
         ("gradcheck_corrupt", ["gradcheck", "--corrupt"]),
@@ -58,7 +61,7 @@ def run(root: str) -> int:
     failed = []
     for name, argv in steps(root):
         print(f"== {name}", flush=True)
-        if main(argv + COMMON + ["--out", f"{root}/{name}"]) != 0:
+        if main(argv[:1] + COMMON + argv[1:] + ["--out", f"{root}/{name}"]) != 0:
             failed.append(name)
     if failed:
         print(f"failed steps: {', '.join(failed)}", file=sys.stderr)
