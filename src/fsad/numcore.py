@@ -270,7 +270,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    out = a.data @ b.data
+    try:
+        out = a.data @ b.data
+    except ValueError:
+        raise _shape_error("matmul", a, b) from None
 
     def bwd(g, needs):
         da = db = None
@@ -306,7 +309,11 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = list(parts)
-    out = np.concatenate([p.data for p in parts], axis=axis)
+    try:
+        out = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError:
+        raise ShapeError(f"concat on axis {axis}: incompatible shapes "
+                         f"{[p.shape for p in parts]}") from None
     sizes = [p.shape[axis] for p in parts]
 
     def bwd(g, _needs):
@@ -475,12 +482,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     # softmax(scores * inv_sqrt) over the last axis, step by step in the one
     # score buffer: the same operations in the same order as the out-of-place
     # chain, without a fresh temporary per step
-    weights = qh @ np.swapaxes(kh, -1, -2)
-    weights *= inv_sqrt
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    out = join(weights @ vh)
+    try:
+        weights = qh @ np.swapaxes(kh, -1, -2)
+        weights *= inv_sqrt
+        weights -= weights.max(axis=-1, keepdims=True)
+        np.exp(weights, out=weights)
+        weights /= weights.sum(axis=-1, keepdims=True)
+        out = join(weights @ vh)
+    except ValueError:
+        raise ShapeError(f"attention: leading axes do not broadcast: q {q.shape}, "
+                         f"k {k.shape}, v {v.shape}") from None
 
     def bwd(g, _needs):
         gh = split(g)

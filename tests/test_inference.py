@@ -1,17 +1,22 @@
 """Dual-branch scoring: closed-form oracles for both branches and the blend."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsad import inference
+from fsad import model as fmodel
 from fsad import numcore as nc
 from fsad.backbone import BackboneSpec
+from fsad.clsa import STRATEGIES
 from fsad.config import RunConfig
-from fsad.errors import CapacityError, ContractError, DomainError
-from fsad.inference import (InferSpec, build_prototypes, ensemble,
+from fsad.errors import CapacityError, ContractError, DomainError, ShapeError
+from fsad.inference import (SCORE_BLOCK, InferSpec, build_prototypes, ensemble,
                             minmax_normalize, proto_distance, proto_scores,
-                            score_batch, semantic_scores)
+                            score_aligned, score_batch, semantic_scores)
 from fsad.model import forward, init_model, named_parameters
 from fsad.numcore import Tensor
 from fsad.runner import build_feature_store, model_from_config, take
@@ -181,26 +186,41 @@ def test_score_batch_lambda_endpoints_match_single_branches():
 # ---------------------------------------------------------------------------
 # batch invariance of the raw branch scores
 
+WIDE = {"episode.query_per_class": 196}
+
+
 @pytest.fixture(scope="module")
-def wide_episode():
-    """A seq model with every parameter jittered off its init (open gates,
-    live adapters) and one episode of 392 queries, as ``fsad eval`` scores."""
-    cfg = RunConfig({"episode.query_per_class": 196})
+def wide_world():
+    """One episode of 392 queries, as ``fsad eval`` scores, and its features."""
+    cfg = RunConfig(WIDE)
     dataset = generate_dataset(cfg.dataset_spec())
     store = build_feature_store(cfg.backbone_spec(), dataset)
-    model = model_from_config(cfg)
+    ep = sample_episode(dataset, cfg["episode.k"], 0, cfg["episode.query_per_class"])
+    return store, ep
+
+
+def jittered_scorer(wide_world, strategy):
+    """A model of one strategy with every parameter jittered off its init
+    (open gates, live adapters), its episode's prototypes, the queries and
+    their labels."""
+    store, ep = wide_world
+    model = model_from_config(RunConfig({**WIDE, "clsa.strategy": strategy}))
     rng = np.random.default_rng(41)
     for p in named_parameters(model).values():
         p.data = p.data + rng.normal(0.0, 0.05, size=p.shape)
-    ep = sample_episode(dataset, cfg["episode.k"], 0, cfg["episode.query_per_class"])
     taps = model.spec.selected_visual
     with nc.no_grad():
         sup = forward(model, {l: Tensor(a) for l, a in
                               take(store, taps, ep.support_ids).items()})
     protos = build_prototypes(sup.visual, {"normal": ep.idx_norm,
                                            "abnormal": ep.idx_abn})
-    query = take(store, taps, ep.query_ids)
-    labels = store.labels[ep.query_ids]
+    return model, protos, take(store, taps, ep.query_ids), store.labels[ep.query_ids]
+
+
+@pytest.fixture(scope="module")
+def wide_episode(wide_world):
+    """The seq scorer plus its scores of all 392 queries in one call."""
+    model, protos, query, labels = jittered_scorer(wide_world, "seq")
     whole = score_batch(model, {l: Tensor(a) for l, a in query.items()},
                         labels, protos)
     return model, protos, query, labels, whole
@@ -232,3 +252,95 @@ def test_raw_scores_bit_identical_one_query_at_a_time(wide_episode):
                           labels[i:i + 1], protos)
         assert rep.sem_raw[0] == whole.sem_raw[i]
         assert rep.proto_raw[0] == whole.proto_raw[i]
+
+
+# ---------------------------------------------------------------------------
+# blocked scoring
+
+@pytest.fixture(scope="module", params=STRATEGIES)
+def wide_scorer(request, wide_world):
+    return jittered_scorer(wide_world, request.param)
+
+
+@pytest.mark.parametrize("n", [1, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 392])
+def test_blocked_scores_equal_one_pass_bit_for_bit(wide_scorer, n):
+    model, protos, query, labels = wide_scorer
+    assert labels.size == 392
+    taps = {l: Tensor(a[:n]) for l, a in query.items()}
+    with nc.no_grad():
+        want = score_aligned(model, forward(model, taps), labels[:n], protos)
+    got = score_batch(model, taps, labels[:n], protos)
+    for name in ("sem_raw", "proto_raw", "final"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_text_tower_runs_once_for_every_block(wide_episode, monkeypatch):
+    model, protos, query, labels, _ = wide_episode
+    calls = {"text": 0, "clsa": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(fmodel, "forward_text", counted("text", fmodel.forward_text))
+    monkeypatch.setattr(inference, "clsa_forward",
+                        counted("clsa", inference.clsa_forward))
+    score_batch(model, {l: Tensor(a) for l, a in query.items()}, labels, protos)
+    assert calls == {"text": 1, "clsa": -(-labels.size // SCORE_BLOCK)}
+
+
+def test_scoring_392_queries_keeps_peak_memory_small(wide_episode):
+    model, protos, query, labels, _ = wide_episode
+    taps = {l: Tensor(a) for l, a in query.items()}
+    tracemalloc.start()
+    try:
+        score_batch(model, taps, labels, protos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one pass over all 392 queries peaks at about 36 MiB, blocks at about 14
+    assert peak < 20 * 2**20
+
+
+def small_scoring_setup(rng, n):
+    model = small_model()
+    support = {l: Tensor(rng.normal(size=(4, model.spec.patches, D))) for l in (2, 4)}
+    protos = build_prototypes(support, {"normal": [0, 1], "abnormal": [2, 3]})
+    query = {l: Tensor(rng.normal(size=(n, model.spec.patches, D))) for l in (2, 4)}
+    return model, protos, query
+
+
+def test_score_batch_rejects_taps_with_different_query_counts():
+    rng = np.random.default_rng(14)
+    model, protos, query = small_scoring_setup(rng, 3)
+    query[4] = Tensor(query[4].data[:2])
+    with pytest.raises(ShapeError, match=r"2: \(3,\), 4: \(2,\)"):
+        score_batch(model, query, [0, 1, 1], protos)
+
+
+def test_score_batch_rejects_a_label_count_off_the_query_count():
+    rng = np.random.default_rng(15)
+    model, protos, query = small_scoring_setup(rng, 3)
+    with pytest.raises(ContractError, match="2 labels for 3 queries"):
+        score_batch(model, query, [0, 1], protos)
+
+
+def test_score_batch_rejects_an_empty_batch():
+    rng = np.random.default_rng(16)
+    model, protos, query = small_scoring_setup(rng, 0)
+    with pytest.raises(ContractError, match="cannot normalize an empty batch"):
+        score_batch(model, query, [], protos)
+
+
+def test_unbatched_query_scores_as_one_pass():
+    rng = np.random.default_rng(17)
+    model, protos, query = small_scoring_setup(rng, 1)
+    single = {l: Tensor(t.data[0]) for l, t in query.items()}
+    with nc.no_grad():
+        want = score_aligned(model, forward(model, single), [1], protos)
+    got = score_batch(model, single, [1], protos)
+    assert got.sem_raw.shape == (1,)
+    assert np.array_equal(got.sem_raw, want.sem_raw)
+    assert np.array_equal(got.proto_raw, want.proto_raw)

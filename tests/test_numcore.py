@@ -418,6 +418,25 @@ def test_binary_ops_raise_shape_error_on_mismatch():
             op(a, b)
 
 
+def _ones(*shape):
+    return Tensor(np.ones(shape))
+
+
+@pytest.mark.parametrize("name,call", [
+    ("matmul", lambda: nc.matmul(_ones(3, 4, 16), _ones(5, 16, 1))),
+    ("attention", lambda: nc.attention(_ones(3, 4, 8), _ones(5, 6, 8),
+                                       _ones(5, 6, 8), 2)),
+    ("attention", lambda: nc.attention(_ones(1, 4, 8), _ones(3, 6, 8),
+                                       _ones(5, 6, 8), 2)),
+    ("concat", lambda: nc.concat([_ones(3, 4), _ones(3, 5)], axis=0)),
+    ("concat", lambda: nc.concat([_ones(3, 4), _ones(3, 4, 1)], axis=0)),
+], ids=["matmul_batch", "attention_qk_batch", "attention_kv_batch",
+        "concat_extent", "concat_rank"])
+def test_leading_axis_mismatch_raises_shape_error(name, call):
+    with pytest.raises(ShapeError, match=name):
+        call()
+
+
 def test_sum_last_on_a_vector_is_sum_all_bit_for_bit():
     rng = np.random.default_rng(31)
     data = rng.normal(size=37) * 10.0 ** rng.integers(-8, 8, size=37)

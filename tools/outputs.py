@@ -6,14 +6,16 @@ Each step runs ``fsad.cli.main`` with ``--out DIR/<step>``, at
 ``episode.count=3``, 5 epochs and the benchmark learning rates; a step's
 own settings come last and win. ``ablate_rem`` runs ``episode.count=6``,
 so every structure trains as a stack of five plus a stack of one and the
-single-episode training path is covered too. The ``*_recipe`` steps
-also set every ``episode.*``, ``adapt.*``, ``clsa.*`` and ``infer.*`` key
-but ``episode.count`` and ``episode.k`` off its default, so a setting the
-library drops on its way changes an output. The package is imported from
-this checkout's ``src``. Run the script from two checkouts with the same
-relative DIR and compare them with ``diff -r``: an empty diff means the
-change kept every output byte-equal, including each ``effective.cfg``
-(which records ``run.out``). Exits non-zero if any step does.
+single-episode training path is covered too. The ``*_wide`` steps score
+392 queries per episode, so scoring crosses its block boundaries. The
+``*_recipe`` steps also set every ``episode.*``, ``adapt.*``, ``clsa.*``
+and ``infer.*`` key but ``episode.count`` and ``episode.k`` off its
+default, so a setting the library drops on its way changes an output.
+The package is imported from this checkout's ``src``. Run the script from
+two checkouts with the same relative DIR and compare them with ``diff
+-r``: an empty diff means the change kept every output byte-equal,
+including each ``effective.cfg`` (which records ``run.out``). Exits
+non-zero if any step does.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ RECIPE = [arg for item in (
     "clsa.gates_learnable=false", "infer.lam=0.3", "infer.eps=1e-6",
 ) for arg in ("--set", item)]
 
+WIDE = ["--set", "episode.query_per_class=196"]
+
 
 def steps(root: str) -> list[tuple[str, list[str]]]:
     return [
@@ -42,6 +46,8 @@ def steps(root: str) -> list[tuple[str, list[str]]]:
         ("train_k4", ["train"]),
         ("train_k16", ["train", "--set", "episode.k=16"]),
         ("eval_k4", ["eval", "--checkpoint", f"{root}/train_k4/model.ckpt"]),
+        ("eval_wide", ["eval", "--checkpoint", f"{root}/train_k4/model.ckpt"]
+         + WIDE),
         ("ablate", ["ablate"]),
         ("sweep", ["sweep", "--which", "all"]),
         ("ablate_k16", ["ablate", "--set", "episode.k=16"]),
@@ -52,6 +58,8 @@ def steps(root: str) -> list[tuple[str, list[str]]]:
         ("train_recipe", ["train"] + RECIPE),
         ("eval_recipe", ["eval", "--checkpoint",
                          f"{root}/train_recipe/model.ckpt"] + RECIPE),
+        ("eval_recipe_wide", ["eval", "--checkpoint",
+                              f"{root}/train_recipe/model.ckpt"] + RECIPE + WIDE),
         ("ablate_recipe", ["ablate"] + RECIPE),
         ("sweep_recipe", ["sweep", "--which", "all"] + RECIPE),
     ]
