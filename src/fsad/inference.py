@@ -69,11 +69,17 @@ def build_prototypes(support_visual: dict[int, Tensor],
     """Aggregate aligned support features: class mean of per-image patch means.
 
     support_visual maps layers to [B, P, d] over the whole support batch;
-    index_sets maps each class to its row indices within that batch.
+    index_sets maps each class to its row indices within that batch, each
+    in [0, B).
     """
     for cls, idx in index_sets.items():
         if not idx:
             raise CapacityError(f"class {cls!r} has no support samples")
+        for layer, v in support_visual.items():
+            bad = [i for i in idx if not 0 <= i < v.shape[0]]
+            if bad:
+                raise ContractError(f"class {cls!r}: support index {bad[0]} "
+                                    f"outside [0, {v.shape[0]}) at layer {layer}")
     protos = PrototypeSet()
     for cls, idx in index_sets.items():
         per_layer = {}
@@ -157,6 +163,11 @@ def score_batch(model, visual_taps: dict[int, Tensor], labels,
     queries bit for bit. An unbatched [P, d] query is one block.
     """
     from .model import forward_text, forward_visual
+    missing = [layer for layer in model.spec.selected_visual
+               if layer not in visual_taps]
+    if missing:
+        raise ContractError(f"no query features for visual tap {missing[0]}; "
+                            f"got taps {sorted(visual_taps)}")
     lead = {layer: visual_taps[layer].shape[:-2]
             for layer in model.spec.selected_visual}
     shapes = set(lead.values())

@@ -5,6 +5,13 @@ input requires a gradient; :func:`backward` replays the tape in exact reverse
 execution order, accumulating (never overwriting) into ``grad`` buffers.
 Everything runs in 64-bit precision so finite-difference checks are decisive.
 
+Each differentiable op is one array-level kernel pair: a forward that
+returns its output and the context its backward needs, and a backward that
+maps that context and the output gradient to the input gradients. The
+eager op and a compiled :class:`Schedule` call the same pair, so a replayed
+step runs the same numpy calls in the same order as the step it was
+recorded from.
+
 Every kernel keeps the exact sequence of IEEE operations of its reference
 formula, so outputs and gradients are bit-identical however the work is
 buffered: training under the benchmark protocol amplifies a last-bit
@@ -14,7 +21,7 @@ difference into a visible change of the final metrics.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,18 +74,35 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+class _Kernel(NamedTuple):
+    """One op's kernel pair.
+
+    ``forward(*input_arrays, *static)`` returns ``(out, ctx)``;
+    ``backward(ctx, g, needs)`` returns one gradient per input, None where
+    ``needs`` is false. ``core`` is None when those gradients already have
+    their inputs' shapes; otherwise it counts the trailing axes that do not
+    broadcast (0 for elementwise ops, 2 for matrix products), and the
+    gradients are summed back over the broadcast axes.
+    """
+
+    forward: Callable
+    backward: Callable
+    core: int | None = None
+
+
 class _Node:
-    """One recorded op. ``needs[i]`` says whether input i wants a gradient;
-    backward closures take it and return None for the inputs that do not."""
+    """One recorded op: its kernel pair, static arguments, inputs, which of
+    them want a gradient, output and the forward's context."""
 
-    __slots__ = ("inputs", "needs", "output", "backward", "name")
+    __slots__ = ("kernel", "static", "inputs", "needs", "output", "ctx")
 
-    def __init__(self, name, inputs, needs, output, backward):
-        self.name = name
+    def __init__(self, kernel, static, inputs, needs, output, ctx):
+        self.kernel = kernel
+        self.static = static
         self.inputs = inputs
         self.needs = needs
         self.output = output
-        self.backward = backward
+        self.ctx = ctx
 
 
 class GradTape:
@@ -112,18 +136,48 @@ def no_grad():
         _TAPES.pop()
 
 
-def _record(name: str, inputs: Sequence[Tensor], out_data: Array,
-            backward: Callable[[Array, Sequence[bool]],
-                               Sequence[Array | None]]) -> Tensor:
-    """Wrap ``out_data`` and, if a tape is live and an input needs grad, record."""
+def _apply(kernel: _Kernel, inputs: Sequence[Tensor], static: tuple = ()) -> Tensor:
+    """Run the kernel's forward on the inputs' data and wrap the output; if a
+    tape is live and an input needs grad, record the call."""
+    out_data, ctx = kernel.forward(*[t.data for t in inputs], *static)
     out = Tensor(out_data)
     tape = _TAPES[-1] if _TAPES else None
     if tape is not None:
         needs = tuple(t.requires_grad for t in inputs)
         if any(needs):
             out.requires_grad = True
-            tape.nodes.append(_Node(name, tuple(inputs), needs, out, backward))
+            tape.nodes.append(_Node(kernel, static, tuple(inputs), needs, out, ctx))
     return out
+
+
+def _reduce_plan(g_shape: tuple[int, ...], shape: tuple[int, ...]):
+    """The sums that bring a gradient of ``g_shape`` back to a broadcast
+    input of ``shape``: None when the shapes agree, else (leading axes,
+    size-1 axes, shape)."""
+    if g_shape == shape:
+        return None
+    extra = len(g_shape) - len(shape)
+    lead = tuple(range(extra)) if extra > 0 else ()
+    kept = g_shape[extra:] if extra > 0 else g_shape
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and kept[i] != 1)
+    return lead, axes, shape
+
+
+def _reduce(g: Array, plan) -> Array:
+    """Apply a :func:`_reduce_plan`."""
+    if plan is None:
+        return g
+    lead, axes, shape = plan
+    if lead:
+        g = np.add.reduce(g, axis=lead)
+    if axes:
+        g = np.add.reduce(g, axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def _check_scalar(loss: Tensor) -> None:
+    if loss.data.size != 1:
+        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
 
 
 def backward(loss: Tensor, tape: GradTape) -> None:
@@ -137,18 +191,20 @@ def backward(loss: Tensor, tape: GradTape) -> None:
     place, so a first contribution is kept as is, even when it is a view
     shared with another input's gradient.
     """
-    if loss.data.size != 1:
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    _check_scalar(loss)
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
     for node in reversed(tape.nodes):
         out_grad = grads.pop(id(node.output), None)
         if out_grad is None:
             continue
+        kernel = node.kernel
         for tensor, need, g in zip(node.inputs, node.needs,
-                                   node.backward(out_grad, node.needs)):
+                                   kernel.backward(node.ctx, out_grad, node.needs)):
             if g is None or not need:
                 continue
+            if kernel.core is not None:
+                g = _reduce(g, _reduce_plan(g.shape, tensor.shape))
             key = id(tensor)
             if key in grads:
                 grads[key] = grads[key] + g
@@ -161,17 +217,111 @@ def backward(loss: Tensor, tape: GradTape) -> None:
             t.grad = g if t.grad is None else t.grad + g
 
 
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Sum gradient over axes that were broadcast in the forward pass."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+# ---------------------------------------------------------------------------
+# compiled steps
+
+class Schedule:
+    """A recorded training step compiled into a flat list of kernel calls.
+
+    Each tape node becomes one entry: its kernel pair, static arguments,
+    input slots, output slot and ``needs``. Requires-grad leaves (the
+    parameters) are read by reference at every run, so each run sees the
+    optimizer's latest update. Every other leaf was captured once, when the
+    tape was recorded: the batch features, label tensors, frozen weights and
+    the outputs of ops whose inputs were all constant. A run therefore
+    equals the recorded step only while nothing but the parameters' data
+    changes between runs.
+
+    :meth:`forward` runs the entries in recorded order and returns the
+    watched tensor's value; :meth:`backward` then walks them in reverse
+    with gradients in a slot-indexed list, seeded, summed back over
+    broadcast axes and accumulated exactly as :func:`backward` does, and
+    adds each leaf's gradient into its ``grad``. The broadcast sums are
+    planned once from the recorded shapes.
+    """
+
+    def __init__(self, tape: GradTape, loss: Tensor, watch: Tensor):
+        _check_scalar(loss)
+        slots: dict[int, int] = {}
+        self._init: list[Array | None] = []
+        self._params: list[tuple[int, Tensor]] = []
+
+        def slot(t: Tensor) -> int:
+            key = id(t)
+            if key not in slots:
+                slots[key] = len(self._init)
+                if t.requires_grad:
+                    self._params.append((slots[key], t))
+                    self._init.append(None)
+                else:
+                    self._init.append(t.data)
+            return slots[key]
+
+        self._forward = []
+        self._backward = []
+        for node in tape.nodes:
+            kernel, out_shape = node.kernel, node.output.shape
+            ins = tuple(slot(t) for t in node.inputs)
+            targets = []
+            for i, (t, need) in enumerate(zip(node.inputs, node.needs)):
+                if not need:
+                    continue
+                plan = None
+                if kernel.core is not None:
+                    # the kernel's gradient has the output's broadcast axes
+                    # and the input's core axes
+                    raw = (out_shape[:len(out_shape) - kernel.core]
+                           + t.shape[t.ndim - kernel.core:])
+                    plan = _reduce_plan(raw, t.shape)
+                targets.append((i, ins[i], plan))
+            out = slots[id(node.output)] = len(self._init)
+            self._init.append(None)
+            self._forward.append((kernel.forward, ins, node.static, out))
+            self._backward.append((kernel.backward, out, node.needs, tuple(targets)))
+        self._loss, self._watch = slot(loss), slot(watch)
+        self._loss_shape = loss.shape
+        self._ctxs: list | None = None
+
+    def forward(self) -> Array:
+        """Run every entry on the parameters' current data; returns the
+        watched value and keeps what :meth:`backward` needs."""
+        vals = self._init.copy()
+        for i, t in self._params:
+            vals[i] = t.data
+        ctxs = []
+        for fwd, ins, static, out in self._forward:
+            vals[out], ctx = fwd(*[vals[i] for i in ins], *static)
+            ctxs.append(ctx)
+        self._ctxs = ctxs
+        return vals[self._watch]
+
+    def backward(self) -> None:
+        """Differentiate the loss of the last :meth:`forward` into the
+        leaves' ``grad``; the forward's context is released."""
+        if self._ctxs is None:
+            raise ContractError("Schedule.backward needs a forward first")
+        ctxs, self._ctxs = self._ctxs, None
+        grads: list[Array | None] = [None] * len(self._init)
+        grads[self._loss] = np.ones(self._loss_shape)
+        for (bwd, out, needs, targets), ctx in zip(reversed(self._backward),
+                                                   reversed(ctxs)):
+            g = grads[out]
+            if g is None:
+                continue
+            grads[out] = None
+            raw = bwd(ctx, g, needs)
+            for i, s, plan in targets:
+                gi = raw[i]
+                if gi is None:
+                    continue
+                if plan is not None:
+                    gi = _reduce(gi, plan)
+                prev = grads[s]
+                grads[s] = np.asarray(gi) if prev is None else prev + gi
+        for i, t in self._params:
+            g = grads[i]
+            if g is not None:
+                t.grad = g if t.grad is None else t.grad + g
 
 
 def _shape_error(op: str, a: Tensor, b: Tensor) -> ShapeError:
@@ -181,88 +331,169 @@ def _shape_error(op: str, a: Tensor, b: Tensor) -> ShapeError:
 # ---------------------------------------------------------------------------
 # elementwise
 
+def _add_fwd(a, b):
+    return a + b, None
+
+
+def _add_bwd(_ctx, g, _needs):
+    return g, g
+
+
+def _sub_fwd(a, b):
+    return a - b, None
+
+
+def _sub_bwd(_ctx, g, needs):
+    return g, (-g if needs[1] else None)
+
+
+def _mul_fwd(a, b):
+    return a * b, (a, b)
+
+
+def _mul_bwd(ctx, g, needs):
+    a, b = ctx
+    return (g * b if needs[0] else None), (g * a if needs[1] else None)
+
+
+def _scale_fwd(x, c):
+    return x * c, c
+
+
+def _scale_bwd(c, g, _needs):
+    return (g * c,)
+
+
+def _mean_axis_fwd(x, axis, keepdims):
+    return x.mean(axis=axis, keepdims=keepdims), (x.shape, axis, keepdims)
+
+
+def _mean_axis_bwd(ctx, g, _needs):
+    shape, axis, keepdims = ctx
+    if not keepdims:
+        g = np.expand_dims(g, axis)
+    return (np.broadcast_to(g / shape[axis], shape).copy(),)
+
+
+def _sum_all_fwd(x):
+    return np.asarray(x.sum()), x.shape
+
+
+def _sum_all_bwd(shape, g, _needs):
+    return (np.broadcast_to(g, shape).copy(),)
+
+
+def _sum_last_fwd(x):
+    return np.asarray(x.sum(axis=-1)), x.shape
+
+
+def _sum_last_bwd(shape, g, _needs):
+    return (np.broadcast_to(np.expand_dims(g, -1), shape).copy(),)
+
+
+_ADD = _Kernel(_add_fwd, _add_bwd, 0)
+_SUB = _Kernel(_sub_fwd, _sub_bwd, 0)
+_MUL = _Kernel(_mul_fwd, _mul_bwd, 0)
+_SCALE = _Kernel(_scale_fwd, _scale_bwd)
+_MEAN_AXIS = _Kernel(_mean_axis_fwd, _mean_axis_bwd)
+_SUM_ALL = _Kernel(_sum_all_fwd, _sum_all_bwd)
+_SUM_LAST = _Kernel(_sum_last_fwd, _sum_last_bwd)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
-        out = a.data + b.data
+        return _apply(_ADD, (a, b))
     except ValueError:
         raise _shape_error("add", a, b) from None
-
-    def bwd(g, needs):
-        return (_unbroadcast(g, a.shape) if needs[0] else None,
-                _unbroadcast(g, b.shape) if needs[1] else None)
-
-    return _record("add", (a, b), out, bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     try:
-        out = a.data - b.data
+        return _apply(_SUB, (a, b))
     except ValueError:
         raise _shape_error("sub", a, b) from None
-
-    def bwd(g, needs):
-        return (_unbroadcast(g, a.shape) if needs[0] else None,
-                _unbroadcast(-g, b.shape) if needs[1] else None)
-
-    return _record("sub", (a, b), out, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
-        out = a.data * b.data
+        return _apply(_MUL, (a, b))
     except ValueError:
         raise _shape_error("mul", a, b) from None
 
-    def bwd(g, needs):
-        return (_unbroadcast(g * b.data, a.shape) if needs[0] else None,
-                _unbroadcast(g * a.data, b.shape) if needs[1] else None)
-
-    return _record("mul", (a, b), out, bwd)
-
 
 def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = x.data * c
-
-    def bwd(g, _needs):
-        return (g * c,)
-
-    return _record("scale", (x,), out, bwd)
+    return _apply(_SCALE, (x,), (float(c),))
 
 
 def mean_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    n = x.shape[axis]
-    out = x.data.mean(axis=axis, keepdims=keepdims)
-
-    def bwd(g, _needs):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / n, x.shape).copy(),)
-
-    return _record("mean_axis", (x,), out, bwd)
+    return _apply(_MEAN_AXIS, (x,), (axis, keepdims))
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.sum())
-
-    def bwd(g, _needs):
-        return (np.broadcast_to(g, x.shape).copy(),)
-
-    return _record("sum_all", (x,), out, bwd)
+    return _apply(_SUM_ALL, (x,))
 
 
 def sum_last(x: Tensor) -> Tensor:
     """Sum over the last axis; on 1-d input the same reduction as sum_all."""
-    out = np.asarray(x.data.sum(axis=-1))
-
-    def bwd(g, _needs):
-        return (np.broadcast_to(np.expand_dims(g, -1), x.shape).copy(),)
-
-    return _record("sum_last", (x,), out, bwd)
+    return _apply(_SUM_LAST, (x,))
 
 
 # ---------------------------------------------------------------------------
 # linear algebra
+
+def _matmul_fwd(a, b):
+    return a @ b, (a, b)
+
+
+def _matmul_bwd(ctx, g, needs):
+    a, b = ctx
+    return ((g @ b.swapaxes(-1, -2) if needs[0] else None),
+            (a.swapaxes(-1, -2) @ g if needs[1] else None))
+
+
+def _transpose_fwd(x):
+    return x.swapaxes(-1, -2), None
+
+
+def _transpose_bwd(_ctx, g, _needs):
+    return (g.swapaxes(-1, -2),)
+
+
+def _reshape_fwd(x, shape):
+    return x.reshape(shape), x.shape
+
+
+def _reshape_bwd(shape, g, _needs):
+    return (g.reshape(shape),)
+
+
+def _concat_fwd(*args):
+    *parts, axis = args
+    return np.concatenate(parts, axis=axis), ([p.shape[axis] for p in parts], axis)
+
+
+def _concat_bwd(ctx, g, _needs):
+    sizes, axis = ctx
+    return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
+
+
+def _narrow_fwd(x, idx):
+    return x[idx], (x, idx)
+
+
+def _narrow_bwd(ctx, g, _needs):
+    x, idx = ctx
+    full = np.zeros_like(x)
+    full[idx] = g
+    return (full,)
+
+
+_MATMUL = _Kernel(_matmul_fwd, _matmul_bwd, 2)
+_TRANSPOSE = _Kernel(_transpose_fwd, _transpose_bwd)
+_RESHAPE = _Kernel(_reshape_fwd, _reshape_bwd)
+_CONCAT = _Kernel(_concat_fwd, _concat_bwd)
+_NARROW = _Kernel(_narrow_fwd, _narrow_bwd)
+
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast."""
@@ -271,86 +502,140 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
     try:
-        out = a.data @ b.data
+        return _apply(_MATMUL, (a, b))
     except ValueError:
         raise _shape_error("matmul", a, b) from None
-
-    def bwd(g, needs):
-        da = db = None
-        if needs[0]:
-            da = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        if needs[1]:
-            db = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return da, db
-
-    return _record("matmul", (a, b), out, bwd)
 
 
 def transpose(x: Tensor) -> Tensor:
     """Swap the last two axes."""
     if x.ndim < 2:
         raise ShapeError(f"transpose needs >=2-d input, got {x.shape}")
-    out = np.swapaxes(x.data, -1, -2)
-
-    def bwd(g, _needs):
-        return (np.swapaxes(g, -1, -2),)
-
-    return _record("transpose", (x,), out, bwd)
+    return _apply(_TRANSPOSE, (x,))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = x.data.reshape(shape)
-
-    def bwd(g, _needs):
-        return (g.reshape(x.shape),)
-
-    return _record("reshape", (x,), out, bwd)
+    return _apply(_RESHAPE, (x,), (shape,))
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = list(parts)
     try:
-        out = np.concatenate([p.data for p in parts], axis=axis)
+        return _apply(_CONCAT, parts, (axis,))
     except ValueError:
         raise ShapeError(f"concat on axis {axis}: incompatible shapes "
                          f"{[p.shape for p in parts]}") from None
-    sizes = [p.shape[axis] for p in parts]
-
-    def bwd(g, _needs):
-        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
-
-    return _record("concat", parts, out, bwd)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Slice ``length`` entries from ``start`` along one axis."""
     idx = [slice(None)] * x.ndim
     idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out = x.data[idx]
-
-    def bwd(g, _needs):
-        full = np.zeros_like(x.data)
-        full[idx] = g
-        return (full,)
-
-    return _record("narrow", (x,), out, bwd)
+    return _apply(_NARROW, (x,), (tuple(idx),))
 
 
 # ---------------------------------------------------------------------------
 # nonlinearities
 
-def sigmoid(x: Tensor) -> Tensor:
+def _sigmoid_fwd(x):
     # Two-branch form: never exponentiates a positive argument, so large
     # inputs neither overflow nor produce denormal outputs.
-    pos = x.data >= 0
-    e = np.exp(np.where(pos, -x.data, x.data))
+    pos = x >= 0
+    e = np.exp(np.where(pos, -x, x))
     out = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    return out, out
 
-    def bwd(g, _needs):
-        return (g * out * (1.0 - out),)
 
-    return _record("sigmoid", (x,), out, bwd)
+def _sigmoid_bwd(out, g, _needs):
+    return (g * out * (1.0 - out),)
+
+
+def _exp_fwd(x):
+    out = np.exp(x)
+    return out, out
+
+
+def _exp_bwd(out, g, _needs):
+    return (g * out,)
+
+
+def _log_fwd(x):
+    return np.log(x), x
+
+
+def _log_bwd(x, g, _needs):
+    return (g / x,)
+
+
+def _clip_fwd(x, lo, hi):
+    return np.clip(x, lo, hi), (x >= lo) & (x <= hi)
+
+
+def _clip_bwd(inside, g, _needs):
+    return (g * inside,)
+
+
+def _softmax_rows_fwd(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True)
+    return out, out
+
+
+def _softmax_rows_bwd(out, g, _needs):
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return (out * (g - dot),)
+
+
+def _layernorm_rows_fwd(x, eps):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    out = (x - mu) * inv
+    return out, (out, inv)
+
+
+def _layernorm_rows_bwd(ctx, g, _needs):
+    out, inv = ctx
+    gm = g.mean(axis=-1, keepdims=True)
+    gym = (g * out).mean(axis=-1, keepdims=True)
+    return (inv * (g - gm - out * gym),)
+
+
+def _cosine_rows_fwd(a, b):
+    raw_na = np.linalg.norm(a, axis=-1, keepdims=True)
+    raw_nb = np.linalg.norm(b)
+    na = np.maximum(raw_na, NORM_FLOOR)
+    nb = max(raw_nb, NORM_FLOOR)
+    dots = a @ b
+    out = dots / (na[..., 0] * nb)
+    return out, (a, b, out, raw_na, raw_nb, na, nb)
+
+
+def _cosine_rows_bwd(ctx, g, _needs):
+    a, b, out, raw_na, raw_nb, na, nb = ctx
+    ge = g[..., None]
+    cos_e = out[..., None]
+    live_a = (raw_na > NORM_FLOOR).astype(np.float64)
+    da = ge * (b / (na * nb) - live_a * cos_e * a / (na * na))
+    live_b = 1.0 if raw_nb > NORM_FLOOR else 0.0
+    db_rows = ge * (a / (na * nb))
+    db = db_rows.reshape(-1, b.shape[0]).sum(axis=0)
+    db -= live_b * float((g * out).sum()) * b / (nb * nb)
+    return da, db
+
+
+_SIGMOID = _Kernel(_sigmoid_fwd, _sigmoid_bwd)
+_EXP = _Kernel(_exp_fwd, _exp_bwd)
+_LOG = _Kernel(_log_fwd, _log_bwd)
+_CLIP = _Kernel(_clip_fwd, _clip_bwd)
+_SOFTMAX_ROWS = _Kernel(_softmax_rows_fwd, _softmax_rows_bwd)
+_LAYERNORM_ROWS = _Kernel(_layernorm_rows_fwd, _layernorm_rows_bwd)
+_COSINE_ROWS = _Kernel(_cosine_rows_fwd, _cosine_rows_bwd)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    return _apply(_SIGMOID, (x,))
 
 
 def silu(x: Tensor) -> Tensor:
@@ -359,62 +644,28 @@ def silu(x: Tensor) -> Tensor:
 
 
 def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-
-    def bwd(g, _needs):
-        return (g * out,)
-
-    return _record("exp", (x,), out, bwd)
+    return _apply(_EXP, (x,))
 
 
 def log(x: Tensor) -> Tensor:
-    out = np.log(x.data)
-
-    def bwd(g, _needs):
-        return (g / x.data,)
-
-    return _record("log", (x,), out, bwd)
+    return _apply(_LOG, (x,))
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes only through unclipped entries."""
     if not lo < hi:
         raise DomainError(f"clip needs lo < hi, got [{lo}, {hi}]")
-    out = np.clip(x.data, lo, hi)
-    inside = (x.data >= lo) & (x.data <= hi)
-
-    def bwd(g, _needs):
-        return (g * inside,)
-
-    return _record("clip", (x,), out, bwd)
+    return _apply(_CLIP, (x,), (lo, hi))
 
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, stabilised by row-max subtraction."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g, _needs):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _record("softmax_rows", (x,), out, bwd)
+    return _apply(_SOFTMAX_ROWS, (x,))
 
 
 def layernorm_rows(x: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalise the last axis to zero mean / unit variance (no affine)."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    out = (x.data - mu) * inv
-
-    def bwd(g, _needs):
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * out).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - out * gym),)
-
-    return _record("layernorm_rows", (x,), out, bwd)
+    return _apply(_LAYERNORM_ROWS, (x,), (eps,))
 
 
 def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -427,29 +678,55 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"cosine_rows reference must be 1-d, got {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"cosine_rows width mismatch: {a.shape} vs {b.shape}")
-    raw_na = np.linalg.norm(a.data, axis=-1, keepdims=True)
-    raw_nb = np.linalg.norm(b.data)
-    na = np.maximum(raw_na, NORM_FLOOR)
-    nb = max(raw_nb, NORM_FLOOR)
-    dots = a.data @ b.data
-    out = dots / (na[..., 0] * nb)
-
-    def bwd(g, _needs):
-        ge = g[..., None]
-        cos_e = out[..., None]
-        live_a = (raw_na > NORM_FLOOR).astype(np.float64)
-        da = ge * (b.data / (na * nb) - live_a * cos_e * a.data / (na * na))
-        live_b = 1.0 if raw_nb > NORM_FLOOR else 0.0
-        db_rows = ge * (a.data / (na * nb))
-        db = db_rows.reshape(-1, b.shape[0]).sum(axis=0)
-        db -= live_b * float((g * out).sum()) * b.data / (nb * nb)
-        return da, db
-
-    return _record("cosine_rows", (a, b), out, bwd)
+    return _apply(_COSINE_ROWS, (a, b))
 
 
 # ---------------------------------------------------------------------------
 # attention
+
+def _split_heads(x: Array, heads: int) -> Array:
+    # [..., T, d] -> [..., heads, T, dh]
+    return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-3, -2)
+
+
+def _join_heads(x: Array) -> Array:
+    # [..., heads, T, dh] -> [..., T, d]; the reshape copies the swapped
+    # axes into a fresh array, so no further copy is needed
+    x = x.swapaxes(-3, -2)
+    return x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
+def _attention_fwd(q, k, v, heads):
+    inv_sqrt = 1.0 / np.sqrt(q.shape[-1] // heads)
+    qh, kh, vh = _split_heads(q, heads), _split_heads(k, heads), _split_heads(v, heads)
+    # softmax(scores * inv_sqrt) over the last axis, step by step in the one
+    # score buffer: the same operations in the same order as the out-of-place
+    # chain, without a fresh temporary per step
+    weights = qh @ kh.swapaxes(-1, -2)
+    weights *= inv_sqrt
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return _join_heads(weights @ vh), (weights, qh, kh, vh, heads, inv_sqrt)
+
+
+def _attention_bwd(ctx, g, _needs):
+    weights, qh, kh, vh, heads, inv_sqrt = ctx
+    gh = _split_heads(g, heads)
+    dvh = weights.swapaxes(-1, -2) @ gh
+    # ds = weights * (dw - rowsum(dw * weights)), in the dw buffer
+    ds = gh @ vh.swapaxes(-1, -2)
+    ds -= (ds * weights).sum(axis=-1, keepdims=True)
+    ds *= weights
+    dqh = ds @ kh
+    dqh *= inv_sqrt
+    dkh = ds.swapaxes(-1, -2) @ qh
+    dkh *= inv_sqrt
+    return _join_heads(dqh), _join_heads(dkh), _join_heads(dvh)
+
+
+_ATTENTION = _Kernel(_attention_fwd, _attention_bwd, 2)
+
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention core (no projections).
@@ -465,52 +742,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         raise ShapeError(f"attention width mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"key/value row counts differ: {k.shape} vs {v.shape}")
-    dh = d // heads
-    inv_sqrt = 1.0 / np.sqrt(dh)
-
-    def split(x: Array) -> Array:
-        # [..., T, d] -> [..., heads, T, dh]
-        return np.swapaxes(x.reshape(x.shape[:-1] + (heads, dh)), -3, -2)
-
-    def join(x: Array) -> Array:
-        # [..., heads, T, dh] -> [..., T, d]; the reshape copies the swapped
-        # axes into a fresh array, so no further copy is needed
-        x = np.swapaxes(x, -3, -2)
-        return x.reshape(x.shape[:-2] + (d,))
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    # softmax(scores * inv_sqrt) over the last axis, step by step in the one
-    # score buffer: the same operations in the same order as the out-of-place
-    # chain, without a fresh temporary per step
     try:
-        weights = qh @ np.swapaxes(kh, -1, -2)
-        weights *= inv_sqrt
-        weights -= weights.max(axis=-1, keepdims=True)
-        np.exp(weights, out=weights)
-        weights /= weights.sum(axis=-1, keepdims=True)
-        out = join(weights @ vh)
+        return _apply(_ATTENTION, (q, k, v), (heads,))
     except ValueError:
         raise ShapeError(f"attention: leading axes do not broadcast: q {q.shape}, "
                          f"k {k.shape}, v {v.shape}") from None
-
-    def bwd(g, _needs):
-        gh = split(g)
-        dvh = np.swapaxes(weights, -1, -2) @ gh
-        # ds = weights * (dw - rowsum(dw * weights)), in the dw buffer
-        ds = gh @ np.swapaxes(vh, -1, -2)
-        ds -= (ds * weights).sum(axis=-1, keepdims=True)
-        ds *= weights
-        dqh = ds @ kh
-        dqh *= inv_sqrt
-        dkh = np.swapaxes(ds, -1, -2) @ qh
-        dkh *= inv_sqrt
-        return (_unbroadcast(join(dqh), q.shape),
-                _unbroadcast(join(dkh), k.shape),
-                _unbroadcast(join(dvh), v.shape))
-
-    return _record("attention", (q, k, v), out, bwd)
-
-
 # ---------------------------------------------------------------------------
 # gradient oracle
 

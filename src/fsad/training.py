@@ -93,6 +93,8 @@ class AdamW:
         """One update using per-parameter learning rates; skips missing grads."""
         self.step_count += 1
         t = self.step_count
+        b1, b2 = self.beta1, self.beta2
+        bias1, bias2 = 1 - b1 ** t, 1 - b2 ** t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -100,12 +102,13 @@ class AdamW:
             if g.shape != p.data.shape:
                 raise ContractError(f"{name}: grad shape {g.shape} vs {p.data.shape}")
             lr = lrs[name]
-            m = self._m[name] = self.beta1 * self._m[name] + (1 - self.beta1) * g
-            v = self._v[name] = self.beta2 * self._v[name] + (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
+            m, v = self._m[name], self._v[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
             p.data = (p.data - lr * self.weight_decay * p.data
-                      - lr * m_hat / (np.sqrt(v_hat) + self.eps))
+                      - lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps))
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -161,6 +164,10 @@ def train_episode(model: Model, support_feats: dict[int, np.ndarray], labels,
     the per-episode losses, so each episode's gradient is the one it would
     get alone. Raises NumericError at the first non-finite loss, or if the
     last update left a parameter non-finite.
+
+    Epoch 0 runs eagerly and compiles each mini-batch position's tape into
+    a ``numcore.Schedule``; later epochs replay those schedules, which run
+    the same kernels in the same order on the updated parameters.
     """
     stacked = stack_size(model) is not None
     y = np.asarray(labels, dtype=np.int64)
@@ -175,6 +182,7 @@ def train_episode(model: Model, support_feats: dict[int, np.ndarray], labels,
     opt = AdamW(named_parameters(model), config)
     bounds = list(range(0, n, min(config.batch_size, n))) + [n]
     traces: list[list[TraceRow]] = [[] for _ in range(y.size // n)]
+    schedules: list[nc.Schedule] = []
     # a diverging run overflows before its loss turns non-finite; the
     # NumericError below reports it, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -182,19 +190,29 @@ def train_episode(model: Model, support_feats: dict[int, np.ndarray], labels,
             decay = cosine_lr(1.0, epoch, config.epochs)
             lrs = {name: base * decay for name, base in rate_key.items()}
             total_loss = np.zeros(y.shape[:-1])
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                batch = {layer: Tensor(feats[..., lo:hi, :, :])
-                         for layer, feats in support_feats.items()}
-                with GradTape() as tape:
-                    scores = training_scores(model, batch)
-                    loss = bce_loss(scores, y[..., lo:hi])
-                    objective = nc.sum_all(loss) if stacked else loss
-                if not np.isfinite(loss.data).all():
-                    raise _loss_error(model, loss.data, epoch)
+            for position, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                if epoch == 0:
+                    batch = {layer: Tensor(feats[..., lo:hi, :, :])
+                             for layer, feats in support_feats.items()}
+                    with GradTape() as tape:
+                        loss = bce_loss(training_scores(model, batch), y[..., lo:hi])
+                        objective = nc.sum_all(loss) if stacked else loss
+                    schedules.append(nc.Schedule(tape, objective, loss))
+                    losses = loss.data
+                else:
+                    losses = schedules[position].forward()
+                if not np.isfinite(losses).all():
+                    raise _loss_error(model, losses, epoch)
                 opt.zero_grad()
-                backward(objective, tape)
+                if epoch == 0:
+                    backward(objective, tape)
+                    # the replays hold their own context; keep no recorded
+                    # step's activations alive across them
+                    del tape, objective, loss
+                else:
+                    schedules[position].backward()
                 opt.step(lrs)
-                total_loss += loss.data * (hi - lo)
+                total_loss += losses * (hi - lo)
             for trace, episode_loss in zip(traces, np.reshape(total_loss / n, -1)):
                 trace.append(TraceRow(epoch=epoch, lr_fast=config.lr_fast * decay,
                                       lr_slow=config.lr_slow * decay,

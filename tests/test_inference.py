@@ -92,6 +92,15 @@ def test_build_prototypes_rejects_empty_class():
         build_prototypes(feats, {"normal": [0, 1], "abnormal": []})
 
 
+@pytest.mark.parametrize("bad", [4, 9, -1])
+def test_build_prototypes_rejects_a_support_index_outside_the_batch(bad):
+    # 4 and 9 used to raise a bare IndexError; -1 silently picked the last row
+    feats = {2: Tensor(np.zeros((4, 5, D)))}
+    with pytest.raises(ContractError, match=rf"'abnormal': support index {bad} "
+                                            r"outside \[0, 4\) at layer 2"):
+        build_prototypes(feats, {"normal": [0, 1], "abnormal": [2, bad]})
+
+
 def test_proto_distance_matches_cosine_loop():
     rng = np.random.default_rng(9)
     idx = {"normal": [0, 1, 2], "abnormal": [3, 4, 5]}
@@ -317,6 +326,15 @@ def test_score_batch_rejects_taps_with_different_query_counts():
     model, protos, query = small_scoring_setup(rng, 3)
     query[4] = Tensor(query[4].data[:2])
     with pytest.raises(ShapeError, match=r"2: \(3,\), 4: \(2,\)"):
+        score_batch(model, query, [0, 1, 1], protos)
+
+
+def test_score_batch_names_a_missing_visual_tap():
+    # used to raise a bare KeyError: 4
+    rng = np.random.default_rng(18)
+    model, protos, query = small_scoring_setup(rng, 3)
+    del query[4]
+    with pytest.raises(ContractError, match=r"visual tap 4; got taps \[2\]"):
         score_batch(model, query, [0, 1, 1], protos)
 
 

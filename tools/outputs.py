@@ -6,11 +6,14 @@ Each step runs ``fsad.cli.main`` with ``--out DIR/<step>``, at
 ``episode.count=3``, 5 epochs and the benchmark learning rates; a step's
 own settings come last and win. ``ablate_rem`` runs ``episode.count=6``,
 so every structure trains as a stack of five plus a stack of one and the
-single-episode training path is covered too. The ``*_wide`` steps score
-392 queries per episode, so scoring crosses its block boundaries. The
-``*_recipe`` steps also set every ``episode.*``, ``adapt.*``, ``clsa.*``
-and ``infer.*`` key but ``episode.count`` and ``episode.k`` off its
-default, so a setting the library drops on its way changes an output.
+single-episode training path is covered too. ``ablate_ragged`` does the
+same at ``train.batch_size=3``: 8 support rows make mini-batches of 3, 3
+and 2, so ragged positions are covered in a stack of five and in a stack
+of one. The ``*_wide`` steps score 392 queries per episode, so scoring
+crosses its block boundaries. The ``*_recipe`` steps also set every
+``episode.*``, ``adapt.*``, ``clsa.*`` and ``infer.*`` key but
+``episode.count`` and ``episode.k`` off its default, so a setting the
+library drops on its way changes an output.
 The package is imported from this checkout's ``src``. Run the script from
 two checkouts with the same relative DIR and compare them with ``diff
 -r``: an empty diff means the change kept every output byte-equal,
@@ -52,6 +55,8 @@ def steps(root: str) -> list[tuple[str, list[str]]]:
         ("sweep", ["sweep", "--which", "all"]),
         ("ablate_k16", ["ablate", "--set", "episode.k=16"]),
         ("ablate_rem", ["ablate", "--set", "episode.count=6"]),
+        ("ablate_ragged", ["ablate", "--set", "episode.count=6",
+                           "--set", "train.batch_size=3"]),
         ("sweep_k16", ["sweep", "--which", "all", "--set", "episode.k=16"]),
         ("gradcheck", ["gradcheck"]),
         ("gradcheck_corrupt", ["gradcheck", "--corrupt"]),
