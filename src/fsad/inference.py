@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
-from .clsa import ClsaOutput, clsa_forward
 from .errors import CapacityError, ConfigError, ContractError, DomainError, ShapeError
 from .numcore import Tensor
 
-# Queries per block of score_batch. A 100-row block's largest buffer, the
-# t2v attention weights, is under 1 MB at the default width and so stays in
-# a 2 MB per-core L2 cache; the default episode (100 queries) is one block.
+# Images per alignment block (``model.align``). A 100-row block's largest
+# buffer, the t2v attention weights, is under 1 MB at the default width and
+# so stays in a 2 MB per-core L2 cache.
 SCORE_BLOCK = 100
 
 
@@ -151,68 +150,31 @@ class ScoreReport:
     lam: float
 
 
-def score_batch(model, visual_taps: dict[int, Tensor], labels,
-                protos: PrototypeSet, infer: InferSpec = InferSpec()) -> ScoreReport:
-    """Full dual-branch pass over one batch of frozen visual features.
+def score_batch(visual: dict[int, Tensor], sem_raw, labels, protos: PrototypeSet,
+                infer: InferSpec = InferSpec()) -> ScoreReport:
+    """Dual-branch scores of one batch of aligned images.
 
-    The text tower runs once; the queries then go through adaptation,
-    alignment and the raw branch scores in blocks of at most SCORE_BLOCK
-    along the leading axis, so each block's buffers stay cache-sized. Every
-    query meets the same arithmetic in any block, and both branches are
-    normalized over the whole batch, so the scores equal one pass over all
-    queries bit for bit. An unbatched [P, d] query is one block.
+    visual maps each visual tap to the batch's aligned patch rows [B, P, d],
+    in the model's tap order (the prototype distances sum the taps in dict
+    order); sem_raw holds the same B images' semantic scores.
+    ``model.align`` computes both. Both branches are normalized over the
+    whole batch, then blended.
     """
-    from .model import forward_text, forward_visual
-    missing = [layer for layer in model.spec.selected_visual
-               if layer not in visual_taps]
+    taps = {layer for per_layer in protos.vectors.values() for layer in per_layer}
+    missing = sorted(taps - set(visual))
     if missing:
-        raise ContractError(f"no query features for visual tap {missing[0]}; "
-                            f"got taps {sorted(visual_taps)}")
-    lead = {layer: visual_taps[layer].shape[:-2]
-            for layer in model.spec.selected_visual}
-    shapes = set(lead.values())
-    if len(shapes) > 1:
-        raise ShapeError(f"query counts differ across visual taps: {lead}")
-    (batch,) = shapes
-    n = batch[0] if batch else 1
-    raws = []
-    with nc.no_grad():
-        text, tau = forward_text(model), model.tau()
-        # an empty batch still runs one empty block, so that normalizing it
-        # raises the usual ContractError
-        for lo in range(0, max(n, 1), SCORE_BLOCK):
-            block = ({layer: Tensor(visual_taps[layer].data[lo:lo + SCORE_BLOCK])
-                      for layer in lead} if batch else visual_taps)
-            out = clsa_forward(model.pairs, forward_visual(model, block), text,
-                               model.clsa, model.strategy)
-            raws.append(_raw_scores(out, tau, protos))
-    return _report([np.concatenate(parts) for parts in zip(*raws)], labels, infer)
-
-
-def score_aligned(model, out: ClsaOutput, labels, protos: PrototypeSet,
-                  infer: InferSpec = InferSpec()) -> ScoreReport:
-    """Dual-branch scores of a batch whose forward pass has already run."""
-    with nc.no_grad():
-        raw = _raw_scores(out, model.tau(), protos)
-    return _report(raw, labels, infer)
-
-
-def _raw_scores(out: ClsaOutput, tau: Tensor,
-                protos: PrototypeSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per query: the semantic score and the distances to both prototypes."""
-    sem = semantic_scores(out.visual, out.class_vectors["abnormal"], tau)
-    return (np.atleast_1d(sem.data),
-            np.atleast_1d(proto_distance(out.visual, protos, "normal")),
-            np.atleast_1d(proto_distance(out.visual, protos, "abnormal")))
-
-
-def _report(raw, labels, infer: InferSpec) -> ScoreReport:
-    """Normalize and blend the raw scores of a whole batch."""
-    sem_raw, d_norm, d_abn = raw
+        raise ContractError(f"no aligned rows for visual tap {missing[0]}; "
+                            f"got taps {sorted(visual)}")
+    sem_raw = np.asarray(sem_raw, dtype=np.float64).reshape(-1)
+    counts = {layer: v.shape[:-2] for layer, v in visual.items()}
+    if set(counts.values()) != {sem_raw.shape}:
+        raise ShapeError(f"aligned rows per visual tap {counts} do not match "
+                         f"{sem_raw.size} semantic scores")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size != sem_raw.size:
         raise ContractError(f"{labels.size} labels for {sem_raw.size} queries")
-    proto_raw = proto_scores(d_norm, d_abn, infer.eps)
+    proto_raw = proto_scores(proto_distance(visual, protos, "normal"),
+                             proto_distance(visual, protos, "abnormal"), infer.eps)
     sem_norm = minmax_normalize(sem_raw)
     proto_norm = minmax_normalize(proto_raw)
     final = ensemble(sem_norm, proto_norm, infer.lam)

@@ -8,6 +8,10 @@ group (prompts, alignment, logit scale) and a slow group (adapters), and
 serializes exactly that mapping into a checkpoint file. Checkpoints store
 64-bit floats so a save/load cycle is bit-exact.
 
+A Model also keeps a private memo of its alignment over one feature store
+(``align``): under fixed parameters an image's aligned patch rows and its
+semantic score depend on the image alone, so each is computed once.
+
 A stacked Model holds E independent episodes: every learnable tensor and
 class embedding carries a leading episode axis shaped to broadcast against
 the activations it meets, so the ordinary forward code runs all E at once.
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +31,8 @@ from .adaptation import (AdaptationState, AdaptSpec, apply_text_adapter,
 from .backbone import BackboneSpec, ToyEncoder, encode_prompt, layer_map
 from .binio import ByteReader, ByteWriter
 from .clsa import ClsaOutput, ClsaSpec, ClsaState, clsa_forward, init_clsa
-from .errors import CompatError, ContractError
+from .errors import CompatError, ConfigError, ContractError
+from .inference import SCORE_BLOCK, semantic_scores
 from .numcore import Tensor
 
 CHECKPOINT_MAGIC = b"HAAP"
@@ -49,6 +54,8 @@ class Model:
     clsa: ClsaState
     rho: Tensor
     strategy: str
+    _memo: AlignMemo | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -132,7 +139,7 @@ def stack_models(models: list[Model]) -> Model:
         raise ContractError("stacked models must share strategy, taps, "
                             "parameter shapes and learnable set")
     shared = {id(obj): obj for obj in (first.spec, first.text_enc)}
-    stacked = copy.deepcopy(first, shared)
+    stacked = copy.deepcopy(replace(first), shared)  # replace drops the memo
     per_model = [_episode_tensors(m) for m in models]
     for name, t in _episode_tensors(stacked).items():
         t.data = np.stack([tensors[name].data for tensors in per_model]).reshape(
@@ -184,6 +191,73 @@ def forward(model: Model, visual_taps: dict[int, Tensor]) -> ClsaOutput:
     adapted_t = forward_text(model)
     return clsa_forward(model.pairs, adapted_v, adapted_t, model.clsa,
                         model.strategy)
+
+
+# ---------------------------------------------------------------------------
+# alignment memo
+
+@dataclass
+class AlignMemo:
+    """A model's aligned patch rows and semantic scores over one feature
+    store: row i belongs to the store's image i and holds data once
+    ``filled[i]`` is set. ``store`` and ``key`` say what the rows were
+    computed from."""
+
+    store: object
+    key: bytes
+    visual: dict[int, np.ndarray]  # tap -> [N, P, d], in selected_visual order
+    sem: np.ndarray  # [N]
+    filled: np.ndarray  # [N] bool
+
+
+def _memo_key(model: Model) -> bytes:
+    """Digest of the values an image's alignment depends on besides the
+    image and the model's fixed structure and frozen text tower."""
+    h = hashlib.sha256()
+    for t in _episode_tensors(model).values():
+        h.update(np.ascontiguousarray(t.data))
+    return h.digest()
+
+
+def align(model: Model, store, ids) -> AlignMemo:
+    """The model's memo over ``store`` (a ``runner.FeatureStore``) with
+    the images ``ids`` aligned.
+
+    Images not in the memo yet run through ``forward`` in blocks of at most
+    ``SCORE_BLOCK``, each block written straight into the memo. The memo
+    starts empty for a store it was not filled from, and after any change
+    to an episode tensor (training, ``apply_checkpoint``, an in-place
+    edit). An image's rows do not depend on the other images in its block
+    (README "Numerics contract"), so they equal a pass over the image alone.
+    """
+    key = _memo_key(model)
+    memo = model._memo
+    if memo is None or memo.store is not store or memo.key != key:
+        taps = model.spec.selected_visual
+        missing = [t for t in taps if t not in store.feats]
+        if missing:
+            raise ConfigError(f"taps {missing} not present in feature store "
+                              f"(has {sorted(store.feats)})")
+        n = store.labels.size
+        memo = model._memo = AlignMemo(
+            store=store, key=key,
+            visual={t: np.empty((n,) + store.feats[t].shape[1:]) for t in taps},
+            sem=np.empty(n), filled=np.zeros(n, dtype=bool))
+    ids = np.asarray(ids, dtype=np.int64)
+    todo = ids[~memo.filled[ids]]
+    with nc.no_grad():
+        tau = model.tau()
+        for lo in range(0, todo.size, SCORE_BLOCK):
+            block = todo[lo:lo + SCORE_BLOCK]
+            out = forward(model, {t: Tensor(store.feats[t][block])
+                                  for t in memo.visual})
+            for t, rows in memo.visual.items():
+                rows[block] = out.visual[t].data
+            memo.sem[block] = semantic_scores(
+                out.visual, out.class_vectors["abnormal"], tau).data
+            memo.filled[block] = True
+            del out  # its refined text would stay alive through the next block
+    return memo
 
 
 # ---------------------------------------------------------------------------

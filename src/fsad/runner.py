@@ -1,7 +1,9 @@
 """Benchmark orchestration: cached features, episode runs, grids, sweeps.
 
 Frozen visual features are encoded once per corpus and sliced per episode
-and per tap subset, so ablation grids never re-run the image tower. Grid
+and per tap subset, so ablation grids never re-run the image tower; a
+model aligns each image once while its parameters stay fixed
+(``model.align``), so evaluation episodes share alignments. Grid
 cells share trained models wherever only the evaluation side differs (for
 example the dual-branch and semantic-only readings of one training run).
 Each grid or sweep call is one plan of ``RunSpec`` values (``run_plan``):
@@ -22,9 +24,8 @@ from .config import RunConfig
 from .errors import ConfigError
 from .evalmetrics import (MetricReport, auc, average_precision, compute_report,
                           threshold_from_support)
-from .inference import (ScoreReport, build_prototypes, ensemble, score_aligned,
-                        score_batch)
-from .model import (Model, forward, init_model, named_parameters,
+from .inference import ScoreReport, build_prototypes, ensemble, score_batch
+from .model import (Model, align, init_model, named_parameters,
                     parameter_groups, stack_models, unstack_model)
 from .numcore import GradTape, Tensor, backward
 from .synthdata import Episode, EpisodeSpec, Sample, sample_episode
@@ -129,19 +130,17 @@ def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     ep = _sample(episode, dataset, index)
     if model is None:
         model = model_from_config(cfg, RunSpec(index))
-    sup = take(store, model.spec.selected_visual, ep.support_ids)
-    qry = take(store, model.spec.selected_visual, ep.query_ids)
     ysup = store.labels[ep.support_ids]
     yq = store.labels[ep.query_ids]
-    trace = train_episode(model, sup, ysup, cfg.train_config()) if train else []
-    sup_t = {l: Tensor(a) for l, a in sup.items()}
-    with nc.no_grad():
-        sup_out = forward(model, sup_t)
-        protos = build_prototypes(sup_out.visual,
-                                  {"normal": ep.idx_norm, "abnormal": ep.idx_abn})
-    qry_t = {l: Tensor(a) for l, a in qry.items()}
-    report = score_batch(model, qry_t, yq, protos, infer)
-    sup_report = score_aligned(model, sup_out, ysup, protos, infer)
+    trace = (train_episode(model, take(store, model.spec.selected_visual,
+                                       ep.support_ids), ysup, cfg.train_config())
+             if train else [])
+    memo = align(model, store, ep.support_ids + ep.query_ids)
+    sup = {t: Tensor(rows[ep.support_ids]) for t, rows in memo.visual.items()}
+    qry = {t: Tensor(rows[ep.query_ids]) for t, rows in memo.visual.items()}
+    protos = build_prototypes(sup, {"normal": ep.idx_norm, "abnormal": ep.idx_abn})
+    report = score_batch(qry, memo.sem[ep.query_ids], yq, protos, infer)
+    sup_report = score_batch(sup, memo.sem[ep.support_ids], ysup, protos, infer)
     thr = threshold_from_support(sup_report.final, ysup)
     metrics = compute_report(report.final, yq, thr)
     return EpisodeRun(index=index, episode_seed=episode.seed + index,
@@ -160,7 +159,8 @@ def run_plan(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     Same-structure specs run together, up to ``MAX_STACK`` episodes at a
     time; a trained group of two or more shares one tape, and
     ``run_episode`` trains a group of one. Each run is read as soon as it
-    is scored, so one stack of models is alive at a time.
+    is scored and then dropped, so one stack of models is alive at a time
+    and one alignment memo (``model.align``) at most.
     """
     tcfg, episode = cfg.train_config(), cfg.section("episode")
     groups: dict[RunSpec, list[int]] = {}
@@ -182,11 +182,12 @@ def run_plan(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
                          for layer in sups[0]}
                 traces = train_episode(stacked, feats, np.stack(labels), tcfg)
                 unstack_model(stacked, models)
-            for pos, model, trace in zip(stack, models, traces):
+            for pos, trace in zip(stack, traces):
                 run = run_episode(cfg, store, dataset, specs[pos].index,
                                   train=structure.train and trace is None,
-                                  model=model)
+                                  model=models.pop(0))
                 out[pos] = read(run if trace is None else replace(run, trace=trace))
+                del run  # drops the model and its alignment memo
     return out
 
 

@@ -5,15 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fsad import model as fmodel
 from fsad import numcore as nc
 from fsad import runner
 from fsad.config import RunConfig
 from fsad.errors import ConfigError
 from fsad.evalmetrics import auc
 from fsad.inference import build_prototypes, proto_distance
-from fsad.model import forward, named_parameters, state_checksum
-from fsad.runner import (BETA_POINTS, LAMBDA_POINTS, RunSpec, beta_sweep,
-                         build_feature_store, eval_at_lambda, gradcheck_all,
+from fsad.model import (apply_checkpoint, forward, named_parameters,
+                        save_checkpoint, stack_models, state_checksum)
+from fsad.runner import (BETA_POINTS, LAMBDA_POINTS, FeatureStore, RunSpec,
+                         beta_sweep, build_feature_store, eval_at_lambda, gradcheck_all,
                          gradcheck_episode, gradcheck_ops, lambda_sweep,
                          model_from_config, run_episode, run_plan,
                          stage_grid, stage_specs, strategy_grid, take)
@@ -150,6 +152,102 @@ def test_run_episode_deterministic(world):
     assert a.metrics == b.metrics
     np.testing.assert_array_equal(a.report.final, b.report.final)
     assert state_checksum(a.model) == state_checksum(b.model)
+
+
+# ---------------------------------------------------------------------------
+# alignment memo
+
+def counted_alignment(monkeypatch):
+    """Counts of text-tower runs and CLSA calls, and the images CLSA saw."""
+    calls = {"text": 0, "clsa": 0, "images": 0}
+    forward_text, clsa_forward = fmodel.forward_text, fmodel.clsa_forward
+
+    def text(*args):
+        calls["text"] += 1
+        return forward_text(*args)
+
+    def clsa(pairs, visual, *rest):
+        calls["clsa"] += 1
+        calls["images"] += next(iter(visual.values())).shape[0]
+        return clsa_forward(pairs, visual, *rest)
+
+    monkeypatch.setattr(fmodel, "forward_text", text)
+    monkeypatch.setattr(fmodel, "clsa_forward", clsa)
+    return calls
+
+
+def copy_of(cfg, model):
+    """A fresh model (empty memo) with ``model``'s parameter values."""
+    fresh = model_from_config(cfg)
+    source = named_parameters(model)
+    for name, p in named_parameters(fresh).items():
+        p.data = source[name].data.copy()
+    return fresh
+
+
+def assert_same_scores(got, want):
+    for name in ("sem_raw", "proto_raw", "final"):
+        assert np.array_equal(getattr(got.report, name), getattr(want.report, name))
+        assert np.array_equal(getattr(got.support_report, name),
+                              getattr(want.support_report, name))
+    assert got.metrics == want.metrics
+
+
+def test_memo_aligns_only_images_not_yet_aligned(world, monkeypatch):
+    cfg, store, dataset = world
+    model = model_from_config(cfg)
+    calls = counted_alignment(monkeypatch)
+    seen: set[int] = set()
+    for index, new_images in ((0, 10), (1, None), (0, 0), (1, 0)):
+        run = run_episode(cfg, store, dataset, index, train=False, model=model)
+        ids = set(run.episode.support_ids + run.episode.query_ids)
+        new = len(ids - seen)
+        if new_images is None:  # the second episode overlaps the first
+            assert 0 < new < len(ids)
+        else:
+            assert new == new_images
+        assert calls == {"text": int(new > 0), "clsa": int(new > 0), "images": new}
+        assert_same_scores(run, run_episode(cfg, store, dataset, index,
+                                            train=False, model=copy_of(cfg, model)))
+        seen |= ids
+        calls.update(text=0, clsa=0, images=0)
+
+
+def test_memo_resets_when_parameters_or_store_change(world, tmp_path):
+    cfg, store, dataset = world
+    model = model_from_config(cfg)
+    save_checkpoint(run_episode(cfg, store, dataset, 2).model, str(tmp_path / "m.ckpt"))
+    scaled = FeatureStore(feats={t: 1.5 * a for t, a in store.feats.items()},
+                          labels=store.labels)
+
+    def edit_in_place():
+        named_parameters(model)["clsa.beta_v"].data[...] = 0.5
+        named_parameters(model)["rav.2.up"].data += 0.1
+
+    changes = [(lambda: None, store, False),
+               (edit_in_place, store, False),
+               (lambda: apply_checkpoint(model, str(tmp_path / "m.ckpt")), store,
+                False),
+               (lambda: None, scaled, False),
+               (lambda: None, store, True)]  # train on top of the checkpoint
+    before = None
+    for change, features, train in changes:
+        change()
+        want_model = copy_of(cfg, model)
+        got = run_episode(cfg, features, dataset, 1, train=train, model=model)
+        want = run_episode(cfg, features, dataset, 1, train=train, model=want_model)
+        assert_same_scores(got, want)
+        if before is not None:  # each change moves the scores
+            assert not np.array_equal(got.report.sem_raw, before.report.sem_raw)
+        before = got
+
+
+def test_stacking_a_scored_model_copies_no_memo(world):
+    cfg, store, dataset = world
+    scored = run_episode(cfg, store, dataset, 0, train=False).model
+    stacked = stack_models([scored, model_from_config(cfg, RunSpec(1))])
+    assert stacked._memo is None
+    assert scored._memo.store is store
 
 
 def test_eval_at_lambda_endpoints(world):
