@@ -1,8 +1,8 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Operations record onto the innermost active :class:`GradTape` whenever any
-input requires a gradient; :func:`backward` replays the tape in exact reverse
-execution order, accumulating (never overwriting) into ``grad`` buffers.
+input requires a gradient; :func:`backward` walks the tape's compiled
+:class:`Schedule` in exact reverse order, accumulating into ``grad`` buffers.
 Everything runs in 64-bit precision so finite-difference checks are decisive.
 
 Each differentiable op is one array-level kernel pair: a forward that
@@ -175,53 +175,11 @@ def _reduce(g: Array, plan) -> Array:
     return g.reshape(shape)
 
 
-def _check_scalar(loss: Tensor) -> None:
-    if loss.data.size != 1:
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-
-
-def backward(loss: Tensor, tape: GradTape) -> None:
-    """Populate grad buffers of every requires_grad leaf reachable from loss.
-
-    A leaf is a tensor that no node on this tape produced; intermediates
-    keep ``grad=None``, and each one's gradient is dropped as soon as its
-    producing node has used it. The tape is replayed in exact reverse
-    execution order; contributions from multiple uses of the same tensor
-    are added, never overwritten. Nothing writes into a gradient array in
-    place, so a first contribution is kept as is, even when it is a view
-    shared with another input's gradient.
-    """
-    _check_scalar(loss)
-    grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-    for node in reversed(tape.nodes):
-        out_grad = grads.pop(id(node.output), None)
-        if out_grad is None:
-            continue
-        kernel = node.kernel
-        for tensor, need, g in zip(node.inputs, node.needs,
-                                   kernel.backward(node.ctx, out_grad, node.needs)):
-            if g is None or not need:
-                continue
-            if kernel.core is not None:
-                g = _reduce(g, _reduce_plan(g.shape, tensor.shape))
-            key = id(tensor)
-            if key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = np.asarray(g)
-                holders[key] = tensor
-    for key, g in grads.items():
-        t = holders[key]
-        if t.requires_grad:
-            t.grad = g if t.grad is None else t.grad + g
-
-
 # ---------------------------------------------------------------------------
 # compiled steps
 
 class Schedule:
-    """A recorded training step compiled into a flat list of kernel calls.
+    """A recorded step compiled into a flat list of kernel calls.
 
     Each tape node becomes one entry: its kernel pair, static arguments,
     input slots, output slot and ``needs``. Requires-grad leaves (the
@@ -233,15 +191,15 @@ class Schedule:
     changes between runs.
 
     :meth:`forward` runs the entries in recorded order and returns the
-    watched tensor's value; :meth:`backward` then walks them in reverse
-    with gradients in a slot-indexed list, seeded, summed back over
-    broadcast axes and accumulated exactly as :func:`backward` does, and
-    adds each leaf's gradient into its ``grad``. The broadcast sums are
-    planned once from the recorded shapes.
+    watched tensor's value; :meth:`backward` then runs the reverse walk on
+    that forward's context. :func:`backward` runs the same walk on the
+    context a tape recorded, so eager and replayed steps differentiate
+    alike. The broadcast sums are planned once from the recorded shapes.
     """
 
     def __init__(self, tape: GradTape, loss: Tensor, watch: Tensor):
-        _check_scalar(loss)
+        if loss.data.size != 1:
+            raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         slots: dict[int, int] = {}
         self._init: list[Array | None] = []
         self._params: list[tuple[int, Tensor]] = []
@@ -301,6 +259,14 @@ class Schedule:
         if self._ctxs is None:
             raise ContractError("Schedule.backward needs a forward first")
         ctxs, self._ctxs = self._ctxs, None
+        self._walk(ctxs)
+
+    def _walk(self, ctxs: list) -> None:
+        """Run the entries' backwards in reverse on their contexts ``ctxs``
+        and add each leaf's gradient into its ``grad``. A slot's gradient is
+        dropped once its producing entry has used it; several uses add up in
+        walk order, and nothing writes into a gradient array in place, so a
+        first contribution may stay a view shared with another gradient."""
         grads: list[Array | None] = [None] * len(self._init)
         grads[self._loss] = np.ones(self._loss_shape)
         for (bwd, out, needs, targets), ctx in zip(reversed(self._backward),
@@ -322,6 +288,16 @@ class Schedule:
             g = grads[i]
             if g is not None:
                 t.grad = g if t.grad is None else t.grad + g
+
+
+def backward(loss: Tensor, tape: GradTape) -> None:
+    """Populate grad buffers of every requires_grad leaf reachable from loss.
+
+    A leaf is a tensor that no node on this tape produced; intermediates
+    keep ``grad=None``. The tape is compiled into a :class:`Schedule`,
+    whose reverse walk runs on the contexts the tape's nodes recorded.
+    """
+    Schedule(tape, loss, loss)._walk([node.ctx for node in tape.nodes])
 
 
 def _shape_error(op: str, a: Tensor, b: Tensor) -> ShapeError:
@@ -426,6 +402,8 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def mean_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+    if not -x.ndim <= axis < x.ndim:
+        raise ShapeError(f"mean_axis: axis {axis} out of range for shape {x.shape}")
     return _apply(_MEAN_AXIS, (x,), (axis, keepdims))
 
 
@@ -515,7 +493,10 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return _apply(_RESHAPE, (x,), (shape,))
+    try:
+        return _apply(_RESHAPE, (x,), (shape,))
+    except ValueError:
+        raise ShapeError(f"reshape: cannot reshape {x.shape} to {shape}") from None
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -529,6 +510,11 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Slice ``length`` entries from ``start`` along one axis."""
+    if not -x.ndim <= axis < x.ndim:
+        raise ShapeError(f"narrow: axis {axis} out of range for shape {x.shape}")
+    if not 0 <= start <= start + length <= x.shape[axis]:
+        raise ShapeError(f"narrow: entries [{start}, {start + length}) out of range "
+                         f"on axis {axis} of shape {x.shape}")
     idx = [slice(None)] * x.ndim
     idx[axis] = slice(start, start + length)
     return _apply(_NARROW, (x,), (tuple(idx),))
@@ -665,6 +651,8 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def layernorm_rows(x: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalise the last axis to zero mean / unit variance (no affine)."""
+    if x.ndim < 1:
+        raise ShapeError(f"layernorm_rows needs rows of at least 1-d, got {x.shape}")
     return _apply(_LAYERNORM_ROWS, (x,), (eps,))
 
 
@@ -676,6 +664,8 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     """
     if b.ndim != 1:
         raise ShapeError(f"cosine_rows reference must be 1-d, got {b.shape}")
+    if a.ndim < 1:
+        raise ShapeError(f"cosine_rows needs rows of at least 1-d, got {a.shape}")
     if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"cosine_rows width mismatch: {a.shape} vs {b.shape}")
     return _apply(_COSINE_ROWS, (a, b))
@@ -735,6 +725,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     ``heads`` equal slices. Leading axes broadcast between q and k/v, which
     lets one query set attend over a batch of key sets (and vice versa).
     """
+    if min(q.ndim, k.ndim, v.ndim) < 2:
+        raise ShapeError(f"attention needs >=2-d q, k and v, got {q.shape}, "
+                         f"{k.shape} and {v.shape}")
+    if heads < 1:
+        raise ShapeError(f"attention needs at least one head, got {heads}")
     d = q.shape[-1]
     if d % heads != 0:
         raise ShapeError(f"width {d} not divisible by {heads} heads")
@@ -752,7 +747,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
 def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, h: float = 1e-5) -> Array:
     """Central-difference gradient of scalar ``f`` at ``x``, coordinate by coordinate."""
-    if h <= 0:
+    if not h > 0:
         raise DomainError(f"finite difference step must be positive, got {h}")
     base = np.array(x.data, dtype=np.float64, copy=True)
     grad = np.zeros_like(base)

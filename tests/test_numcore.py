@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from fsad import numcore as nc
+from fsad import runner
 from fsad.errors import ContractError, DomainError, ShapeError
 from fsad.numcore import GradTape, Tensor, backward, finite_diff_grad
+from reference_backward import reference_backward
 
 
 def _rel_err(a, b, floor=1e-8):
@@ -134,6 +136,11 @@ def test_finite_diff_rejects_bad_step():
         finite_diff_grad(lambda t: 0.0, Tensor([1.0]), h=0.0)
 
 
+def test_finite_diff_rejects_nan_step():
+    with pytest.raises(DomainError):
+        finite_diff_grad(lambda t: 0.0, Tensor([1.0]), h=float("nan"))
+
+
 def test_backward_rejects_nonscalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with GradTape() as tape:
@@ -190,6 +197,42 @@ def test_backward_drops_each_gradient_once_used():
         want = want * c
     np.testing.assert_array_equal(x.grad, want)
     assert y.grad is None
+
+
+def _tape_tensors(loss, tape):
+    found = {id(loss): loss}
+    for node in tape.nodes:
+        for t in (*node.inputs, node.output):
+            found[id(t)] = t
+    return list(found.values())
+
+
+def test_backward_matches_the_reference_walk_on_every_gradcheck_case(monkeypatch):
+    """numcore.backward equals the test-local reverse walk bit for bit, grads
+    and ``grad is None`` alike, on every tape that gradcheck_ops
+    differentiates: batched matmul and attention broadcasts, double use,
+    frozen inputs."""
+    compared = []
+
+    def both(loss, tape):
+        tensors = _tape_tensors(loss, tape)
+        before = [t.grad for t in tensors]
+        reference_backward(loss, tape)
+        want = [t.grad for t in tensors]
+        for t, g in zip(tensors, before):
+            t.grad = g
+        backward(loss, tape)
+        for t, w in zip(tensors, want):
+            assert (t.grad is None) == (w is None)
+            if w is not None:
+                assert t.grad.shape == w.shape and t.grad.dtype == w.dtype
+                assert t.grad.tobytes() == w.tobytes()
+        compared.append(sum(w is not None for w in want))
+
+    monkeypatch.setattr(runner, "backward", both)
+    rows = runner.gradcheck_ops()
+    assert len(compared) == len(rows) and all(compared)
+    assert all(row.ok for row in rows)
 
 
 def test_no_grad_suppresses_recording():
@@ -435,6 +478,32 @@ def _ones(*shape):
 def test_leading_axis_mismatch_raises_shape_error(name, call):
     with pytest.raises(ShapeError, match=name):
         call()
+
+
+@pytest.mark.parametrize("name,call", [
+    ("narrow", lambda: nc.narrow(_ones(3, 4), 0, 2, 5)),
+    ("narrow", lambda: nc.narrow(_ones(3, 4), 0, -1, 2)),
+    ("narrow", lambda: nc.narrow(_ones(3, 4), 0, 2, -1)),
+    ("narrow", lambda: nc.narrow(_ones(3, 4), 2, 0, 1)),
+    ("reshape", lambda: nc.reshape(_ones(3, 4), (5,))),
+    ("mean_axis", lambda: nc.mean_axis(_ones(3, 4), 2)),
+    ("attention", lambda: nc.attention(_ones(4, 8), _ones(4, 8), _ones(4, 8), 0)),
+    ("attention", lambda: nc.attention(_ones(4, 8), _ones(8), _ones(8), 2)),
+    ("cosine_rows", lambda: nc.cosine_rows(Tensor(1.0), _ones(4))),
+    ("layernorm_rows", lambda: nc.layernorm_rows(Tensor(1.0))),
+], ids=["narrow_past_end", "narrow_negative_start", "narrow_negative_length",
+        "narrow_axis", "reshape_size", "mean_axis_axis", "attention_no_heads",
+        "attention_1d_kv", "cosine_rows_0d", "layernorm_rows_0d"])
+def test_out_of_range_arguments_raise_shape_error(name, call):
+    with pytest.raises(ShapeError, match=name):
+        call()
+
+
+def test_narrow_takes_every_in_range_slice():
+    x = Tensor(np.arange(12.0).reshape(3, 4))
+    assert nc.narrow(x, 0, 0, 3).shape == (3, 4)
+    assert nc.narrow(x, 0, 3, 0).shape == (0, 4)
+    np.testing.assert_array_equal(nc.narrow(x, -1, 1, 2).data, x.data[:, 1:3])
 
 
 def test_sum_last_on_a_vector_is_sum_all_bit_for_bit():

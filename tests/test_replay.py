@@ -2,8 +2,10 @@
 eager reference loop bit for bit, divergence included.
 
 The reference below is the training loop written out with the public API
-only (GradTape, training_scores, bce_loss, backward, AdamW, cosine_lr): it
-records and differentiates a fresh tape at every step of every epoch.
+(GradTape, training_scores, bce_loss, AdamW, cosine_lr): it records a fresh
+tape at every step of every epoch and differentiates it with the test-local
+reverse walk of ``reference_backward``, so replay is checked against a
+second walk, not against the one it runs.
 """
 
 import numpy as np
@@ -17,9 +19,10 @@ from fsad.errors import ContractError, NumericError
 from fsad.model import (FAST_GROUP, init_model, named_parameters,
                         parameter_groups, stack_models, stack_size,
                         state_checksum)
-from fsad.numcore import GradTape, Tensor, backward
+from fsad.numcore import GradTape, Tensor
 from fsad.training import (AdamW, TraceRow, TrainConfig, bce_loss, cosine_lr,
                            train_episode, training_scores)
+from reference_backward import reference_backward
 
 D = 16
 TAPS = (2, 4)
@@ -69,7 +72,7 @@ def reference_train(model, feats, labels, config):
                     raise NumericError(divergence_message(model, loss.data, epoch,
                                                           stacked))
                 opt.zero_grad()
-                backward(objective, tape)
+                reference_backward(objective, tape)
                 opt.step(lrs)
                 total += loss.data * (hi - lo)
             for trace, value in zip(traces, np.reshape(total / n, -1)):
@@ -189,7 +192,7 @@ def test_schedule_replays_a_tape_on_updated_parameters():
     schedule.backward()
     tape, loss, out = step()
     replay_grad, w.grad = w.grad, None
-    backward(loss, tape)
+    reference_backward(loss, tape)
     assert np.array_equal(got, out.data)
     assert np.array_equal(replay_grad, w.grad)
 
