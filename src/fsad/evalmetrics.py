@@ -8,6 +8,8 @@ descending-score groups with ties collapsed into one group.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +33,12 @@ class MetricReport:
 
 
 def _as_binary(scores, labels, who: str):
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    try:
+        if np.iscomplexobj(scores):  # a cast would drop the imaginary parts
+            raise TypeError("complex scores")
+        s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise MetricError(f"{who}: scores must be real numbers: {exc}") from None
     y = np.asarray(labels).reshape(-1)
     if s.shape != y.shape:
         raise MetricError(f"{who}: {s.size} scores vs {y.size} labels")
@@ -39,57 +46,70 @@ def _as_binary(scores, labels, who: str):
         raise MetricError(f"{who}: empty input")
     bad = np.count_nonzero(~np.isfinite(s))
     if bad:
-        # a NaN never equals itself, so the tie-group scans would not advance
+        # a NaN sorts last and ties with nothing, so it would rank as the top score
         raise MetricError(f"{who}: {bad} non-finite scores")
-    if not np.isin(y, (0, 1)).all():
+    # accepts and rejects what np.isin(y, (0, 1)) does, in a fraction of its time
+    if not ((y == 0) | (y == 1)).all():
         raise MetricError(f"{who}: labels must be 0 or 1")
-    return s, y.astype(np.int64)
+    return s, y.astype(np.int64, copy=False)
 
 
-def _tie_groups(ss: np.ndarray):
-    """(start, stop) of each run of equal values in sorted scores."""
-    i, n = 0, ss.size
-    while i < n:
-        j = i
-        while j < n and ss[j] == ss[i]:
-            j += 1
-        yield i, j
-        i = j
+def _as_threshold(threshold, who: str) -> float:
+    try:
+        t = float(threshold) if isinstance(threshold, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        t = math.inf
+    if not math.isfinite(t):
+        raise MetricError(f"{who}: threshold must be a finite real number, "
+                          f"got {threshold!r}")
+    return t
 
 
-def auc(scores, labels) -> float:
-    """Probability a random positive outscores a random negative (ties half)."""
-    s, y = _as_binary(scores, labels, "auc")
+def _tie_groups(ss: np.ndarray, ys: np.ndarray):
+    """(start, stop, positives) arrays, one entry per run of equal values
+    in sorted scores ``ss``; ``ys`` holds the labels in the same order."""
+    cuts = np.flatnonzero(ss[1:] != ss[:-1]) + 1
+    starts = np.concatenate(([0], cuts))
+    stops = np.concatenate((cuts, [ss.size]))
+    return starts, stops, np.add.reduceat(ys, starts)
+
+
+def auc(scores, labels, *, _checked: bool = False) -> float:
+    """Probability a random positive outscores a random negative (ties half).
+
+    ``_checked``: the inputs are ``_as_binary``'s output (``compute_report``).
+    """
+    s, y = (scores, labels) if _checked else _as_binary(scores, labels, "auc")
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricError("auc undefined: only one class present")
     order = np.argsort(s, kind="stable")
-    ss, ys = s[order], y[order]
+    starts, stops, pos = _tie_groups(s[order], y[order])
     # doubled rank sum over positives: a tied block spanning sorted slots
     # [i, j) contributes (i+1 + j) per member, an integer
-    double_rank_pos = sum((i + 1 + j) * int(ys[i:j].sum())
-                          for i, j in _tie_groups(ss))
+    double_rank_pos = int(((starts + 1 + stops) * pos).sum())
     double_u = double_rank_pos - n_pos * (n_pos + 1)
     return double_u / (2 * n_pos * n_neg)
 
 
-def average_precision(scores, labels) -> float:
-    """Step-interpolated area under precision-recall, tie groups collapsed."""
-    s, y = _as_binary(scores, labels, "average_precision")
+def average_precision(scores, labels, *, _checked: bool = False) -> float:
+    """Step-interpolated area under precision-recall, tie groups collapsed.
+
+    ``_checked``: the inputs are ``_as_binary``'s output (``compute_report``).
+    """
+    s, y = ((scores, labels) if _checked
+            else _as_binary(scores, labels, "average_precision"))
     n_pos = int(y.sum())
     if n_pos == 0:
         raise MetricError("average_precision undefined: no positives")
     order = np.argsort(-s, kind="stable")
-    ss, ys = s[order], y[order]
-    ap = 0.0
-    tp_prev = 0
-    for i, j in _tie_groups(ss):
-        tp = tp_prev + int(ys[i:j].sum())
-        if tp > tp_prev:
-            ap += (tp - tp_prev) / n_pos * (tp / j)
-        tp_prev = tp
-    return ap
+    _, stops, pos = _tie_groups(s[order], y[order])
+    tp = np.cumsum(pos)
+    # a group without positives adds an exact 0.0; the running sum goes
+    # left to right, as a loop over the groups would add
+    terms = pos / n_pos * (tp / stops)
+    return float(np.add.accumulate(terms)[-1])
 
 
 def _confusion(scores: np.ndarray, labels: np.ndarray, threshold: float):
@@ -118,22 +138,29 @@ def threshold_from_support(scores, labels) -> float:
     s, y = _as_binary(scores, labels, "threshold_from_support")
     if y.min() == y.max():
         raise CapacityError("support must contain both classes to fit a threshold")
-    distinct = np.unique(s)
+    order = np.argsort(s, kind="stable")
+    ss, ys = s[order], y[order]
+    distinct = ss[np.concatenate(([True], ss[1:] != ss[:-1]))]
     if distinct.size == 1:
         return 0.5
     mids = (distinct[:-1] + distinct[1:]) / 2.0
-    best_t, best_f1 = None, -1.0
-    for t in mids:
-        tp, fp, _, fn = _confusion(s, y, float(t))
-        f1 = _f1_from_counts(tp, fp, fn)
-        if f1 > best_f1:
-            best_t, best_f1 = float(t), f1
-    return best_t
+    # a candidate predicts abnormal for exactly the scores >= it; both
+    # classes are present, so every F1 denominator is positive
+    below = np.searchsorted(ss, mids, side="left")
+    n_pos = int(ys.sum())
+    tp = n_pos - np.append(0, np.cumsum(ys))[below]
+    fp = (s.size - below) - tp
+    f1 = 2 * tp / (2 * tp + fp + (n_pos - tp))
+    return float(mids[np.argmax(f1)])  # argmax: the first, lowest, best
 
 
 def thresholded_metrics(scores, labels, threshold: float):
     """(f1, acc, (tp, fp, tn, fn)) for predictions score >= threshold."""
     s, y = _as_binary(scores, labels, "thresholded_metrics")
+    return _thresholded(s, y, _as_threshold(threshold, "thresholded_metrics"))
+
+
+def _thresholded(s: np.ndarray, y: np.ndarray, threshold: float):
     tp, fp, tn, fn = _confusion(s, y, threshold)
     f1 = _f1_from_counts(tp, fp, fn)
     acc = (tp + tn) / s.size
@@ -142,7 +169,10 @@ def thresholded_metrics(scores, labels, threshold: float):
 
 def compute_report(scores, labels, threshold: float) -> MetricReport:
     """Bundle ranking metrics and thresholded metrics for one batch."""
-    f1, acc, (tp, fp, tn, fn) = thresholded_metrics(scores, labels, threshold)
-    return MetricReport(auc=auc(scores, labels), ap=average_precision(scores, labels),
-                        f1=f1, acc=acc, threshold=float(threshold),
+    s, y = _as_binary(scores, labels, "compute_report")
+    threshold = _as_threshold(threshold, "compute_report")
+    f1, acc, (tp, fp, tn, fn) = _thresholded(s, y, threshold)
+    return MetricReport(auc=auc(s, y, _checked=True),
+                        ap=average_precision(s, y, _checked=True),
+                        f1=f1, acc=acc, threshold=threshold,
                         tp=tp, fp=fp, tn=tn, fn=fn)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
-from .errors import CapacityError, ConfigError, ContractError, DomainError, ShapeError
+from .errors import (CapacityError, ConfigError, ContractError, DomainError,
+                     NumericError, ShapeError)
 from .numcore import Tensor
 
 # Images per alignment block (``model.align``). A 100-row block's largest
@@ -33,7 +34,7 @@ class InferSpec:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"infer.lam must lie in [0, 1], got {self.lam}")
-        if self.eps <= 0:
+        if not self.eps > 0:  # NaN fails this test too
             raise ConfigError(f"infer.eps must be positive, got {self.eps}")
 
 
@@ -56,6 +57,24 @@ def semantic_scores(visual: dict[int, Tensor], t_abn: Tensor, tau: Tensor) -> Te
     return nc.scale(total, 1.0 / len(visual))
 
 
+@dataclass(frozen=True)
+class Aligned:
+    """A batch of B aligned images, ready to score: per visual tap, their
+    patch rows [B, P, d] and those rows' norms [B, P] (``row_norms``), in
+    the model's tap order, and their semantic scores [B]. ``model.align``
+    memoizes all three."""
+
+    visual: dict[int, np.ndarray]
+    norms: dict[int, np.ndarray]
+    sem: np.ndarray
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Norms over the last axis floored at ``NORM_FLOOR``: the row norms
+    ``nc.cosine_rows`` divides by, bit for bit."""
+    return np.maximum(np.linalg.norm(rows, axis=-1), nc.NORM_FLOOR)
+
+
 @dataclass
 class PrototypeSet:
     """Per class, per visual layer, the mean of support patch means."""
@@ -63,7 +82,7 @@ class PrototypeSet:
     vectors: dict[str, dict[int, np.ndarray]] = field(default_factory=dict)
 
 
-def build_prototypes(support_visual: dict[int, Tensor],
+def build_prototypes(support_visual: dict[int, np.ndarray],
                      index_sets: dict[str, list[int]]) -> PrototypeSet:
     """Aggregate aligned support features: class mean of per-image patch means.
 
@@ -83,24 +102,25 @@ def build_prototypes(support_visual: dict[int, Tensor],
     for cls, idx in index_sets.items():
         per_layer = {}
         for layer, v in support_visual.items():
-            patch_means = v.data.mean(axis=-2)
+            patch_means = v.mean(axis=-2)
             per_layer[layer] = patch_means[idx].mean(axis=0)
         protos.vectors[cls] = per_layer
     return protos
 
 
-def proto_distance(query_visual: dict[int, Tensor], protos: PrototypeSet,
-                   cls: str) -> np.ndarray:
+def proto_distance(batch: Aligned, protos: PrototypeSet, cls: str) -> np.ndarray:
     """Sum over layers of one minus the mean patch cosine to the prototype.
 
-    query_visual maps layers to [..., P, d]; returns batch-shaped distances.
+    The cosines are ``nc.cosine_rows``'s IEEE operations on the batch's
+    memoized row norms (README "Numerics contract"). Returns [B] distances.
     """
     if cls not in protos.vectors:
         raise DomainError(f"no prototype for class {cls!r}")
     total = None
-    for layer, v in query_visual.items():
-        with nc.no_grad():
-            cos = nc.cosine_rows(v, Tensor(protos.vectors[cls][layer])).data
+    for layer, rows in batch.visual.items():
+        proto = protos.vectors[cls][layer]
+        cos = (rows @ proto) / (batch.norms[layer]
+                                * max(np.linalg.norm(proto), nc.NORM_FLOOR))
         term = 1.0 - cos.mean(axis=-1)
         total = term if total is None else total + term
     return np.asarray(total)
@@ -108,7 +128,7 @@ def proto_distance(query_visual: dict[int, Tensor], protos: PrototypeSet,
 
 def proto_scores(d_norm: np.ndarray, d_abn: np.ndarray, eps: float) -> np.ndarray:
     """Relative proximity to the abnormal prototype, in [0, 1)."""
-    if eps <= 0:
+    if not eps > 0:  # NaN fails this test too
         raise DomainError(f"eps must be positive, got {eps}")
     d_norm = np.asarray(d_norm, dtype=np.float64)
     d_abn = np.asarray(d_abn, dtype=np.float64)
@@ -117,9 +137,18 @@ def proto_scores(d_norm: np.ndarray, d_abn: np.ndarray, eps: float) -> np.ndarra
 
 def minmax_normalize(scores) -> np.ndarray:
     """Map to [0, 1] by batch min/max; a constant batch maps to all 0.5."""
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    try:
+        if np.iscomplexobj(scores):  # a cast would drop the imaginary parts
+            raise TypeError("complex scores")
+        s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise NumericError(f"cannot normalize scores that are not real "
+                           f"numbers: {exc}") from None
     if s.size == 0:
         raise ContractError("cannot normalize an empty batch")
+    bad = np.count_nonzero(~np.isfinite(s))
+    if bad:
+        raise NumericError(f"cannot normalize {bad} non-finite scores")
     lo, hi = s.min(), s.max()
     if hi == lo:
         return np.full_like(s, 0.5)
@@ -150,31 +179,32 @@ class ScoreReport:
     lam: float
 
 
-def score_batch(visual: dict[int, Tensor], sem_raw, labels, protos: PrototypeSet,
+def score_batch(batch: Aligned, labels, protos: PrototypeSet,
                 infer: InferSpec = InferSpec()) -> ScoreReport:
     """Dual-branch scores of one batch of aligned images.
 
-    visual maps each visual tap to the batch's aligned patch rows [B, P, d],
-    in the model's tap order (the prototype distances sum the taps in dict
-    order); sem_raw holds the same B images' semantic scores.
-    ``model.align`` computes both. Both branches are normalized over the
-    whole batch, then blended.
+    The prototype distances sum the batch's taps in dict order. Both
+    branches are normalized over the whole batch, then blended.
     """
     taps = {layer for per_layer in protos.vectors.values() for layer in per_layer}
-    missing = sorted(taps - set(visual))
+    missing = sorted(taps - set(batch.visual))
     if missing:
         raise ContractError(f"no aligned rows for visual tap {missing[0]}; "
-                            f"got taps {sorted(visual)}")
-    sem_raw = np.asarray(sem_raw, dtype=np.float64).reshape(-1)
-    counts = {layer: v.shape[:-2] for layer, v in visual.items()}
+                            f"got taps {sorted(batch.visual)}")
+    sem_raw = np.asarray(batch.sem, dtype=np.float64).reshape(-1)
+    counts = {layer: v.shape[:-2] for layer, v in batch.visual.items()}
     if set(counts.values()) != {sem_raw.shape}:
         raise ShapeError(f"aligned rows per visual tap {counts} do not match "
                          f"{sem_raw.size} semantic scores")
+    for layer, v in batch.visual.items():
+        if layer not in batch.norms or batch.norms[layer].shape != v.shape[:-1]:
+            raise ShapeError(f"row norms at visual tap {layer} do not match "
+                             f"its rows {v.shape}")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size != sem_raw.size:
         raise ContractError(f"{labels.size} labels for {sem_raw.size} queries")
-    proto_raw = proto_scores(proto_distance(visual, protos, "normal"),
-                             proto_distance(visual, protos, "abnormal"), infer.eps)
+    proto_raw = proto_scores(proto_distance(batch, protos, "normal"),
+                             proto_distance(batch, protos, "abnormal"), infer.eps)
     sem_norm = minmax_normalize(sem_raw)
     proto_norm = minmax_normalize(proto_raw)
     final = ensemble(sem_norm, proto_norm, infer.lam)

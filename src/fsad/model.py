@@ -9,8 +9,9 @@ serializes exactly that mapping into a checkpoint file. Checkpoints store
 64-bit floats so a save/load cycle is bit-exact.
 
 A Model also keeps a private memo of its alignment over one feature store
-(``align``): under fixed parameters an image's aligned patch rows and its
-semantic score depend on the image alone, so each is computed once.
+(``align``): under fixed parameters an image's aligned patch rows, their
+norms and its semantic score depend on the image alone, so each is
+computed once.
 
 A stacked Model holds E independent episodes: every learnable tensor and
 class embedding carries a leading episode axis shaped to broadcast against
@@ -32,7 +33,7 @@ from .backbone import BackboneSpec, ToyEncoder, encode_prompt, layer_map
 from .binio import ByteReader, ByteWriter
 from .clsa import ClsaOutput, ClsaSpec, ClsaState, clsa_forward, init_clsa
 from .errors import CompatError, ConfigError, ContractError
-from .inference import SCORE_BLOCK, semantic_scores
+from .inference import SCORE_BLOCK, Aligned, row_norms, semantic_scores
 from .numcore import Tensor
 
 CHECKPOINT_MAGIC = b"HAAP"
@@ -198,16 +199,23 @@ def forward(model: Model, visual_taps: dict[int, Tensor]) -> ClsaOutput:
 
 @dataclass
 class AlignMemo:
-    """A model's aligned patch rows and semantic scores over one feature
-    store: row i belongs to the store's image i and holds data once
-    ``filled[i]`` is set. ``store`` and ``key`` say what the rows were
-    computed from."""
+    """A model's aligned patch rows, their row norms and semantic scores
+    over one feature store: row i belongs to the store's image i and holds
+    data once ``filled[i]`` is set. ``store`` and ``key`` say what the rows
+    were computed from."""
 
     store: object
     key: bytes
     visual: dict[int, np.ndarray]  # tap -> [N, P, d], in selected_visual order
+    norms: dict[int, np.ndarray]  # tap -> [N, P], inference.row_norms
     sem: np.ndarray  # [N]
     filled: np.ndarray  # [N] bool
+
+    def take(self, ids) -> Aligned:
+        """Images ``ids`` (filled ones) as one batch to score."""
+        return Aligned(visual={t: rows[ids] for t, rows in self.visual.items()},
+                       norms={t: n[ids] for t, n in self.norms.items()},
+                       sem=self.sem[ids])
 
 
 def _memo_key(model: Model) -> bytes:
@@ -242,6 +250,7 @@ def align(model: Model, store, ids) -> AlignMemo:
         memo = model._memo = AlignMemo(
             store=store, key=key,
             visual={t: np.empty((n,) + store.feats[t].shape[1:]) for t in taps},
+            norms={t: np.empty((n,) + store.feats[t].shape[1:-1]) for t in taps},
             sem=np.empty(n), filled=np.zeros(n, dtype=bool))
     ids = np.asarray(ids, dtype=np.int64)
     todo = ids[~memo.filled[ids]]
@@ -253,6 +262,9 @@ def align(model: Model, store, ids) -> AlignMemo:
                                   for t in memo.visual})
             for t, rows in memo.visual.items():
                 rows[block] = out.visual[t].data
+                # from a C-contiguous gather, like the gathered rows scoring
+                # reads: a norm's summation order follows the memory layout
+                memo.norms[t][block] = row_norms(rows[block])
             memo.sem[block] = semantic_scores(
                 out.visual, out.class_vectors["abnormal"], tau).data
             memo.filled[block] = True

@@ -136,11 +136,11 @@ def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
                                        ep.support_ids), ysup, cfg.train_config())
              if train else [])
     memo = align(model, store, ep.support_ids + ep.query_ids)
-    sup = {t: Tensor(rows[ep.support_ids]) for t, rows in memo.visual.items()}
-    qry = {t: Tensor(rows[ep.query_ids]) for t, rows in memo.visual.items()}
-    protos = build_prototypes(sup, {"normal": ep.idx_norm, "abnormal": ep.idx_abn})
-    report = score_batch(qry, memo.sem[ep.query_ids], yq, protos, infer)
-    sup_report = score_batch(sup, memo.sem[ep.support_ids], ysup, protos, infer)
+    sup, qry = memo.take(ep.support_ids), memo.take(ep.query_ids)
+    protos = build_prototypes(sup.visual, {"normal": ep.idx_norm,
+                                           "abnormal": ep.idx_abn})
+    report = score_batch(qry, yq, protos, infer)
+    sup_report = score_batch(sup, ysup, protos, infer)
     thr = threshold_from_support(sup_report.final, ysup)
     metrics = compute_report(report.final, yq, thr)
     return EpisodeRun(index=index, episode_seed=episode.seed + index,

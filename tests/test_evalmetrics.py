@@ -8,23 +8,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fsad.errors import CapacityError, MetricError
+from fsad.errors import CapacityError, MetricError, NumericError
 from fsad.evalmetrics import (auc, average_precision, compute_report,
                               threshold_from_support, thresholded_metrics)
+from fsad.inference import minmax_normalize
 
 
 def brute_auc(scores, labels):
+    # every (positive, negative) pair: a win counts 2, a tie 1
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
-    pos = s[y == 1]
-    neg = s[y == 0]
-    double_hits = 0
-    for p in pos:
-        for q in neg:
-            if p > q:
-                double_hits += 2
-            elif p == q:
-                double_hits += 1
+    pos = s[y == 1][:, None]
+    neg = s[y == 0][None, :]
+    double_hits = 2 * int(np.count_nonzero(pos > neg)) + int(np.count_nonzero(pos == neg))
     return double_hits / (2 * pos.size * neg.size)
 
 
@@ -41,6 +37,32 @@ def brute_ap(scores, labels):
             ap += (tp - tp_prev) / n_pos * (tp / int(keep.sum()))
         tp_prev = tp
     return ap
+
+
+def brute_threshold(scores, labels):
+    # scan every midpoint between adjacent distinct scores; keep the first best
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    distinct = sorted(set(s.tolist()))
+    if len(distinct) == 1:
+        return 0.5
+    best_t, best_f1 = None, -1.0
+    for lo, hi in zip(distinct, distinct[1:]):
+        t = (lo + hi) / 2.0
+        pred = s >= t
+        tp = int(np.count_nonzero(pred & (y == 1)))
+        fp = int(np.count_nonzero(pred & (y == 0)))
+        fn = int(np.count_nonzero(~pred & (y == 1)))
+        f1 = 2 * tp / (2 * tp + fp + fn)
+        if f1 > best_f1:
+            best_t, best_f1 = t, f1
+    return best_t
+
+
+def assert_oracles_agree(s, y):
+    assert auc(s, y) == brute_auc(s, y)
+    assert average_precision(s, y) == brute_ap(s, y)
+    assert threshold_from_support(s, y) == brute_threshold(s, y)
 
 
 def test_auc_known_values():
@@ -113,8 +135,7 @@ def test_oracle_equivalence_exhaustive():
         y = rng.integers(0, 2, size=n)
         if y.min() == y.max():
             continue
-        assert auc(s, y) == brute_auc(s, y)
-        assert average_precision(s, y) == brute_ap(s, y)
+        assert_oracles_agree(s, y)
         done += 1
 
 
@@ -128,8 +149,21 @@ def test_oracle_equivalence_heavy_ties(pairs):
     s = np.array([score for score, _ in pairs])
     y = np.array([label for _, label in pairs])
     assume(0 < y.sum() < y.size)
-    assert auc(s, y) == brute_auc(s, y)
-    assert average_precision(s, y) == brute_ap(s, y)
+    assert_oracles_agree(s, y)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(100, 400),
+       ties=st.integers(0, 20), positives=st.sampled_from([0.05, 0.5]))
+def test_oracle_equivalence_wide_batches(seed, n, ties, positives):
+    # 100 to 400 mostly distinct scores, as a 392-query episode gives, with
+    # a few ties and at times a rare positive class
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(size=n)
+    s[rng.integers(0, n, size=ties)] = s[rng.integers(0, n, size=ties)]
+    y = (rng.uniform(size=n) < positives).astype(np.int64)
+    assume(0 < y.sum() < y.size)
+    assert_oracles_agree(s, y)
 
 
 def test_threshold_separated_support():
@@ -202,3 +236,33 @@ def test_non_finite_scores_rejected_promptly(metric, bad):
             metric([0.1, bad, 0.8, 0.9], [0, 0, 1, 1])
         with pytest.raises(MetricError, match="non-finite"):
             compute_report([0.1, 0.2, bad, 0.9], [0, 0, 1, 1], 0.5)
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, "0.5", None, 10**400],
+                         ids=["nan", "inf", "-inf", "str", "None", "int-beyond-float"])
+@pytest.mark.parametrize("metric", [thresholded_metrics, compute_report])
+def test_threshold_must_be_a_finite_real_number(metric, threshold):
+    # a NaN threshold used to report threshold=nan, f1=0.0; a str one leaked
+    # numpy's bare UFuncTypeError
+    with pytest.raises(MetricError, match="threshold must be a finite real number"):
+        metric([0.1, 0.8, 0.9], [0, 1, 1], threshold)
+
+
+@pytest.mark.parametrize("call, args, error, match", [
+    (auc, (["a", "b"], [0, 1]), MetricError, "auc: scores must be real"),
+    (average_precision, ([[0.1, 0.2], [0.3]], [0, 1]), MetricError,
+     "average_precision: scores must be real"),
+    (threshold_from_support, ([0.1 + 1j, 0.2], [0, 1]), MetricError,
+     "threshold_from_support: scores must be real"),
+    (compute_report, (np.array([0.1 + 1j, 0.9]), [0, 1], 0.5), MetricError,
+     "compute_report: scores must be real"),
+    (minmax_normalize, ([0.1, np.nan],), NumericError, "1 non-finite"),
+    (minmax_normalize, (["a"],), NumericError, "not real numbers"),
+    (minmax_normalize, (np.array([1j, 2.0]),), NumericError, "not real numbers"),
+], ids=["auc-str", "ap-ragged", "threshold-complex", "report-complex-array",
+        "minmax-nan", "minmax-str", "minmax-complex-array"])
+def test_unreadable_scores_raise_a_categorized_error(call, args, error, match):
+    # each used to leak a bare numpy ValueError or TypeError, warn and drop
+    # the imaginary parts, or (minmax_normalize with a NaN) return all NaN
+    with pytest.raises(error, match=match):
+        call(*args)

@@ -14,9 +14,10 @@ from fsad.backbone import BackboneSpec
 from fsad.clsa import STRATEGIES
 from fsad.config import RunConfig
 from fsad.errors import CapacityError, ContractError, DomainError, ShapeError
-from fsad.inference import (SCORE_BLOCK, InferSpec, build_prototypes, ensemble,
-                            minmax_normalize, proto_distance, proto_scores,
-                            score_batch, semantic_scores)
+from fsad.inference import (SCORE_BLOCK, Aligned, InferSpec, build_prototypes,
+                            ensemble, minmax_normalize, proto_distance,
+                            proto_scores, row_norms, score_batch,
+                            semantic_scores)
 from fsad.model import align, forward, named_parameters
 from fsad.numcore import Tensor
 from fsad.runner import FeatureStore, build_feature_store, model_from_config
@@ -78,16 +79,16 @@ def test_semantic_scores_needs_layers():
 
 def test_build_prototypes_hand_mean():
     rng = np.random.default_rng(8)
-    feats = {2: Tensor(rng.normal(size=(6, 5, D)))}
+    feats = {2: rng.normal(size=(6, 5, D))}
     idx = {"normal": [0, 2, 4], "abnormal": [1, 3, 5]}
     protos = build_prototypes(feats, idx)
     for cls, rows in idx.items():
-        want = feats[2].data[rows].mean(axis=1).mean(axis=0)
+        want = feats[2][rows].mean(axis=1).mean(axis=0)
         np.testing.assert_allclose(protos.vectors[cls][2], want, rtol=0, atol=1e-12)
 
 
 def test_build_prototypes_rejects_empty_class():
-    feats = {2: Tensor(np.zeros((2, 5, D)))}
+    feats = {2: np.zeros((2, 5, D))}
     with pytest.raises(CapacityError):
         build_prototypes(feats, {"normal": [0, 1], "abnormal": []})
 
@@ -95,31 +96,50 @@ def test_build_prototypes_rejects_empty_class():
 @pytest.mark.parametrize("bad", [4, 9, -1])
 def test_build_prototypes_rejects_a_support_index_outside_the_batch(bad):
     # 4 and 9 used to raise a bare IndexError; -1 silently picked the last row
-    feats = {2: Tensor(np.zeros((4, 5, D)))}
+    feats = {2: np.zeros((4, 5, D))}
     with pytest.raises(ContractError, match=rf"'abnormal': support index {bad} "
                                             r"outside \[0, 4\) at layer 2"):
         build_prototypes(feats, {"normal": [0, 1], "abnormal": [2, bad]})
 
 
+def batch_of(visual, sem):
+    """Aligned rows as ``model.align`` memoizes them: with their row norms."""
+    return Aligned(visual=visual, norms={l: row_norms(v) for l, v in visual.items()},
+                   sem=sem)
+
+
 def test_proto_distance_matches_cosine_loop():
     rng = np.random.default_rng(9)
     idx = {"normal": [0, 1, 2], "abnormal": [3, 4, 5]}
-    support = {l: Tensor(rng.normal(size=(6, 5, D))) for l in (2, 4)}
+    support = {l: rng.normal(size=(6, 5, D)) for l in (2, 4)}
     protos = build_prototypes(support, idx)
-    query = rand_visual(10, layers=(2, 4), p=5, batch=3)
+    query = {l: v.data for l, v in rand_visual(10, layers=(2, 4), p=5,
+                                                 batch=3).items()}
+    query[4][1, 2] = 0.0  # a row at the norm floor
+    batch = batch_of(query, np.zeros(3))
     with pytest.raises(DomainError):
-        proto_distance(query, protos, "defective")
-    got = proto_distance(query, protos, "abnormal")
+        proto_distance(batch, protos, "defective")
+    got = proto_distance(batch, protos, "abnormal")
     assert got.shape == (3,)
-    want = np.zeros(3)
+    # bit for bit what nc.cosine_rows gives on the same rows
+    want = None
+    for l in (2, 4):
+        with nc.no_grad():
+            cos = nc.cosine_rows(Tensor(query[l]),
+                                 Tensor(protos.vectors["abnormal"][l])).data
+        term = 1.0 - cos.mean(axis=-1)
+        want = term if want is None else want + term
+    assert np.array_equal(got, want)
+    # and close to the closed form
+    hand = np.zeros(3)
     for l in (2, 4):
         pv = protos.vectors["abnormal"][l]
         for b in range(3):
-            rows = query[l].data[b]
-            cos = np.array([r @ pv / (np.linalg.norm(r) * np.linalg.norm(pv))
-                            for r in rows])
-            want[b] += 1.0 - cos.mean()
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            rows = query[l][b]
+            cos = np.array([r @ pv / (max(np.linalg.norm(r), nc.NORM_FLOOR)
+                                      * np.linalg.norm(pv)) for r in rows])
+            hand[b] += 1.0 - cos.mean()
+    np.testing.assert_allclose(got, hand, rtol=1e-12, atol=1e-12)
 
 
 def test_proto_scores_relative_proximity():
@@ -131,6 +151,8 @@ def test_proto_scores_relative_proximity():
         proto_scores(d_n, d_a, eps=0.0)
     with pytest.raises(DomainError):
         proto_scores(d_n, d_a, eps=-1.0)
+    with pytest.raises(DomainError):  # used to return NaN scores
+        proto_scores(d_n, d_a, eps=float("nan"))
 
 
 def test_minmax_normalize_oracle():
@@ -155,7 +177,7 @@ def test_ensemble_endpoints_bit_exact():
 
 def aligned_rows(rng, n, layers=(2, 4), p=4):
     """Stand-ins for n images' aligned patch rows at each tap."""
-    return {l: Tensor(rng.normal(size=(n, p, D))) for l in layers}
+    return {l: rng.normal(size=(n, p, D)) for l in layers}
 
 
 def test_score_batch_fields_consistent():
@@ -164,7 +186,7 @@ def test_score_batch_fields_consistent():
     protos = build_prototypes(aligned_rows(rng, 8), idx)
     query, sem = aligned_rows(rng, 6), rng.uniform(size=6)
     labels = [0, 0, 0, 1, 1, 1]
-    rep = score_batch(query, sem, labels, protos, InferSpec(lam=0.3))
+    rep = score_batch(batch_of(query, sem), labels, protos, InferSpec(lam=0.3))
     for field in (rep.sem_raw, rep.proto_raw, rep.sem_norm, rep.proto_norm, rep.final):
         assert field.shape == (6,)
     np.testing.assert_array_equal(rep.sem_raw, sem)
@@ -181,8 +203,8 @@ def test_score_batch_lambda_endpoints_match_single_branches():
                               {"normal": [0, 1], "abnormal": [2, 3]})
     query, sem = aligned_rows(rng, 5), rng.uniform(size=5)
     labels = [0, 0, 1, 1, 1]
-    sem_only = score_batch(query, sem, labels, protos, InferSpec(lam=1.0))
-    proto_only = score_batch(query, sem, labels, protos, InferSpec(lam=0.0))
+    sem_only = score_batch(batch_of(query, sem), labels, protos, InferSpec(lam=1.0))
+    proto_only = score_batch(batch_of(query, sem), labels, protos, InferSpec(lam=0.0))
     np.testing.assert_array_equal(sem_only.final, sem_only.sem_norm)
     np.testing.assert_array_equal(proto_only.final, proto_only.proto_norm)
 
@@ -281,20 +303,25 @@ def wide_episode(wide_world):
     scores and labels, and the scores of all of them in one call."""
     store, ep = wide_world
     memo = align(jittered_model("seq"), store, ep.support_ids + ep.query_ids)
-    protos = build_prototypes(
-        {l: Tensor(rows[ep.support_ids]) for l, rows in memo.visual.items()},
-        {"normal": ep.idx_norm, "abnormal": ep.idx_abn})
-    query = {l: rows[ep.query_ids] for l, rows in memo.visual.items()}
-    sem, labels = memo.sem[ep.query_ids], store.labels[ep.query_ids]
-    whole = score_batch({l: Tensor(a) for l, a in query.items()}, sem, labels,
-                        protos)
-    return protos, query, sem, labels, whole
+    protos = build_prototypes(memo.take(ep.support_ids).visual,
+                              {"normal": ep.idx_norm, "abnormal": ep.idx_abn})
+    query = memo.take(ep.query_ids)
+    labels = store.labels[ep.query_ids]
+    whole = score_batch(query, labels, protos)
+    return protos, query, labels, whole
+
+
+def part(batch, ids):
+    """Rows ``ids`` of an aligned batch."""
+    return Aligned(visual={l: v[ids] for l, v in batch.visual.items()},
+                   norms={l: n[ids] for l, n in batch.norms.items()},
+                   sem=batch.sem[ids])
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_raw_scores_bit_identical_across_chunks_and_order(wide_episode, data):
-    protos, query, sem, labels, whole = wide_episode
+    protos, query, labels, whole = wide_episode
     n = labels.size
     order = np.array(data.draw(st.permutations(range(n)), label="order"))
     cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=12),
@@ -302,8 +329,7 @@ def test_raw_scores_bit_identical_across_chunks_and_order(wide_episode, data):
     sem_raw = np.empty(n)
     proto = np.empty(n)
     for ids in np.split(order, cuts):
-        rep = score_batch({l: Tensor(a[ids]) for l, a in query.items()},
-                          sem[ids], labels[ids], protos)
+        rep = score_batch(part(query, ids), labels[ids], protos)
         sem_raw[ids] = rep.sem_raw
         proto[ids] = rep.proto_raw
     assert np.array_equal(sem_raw, whole.sem_raw)
@@ -311,10 +337,9 @@ def test_raw_scores_bit_identical_across_chunks_and_order(wide_episode, data):
 
 
 def test_raw_scores_bit_identical_one_query_at_a_time(wide_episode):
-    protos, query, sem, labels, whole = wide_episode
+    protos, query, labels, whole = wide_episode
     for i in range(labels.size):
-        rep = score_batch({l: Tensor(a[i:i + 1]) for l, a in query.items()},
-                          sem[i:i + 1], labels[i:i + 1], protos)
+        rep = score_batch(part(query, slice(i, i + 1)), labels[i:i + 1], protos)
         assert rep.sem_raw[0] == whole.sem_raw[i]
         assert rep.proto_raw[0] == whole.proto_raw[i]
 
@@ -365,15 +390,13 @@ def test_text_tower_runs_once_for_every_block(wide_world, monkeypatch):
 def test_scoring_392_queries_keeps_peak_memory_small(wide_world):
     store, ep = wide_world
     model = jittered_model("seq")
-    support = {l: Tensor(rows[ep.support_ids]) for l, rows in
-               align(model, store, ep.support_ids).visual.items()}
-    protos = build_prototypes(support, {"normal": ep.idx_norm,
-                                        "abnormal": ep.idx_abn})
+    support = align(model, store, ep.support_ids).take(ep.support_ids)
+    protos = build_prototypes(support.visual, {"normal": ep.idx_norm,
+                                               "abnormal": ep.idx_abn})
     tracemalloc.start()
     try:
         memo = align(model, fresh(store), ep.query_ids)
-        score_batch({l: Tensor(rows[ep.query_ids]) for l, rows in memo.visual.items()},
-                    memo.sem[ep.query_ids], store.labels[ep.query_ids], protos)
+        score_batch(memo.take(ep.query_ids), store.labels[ep.query_ids], protos)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -392,12 +415,12 @@ def small_scoring_setup(rng, n):
 def test_score_batch_rejects_taps_with_different_query_counts():
     rng = np.random.default_rng(14)
     protos, query, sem = small_scoring_setup(rng, 3)
-    query[4] = Tensor(query[4].data[:2])
+    query[4] = query[4][:2]
     with pytest.raises(ShapeError, match=r"2: \(3,\), 4: \(2,\)"):
-        score_batch(query, sem, [0, 1, 1], protos)
-    query[2] = Tensor(query[2].data[:2])
+        score_batch(batch_of(query, sem), [0, 1, 1], protos)
+    query[2] = query[2][:2]
     with pytest.raises(ShapeError, match="3 semantic scores"):
-        score_batch(query, sem, [0, 1, 1], protos)
+        score_batch(batch_of(query, sem), [0, 1, 1], protos)
 
 
 def test_score_batch_names_a_missing_visual_tap():
@@ -406,18 +429,18 @@ def test_score_batch_names_a_missing_visual_tap():
     protos, query, sem = small_scoring_setup(rng, 3)
     del query[4]
     with pytest.raises(ContractError, match=r"visual tap 4; got taps \[2\]"):
-        score_batch(query, sem, [0, 1, 1], protos)
+        score_batch(batch_of(query, sem), [0, 1, 1], protos)
 
 
 def test_score_batch_rejects_a_label_count_off_the_query_count():
     rng = np.random.default_rng(15)
     protos, query, sem = small_scoring_setup(rng, 3)
     with pytest.raises(ContractError, match="2 labels for 3 queries"):
-        score_batch(query, sem, [0, 1], protos)
+        score_batch(batch_of(query, sem), [0, 1], protos)
 
 
 def test_score_batch_rejects_an_empty_batch():
     rng = np.random.default_rng(16)
     protos, query, sem = small_scoring_setup(rng, 0)
     with pytest.raises(ContractError, match="cannot normalize an empty batch"):
-        score_batch(query, sem, [], protos)
+        score_batch(batch_of(query, sem), [], protos)

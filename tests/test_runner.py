@@ -11,7 +11,7 @@ from fsad import runner
 from fsad.config import RunConfig
 from fsad.errors import ConfigError
 from fsad.evalmetrics import auc
-from fsad.inference import build_prototypes, proto_distance
+from fsad.inference import Aligned, build_prototypes, proto_distance, row_norms
 from fsad.model import (apply_checkpoint, forward, named_parameters,
                         save_checkpoint, stack_models, state_checksum)
 from fsad.runner import (BETA_POINTS, LAMBDA_POINTS, FeatureStore, RunSpec,
@@ -81,10 +81,13 @@ def test_every_recipe_key_reaches_what_it_configures():
                               take(store, taps, ep.support_ids).items()})
         qry = forward(model, {l: nc.Tensor(a) for l, a in
                               take(store, taps, ep.query_ids).items()})
-    protos = build_prototypes(sup.visual, {"normal": ep.idx_norm,
-                                           "abnormal": ep.idx_abn})
-    d_norm = proto_distance(qry.visual, protos, "normal")
-    d_abn = proto_distance(qry.visual, protos, "abnormal")
+    protos = build_prototypes({l: v.data for l, v in sup.visual.items()},
+                              {"normal": ep.idx_norm, "abnormal": ep.idx_abn})
+    rows = {l: v.data for l, v in qry.visual.items()}
+    batch = Aligned(visual=rows, norms={l: row_norms(v) for l, v in rows.items()},
+                    sem=np.zeros(len(ep.query_ids)))
+    d_norm = proto_distance(batch, protos, "normal")
+    d_abn = proto_distance(batch, protos, "abnormal")
     assert np.array_equal(run.report.proto_raw, d_norm / (d_norm + d_abn + 1e-6))
 
 
@@ -248,6 +251,53 @@ def test_stacking_a_scored_model_copies_no_memo(world):
     stacked = stack_models([scored, model_from_config(cfg, RunSpec(1))])
     assert stacked._memo is None
     assert scored._memo.store is store
+
+
+def counted_norms(monkeypatch):
+    """Counts of ``nc.cosine_rows`` calls and of row norms: ``np.linalg.norm``
+    calls over arrays of rows (a prototype's norm is over one vector)."""
+    calls = {"cosine_rows": 0, "row_norms": 0}
+    cosine_rows, norm = nc.cosine_rows, np.linalg.norm
+
+    def counted_cosine(*args):
+        calls["cosine_rows"] += 1
+        return cosine_rows(*args)
+
+    def counted_norm(x, *args, **kwargs):
+        calls["row_norms"] += np.ndim(x) > 1
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(nc, "cosine_rows", counted_cosine)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return calls
+
+
+def test_a_memo_full_episode_computes_no_row_norm(world, monkeypatch, tmp_path):
+    cfg, store, dataset = world
+    model = model_from_config(cfg)
+    save_checkpoint(run_episode(cfg, store, dataset, 2).model, str(tmp_path / "m.ckpt"))
+    first = run_episode(cfg, store, dataset, 0, train=False, model=model)
+    ids = first.episode.support_ids + first.episode.query_ids
+    calls = counted_norms(monkeypatch)
+    again = run_episode(cfg, store, dataset, 0, train=False, model=model)
+    assert calls == {"cosine_rows": 0, "row_norms": 0}
+    assert_same_scores(again, first)
+    norms = None
+    for change, train in ((lambda: None, False),
+                          (lambda: apply_checkpoint(model, str(tmp_path / "m.ckpt")),
+                           False),
+                          (lambda: None, True)):  # train on top of the checkpoint
+        change()
+        run_episode(cfg, store, dataset, 0, train=train, model=model)
+        memo = model._memo
+        if norms is not None:  # each change recomputes every image's norms
+            assert calls["row_norms"] == len(memo.visual)  # one block per tap
+            assert not np.array_equal(memo.norms[2][ids], norms)
+        for t, rows in memo.visual.items():  # bit for bit, floor included
+            want = np.maximum(np.linalg.norm(rows[ids], axis=-1), nc.NORM_FLOOR)
+            assert np.array_equal(memo.norms[t][ids], want), t
+        norms = memo.norms[2][ids].copy()
+        calls.update(cosine_rows=0, row_norms=0)
 
 
 def test_eval_at_lambda_endpoints(world):

@@ -10,7 +10,9 @@ single-episode training path is covered too. ``ablate_ragged`` does the
 same at ``train.batch_size=3``: 8 support rows make mini-batches of 3, 3
 and 2, so ragged positions are covered in a stack of five and in a stack
 of one. The ``*_wide`` steps score 392 queries per episode, so scoring
-crosses its block boundaries. The ``*_recipe`` steps also set every
+crosses its block boundaries; ``eval_wide_proto`` scores them at
+``infer.lam=0``, so its AUC, AP and threshold come from the prototype
+branch alone. The ``*_recipe`` steps also set every
 ``episode.*``, ``adapt.*``, ``clsa.*`` and ``infer.*`` key but
 ``episode.count`` and ``episode.k`` off its default, so a setting the
 library drops on its way changes an output.
@@ -51,6 +53,9 @@ def steps(root: str) -> list[tuple[str, list[str]]]:
         ("eval_k4", ["eval", "--checkpoint", f"{root}/train_k4/model.ckpt"]),
         ("eval_wide", ["eval", "--checkpoint", f"{root}/train_k4/model.ckpt"]
          + WIDE),
+        ("eval_wide_proto", ["eval", "--checkpoint",
+                             f"{root}/train_k4/model.ckpt"] + WIDE
+         + ["--set", "infer.lam=0"]),
         ("ablate", ["ablate"]),
         ("sweep", ["sweep", "--which", "all"]),
         ("ablate_k16", ["ablate", "--set", "episode.k=16"]),
