@@ -256,16 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_MIRRORS = (("epochs", "train.epochs"), ("strategy", "clsa.strategy"),
+_MIRRORS = (("seed", "episode.seed"), ("out", "run.out"),
+            ("epochs", "train.epochs"), ("strategy", "clsa.strategy"),
             ("lam", "infer.lam"), ("episodes", "episode.count"))
 
 
 def _overrides(args) -> list[str]:
     pairs = list(args.set)
-    if args.seed is not None:
-        pairs.append(f"episode.seed={args.seed}")
-    if args.out is not None:
-        pairs.append(f"run.out={args.out}")
     for flag, key in _MIRRORS:
         val = getattr(args, flag, None)
         if val is not None:

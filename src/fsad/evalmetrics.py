@@ -143,7 +143,8 @@ def threshold_from_support(scores, labels) -> float:
     distinct = ss[np.concatenate(([True], ss[1:] != ss[:-1]))]
     if distinct.size == 1:
         return 0.5
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    # halving first cannot overflow; it differs from (a + b) / 2 only on subnormals
+    mids = distinct[:-1] / 2.0 + distinct[1:] / 2.0
     # a candidate predicts abnormal for exactly the scores >= it; both
     # classes are present, so every F1 denominator is positive
     below = np.searchsorted(ss, mids, side="left")

@@ -12,6 +12,11 @@ eager op and a compiled :class:`Schedule` call the same pair, so a replayed
 step runs the same numpy calls in the same order as the step it was
 recorded from.
 
+An op raises a :class:`ShapeError` naming itself whenever numpy rejects its
+operands: :func:`_apply` translates numpy's ``ValueError``. An op checks its
+arguments itself only where numpy would accept them silently or fail with
+something other than a ``ValueError``; each such check says why.
+
 Every kernel keeps the exact sequence of IEEE operations of its reference
 formula, so outputs and gradients are bit-identical however the work is
 buffered: training under the benchmark protocol amplifies a last-bit
@@ -75,7 +80,7 @@ class Tensor:
 
 
 class _Kernel(NamedTuple):
-    """One op's kernel pair.
+    """One op's kernel pair, under the op's public ``name``.
 
     ``forward(*input_arrays, *static)`` returns ``(out, ctx)``;
     ``backward(ctx, g, needs)`` returns one gradient per input, None where
@@ -85,6 +90,7 @@ class _Kernel(NamedTuple):
     gradients are summed back over the broadcast axes.
     """
 
+    name: str
     forward: Callable
     backward: Callable
     core: int | None = None
@@ -139,7 +145,12 @@ def no_grad():
 def _apply(kernel: _Kernel, inputs: Sequence[Tensor], static: tuple = ()) -> Tensor:
     """Run the kernel's forward on the inputs' data and wrap the output; if a
     tape is live and an input needs grad, record the call."""
-    out_data, ctx = kernel.forward(*[t.data for t in inputs], *static)
+    try:
+        out_data, ctx = kernel.forward(*[t.data for t in inputs], *static)
+    except ValueError as exc:  # numpy's AxisError is a ValueError too
+        shapes = ", ".join(str(t.shape) for t in inputs)
+        args = f", arguments {static}" if static else ""
+        raise ShapeError(f"{kernel.name}: shapes {shapes}{args}: {exc}") from None
     out = Tensor(out_data)
     tape = _TAPES[-1] if _TAPES else None
     if tape is not None:
@@ -300,10 +311,6 @@ def backward(loss: Tensor, tape: GradTape) -> None:
     Schedule(tape, loss, loss)._walk([node.ctx for node in tape.nodes])
 
 
-def _shape_error(op: str, a: Tensor, b: Tensor) -> ShapeError:
-    return ShapeError(f"{op}: incompatible shapes {a.shape} vs {b.shape}")
-
-
 # ---------------------------------------------------------------------------
 # elementwise
 
@@ -367,34 +374,25 @@ def _sum_last_bwd(shape, g, _needs):
     return (np.broadcast_to(np.expand_dims(g, -1), shape).copy(),)
 
 
-_ADD = _Kernel(_add_fwd, _add_bwd, 0)
-_SUB = _Kernel(_sub_fwd, _sub_bwd, 0)
-_MUL = _Kernel(_mul_fwd, _mul_bwd, 0)
-_SCALE = _Kernel(_scale_fwd, _scale_bwd)
-_MEAN_AXIS = _Kernel(_mean_axis_fwd, _mean_axis_bwd)
-_SUM_ALL = _Kernel(_sum_all_fwd, _sum_all_bwd)
-_SUM_LAST = _Kernel(_sum_last_fwd, _sum_last_bwd)
+_ADD = _Kernel("add", _add_fwd, _add_bwd, 0)
+_SUB = _Kernel("sub", _sub_fwd, _sub_bwd, 0)
+_MUL = _Kernel("mul", _mul_fwd, _mul_bwd, 0)
+_SCALE = _Kernel("scale", _scale_fwd, _scale_bwd)
+_MEAN_AXIS = _Kernel("mean_axis", _mean_axis_fwd, _mean_axis_bwd)
+_SUM_ALL = _Kernel("sum_all", _sum_all_fwd, _sum_all_bwd)
+_SUM_LAST = _Kernel("sum_last", _sum_last_fwd, _sum_last_bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        return _apply(_ADD, (a, b))
-    except ValueError:
-        raise _shape_error("add", a, b) from None
+    return _apply(_ADD, (a, b))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        return _apply(_SUB, (a, b))
-    except ValueError:
-        raise _shape_error("sub", a, b) from None
+    return _apply(_SUB, (a, b))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        return _apply(_MUL, (a, b))
-    except ValueError:
-        raise _shape_error("mul", a, b) from None
+    return _apply(_MUL, (a, b))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -402,8 +400,6 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def mean_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"mean_axis: axis {axis} out of range for shape {x.shape}")
     return _apply(_MEAN_AXIS, (x,), (axis, keepdims))
 
 
@@ -413,6 +409,8 @@ def sum_all(x: Tensor) -> Tensor:
 
 def sum_last(x: Tensor) -> Tensor:
     """Sum over the last axis; on 1-d input the same reduction as sum_all."""
+    if x.ndim < 1:  # numpy sums 0-d input to shape (), which backward cannot expand
+        raise ShapeError(f"sum_last needs at least 1-d input, got {x.shape}")
     return _apply(_SUM_LAST, (x,))
 
 
@@ -466,53 +464,38 @@ def _narrow_bwd(ctx, g, _needs):
     return (full,)
 
 
-_MATMUL = _Kernel(_matmul_fwd, _matmul_bwd, 2)
-_TRANSPOSE = _Kernel(_transpose_fwd, _transpose_bwd)
-_RESHAPE = _Kernel(_reshape_fwd, _reshape_bwd)
-_CONCAT = _Kernel(_concat_fwd, _concat_bwd)
-_NARROW = _Kernel(_narrow_fwd, _narrow_bwd)
+_MATMUL = _Kernel("matmul", _matmul_fwd, _matmul_bwd, 2)
+_TRANSPOSE = _Kernel("transpose", _transpose_fwd, _transpose_bwd)
+_RESHAPE = _Kernel("reshape", _reshape_fwd, _reshape_bwd)
+_CONCAT = _Kernel("concat", _concat_fwd, _concat_bwd)
+_NARROW = _Kernel("narrow", _narrow_fwd, _narrow_bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast."""
-    if a.ndim < 2 or b.ndim < 2:
+    if a.ndim < 2 or b.ndim < 2:  # np.matmul would take a vector as a matrix
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    try:
-        return _apply(_MATMUL, (a, b))
-    except ValueError:
-        raise _shape_error("matmul", a, b) from None
+    return _apply(_MATMUL, (a, b))
 
 
 def transpose(x: Tensor) -> Tensor:
     """Swap the last two axes."""
-    if x.ndim < 2:
-        raise ShapeError(f"transpose needs >=2-d input, got {x.shape}")
     return _apply(_TRANSPOSE, (x,))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    try:
-        return _apply(_RESHAPE, (x,), (shape,))
-    except ValueError:
-        raise ShapeError(f"reshape: cannot reshape {x.shape} to {shape}") from None
+    return _apply(_RESHAPE, (x,), (shape,))
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = list(parts)
-    try:
-        return _apply(_CONCAT, parts, (axis,))
-    except ValueError:
-        raise ShapeError(f"concat on axis {axis}: incompatible shapes "
-                         f"{[p.shape for p in parts]}") from None
+    return _apply(_CONCAT, list(parts), (axis,))
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Slice ``length`` entries from ``start`` along one axis."""
-    if not -x.ndim <= axis < x.ndim:
+    if not -x.ndim <= axis < x.ndim:  # idx[axis] would raise an IndexError
         raise ShapeError(f"narrow: axis {axis} out of range for shape {x.shape}")
-    if not 0 <= start <= start + length <= x.shape[axis]:
+    if not 0 <= start <= start + length <= x.shape[axis]:  # slicing clamps silently
         raise ShapeError(f"narrow: entries [{start}, {start + length}) out of range "
                          f"on axis {axis} of shape {x.shape}")
     idx = [slice(None)] * x.ndim
@@ -611,13 +594,13 @@ def _cosine_rows_bwd(ctx, g, _needs):
     return da, db
 
 
-_SIGMOID = _Kernel(_sigmoid_fwd, _sigmoid_bwd)
-_EXP = _Kernel(_exp_fwd, _exp_bwd)
-_LOG = _Kernel(_log_fwd, _log_bwd)
-_CLIP = _Kernel(_clip_fwd, _clip_bwd)
-_SOFTMAX_ROWS = _Kernel(_softmax_rows_fwd, _softmax_rows_bwd)
-_LAYERNORM_ROWS = _Kernel(_layernorm_rows_fwd, _layernorm_rows_bwd)
-_COSINE_ROWS = _Kernel(_cosine_rows_fwd, _cosine_rows_bwd)
+_SIGMOID = _Kernel("sigmoid", _sigmoid_fwd, _sigmoid_bwd)
+_EXP = _Kernel("exp", _exp_fwd, _exp_bwd)
+_LOG = _Kernel("log", _log_fwd, _log_bwd)
+_CLIP = _Kernel("clip", _clip_fwd, _clip_bwd)
+_SOFTMAX_ROWS = _Kernel("softmax_rows", _softmax_rows_fwd, _softmax_rows_bwd)
+_LAYERNORM_ROWS = _Kernel("layernorm_rows", _layernorm_rows_fwd, _layernorm_rows_bwd)
+_COSINE_ROWS = _Kernel("cosine_rows", _cosine_rows_fwd, _cosine_rows_bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -639,7 +622,7 @@ def log(x: Tensor) -> Tensor:
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes only through unclipped entries."""
-    if not lo < hi:
+    if not lo < hi:  # np.clip would return hi everywhere
         raise DomainError(f"clip needs lo < hi, got [{lo}, {hi}]")
     return _apply(_CLIP, (x,), (lo, hi))
 
@@ -651,8 +634,6 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def layernorm_rows(x: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalise the last axis to zero mean / unit variance (no affine)."""
-    if x.ndim < 1:
-        raise ShapeError(f"layernorm_rows needs rows of at least 1-d, got {x.shape}")
     return _apply(_LAYERNORM_ROWS, (x,), (eps,))
 
 
@@ -662,12 +643,8 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     Norms are floored at NORM_FLOOR so degenerate rows stay well-defined; at
     the floor the norm is treated as a constant for differentiation.
     """
-    if b.ndim != 1:
+    if b.ndim != 1:  # with a 2-d b, a @ b would be a silent matrix product
         raise ShapeError(f"cosine_rows reference must be 1-d, got {b.shape}")
-    if a.ndim < 1:
-        raise ShapeError(f"cosine_rows needs rows of at least 1-d, got {a.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"cosine_rows width mismatch: {a.shape} vs {b.shape}")
     return _apply(_COSINE_ROWS, (a, b))
 
 
@@ -715,7 +692,7 @@ def _attention_bwd(ctx, g, _needs):
     return _join_heads(dqh), _join_heads(dkh), _join_heads(dvh)
 
 
-_ATTENTION = _Kernel(_attention_fwd, _attention_bwd, 2)
+_ATTENTION = _Kernel("attention", _attention_fwd, _attention_bwd, 2)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -725,23 +702,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     ``heads`` equal slices. Leading axes broadcast between q and k/v, which
     lets one query set attend over a batch of key sets (and vice versa).
     """
-    if min(q.ndim, k.ndim, v.ndim) < 2:
-        raise ShapeError(f"attention needs >=2-d q, k and v, got {q.shape}, "
-                         f"{k.shape} and {v.shape}")
-    if heads < 1:
+    if min(q.ndim, k.ndim, v.ndim) < 2:  # q.shape[-1] would raise an IndexError
+        raise ShapeError(f"attention needs >=2-d q, k, v, got {q.shape}, {k.shape}, {v.shape}")
+    if heads < 1:  # heads=0 would divide by zero
         raise ShapeError(f"attention needs at least one head, got {heads}")
     d = q.shape[-1]
-    if d % heads != 0:
-        raise ShapeError(f"width {d} not divisible by {heads} heads")
-    if k.shape[-1] != d or v.shape[-1] != d:
+    if d < heads or d % heads:  # a head width of 0 would make 1/sqrt(0) warn
+        raise ShapeError(f"attention: width {d} does not split into {heads} heads")
+    if k.shape[-1] != d or v.shape[-1] != d:  # a wrong v width sets the output's
         raise ShapeError(f"attention width mismatch: q {q.shape}, k {k.shape}, v {v.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"key/value row counts differ: {k.shape} vs {v.shape}")
-    try:
-        return _apply(_ATTENTION, (q, k, v), (heads,))
-    except ValueError:
-        raise ShapeError(f"attention: leading axes do not broadcast: q {q.shape}, "
-                         f"k {k.shape}, v {v.shape}") from None
+    return _apply(_ATTENTION, (q, k, v), (heads,))
+
+
 # ---------------------------------------------------------------------------
 # gradient oracle
 

@@ -80,10 +80,9 @@ class Sample:
 
 @dataclass
 class Episode:
-    """Few-shot task: balanced labeled support plus a disjoint query set."""
+    """Few-shot task: dataset ids of a balanced labeled support and a disjoint
+    query set."""
 
-    support: list[Sample]
-    query: list[Sample]
     support_ids: list[int]
     query_ids: list[int]
     idx_norm: list[int]
@@ -155,8 +154,6 @@ def sample_episode(dataset: list[Sample], k: int, seed: int,
     qry_ids = ([norm_ids[i] for i in picked_n[k:need]]
                + [abn_ids[i] for i in picked_a[k:need]])
     return Episode(
-        support=[dataset[i] for i in sup_ids],
-        query=[dataset[i] for i in qry_ids],
         support_ids=sup_ids,
         query_ids=qry_ids,
         idx_norm=list(range(k)),

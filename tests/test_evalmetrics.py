@@ -189,6 +189,11 @@ def test_threshold_tie_breaks_low():
     assert t == min(c for c, f in zip(cands, f1s) if f == best)
 
 
+def test_threshold_midpoints_of_huge_scores_stay_finite():
+    # (a + b) / 2 overflows to inf here and warns
+    assert threshold_from_support([1e308, 1.7e308, -1e308], [0, 1, 0]) == 1.35e308
+
+
 def test_threshold_rejects_single_class():
     with pytest.raises(CapacityError):
         threshold_from_support([0.1, 0.2], [1, 1])

@@ -4,10 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsad import numcore as nc
 from fsad import runner
-from fsad.errors import ContractError, DomainError, ShapeError
+from fsad.errors import ContractError, DomainError, FsadError, ShapeError
 from fsad.numcore import GradTape, Tensor, backward, finite_diff_grad
 from reference_backward import reference_backward
 
@@ -491,12 +493,63 @@ def test_leading_axis_mismatch_raises_shape_error(name, call):
     ("attention", lambda: nc.attention(_ones(4, 8), _ones(8), _ones(8), 2)),
     ("cosine_rows", lambda: nc.cosine_rows(Tensor(1.0), _ones(4))),
     ("layernorm_rows", lambda: nc.layernorm_rows(Tensor(1.0))),
+    ("sum_last", lambda: nc.sum_last(Tensor(1.0))),
+    ("attention", lambda: nc.attention(_ones(2, 0), _ones(3, 0), _ones(3, 0), 1)),
 ], ids=["narrow_past_end", "narrow_negative_start", "narrow_negative_length",
         "narrow_axis", "reshape_size", "mean_axis_axis", "attention_no_heads",
-        "attention_1d_kv", "cosine_rows_0d", "layernorm_rows_0d"])
+        "attention_1d_kv", "cosine_rows_0d", "layernorm_rows_0d", "sum_last_0d",
+        "attention_zero_width"])
 def test_out_of_range_arguments_raise_shape_error(name, call):
     with pytest.raises(ShapeError, match=name):
         call()
+
+
+_SHAPE = st.lists(st.integers(1, 4), max_size=3).map(tuple)
+_AXIS = st.integers(-4, 3)
+_ONE, _TWO, _NONE = st.just(1), st.just(2), st.just(())
+# every public op: (operand count, static arguments)
+_FUZZ_OPS = {
+    **{name: (_ONE, _NONE) for name in (
+        "sum_all", "sum_last", "transpose", "sigmoid", "silu", "exp", "log",
+        "softmax_rows", "layernorm_rows")},
+    **{name: (_TWO, _NONE) for name in ("add", "sub", "mul", "matmul", "cosine_rows")},
+    "scale": (_ONE, st.tuples(st.floats(-2.0, 2.0))),
+    "mean_axis": (_ONE, st.tuples(_AXIS, st.booleans())),
+    "reshape": (_ONE, st.tuples(st.lists(st.integers(-1, 4), max_size=3).map(tuple))),
+    "narrow": (_ONE, st.tuples(_AXIS, st.integers(-1, 4), st.integers(-1, 4))),
+    "clip": (_ONE, st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))),
+    "concat": (st.integers(0, 3), st.tuples(_AXIS)),
+    "attention": (st.just(3), st.tuples(st.integers(0, 4))),
+}
+
+
+@st.composite
+def _op_cases(draw):
+    name = draw(st.sampled_from(sorted(_FUZZ_OPS)))
+    count, static = _FUZZ_OPS[name]
+    shapes = []
+    for _ in range(draw(count)):
+        # a later operand often takes the first one's shape, so matching
+        # operands are drawn as well as mismatched ones
+        shapes.append(draw(st.one_of(st.just(shapes[0]), _SHAPE) if shapes else _SHAPE))
+    return name, shapes, draw(static)
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(_op_cases())
+def test_every_op_runs_or_raises_a_categorized_error(case):
+    """Forward and backward of any op on any operand shapes and static
+    arguments either succeed or raise an FsadError that names the op."""
+    name, shapes, static = case
+    ins = [Tensor(np.linspace(0.5, 1.5, int(np.prod(s))).reshape(s), requires_grad=True)
+           for s in shapes]
+    args = (ins,) if name == "concat" else ins
+    try:
+        with GradTape() as tape:
+            loss = nc.sum_all(getattr(nc, name)(*args, *static))
+        backward(loss, tape)
+    except FsadError as exc:
+        assert name in str(exc)
 
 
 def test_narrow_takes_every_in_range_slice():

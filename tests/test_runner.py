@@ -71,7 +71,7 @@ def test_every_recipe_key_reaches_what_it_configures():
     assert [a.down.shape for a in adapters] == [(16, 8)] * 4
     assert float(adapt.alpha_t.data) == 0.2
     ep = run.episode
-    assert ep.k == 2 and len(ep.support) == 4 and len(ep.query) == 40
+    assert ep.k == 2 and len(ep.support_ids) == 4 and len(ep.query_ids) == 40
     assert run.episode_seed == 6
     assert ep.query_ids == sample_episode(dataset, 2, 6, 20).query_ids
     assert run.report.lam == 0.3

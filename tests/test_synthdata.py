@@ -69,13 +69,15 @@ def test_disk_mean_shift_matches_contrast():
 def test_episode_structure_and_determinism():
     data = generate_dataset(small_spec(n_normal=30, n_abnormal=30))
     ep = sample_episode(data, k=4, seed=9, query_per_class=10)
-    assert len(ep.support) == 8 and ep.k == 4
-    assert sum(s.label for s in ep.support) == 4
-    assert len(ep.query) == 20
-    assert sum(s.label for s in ep.query) == 10
+    support = [data[i] for i in ep.support_ids]
+    query = [data[i] for i in ep.query_ids]
+    assert len(support) == 8 and ep.k == 4
+    assert sum(s.label for s in support) == 4
+    assert len(query) == 20
+    assert sum(s.label for s in query) == 10
     assert set(ep.support_ids).isdisjoint(ep.query_ids)
-    assert [ep.support[i].label for i in ep.idx_norm] == [0] * 4
-    assert [ep.support[i].label for i in ep.idx_abn] == [1] * 4
+    assert [support[i].label for i in ep.idx_norm] == [0] * 4
+    assert [support[i].label for i in ep.idx_abn] == [1] * 4
     ep2 = sample_episode(data, k=4, seed=9, query_per_class=10)
     assert ep.support_ids == ep2.support_ids and ep.query_ids == ep2.query_ids
 
@@ -84,7 +86,7 @@ def test_episode_invariants_many_seeds():
     data = generate_dataset(small_spec(n_normal=25, n_abnormal=25))
     for seed in range(100):
         ep = sample_episode(data, k=2, seed=seed, query_per_class=5)
-        labels = [s.label for s in ep.support]
+        labels = [data[i].label for i in ep.support_ids]
         assert labels.count(0) == 2 and labels.count(1) == 2
         assert set(ep.support_ids).isdisjoint(ep.query_ids)
         assert sorted(ep.idx_norm + ep.idx_abn) == list(range(4))
