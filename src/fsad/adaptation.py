@@ -61,8 +61,6 @@ class ResidualAdapter:
         return self.down.shape[-2]
 
     def contribution(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.width:
-            raise ShapeError(f"adapter width {self.width} vs input {x.shape}")
         return nc.matmul(nc.silu(nc.matmul(x, self.down)), self.up)
 
 

@@ -67,6 +67,8 @@ class BackboneSpec:
             raise ConfigError(f"width {self.d} not divisible by {self.heads} heads")
         if len(self.patch_grid) != 2 or min(self.patch_grid) < 1:
             raise ConfigError(f"bad patch grid {self.patch_grid}")
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ConfigError(f"backbone.seed must be >= 0, got {self.seed}")
 
     @property
     def patches(self) -> int:
@@ -167,17 +169,16 @@ def _patchify(image: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
     return tiles.reshape(rows * cols, ph * pw * 3)
 
 
-def encode_images(enc: ToyEncoder, images: list[np.ndarray]) -> list[dict[int, Tensor]]:
-    """Patch tokens [P, d] at each visual tap, per image, from one pass of
-    [B, P, d] through the tower; never tracked for gradients."""
+def encode_images(enc: ToyEncoder, images: list[np.ndarray]) -> dict[int, np.ndarray]:
+    """Patch tokens [B, P, d] at each visual tap, row b from images[b], from
+    one pass through the tower; plain arrays, never tracked for gradients."""
     flat = np.stack([_patchify(np.asarray(img, dtype=np.float64), enc.spec.patch_grid)
                      for img in images])
     with nc.no_grad():
         proj = enc.patch_projection(flat.shape[-1])
         x = nc.add(nc.matmul(Tensor(flat), proj), enc.pos)
         taps, _ = enc.run(x)
-    return [{layer: Tensor(t.data[b]) for layer, t in taps.items()}
-            for b in range(len(images))]
+    return {layer: t.data for layer, t in taps.items()}
 
 
 def sinusoid_positions(rows: int, d: int) -> np.ndarray:

@@ -96,8 +96,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
         fdir.mkdir(exist_ok=True)
         for i in range(len(dataset)):
             bundle = FeatureBundle(d=cfg.backbone_spec().d,
-                                   visual={l: store.feats[l][i]
-                                           for l in store.feats})
+                                   visual=store.take(store.feats, i))
             save_feature_bundle(bundle, str(fdir / f"sample_{i:04d}.haafb"))
         note = f" and {len(dataset)} feature bundles"
     print(f"synth: {len(dataset)} samples{note} -> {out}")

@@ -193,11 +193,13 @@ class RunConfig:
         return self.values[key]
 
     def _validate(self) -> None:
-        """Each spec constructor checks its own section; the checks here
-        pit one section's keys against another's, so a mismatch fails
-        before any output is written."""
+        """Each spec constructor checks its own section; the checks here cover
+        ``model.seed``, which no section owns, and pit one section's keys
+        against another's, so a mismatch fails before any output is written."""
         specs = {prefix: self.section(prefix) for prefix in SECTIONS}
         bb, data, ep = specs["backbone"], specs["data"], specs["episode"]
+        if self["model.seed"] < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ConfigError(f"model.seed must be >= 0, got {self['model.seed']}")
         for key, divisor in (("clsa.heads", specs["clsa"].heads),
                              ("adapt.reduction", specs["adapt"].reduction)):
             if bb.d % divisor:

@@ -32,7 +32,7 @@ from .adaptation import (AdaptationState, AdaptSpec, apply_text_adapter,
 from .backbone import BackboneSpec, ToyEncoder, encode_prompt, layer_map
 from .binio import ByteReader, ByteWriter
 from .clsa import ClsaOutput, ClsaSpec, ClsaState, clsa_forward, init_clsa
-from .errors import CompatError, ConfigError, ContractError
+from .errors import CompatError, ContractError, NumericError
 from .inference import SCORE_BLOCK, Aligned, row_norms, semantic_scores
 from .numcore import Tensor
 
@@ -241,30 +241,30 @@ def align(model: Model, store, ids) -> AlignMemo:
     key = _memo_key(model)
     memo = model._memo
     if memo is None or memo.store is not store or memo.key != key:
-        taps = model.spec.selected_visual
-        missing = [t for t in taps if t not in store.feats]
-        if missing:
-            raise ConfigError(f"taps {missing} not present in feature store "
-                              f"(has {sorted(store.feats)})")
         n = store.labels.size
+        empty = store.take(model.spec.selected_visual, [])  # tap -> [0, P, d]
         memo = model._memo = AlignMemo(
             store=store, key=key,
-            visual={t: np.empty((n,) + store.feats[t].shape[1:]) for t in taps},
-            norms={t: np.empty((n,) + store.feats[t].shape[1:-1]) for t in taps},
+            visual={t: np.empty((n,) + a.shape[1:]) for t, a in empty.items()},
+            norms={t: np.empty((n,) + a.shape[1:-1]) for t, a in empty.items()},
             sem=np.empty(n), filled=np.zeros(n, dtype=bool))
     ids = np.asarray(ids, dtype=np.int64)
     todo = ids[~memo.filled[ids]]
-    with nc.no_grad():
+    # the NumericError below reports an overflow; numpy's warnings would repeat it
+    with nc.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         tau = model.tau()
         for lo in range(0, todo.size, SCORE_BLOCK):
             block = todo[lo:lo + SCORE_BLOCK]
-            out = forward(model, {t: Tensor(store.feats[t][block])
-                                  for t in memo.visual})
+            out = forward(model, {t: Tensor(a) for t, a in
+                                  store.take(memo.visual, block).items()})
             for t, rows in memo.visual.items():
                 rows[block] = out.visual[t].data
                 # from a C-contiguous gather, like the gathered rows scoring
                 # reads: a norm's summation order follows the memory layout
                 memo.norms[t][block] = row_norms(rows[block])
+                if not np.isfinite(memo.norms[t][block]).all():
+                    raise NumericError(f"alignment diverged: the aligned rows "
+                                       f"at visual tap {t} overflow")
             memo.sem[block] = semantic_scores(
                 out.visual, out.class_vectors["abnormal"], tau).data
             memo.filled[block] = True

@@ -15,7 +15,8 @@ recorded from.
 An op raises a :class:`ShapeError` naming itself whenever numpy rejects its
 operands: :func:`_apply` translates numpy's ``ValueError``. An op checks its
 arguments itself only where numpy would accept them silently or fail with
-something other than a ``ValueError``; each such check says why.
+something other than a ``ValueError``; each such check says why, as the
+empty-axis checks of ``mean_axis``, ``layernorm_rows`` and ``cosine_rows`` do.
 
 Every kernel keeps the exact sequence of IEEE operations of its reference
 formula, so outputs and gradients are bit-identical however the work is
@@ -400,6 +401,8 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def mean_axis(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+    if -x.ndim <= axis < x.ndim and x.shape[axis] == 0:  # numpy warns and gives NaN
+        raise ShapeError(f"mean_axis: axis {axis} of shape {x.shape} is empty")
     return _apply(_MEAN_AXIS, (x,), (axis, keepdims))
 
 
@@ -634,6 +637,8 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def layernorm_rows(x: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalise the last axis to zero mean / unit variance (no affine)."""
+    if x.ndim and x.shape[-1] == 0:  # numpy warns and gives NaN
+        raise ShapeError(f"layernorm_rows: empty last axis in shape {x.shape}")
     return _apply(_LAYERNORM_ROWS, (x,), (eps,))
 
 
@@ -645,6 +650,8 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     """
     if b.ndim != 1:  # with a 2-d b, a @ b would be a silent matrix product
         raise ShapeError(f"cosine_rows reference must be 1-d, got {b.shape}")
+    if b.shape[0] == 0:  # backward cannot split zero-width rows back into b
+        raise ShapeError(f"cosine_rows needs a nonzero width, got {b.shape}")
     return _apply(_COSINE_ROWS, (a, b))
 
 

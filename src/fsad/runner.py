@@ -45,30 +45,31 @@ MAX_STACK = 5
 
 @dataclass
 class FeatureStore:
-    """Stacked frozen visual features for a whole corpus, keyed by tap."""
+    """A corpus's frozen features, per visual tap an [N, P, d] array, and N labels."""
 
     feats: dict[int, np.ndarray]
     labels: np.ndarray
 
+    def take(self, taps, ids) -> dict[int, np.ndarray]:
+        """Rows ``ids`` at each of ``taps``: ids of shape S give [*S, P, d],
+        e.g. [B, P, d] for a support set, [E, B, P, d] for a stack's."""
+        missing = [t for t in taps if t not in self.feats]
+        if missing:
+            raise ConfigError(f"taps {missing} not present in feature store "
+                              f"(has {sorted(self.feats)})")
+        idx = np.asarray(ids, dtype=np.int64)
+        return {t: self.feats[t][idx] for t in taps}
+
+
+# perfbench/record.py gathers through the module-level name
+take = FeatureStore.take
+
 
 def build_feature_store(spec: BackboneSpec, dataset: list[Sample]) -> FeatureStore:
     """Encode every sample once through the frozen visual tower."""
-    per_image = encode_images(ToyEncoder(spec, "visual"),
-                              [s.image for s in dataset])
-    feats = {layer: np.stack([f[layer].data for f in per_image])
-             for layer in spec.selected_visual}
-    labels = np.array([s.label for s in dataset], dtype=np.int64)
-    return FeatureStore(feats=feats, labels=labels)
-
-
-def take(store: FeatureStore, taps, ids) -> dict[int, np.ndarray]:
-    """Features for the given sample ids, restricted to the given taps."""
-    missing = [t for t in taps if t not in store.feats]
-    if missing:
-        raise ConfigError(f"taps {missing} not present in feature store "
-                          f"(has {sorted(store.feats)})")
-    idx = np.asarray(ids, dtype=np.int64)
-    return {t: store.feats[t][idx] for t in taps}
+    return FeatureStore(
+        feats=encode_images(ToyEncoder(spec, "visual"), [s.image for s in dataset]),
+        labels=np.array([s.label for s in dataset], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +133,8 @@ def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
         model = model_from_config(cfg, RunSpec(index))
     ysup = store.labels[ep.support_ids]
     yq = store.labels[ep.query_ids]
-    trace = (train_episode(model, take(store, model.spec.selected_visual,
-                                       ep.support_ids), ysup, cfg.train_config())
+    trace = (train_episode(model, store.take(model.spec.selected_visual,
+                                             ep.support_ids), ysup, cfg.train_config())
              if train else [])
     memo = align(model, store, ep.support_ids + ep.query_ids)
     sup, qry = memo.take(ep.support_ids), memo.take(ep.query_ids)
@@ -173,14 +174,11 @@ def run_plan(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
             models = [model_from_config(cfg, specs[pos]) for pos in stack]
             traces = [None] * len(stack)  # None: not trained yet
             if structure.train and len(stack) > 1:
-                eps = [_sample(episode, dataset, specs[pos].index) for pos in stack]
-                sups = [take(store, models[0].spec.selected_visual, ep.support_ids)
-                        for ep in eps]
-                labels = [store.labels[ep.support_ids] for ep in eps]
+                ids = np.array([_sample(episode, dataset, specs[pos].index).support_ids
+                                for pos in stack])  # [E, B]
                 stacked = stack_models(models)
-                feats = {layer: np.stack([sup[layer] for sup in sups])
-                         for layer in sups[0]}
-                traces = train_episode(stacked, feats, np.stack(labels), tcfg)
+                feats = store.take(stacked.spec.selected_visual, ids)
+                traces = train_episode(stacked, feats, store.labels[ids], tcfg)
                 unstack_model(stacked, models)
             for pos, trace in zip(stack, traces):
                 run = run_episode(cfg, store, dataset, specs[pos].index,

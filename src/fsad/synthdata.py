@@ -38,6 +38,8 @@ class DatasetSpec:
     n_abnormal: int = 200
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ConfigError(f"data.seed must be >= 0, got {self.seed}")
         if self.n_normal < 1 or self.n_abnormal < 1:
             raise ConfigError("dataset class counts must be >= 1")
         if not 0 < self.freq_min <= self.freq_max:
@@ -62,9 +64,9 @@ class EpisodeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("k", "query_per_class", "count"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"episode.{name} must be >= 1, "
+        for name, least in (("k", 1), ("query_per_class", 1), ("count", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"episode.{name} must be >= {least}, "
                                   f"got {getattr(self, name)}")
 
 

@@ -70,19 +70,19 @@ def test_encode_image_shapes_and_determinism():
     vis = ToyEncoder(spec, "visual")
     rng = np.random.default_rng(0)
     img = rand_image(rng)
-    taps = encode_images(vis, [img])[0]
+    taps = encode_images(vis, [img])
     assert sorted(taps) == [2, 4]
     for t in taps.values():
-        assert t.shape == (4, 16) and not t.requires_grad
-    taps2 = encode_images(vis, [img])[0]
+        assert t.shape == (1, 4, 16) and isinstance(t, np.ndarray)
+    taps2 = encode_images(vis, [img])
     for layer in taps:
-        np.testing.assert_array_equal(taps[layer].data, taps2[layer].data)
+        np.testing.assert_array_equal(taps[layer][0], taps2[layer][0])
 
 
 def test_default_patch_count():
     vis = ToyEncoder(BackboneSpec(), "visual")
-    taps = encode_images(vis, [np.zeros((32, 32, 3))])[0]
-    assert all(t.shape == (16, 32) for t in taps.values())
+    taps = encode_images(vis, [np.zeros((32, 32, 3))])
+    assert all(t[0].shape == (16, 32) for t in taps.values())
 
 
 def test_encode_batch_matches_single():
@@ -91,10 +91,10 @@ def test_encode_batch_matches_single():
     rng = np.random.default_rng(1)
     imgs = [rand_image(rng) for _ in range(3)]
     batched = encode_images(vis, imgs)
-    for img, taps in zip(imgs, batched):
-        single = encode_images(vis, [img])[0]
+    for b, img in enumerate(imgs):
+        single = encode_images(vis, [img])
         for layer in single:
-            np.testing.assert_allclose(taps[layer].data, single[layer].data, atol=1e-12)
+            np.testing.assert_allclose(batched[layer][b], single[layer][0], atol=1e-12)
 
 
 def test_patch_perturbation_moves_some_tokens():
@@ -104,9 +104,9 @@ def test_patch_perturbation_moves_some_tokens():
     img = rand_image(rng)
     other = img.copy()
     other[0:4, 0:4, :] += 0.25
-    a = encode_images(vis, [img])[0]
-    b = encode_images(vis, [other])[0]
-    assert any(not np.array_equal(a[l].data, b[l].data) for l in a)
+    a = encode_images(vis, [img])
+    b = encode_images(vis, [other])
+    assert any(not np.array_equal(a[l][0], b[l][0]) for l in a)
 
 
 def test_encode_image_rejects_indivisible():

@@ -268,6 +268,30 @@ def test_nonpositive_sizes_are_config_errors(cfg_file, tmp_path, capsys,
     assert err.startswith("error[config]") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["model.seed", "episode.seed", "data.seed",
+                                 "backbone.seed"])
+def test_negative_seeds_are_config_errors(cfg_file, tmp_path, capsys, key):
+    assert main(["train", "--config", cfg_file, "--out", str(tmp_path),
+                 "--set", f"{key}=-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[config]: {key} must be >= 0")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("assignment", ["train.lr_fast=1e308",
+                                        "train.weight_decay=1e308"])
+def test_huge_rate_is_one_numeric_error_at_alignment(cfg_file, tmp_path, capsys,
+                                                     assignment):
+    # training ends with finite but huge parameters; under the suite's
+    # error::RuntimeWarning filter an overflow warning in the alignment
+    # would escape as an exception instead of error[numeric]
+    assert main(["train", "--config", cfg_file, "--out", str(tmp_path),
+                 "--set", "train.epochs=1", "--set", assignment]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[numeric]: alignment diverged") and "tap 2" in err
+    assert "Warning" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("assignment", [
     "train.eps=-1", "train.weight_decay=-0.5", "train.beta2=1.5",
     "train.beta1=1.0", "data.contrast_shift=inf", "train.lr_fast=nan",

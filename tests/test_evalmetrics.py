@@ -5,7 +5,7 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fsad.errors import CapacityError, MetricError, NumericError
@@ -48,7 +48,7 @@ def brute_threshold(scores, labels):
         return 0.5
     best_t, best_f1 = None, -1.0
     for lo, hi in zip(distinct, distinct[1:]):
-        t = (lo + hi) / 2.0
+        t = lo / 2.0 + hi / 2.0  # threshold_from_support's rounding
         pred = s >= t
         tp = int(np.count_nonzero(pred & (y == 1)))
         fp = int(np.count_nonzero(pred & (y == 0)))
@@ -144,6 +144,8 @@ def test_oracle_equivalence_exhaustive():
        .flatmap(lambda pool: st.lists(st.tuples(st.sampled_from(pool),
                                                 st.integers(0, 1)),
                                       min_size=2, max_size=300)))
+# subnormals: (lo + hi) / 2 rounds to 1.5e-323 here, lo / 2 + hi / 2 to 1e-323
+@example([(5e-324, 0), (2.5e-323, 1)])
 def test_oracle_equivalence_heavy_ties(pairs):
     # up to 300 scores drawn from at most 3 distinct values
     s = np.array([score for score, _ in pairs])

@@ -495,16 +495,20 @@ def test_leading_axis_mismatch_raises_shape_error(name, call):
     ("layernorm_rows", lambda: nc.layernorm_rows(Tensor(1.0))),
     ("sum_last", lambda: nc.sum_last(Tensor(1.0))),
     ("attention", lambda: nc.attention(_ones(2, 0), _ones(3, 0), _ones(3, 0), 1)),
+    ("mean_axis", lambda: nc.mean_axis(_ones(0, 0, 3), 1)),
+    ("layernorm_rows", lambda: nc.layernorm_rows(_ones(0))),
+    ("cosine_rows", lambda: nc.cosine_rows(_ones(0), _ones(0))),
 ], ids=["narrow_past_end", "narrow_negative_start", "narrow_negative_length",
         "narrow_axis", "reshape_size", "mean_axis_axis", "attention_no_heads",
         "attention_1d_kv", "cosine_rows_0d", "layernorm_rows_0d", "sum_last_0d",
-        "attention_zero_width"])
+        "attention_zero_width", "mean_axis_empty_axis", "layernorm_rows_empty_rows",
+        "cosine_rows_zero_width"])
 def test_out_of_range_arguments_raise_shape_error(name, call):
     with pytest.raises(ShapeError, match=name):
         call()
 
 
-_SHAPE = st.lists(st.integers(1, 4), max_size=3).map(tuple)
+_SHAPE = st.lists(st.integers(0, 4), max_size=3).map(tuple)
 _AXIS = st.integers(-4, 3)
 _ONE, _TWO, _NONE = st.just(1), st.just(2), st.just(())
 # every public op: (operand count, static arguments)

@@ -18,7 +18,7 @@ from fsad.runner import (BETA_POINTS, LAMBDA_POINTS, FeatureStore, RunSpec,
                          beta_sweep, build_feature_store, eval_at_lambda, gradcheck_all,
                          gradcheck_episode, gradcheck_ops, lambda_sweep,
                          model_from_config, run_episode, run_plan,
-                         stage_grid, stage_specs, strategy_grid, take)
+                         stage_grid, stage_specs, strategy_grid)
 from fsad.synthdata import generate_dataset, sample_episode
 from fsad.training import TrainConfig
 
@@ -78,9 +78,9 @@ def test_every_recipe_key_reaches_what_it_configures():
     taps = model.spec.selected_visual
     with nc.no_grad():
         sup = forward(model, {l: nc.Tensor(a) for l, a in
-                              take(store, taps, ep.support_ids).items()})
+                              store.take(taps, ep.support_ids).items()})
         qry = forward(model, {l: nc.Tensor(a) for l, a in
-                              take(store, taps, ep.query_ids).items()})
+                              store.take(taps, ep.query_ids).items()})
     protos = build_prototypes({l: v.data for l, v in sup.visual.items()},
                               {"normal": ep.idx_norm, "abnormal": ep.idx_abn})
     rows = {l: v.data for l, v in qry.visual.items()}
@@ -104,12 +104,20 @@ def test_feature_store_layout(world):
 
 def test_take_slices_and_guards(world):
     _, store, _ = world
-    got = take(store, (4,), [5, 1])
+    got = store.take((4,), [5, 1])
     assert sorted(got) == [4]
     np.testing.assert_array_equal(got[4][0], store.feats[4][5])
     np.testing.assert_array_equal(got[4][1], store.feats[4][1])
+    # a stack's [E, B] support ids: one C-contiguous [E, B, P, d] gather
+    stacked = store.take((2, 4), np.array([[5, 1], [0, 7], [3, 3]]))
+    for tap, arr in stacked.items():
+        assert arr.shape == (3, 2) + store.feats[tap].shape[1:]
+        assert arr.flags.c_contiguous
+        np.testing.assert_array_equal(
+            arr, np.stack([store.take((tap,), ids)[tap]
+                           for ids in ([5, 1], [0, 7], [3, 3])]))
     with pytest.raises(ConfigError):
-        take(store, (6,), [0])
+        store.take((6,), [0])
 
 
 def test_run_episode_fields(world):
