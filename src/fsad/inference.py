@@ -17,10 +17,14 @@ from .errors import (CapacityError, ConfigError, ContractError, DomainError,
                      NumericError, ShapeError)
 from .numcore import Tensor
 
-# Images per alignment block (``model.align``). A 100-row block's largest
-# buffer, the t2v attention weights, is under 1 MB at the default width and
-# so stays in a 2 MB per-core L2 cache.
+# Images per alignment block (``model.align``) and per row gather of
+# ``proto_distance``. A 100-row block's largest alignment buffer, the t2v
+# attention weights, is under 1 MB at the default width, and its gathered
+# rows take 400 KB per tap, so each stays in a 2 MB per-core L2 cache.
 SCORE_BLOCK = 100
+
+# The prototype branch's classes, in the order of ``proto_distance``'s rows.
+CLASSES = ("normal", "abnormal")
 
 
 @dataclass(frozen=True)
@@ -59,14 +63,37 @@ def semantic_scores(visual: dict[int, Tensor], t_abn: Tensor, tau: Tensor) -> Te
 
 @dataclass(frozen=True)
 class Aligned:
-    """A batch of B aligned images, ready to score: per visual tap, their
-    patch rows [B, P, d] and those rows' norms [B, P] (``row_norms``), in
-    the model's tap order, and their semantic scores [B]. ``model.align``
-    memoizes all three."""
+    """A batch of B aligned images, ready to score, named by index: per
+    visual tap, in the model's tap order, an [N, P, d] array of patch rows
+    and an [N, P] array of their norms (``row_norms``), an [N] array of
+    semantic scores, and the batch's B ``ids`` into those N rows, in batch
+    order. ``model.AlignMemo.take`` passes the memo's own arrays, so a batch
+    copies no rows; a hand-built batch of B images passes ``np.arange(B)``."""
 
     visual: dict[int, np.ndarray]
     norms: dict[int, np.ndarray]
     sem: np.ndarray
+    ids: np.ndarray
+
+    def __post_init__(self):
+        n = np.size(self.sem)
+        counts = {layer: np.shape(v)[:-2] for layer, v in self.visual.items()}
+        if np.ndim(self.sem) != 1 or counts and set(counts.values()) != {(n,)}:
+            raise ShapeError(f"aligned rows per visual tap {counts} do not match "
+                             f"{n} semantic scores")
+        for layer, v in self.visual.items():
+            if layer not in self.norms or np.shape(self.norms[layer]) != v.shape[:-1]:
+                raise ShapeError(f"row norms at visual tap {layer} do not match "
+                                 f"its rows {v.shape}")
+        ids = np.asarray(self.ids)
+        if ids.ndim != 1 or ids.size and ids.dtype.kind not in "iu":
+            raise ContractError(f"image ids must be a 1-D array of integers, "
+                                f"got {ids.dtype} of shape {ids.shape}")
+        ids = ids.astype(np.int64, copy=False)
+        bad = ids[(ids < 0) | (ids >= n)]
+        if bad.size:
+            raise ContractError(f"image id {bad[0]} outside [0, {n})")
+        object.__setattr__(self, "ids", ids)
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -90,40 +117,73 @@ def build_prototypes(support_visual: dict[int, np.ndarray],
     index_sets maps each class to its row indices within that batch, each
     in [0, B).
     """
+    for layer, v in support_visual.items():
+        if np.ndim(v) != 3 or v.shape[1] == 0:
+            raise ShapeError(f"support rows at layer {layer} must be [B, P, d] "
+                             f"with P >= 1, got {np.shape(v)}")
+    index_sets = {cls: np.asarray(idx) for cls, idx in index_sets.items()}
     for cls, idx in index_sets.items():
-        if not idx:
+        if not idx.size:
             raise CapacityError(f"class {cls!r} has no support samples")
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":  # a bool list would mask
+            raise ContractError(f"class {cls!r}: support indices must be a 1-D "
+                                f"list of integers, got {idx.tolist()!r}")
         for layer, v in support_visual.items():
-            bad = [i for i in idx if not 0 <= i < v.shape[0]]
-            if bad:
+            bad = idx[(idx < 0) | (idx >= v.shape[0])]
+            if bad.size:
                 raise ContractError(f"class {cls!r}: support index {bad[0]} "
                                     f"outside [0, {v.shape[0]}) at layer {layer}")
-    protos = PrototypeSet()
-    for cls, idx in index_sets.items():
-        per_layer = {}
-        for layer, v in support_visual.items():
-            patch_means = v.mean(axis=-2)
-            per_layer[layer] = patch_means[idx].mean(axis=0)
-        protos.vectors[cls] = per_layer
-    return protos
+    patch_means = {layer: v.mean(axis=-2) for layer, v in support_visual.items()}
+    return PrototypeSet({cls: {layer: means[idx].mean(axis=0)
+                               for layer, means in patch_means.items()}
+                         for cls, idx in index_sets.items()})
 
 
-def proto_distance(batch: Aligned, protos: PrototypeSet, cls: str) -> np.ndarray:
-    """Sum over layers of one minus the mean patch cosine to the prototype.
+def proto_distance(batch: Aligned, protos: PrototypeSet) -> np.ndarray:
+    """Per class of ``CLASSES``, the sum over the batch's taps of one minus
+    the mean patch cosine to the class prototype: [2, B] distances.
 
     The cosines are ``nc.cosine_rows``'s IEEE operations on the batch's
-    memoized row norms (README "Numerics contract"). Returns [B] distances.
+    memoized row norms (README "Numerics contract"). The rows are gathered
+    in blocks of ``SCORE_BLOCK`` images, so a block stays in cache while it
+    meets both prototypes; each image's dots are one gemv over its own
+    [P, d] rows, as in a pass over the image alone.
     """
-    if cls not in protos.vectors:
-        raise DomainError(f"no prototype for class {cls!r}")
-    total = None
+    for cls in CLASSES:
+        if cls not in protos.vectors:
+            raise DomainError(f"no prototype for class {cls!r}")
+    if not batch.visual:
+        raise ContractError("prototype distance needs at least one visual tap")
+    ids, total, block = batch.ids, None, None
     for layer, rows in batch.visual.items():
-        proto = protos.vectors[cls][layer]
-        cos = (rows @ proto) / (batch.norms[layer]
-                                * max(np.linalg.norm(proto), nc.NORM_FLOOR))
-        term = 1.0 - cos.mean(axis=-1)
+        vecs = [protos.vectors[cls].get(layer) for cls in CLASSES]
+        if any(vec is None for vec in vecs):
+            raise ContractError(f"no prototype at visual tap {layer}")
+        if any(vec.shape != rows.shape[-1:] for vec in vecs):
+            raise ShapeError(f"prototypes {[vec.shape for vec in vecs]} do not "
+                             f"match the rows {rows.shape} at visual tap {layer}")
+        if 0 in rows.shape[-2:]:  # nc.cosine_rows needs a nonzero width too
+            raise ShapeError(f"rows {rows.shape} at visual tap {layer} have no "
+                             f"patches or zero width")
+        shape = (min(ids.size, SCORE_BLOCK),) + rows.shape[1:]
+        if block is None or block.shape != shape or block.dtype != rows.dtype:
+            block = np.empty(shape, rows.dtype)  # taps of one shape share it
+            dots = np.empty((len(CLASSES), ids.size, rows.shape[-2]))
+        for lo in range(0, ids.size, SCORE_BLOCK):
+            hi = min(lo + SCORE_BLOCK, ids.size)
+            # ids are checked (Aligned), so "clip" clips nothing; it spares
+            # the copy that "raise" makes of an out= buffer
+            part = np.take(rows, ids[lo:hi], axis=0, out=block[:hi - lo],
+                           mode="clip")
+            for c, vec in enumerate(vecs):
+                np.matmul(part, vec, out=dots[c, lo:hi])
+        # per class: dots / (norms * max(|proto|, NORM_FLOOR)), then the mean
+        # over the patches, as nc.cosine_rows and the mean of its output
+        scale = np.array([max(np.linalg.norm(vec), nc.NORM_FLOOR) for vec in vecs])
+        np.divide(dots, batch.norms[layer][ids] * scale[:, None, None], out=dots)
+        term = 1.0 - dots.mean(axis=-1)
         total = term if total is None else total + term
-    return np.asarray(total)
+    return total
 
 
 def proto_scores(d_norm: np.ndarray, d_abn: np.ndarray, eps: float) -> np.ndarray:
@@ -191,20 +251,12 @@ def score_batch(batch: Aligned, labels, protos: PrototypeSet,
     if missing:
         raise ContractError(f"no aligned rows for visual tap {missing[0]}; "
                             f"got taps {sorted(batch.visual)}")
-    sem_raw = np.asarray(batch.sem, dtype=np.float64).reshape(-1)
-    counts = {layer: v.shape[:-2] for layer, v in batch.visual.items()}
-    if set(counts.values()) != {sem_raw.shape}:
-        raise ShapeError(f"aligned rows per visual tap {counts} do not match "
-                         f"{sem_raw.size} semantic scores")
-    for layer, v in batch.visual.items():
-        if layer not in batch.norms or batch.norms[layer].shape != v.shape[:-1]:
-            raise ShapeError(f"row norms at visual tap {layer} do not match "
-                             f"its rows {v.shape}")
+    sem_raw = np.asarray(batch.sem, dtype=np.float64)[batch.ids]
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size != sem_raw.size:
         raise ContractError(f"{labels.size} labels for {sem_raw.size} queries")
-    proto_raw = proto_scores(proto_distance(batch, protos, "normal"),
-                             proto_distance(batch, protos, "abnormal"), infer.eps)
+    d_norm, d_abn = proto_distance(batch, protos)
+    proto_raw = proto_scores(d_norm, d_abn, infer.eps)
     sem_norm = minmax_normalize(sem_raw)
     proto_norm = minmax_normalize(proto_raw)
     final = ensemble(sem_norm, proto_norm, infer.lam)

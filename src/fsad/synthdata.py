@@ -8,7 +8,9 @@ plants a patch-local texture signal for the detection pipeline to find.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -51,6 +53,15 @@ class DatasetSpec:
             raise ConfigError("anomaly radius must be under half the image size")
         if self.noise_std < 0:
             raise ConfigError("noise std must be nonnegative")
+        # _field's largest phase is under 2π · frequency · image size; an
+        # overflow there would render non-finite pixels
+        reach = 2 * math.pi * max(self.height, self.width)
+        for key, freq in (("freq_max", self.freq_max),
+                          ("anomaly_freq_factor",
+                           self.freq_max * abs(self.anomaly_freq_factor))):
+            if not math.isfinite(reach * freq):
+                raise ConfigError(f"data.{key}={getattr(self, key)} overflows "
+                                  f"the rendered sinusoid's phase")
 
 
 @dataclass(frozen=True)
@@ -143,18 +154,18 @@ def generate_dataset(spec: DatasetSpec) -> list[Sample]:
 def sample_episode(dataset: list[Sample], k: int, seed: int,
                    query_per_class: int = EpisodeSpec.query_per_class) -> Episode:
     """Draw K support and a fixed-size query per class, without replacement."""
-    norm_ids = [i for i, s in enumerate(dataset) if s.label == 0]
-    abn_ids = [i for i, s in enumerate(dataset) if s.label == 1]
+    labels = np.fromiter(map(attrgetter("label"), dataset), dtype=np.int64,
+                         count=len(dataset))
+    norm_ids, abn_ids = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
     need = k + query_per_class
-    if len(norm_ids) < need or len(abn_ids) < need:
+    if norm_ids.size < need or abn_ids.size < need:
         raise CapacityError(
-            f"need {need} per class, have {len(norm_ids)} normal / {len(abn_ids)} abnormal")
+            f"need {need} per class, have {norm_ids.size} normal / {abn_ids.size} abnormal")
     rng = np.random.default_rng(np.random.SeedSequence((seed, _TAG_EPISODE)))
-    picked_n = rng.permutation(len(norm_ids))
-    picked_a = rng.permutation(len(abn_ids))
-    sup_ids = [norm_ids[i] for i in picked_n[:k]] + [abn_ids[i] for i in picked_a[:k]]
-    qry_ids = ([norm_ids[i] for i in picked_n[k:need]]
-               + [abn_ids[i] for i in picked_a[k:need]])
+    picked_n = norm_ids[rng.permutation(norm_ids.size)]
+    picked_a = abn_ids[rng.permutation(abn_ids.size)]
+    sup_ids = picked_n[:k].tolist() + picked_a[:k].tolist()
+    qry_ids = picked_n[k:need].tolist() + picked_a[k:need].tolist()
     return Episode(
         support_ids=sup_ids,
         query_ids=qry_ids,

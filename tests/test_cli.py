@@ -307,6 +307,26 @@ def test_bad_float_settings_are_config_errors(cfg_file, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("assignment", ["data.freq_max=1e308",
+                                        "data.anomaly_freq_factor=1e308"])
+def test_huge_frequencies_are_config_errors(cfg_file, tmp_path, capsys,
+                                            assignment):
+    # the rendered sinusoid's phase used to overflow: numpy warned, the
+    # corpus held non-finite pixels and training took the blame as
+    # error[numeric]
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--config", cfg_file, "--out", str(out),
+                     "--set", "train.epochs=1", "--set", assignment])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]") and "Traceback" not in err
+    assert assignment.split("=")[0] in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("assignment", [
     "clsa.heads=3", "adapt.reduction=3", "episode.query_per_class=11",
     "backbone.patch_grid=3,3"])

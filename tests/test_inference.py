@@ -14,13 +14,14 @@ from fsad.backbone import BackboneSpec
 from fsad.clsa import STRATEGIES
 from fsad.config import RunConfig
 from fsad.errors import CapacityError, ContractError, DomainError, ShapeError
-from fsad.inference import (SCORE_BLOCK, Aligned, InferSpec, build_prototypes,
-                            ensemble, minmax_normalize, proto_distance,
-                            proto_scores, row_norms, score_batch,
-                            semantic_scores)
+from fsad.inference import (SCORE_BLOCK, Aligned, InferSpec, PrototypeSet,
+                            build_prototypes, ensemble, minmax_normalize,
+                            proto_distance, proto_scores, row_norms,
+                            score_batch, semantic_scores)
 from fsad.model import align, forward, named_parameters
 from fsad.numcore import Tensor
-from fsad.runner import FeatureStore, build_feature_store, model_from_config
+from fsad.runner import (FeatureStore, build_feature_store, model_from_config,
+                         run_episode)
 from fsad.synthdata import generate_dataset, sample_episode
 
 D = 16
@@ -102,10 +103,29 @@ def test_build_prototypes_rejects_a_support_index_outside_the_batch(bad):
         build_prototypes(feats, {"normal": [0, 1], "abnormal": [2, bad]})
 
 
+@pytest.mark.parametrize("idx", [[0.0, 1.0], [True, False, True, False], [[0, 1]]])
+def test_build_prototypes_takes_integer_support_indices(idx):
+    # floats used to raise a bare IndexError, and a bool list silently
+    # masked the support rows
+    feats = {2: np.zeros((4, 5, D))}
+    with pytest.raises(ContractError, match="1-D list of integers"):
+        build_prototypes(feats, {"normal": idx, "abnormal": [2, 3]})
+
+
+def test_build_prototypes_takes_index_arrays_as_lists():
+    # an array index set used to raise numpy's bare "truth value of an
+    # array is ambiguous"
+    feats = {2: np.random.default_rng(19).normal(size=(6, 5, D))}
+    idx = {"normal": [0, 2, 4], "abnormal": [1, 3, 5]}
+    as_arrays = build_prototypes(feats, {c: np.array(i) for c, i in idx.items()})
+    for cls, vectors in build_prototypes(feats, idx).vectors.items():
+        assert np.array_equal(as_arrays.vectors[cls][2], vectors[2])
+
+
 def batch_of(visual, sem):
     """Aligned rows as ``model.align`` memoizes them: with their row norms."""
     return Aligned(visual=visual, norms={l: row_norms(v) for l, v in visual.items()},
-                   sem=sem)
+                   sem=sem, ids=np.arange(len(sem)))
 
 
 def test_proto_distance_matches_cosine_loop():
@@ -118,18 +138,20 @@ def test_proto_distance_matches_cosine_loop():
     query[4][1, 2] = 0.0  # a row at the norm floor
     batch = batch_of(query, np.zeros(3))
     with pytest.raises(DomainError):
-        proto_distance(batch, protos, "defective")
-    got = proto_distance(batch, protos, "abnormal")
-    assert got.shape == (3,)
+        proto_distance(batch, PrototypeSet({"normal": protos.vectors["normal"]}))
+    dists = proto_distance(batch, protos)
+    assert dists.shape == (2, 3)
     # bit for bit what nc.cosine_rows gives on the same rows
-    want = None
-    for l in (2, 4):
-        with nc.no_grad():
-            cos = nc.cosine_rows(Tensor(query[l]),
-                                 Tensor(protos.vectors["abnormal"][l])).data
-        term = 1.0 - cos.mean(axis=-1)
-        want = term if want is None else want + term
-    assert np.array_equal(got, want)
+    for cls, dist in zip(("normal", "abnormal"), dists):
+        want = None
+        for l in (2, 4):
+            with nc.no_grad():
+                cos = nc.cosine_rows(Tensor(query[l]),
+                                     Tensor(protos.vectors[cls][l])).data
+            term = 1.0 - cos.mean(axis=-1)
+            want = term if want is None else want + term
+        assert np.array_equal(dist, want), cls
+    got = dists[1]
     # and close to the closed form
     hand = np.zeros(3)
     for l in (2, 4):
@@ -303,7 +325,7 @@ def wide_episode(wide_world):
     scores and labels, and the scores of all of them in one call."""
     store, ep = wide_world
     memo = align(jittered_model("seq"), store, ep.support_ids + ep.query_ids)
-    protos = build_prototypes(memo.take(ep.support_ids).visual,
+    protos = build_prototypes({l: v[ep.support_ids] for l, v in memo.visual.items()},
                               {"normal": ep.idx_norm, "abnormal": ep.idx_abn})
     query = memo.take(ep.query_ids)
     labels = store.labels[ep.query_ids]
@@ -312,10 +334,9 @@ def wide_episode(wide_world):
 
 
 def part(batch, ids):
-    """Rows ``ids`` of an aligned batch."""
-    return Aligned(visual={l: v[ids] for l, v in batch.visual.items()},
-                   norms={l: n[ids] for l, n in batch.norms.items()},
-                   sem=batch.sem[ids])
+    """Images ``ids`` of an aligned batch."""
+    return Aligned(visual=batch.visual, norms=batch.norms, sem=batch.sem,
+                   ids=batch.ids[ids])
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -390,9 +411,9 @@ def test_text_tower_runs_once_for_every_block(wide_world, monkeypatch):
 def test_scoring_392_queries_keeps_peak_memory_small(wide_world):
     store, ep = wide_world
     model = jittered_model("seq")
-    support = align(model, store, ep.support_ids).take(ep.support_ids)
-    protos = build_prototypes(support.visual, {"normal": ep.idx_norm,
-                                               "abnormal": ep.idx_abn})
+    support = align(model, store, ep.support_ids).visual
+    protos = build_prototypes({l: v[ep.support_ids] for l, v in support.items()},
+                              {"normal": ep.idx_norm, "abnormal": ep.idx_abn})
     tracemalloc.start()
     try:
         memo = align(model, fresh(store), ep.query_ids)
@@ -404,6 +425,32 @@ def test_scoring_392_queries_keeps_peak_memory_small(wide_world):
     # one pass over all 392 queries would take about 36, and keeping a
     # block's output alive through the next block about 5
     assert peak < 20 * 2**20
+
+
+def test_a_memo_full_wide_episode_copies_no_rows(wide_world):
+    # a steady-state 392-query episode reads the memo's rows where they
+    # are: its peak stays under one tap's gathered query rows, which the
+    # scoring used to copy for each of the four taps
+    store, ep = wide_world
+    cfg = RunConfig(WIDE)
+    dataset = generate_dataset(cfg.dataset_spec())
+    model = jittered_model("seq")
+    run_episode(cfg, store, dataset, 0, train=False, model=model)  # fills the memo
+    memo = model._memo
+    batch = memo.take(ep.query_ids)
+    for t, rows in memo.visual.items():
+        assert np.shares_memory(batch.visual[t], rows)
+        assert np.shares_memory(batch.norms[t], memo.norms[t])
+    tracemalloc.start()
+    try:
+        run_episode(cfg, store, dataset, 0, train=False, model=model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model._memo is memo
+    gathered = len(ep.query_ids) * memo.visual[2][0].nbytes
+    assert gathered == 392 * 16 * 32 * 8  # 1.6 MB
+    assert peak < gathered
 
 
 def small_scoring_setup(rng, n):
@@ -444,3 +491,116 @@ def test_score_batch_rejects_an_empty_batch():
     protos, query, sem = small_scoring_setup(rng, 0)
     with pytest.raises(ContractError, match="cannot normalize an empty batch"):
         score_batch(batch_of(query, sem), [], protos)
+
+
+
+@pytest.mark.parametrize("ids", [[0.0, 1.0], [[0, 1]], [True, False]])
+def test_aligned_takes_a_1d_array_of_integer_ids(ids):
+    rng = np.random.default_rng(17)
+    rows = aligned_rows(rng, 3)
+    with pytest.raises(ContractError, match="1-D array of integers"):
+        Aligned(visual=rows, norms={l: row_norms(v) for l, v in rows.items()},
+                sem=rng.uniform(size=3), ids=ids)
+
+
+# ---------------------------------------------------------------------------
+# drawn batches against a per-image oracle
+
+FAULTS = {  # a drawn fault -> the categorized error it must raise
+    "empty class": CapacityError,          # build_prototypes
+    "support index": ContractError,        # build_prototypes
+    "no patches": ShapeError,              # build_prototypes
+    "image id": ContractError,             # Aligned
+    "tap without prototype": ContractError,  # proto_distance
+    "zero width": ShapeError,              # proto_distance
+    "prototype without rows": ContractError,  # score_batch
+}
+
+
+def image_oracle(visual, protos, image):
+    """One image's distance to each class prototype: ``nc.cosine_rows`` on
+    its [P, d] rows alone at each tap, their mean, summed in tap order."""
+    out = []
+    for cls in ("normal", "abnormal"):
+        total = None
+        for layer, rows in visual.items():
+            with nc.no_grad():
+                cos = nc.cosine_rows(Tensor(rows[image]),
+                                     Tensor(protos.vectors[cls][layer])).data
+            term = 1.0 - cos.mean()
+            total = term if total is None else total + term
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_drawn_batches_score_as_each_image_alone_or_raise(fault, data):
+    # memo-sized rows indexed by drawn ids (permuted or repeated, past the
+    # SCORE_BLOCK edges), drawn tap sets and support index sets: each draw
+    # either raises its fault's categorized error or gives prototypes and
+    # distances equal to per-image loops bit for bit
+    draw = data.draw
+    n = draw(st.integers(1, 250), label="memo images")
+    size = draw(st.one_of(st.sampled_from([1, SCORE_BLOCK - 1, SCORE_BLOCK,
+                                           SCORE_BLOCK + 1, 2 * SCORE_BLOCK + 1,
+                                           250]),
+                          st.integers(1, 250)), label="batch size")
+    p = 0 if fault == "no patches" else draw(st.integers(1, 5), label="patches")
+    d = 0 if fault == "zero width" else draw(st.integers(1, 6), label="width")
+    taps = draw(st.lists(st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=4,
+                         unique=True), label="taps")  # the batch's dict order
+    proto_taps = draw(st.permutations(taps), label="prototype taps")
+    if fault == "tap without prototype":
+        proto_taps = proto_taps[1:] or [5]
+    if fault == "prototype without rows":
+        proto_taps = proto_taps + [5]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows = {t: rng.normal(size=(n, p, d)) for t in taps + proto_taps}
+    if p * d:
+        rows[taps[0]][rng.integers(n), rng.integers(p)] = 0.0  # at the norm floor
+    if draw(st.booleans(), label="repeats"):
+        ids = rng.integers(0, n, size=size)
+    else:
+        ids = rng.permutation(np.arange(size) % n)
+    if fault == "image id":
+        ids[rng.integers(size)] = draw(st.sampled_from([-1, n]), label="bad id")
+    if draw(st.booleans(), label="ids as a list"):
+        ids = ids.tolist()
+    m = draw(st.integers(1, 12), label="support images")
+    sup_ids = rng.integers(0, n, size=m)
+    index_sets = {cls: draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                     max_size=6), label=cls)
+                  for cls in ("normal", "abnormal")}
+    if fault == "empty class":
+        index_sets["abnormal"] = []
+    if fault == "support index":
+        index_sets["normal"].append(draw(st.sampled_from([-1, m]), label="bad"))
+    sem = rng.uniform(size=n)
+    labels = rng.integers(0, 2, size=size)
+
+    support = {t: rows[t][sup_ids] for t in proto_taps}
+    visual = {t: rows[t] for t in taps}
+
+    def run():
+        protos = build_prototypes(support, index_sets)
+        batch = Aligned(visual=visual, norms={t: row_norms(v) for t, v in
+                                              visual.items()},
+                        sem=sem, ids=ids)
+        return (protos, batch, proto_distance(batch, protos),
+                score_batch(batch, labels, protos))
+
+    if fault is not None:
+        with pytest.raises(FAULTS[fault]):
+            run()
+        return
+    protos, batch, dists, rep = run()
+    for cls, idx in index_sets.items():
+        for t, v in support.items():
+            want = np.mean([v[i].mean(axis=0) for i in idx], axis=0)
+            assert np.array_equal(protos.vectors[cls][t], want), (cls, t)
+    want = np.array([image_oracle(visual, protos, i) for i in batch.ids]).T
+    assert np.array_equal(dists, want)
+    assert np.array_equal(rep.sem_raw, sem[batch.ids])
+    assert np.array_equal(rep.proto_raw, proto_scores(*want, 1e-8))

@@ -9,7 +9,7 @@ from fsad import model as fmodel
 from fsad import numcore as nc
 from fsad import runner
 from fsad.config import RunConfig
-from fsad.errors import ConfigError
+from fsad.errors import ConfigError, ContractError
 from fsad.evalmetrics import auc
 from fsad.inference import Aligned, build_prototypes, proto_distance, row_norms
 from fsad.model import (apply_checkpoint, forward, named_parameters,
@@ -85,9 +85,9 @@ def test_every_recipe_key_reaches_what_it_configures():
                               {"normal": ep.idx_norm, "abnormal": ep.idx_abn})
     rows = {l: v.data for l, v in qry.visual.items()}
     batch = Aligned(visual=rows, norms={l: row_norms(v) for l, v in rows.items()},
-                    sem=np.zeros(len(ep.query_ids)))
-    d_norm = proto_distance(batch, protos, "normal")
-    d_abn = proto_distance(batch, protos, "abnormal")
+                    sem=np.zeros(len(ep.query_ids)),
+                    ids=np.arange(len(ep.query_ids)))
+    d_norm, d_abn = proto_distance(batch, protos)
     assert np.array_equal(run.report.proto_raw, d_norm / (d_norm + d_abn + 1e-6))
 
 
@@ -224,7 +224,7 @@ def test_memo_aligns_only_images_not_yet_aligned(world, monkeypatch):
         calls.update(text=0, clsa=0, images=0)
 
 
-def test_memo_resets_when_parameters_or_store_change(world, tmp_path):
+def test_memo_resets_when_parameters_or_store_change(world, tmp_path, monkeypatch):
     cfg, store, dataset = world
     model = model_from_config(cfg)
     save_checkpoint(run_episode(cfg, store, dataset, 2).model, str(tmp_path / "m.ckpt"))
@@ -251,6 +251,37 @@ def test_memo_resets_when_parameters_or_store_change(world, tmp_path):
         if before is not None:  # each change moves the scores
             assert not np.array_equal(got.report.sem_raw, before.report.sem_raw)
         before = got
+
+    # the memo's key is the exact bytes of the episode tensors: an in-place
+    # edit undone before the next align keeps the memo, one ulp resets it
+    forwards = []
+    forward = fmodel.forward
+    monkeypatch.setattr(fmodel, "forward", lambda *a: forwards.append(1) or forward(*a))
+    up = named_parameters(model)["rav.2.up"]
+    saved = up.data.copy()
+    up.data += 0.1
+    up.data[...] = saved
+    kept = run_episode(cfg, store, dataset, 1, train=False, model=model)
+    assert forwards == []
+    assert_same_scores(kept, run_episode(cfg, store, dataset, 1, train=False,
+                                         model=copy_of(cfg, model)))
+    forwards.clear()
+    up.data.flat[0] = np.nextafter(up.data.flat[0], np.inf)
+    reset = run_episode(cfg, store, dataset, 1, train=False, model=model)
+    assert forwards == [1]  # the episode's 10 images fit one block
+    assert_same_scores(reset, run_episode(cfg, store, dataset, 1, train=False,
+                                          model=copy_of(cfg, model)))
+
+
+def test_memo_takes_only_aligned_images(world):
+    # an image not aligned yet used to be scored from uninitialized rows
+    cfg, store, _ = world
+    memo = fmodel.align(model_from_config(cfg), store, [0, 1, 12, 13])
+    assert memo.take([13, 0]).ids.tolist() == [13, 0]
+    with pytest.raises(ContractError, match="image 2 is not aligned yet"):
+        memo.take([0, 2, 14])
+    with pytest.raises(ContractError, match=r"image id 24 outside \[0, 24\)"):
+        memo.take([24])
 
 
 def test_stacking_a_scored_model_copies_no_memo(world):

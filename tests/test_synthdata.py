@@ -23,6 +23,26 @@ def test_spec_validation():
         DatasetSpec(freq_min=5.0, freq_max=4.0)
 
 
+@pytest.mark.parametrize("fields, key", [
+    ({"freq_max": 1e308}, "freq_max"),
+    ({"anomaly_freq_factor": 1e308}, "anomaly_freq_factor"),
+    ({"anomaly_freq_factor": -1e308}, "anomaly_freq_factor"),
+    # neither overflows alone; the anomaly's frequency does
+    ({"freq_max": 1e200, "anomaly_freq_factor": 1e200}, "anomaly_freq_factor")])
+def test_spec_rejects_frequencies_whose_phase_overflows(fields, key):
+    with pytest.raises(ConfigError, match=f"data.{key}="):
+        DatasetSpec(**fields)
+
+
+def test_huge_finite_frequencies_render_finite_images():
+    # just inside the check: no overflow warning (an error under the suite's
+    # filter) and finite pixels
+    spec = DatasetSpec(freq_max=1e300, anomaly_freq_factor=1.0, n_normal=1,
+                       n_abnormal=1)
+    for sample in generate_dataset(spec):
+        assert np.isfinite(sample.image).all()
+
+
 def test_determinism():
     a = generate_dataset(small_spec())
     b = generate_dataset(small_spec())
