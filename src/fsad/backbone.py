@@ -2,11 +2,12 @@
 
 The visual tower patchifies an image and reports patch tokens at selected
 tap layers; the text tower runs a prompt matrix and reports hidden states at
-its own taps plus the final-layer class vector. Weights are drawn once from
-a seeded Gaussian and never trained; gradients pass through them to
-learnable inputs (needed for prompt tuning). A feature bundle stores one
-image's visual-tower features only: the text tower must run on learnable
-prompts, so text features cannot be precomputed.
+its own taps plus the class vector at its deepest tap. Each tower stops
+after its deepest tap. Weights are drawn once from a seeded Gaussian and
+never trained; gradients pass through them to learnable inputs (needed
+for prompt tuning). A feature bundle stores one image's visual-tower
+features only: the text tower must run on learnable prompts, so text
+features cannot be precomputed.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ class BackboneSpec:
         if max(self.selected_text) > self.text_layers or min(self.selected_text) < 1:
             raise ConfigError(f"text taps {self.selected_text} outside "
                               f"1..{self.text_layers}")
+        repeated = next((t for i, t in enumerate(self.selected_visual)
+                         if t in self.selected_visual[:i]), None)
+        if repeated is not None:  # adapters and blocks are keyed by visual tap
+            raise ConfigError(f"visual tap {repeated} appears twice in "
+                              f"{self.selected_visual}; each pair needs its own")
         if self.d < 2:  # the two class embeddings take disjoint halves
             raise ConfigError(f"width {self.d} must be >= 2")
         if self.heads < 1:
@@ -100,6 +106,10 @@ class _Block:
 class ToyEncoder:
     """Stack of frozen blocks plus an input embedding scheme.
 
+    Every block of the configured depth is drawn, so the weights (and
+    ``all_weights``) do not depend on the taps, but :meth:`run` stops after
+    the deepest tap: the blocks past it feed no output.
+
     The visual tower emits each tap as token-centered: the mean token of the
     image is subtracted, so the rows carry only within-image structure. That
     keeps the shared stream component (identical across patches) out of the
@@ -133,10 +143,10 @@ class ToyEncoder:
         return got
 
     def run(self, x: Tensor) -> tuple[dict[int, Tensor], Tensor]:
-        """Feed embedded tokens through all blocks: the tap outputs and the
-        last block's output."""
+        """Feed embedded tokens through the blocks up to the deepest tap:
+        the tap outputs and that block's output."""
         taps = {}
-        for i, block in enumerate(self.blocks, start=1):
+        for i, block in enumerate(self.blocks[:max(self.taps)], start=1):
             x = block.forward(x)
             if i in self.taps:
                 taps[i] = self._emit(x)
@@ -191,10 +201,12 @@ def sinusoid_positions(rows: int, d: int) -> np.ndarray:
 
 
 def encode_prompt(enc: ToyEncoder, prompt: Tensor) -> tuple[dict[int, Tensor], Tensor]:
-    """Hidden states at each text tap plus the final-layer class vector.
+    """Hidden states at each text tap plus the class vector.
 
     The class embedding sits in the last prompt row; the class vector is that
-    row of the final block's output. Differentiable w.r.t. the prompt.
+    row of the hidden states at the deepest text tap, the last block the
+    tower runs (the final layer under the default taps). Differentiable
+    w.r.t. the prompt.
     Leading axes (a stacked model's [E, 1, rows, d]) pass through.
     """
     if prompt.ndim < 2 or prompt.shape[-1] != enc.spec.d:

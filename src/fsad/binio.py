@@ -40,9 +40,13 @@ class ByteWriter:
         self.u32(len(b))
         self._parts.append(b)
 
+    def payload(self) -> bytes:
+        """The file's bytes so far, header included."""
+        return b"".join(self._parts)
+
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:
-            fh.write(b"".join(self._parts))
+            fh.write(self.payload())
 
 
 class ByteReader:
@@ -76,18 +80,29 @@ class ByteReader:
         self._pos += n
         return out
 
-    def u32(self, what: str = "u32") -> int:
-        return struct.unpack("<I", self._take(4, what))[0]
+    def u32(self, what: str = "u32", most: int | None = None) -> int:
+        """One u32 field; a value above ``most`` fails at the field's offset."""
+        pos = self._pos
+        value = struct.unpack("<I", self._take(4, what))[0]
+        if most is not None and value > most:
+            raise FormatError(f"{self._label}: {what} {value} exceeds {most}",
+                              offset=pos)
+        return value
 
     def _array(self, shape: tuple[int, ...], dtype: str, what: str) -> np.ndarray:
         # a Python int count cannot wrap: an oversized header is a truncation
+        pos = self._pos
         raw = self._take(np.dtype(dtype).itemsize * math.prod(shape), what)
         arr = np.frombuffer(raw, dtype=dtype)
         # count before the f64 cast, which warns on a signalling NaN
         bad = arr.size - np.count_nonzero(np.isfinite(arr))
         if bad:
             raise NumericError(f"{self._label}: {what} has {bad} non-finite values")
-        return arr.astype(np.float64).reshape(shape)
+        try:
+            return arr.astype(np.float64).reshape(shape)
+        except ValueError:  # zero entries, but other dims past numpy's byte count
+            raise FormatError(f"{self._label}: {what} has shape {shape}, "
+                              f"which numpy cannot hold", offset=pos) from None
 
     def f32_array(self, shape: tuple[int, ...], what: str = "f32 array") -> np.ndarray:
         return self._array(shape, "<f4", what)

@@ -41,6 +41,9 @@ CHECKPOINT_VERSION = 1
 
 RHO_INIT = float(np.log(10.0))
 
+# the most dimensions numpy gives an ndarray
+MAX_RANK = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
+
 FAST_GROUP = "fast"
 SLOW_GROUP = "slow"
 
@@ -330,7 +333,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.u32("entry count")):
         name = r.string("entry name")
-        ndim = r.u32("rank")
+        ndim = r.u32("rank", most=MAX_RANK)
         shape = tuple(r.u32("dim") for _ in range(ndim))
         tensors[name] = r.f64_array(shape, f"entry {name}")
     r.expect_exhausted()

@@ -202,16 +202,16 @@ class Schedule:
     equals the recorded step only while nothing but the parameters' data
     changes between runs.
 
-    :meth:`forward` runs the entries in recorded order and returns the
-    watched tensor's value; :meth:`backward` then runs the reverse walk on
-    that forward's context. :func:`backward` runs the same walk on the
-    context a tape recorded, so eager and replayed steps differentiate
+    The loss may have any shape: the walk differentiates the sum of its
+    entries, seeding every entry's gradient with 1.0. :meth:`forward` runs
+    the entries in recorded order and returns the loss's value;
+    :meth:`backward` then runs the reverse walk on that forward's context.
+    :func:`backward` compiles the tape and runs the same walk on the
+    contexts the tape recorded, so eager and replayed steps differentiate
     alike. The broadcast sums are planned once from the recorded shapes.
     """
 
-    def __init__(self, tape: GradTape, loss: Tensor, watch: Tensor):
-        if loss.data.size != 1:
-            raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    def __init__(self, tape: GradTape, loss: Tensor):
         slots: dict[int, int] = {}
         self._init: list[Array | None] = []
         self._params: list[tuple[int, Tensor]] = []
@@ -248,13 +248,13 @@ class Schedule:
             self._init.append(None)
             self._forward.append((kernel.forward, ins, node.static, out))
             self._backward.append((kernel.backward, out, node.needs, tuple(targets)))
-        self._loss, self._watch = slot(loss), slot(watch)
+        self._loss = slot(loss)
         self._loss_shape = loss.shape
         self._ctxs: list | None = None
 
     def forward(self) -> Array:
         """Run every entry on the parameters' current data; returns the
-        watched value and keeps what :meth:`backward` needs."""
+        loss's value and keeps what :meth:`backward` needs."""
         vals = self._init.copy()
         for i, t in self._params:
             vals[i] = t.data
@@ -263,7 +263,7 @@ class Schedule:
             vals[out], ctx = fwd(*[vals[i] for i in ins], *static)
             ctxs.append(ctx)
         self._ctxs = ctxs
-        return vals[self._watch]
+        return vals[self._loss]
 
     def backward(self) -> None:
         """Differentiate the loss of the last :meth:`forward` into the
@@ -302,14 +302,18 @@ class Schedule:
                 t.grad = g if t.grad is None else t.grad + g
 
 
-def backward(loss: Tensor, tape: GradTape) -> None:
-    """Populate grad buffers of every requires_grad leaf reachable from loss.
+def backward(loss: Tensor, tape: GradTape) -> Schedule:
+    """Add d(sum of loss's entries)/d(leaf) into the grad of every
+    requires_grad leaf reachable from loss, and return the tape's compiled
+    :class:`Schedule`, ready to replay the step.
 
     A leaf is a tensor that no node on this tape produced; intermediates
-    keep ``grad=None``. The tape is compiled into a :class:`Schedule`,
-    whose reverse walk runs on the contexts the tape's nodes recorded.
+    keep ``grad=None``. The schedule's reverse walk runs on the contexts
+    the tape's nodes recorded.
     """
-    Schedule(tape, loss, loss)._walk([node.ctx for node in tape.nodes])
+    schedule = Schedule(tape, loss)
+    schedule._walk([node.ctx for node in tape.nodes])
+    return schedule
 
 
 # ---------------------------------------------------------------------------

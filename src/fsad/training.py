@@ -160,14 +160,16 @@ def train_episode(model: Model, support_feats: dict[int, np.ndarray], labels,
     Returns the per-epoch trace.
 
     A stacked model of E episodes takes [E, B, P, d] features and [E, B]
-    labels and returns one trace per episode. The step's loss is the sum of
-    the per-episode losses, so each episode's gradient is the one it would
-    get alone. Raises NumericError at the first non-finite loss, or if the
-    last update left a parameter non-finite.
+    labels and returns one trace per episode. The step differentiates the
+    [E] vector of per-episode losses, that is their sum, so each episode's
+    gradient is the one it would get alone. Raises NumericError at the
+    first non-finite loss, or if the last update left a parameter
+    non-finite.
 
-    Epoch 0 runs eagerly and compiles each mini-batch position's tape into
-    a ``numcore.Schedule``; later epochs replay those schedules, which run
-    the same kernels in the same order on the updated parameters.
+    Epoch 0 runs eagerly: ``numcore.backward`` differentiates each
+    mini-batch position's tape and returns the ``numcore.Schedule`` it
+    compiled. Later epochs replay those schedules, which run the same
+    kernels in the same order on the updated parameters.
     """
     stacked = stack_size(model) is not None
     y = np.asarray(labels, dtype=np.int64)
@@ -196,8 +198,6 @@ def train_episode(model: Model, support_feats: dict[int, np.ndarray], labels,
                              for layer, feats in support_feats.items()}
                     with GradTape() as tape:
                         loss = bce_loss(training_scores(model, batch), y[..., lo:hi])
-                        objective = nc.sum_all(loss) if stacked else loss
-                    schedules.append(nc.Schedule(tape, objective, loss))
                     losses = loss.data
                 else:
                     losses = schedules[position].forward()
@@ -205,10 +205,10 @@ def train_episode(model: Model, support_feats: dict[int, np.ndarray], labels,
                     raise _loss_error(model, losses, epoch)
                 opt.zero_grad()
                 if epoch == 0:
-                    backward(objective, tape)
+                    schedules.append(backward(loss, tape))
                     # the replays hold their own context; keep no recorded
                     # step's activations alive across them
-                    del tape, objective, loss
+                    del tape, loss
                 else:
                     schedules[position].backward()
                 opt.step(lrs)

@@ -2,13 +2,14 @@
 
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fsad import numcore as nc
 from fsad.backbone import (BUNDLE_MAGIC, BUNDLE_VERSION, BackboneSpec,
-                           FeatureBundle, ToyEncoder, encode_images,
+                           FeatureBundle, ToyEncoder, _Block, encode_images,
                            encode_prompt, layer_map, load_feature_bundle,
                            save_feature_bundle)
 from fsad.binio import ByteWriter
@@ -34,6 +35,13 @@ def test_spec_validation():
         small_spec(selected_visual=(2, 9))
     with pytest.raises(ConfigError):
         small_spec(heads=3)
+
+
+def test_spec_rejects_a_repeated_visual_tap():
+    # adapters and alignment blocks are keyed by visual tap: the second pair
+    # would overwrite the first
+    with pytest.raises(ConfigError, match="visual tap 2 appears twice"):
+        small_spec(selected_visual=(2, 2), selected_text=(1, 2))
 
 
 @pytest.mark.parametrize("grid", [(), (4,), (4, 4, 4), (0, 4), (4, -1)])
@@ -292,6 +300,36 @@ def test_bundle_width_mismatch_rejected(tmp_path):
     bundle.visual[4] = rng.normal(size=(4, 8))
     with pytest.raises(ShapeError):
         save_feature_bundle(bundle, str(tmp_path / "x.haafb"))
+
+
+def test_towers_stop_at_their_deepest_tap(monkeypatch):
+    # taps (2,)/(1,) on 4-layer towers: the visual tower runs 2 blocks and
+    # the text tower 1, with the weights and tap features of the full towers
+    shallow = small_spec(vision_layers=4, text_layers=4, selected_visual=(2,),
+                         selected_text=(1,))
+    full = replace(shallow, selected_visual=(2, 4), selected_text=(1, 4))
+    runs = []
+    original = _Block.forward
+    monkeypatch.setattr(_Block, "forward",
+                        lambda self, x: runs.append(1) or original(self, x))
+    rng = np.random.default_rng(12)
+    images = [rand_image(rng) for _ in range(3)]
+    got = encode_images(ToyEncoder(shallow, "visual"), images)
+    assert len(runs) == 2
+    want = encode_images(ToyEncoder(full, "visual"), images)
+    assert len(runs) == 2 + 4
+    assert got[2].tobytes() == want[2].tobytes()
+
+    prompt = Tensor(rng.normal(size=(5, 16)) * 0.1)
+    taps, vec = encode_prompt(ToyEncoder(shallow, "text"), prompt)
+    assert len(runs) == 6 + 1
+    full_taps, _ = encode_prompt(ToyEncoder(full, "text"), prompt)
+    assert taps[1].data.tobytes() == full_taps[1].data.tobytes()
+    assert vec.data.tobytes() == taps[1].data[-1].tobytes()  # the tap's class row
+    for kind in ("visual", "text"):
+        for a, b in zip(ToyEncoder(shallow, kind).all_weights(),
+                        ToyEncoder(full, kind).all_weights(), strict=True):
+            assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_backbone_weights_not_learnable():

@@ -1,6 +1,7 @@
 """End-to-end command line checks on a small corpus."""
 
 import csv
+import struct
 import warnings
 from dataclasses import replace
 
@@ -10,7 +11,8 @@ import pytest
 from fsad.backbone import load_feature_bundle
 from fsad.cli import main
 from fsad.config import RunConfig, load_config
-from fsad.model import load_checkpoint, named_parameters, save_checkpoint
+from fsad.model import (checkpoint_meta, load_checkpoint, named_parameters,
+                        save_checkpoint, write_checkpoint)
 from fsad.runner import (RunSpec, build_feature_store, model_from_config,
                          run_episode)
 from fsad.synthdata import generate_dataset
@@ -166,6 +168,25 @@ def test_eval_rejects_non_finite_checkpoint(cfg_file, tmp_path, capsys):
                "--checkpoint", str(path)])
     assert rc == 1
     assert "error[numeric]" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_checkpoint_tensor_above_numpy_rank(cfg_file, tmp_path,
+                                                          capsys):
+    # rank 65 with every dim 1: numpy's reshape used to raise a bare
+    # ValueError out of main
+    meta = checkpoint_meta(model_from_config(load_config(cfg_file)))
+    path = tmp_path / "deep.ckpt"
+    write_checkpoint(str(path), meta, {"logit.rho": np.ones(1)})
+    blob = path.read_bytes()
+    rank_at = len(blob) - 16  # the rank field, then one dim and one f64
+    path.write_bytes(blob[:rank_at] + struct.pack("<I", 65)
+                     + struct.pack("<I", 1) * 65 + blob[-8:])
+    rc = main(["eval", "--config", cfg_file, "--out", str(tmp_path / "x"),
+               "--checkpoint", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[format]") and "Traceback" not in err
+    assert f"rank 65 exceeds 64 (at byte offset {rank_at})" in err
 
 
 def test_eval_missing_checkpoint(cfg_file, tmp_path, capsys):
@@ -340,6 +361,18 @@ def test_settings_contradicting_another_section_are_config_errors(
     err = capsys.readouterr().err
     assert err.startswith("error[config]") and "Traceback" not in err
     assert assignment.split("=")[0] in err
+    assert not out.exists()
+
+
+def test_repeated_visual_tap_is_a_config_error(cfg_file, tmp_path, capsys):
+    # adapters and alignment blocks are keyed by visual tap: the second pair
+    # used to overwrite the first and the run exited 0 with fewer parameters
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg_file, "--out", str(out),
+                 "--set", "backbone.visual_taps=2,2",
+                 "--set", "backbone.text_taps=1,2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: visual tap 2 ") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,5 +1,8 @@
-"""Both binary formats under damage: a cut or flipped file fails categorized."""
+"""Both binary formats under damage: a cut, flipped, edited or drawn file
+loads or fails categorized."""
 
+import math
+import struct
 import warnings
 
 import numpy as np
@@ -7,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsad.backbone import FeatureBundle, load_feature_bundle, save_feature_bundle
-from fsad.errors import FormatError, NumericError
-from fsad.model import load_checkpoint, write_checkpoint
+from fsad.backbone import (BUNDLE_MAGIC, BUNDLE_VERSION, FeatureBundle,
+                           load_feature_bundle, save_feature_bundle)
+from fsad.binio import ByteWriter
+from fsad.errors import FormatError, FsadError, NumericError
+from fsad.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint,
+                        write_checkpoint)
 
 
 def _write_bundle(path):
@@ -77,3 +83,120 @@ def test_byte_flip_loads_or_raises_categorized(files, data):
         _load(fmt, path, bytes(damaged))
     except (FormatError, NumericError):
         pass
+
+
+# u32 values at the edges of what a count, rank, dim or length may hold
+U32_EDGES = [0, 1, 2, 3, 63, 64, 65, 2 ** 16, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1]
+
+
+def _drawn_bundle(data) -> bytes:
+    """A feature bundle written field by field from drawn values."""
+    w = ByteWriter(BUNDLE_MAGIC, BUNDLE_VERSION)
+    d = data.draw(st.integers(0, 4))
+    w.u32(d)
+    layers = data.draw(st.integers(0, 3))
+    w.u32(layers)
+    for _ in range(layers):
+        w.u32(data.draw(st.integers(0, 9)))
+        p = data.draw(st.integers(0, 3))
+        w.u32(p)
+        w.f32_array(np.array(data.draw(st.lists(st.floats(width=32),
+                                                min_size=p * d, max_size=p * d))))
+    return w.payload()
+
+
+def _drawn_checkpoint(data) -> bytes:
+    """A checkpoint written field by field from drawn values, ranks up to
+    65 among them."""
+    w = ByteWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    w.u32(data.draw(st.integers(0, 9)))  # width
+    w.u32(data.draw(st.integers(0, 9)))  # prompt length
+    for _ in range(2):  # the visual and text taps
+        taps = data.draw(st.lists(st.integers(0, 9), max_size=3))
+        w.u32(len(taps))
+        for tap in taps:
+            w.u32(tap)
+    entries = data.draw(st.integers(0, 3))
+    w.u32(entries)
+    for _ in range(entries):
+        w.string(data.draw(st.sampled_from(["logit.rho", "prompt.context", ""])
+                           | st.text(max_size=4)))
+        rank = data.draw(st.integers(0, 3) | st.sampled_from([64, 65]))
+        dims = ([data.draw(st.integers(0, 3)) for _ in range(rank)] if rank <= 3
+                else [1] * rank)
+        w.u32(rank)
+        for dim in dims:
+            w.u32(dim)
+        n = math.prod(dims)
+        w.f64_array(np.array(data.draw(st.lists(st.floats(), min_size=n,
+                                                max_size=n))))
+    return w.payload()
+
+
+def _mutated(data, blob: bytes) -> bytes:
+    """``blob`` after up to three drawn edits: a u32 overwritten with an
+    edge value, a run of bytes inserted or deleted, or the tail redrawn."""
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(["u32", "insert", "delete", "tail"]))
+        pos = data.draw(st.integers(0, len(blob)))
+        if kind == "u32":
+            value = data.draw(st.sampled_from(U32_EDGES) | st.integers(0, 2 ** 32 - 1))
+            blob = blob[:pos] + struct.pack("<I", value) + blob[pos + 4:]
+        elif kind == "insert":
+            blob = blob[:pos] + data.draw(st.binary(min_size=1, max_size=12)) + blob[pos:]
+        elif kind == "delete":
+            blob = blob[:pos] + blob[pos + data.draw(st.integers(1, 12)):]
+        else:
+            blob = blob[:pos] + data.draw(st.binary(max_size=64))
+    return blob
+
+
+DRAWN = {"bundle": _drawn_bundle, "checkpoint": _drawn_checkpoint}
+
+
+@settings(max_examples=600, deadline=1000, derandomize=True, database=None)
+@given(data=st.data())
+def test_drawn_and_edited_files_load_or_raise_categorized(files, data):
+    fmt = data.draw(st.sampled_from(sorted(FORMATS)))
+    path, intact = files[fmt]
+    base = data.draw(st.sampled_from([intact, None]))
+    blob = _mutated(data, DRAWN[fmt](data) if base is None else base)
+    try:
+        _load(fmt, path, blob)
+    except FsadError:
+        pass
+
+
+def _one_entry_checkpoint(dims, values) -> tuple[bytes, int]:
+    """A checkpoint holding one entry, ``logit.rho``, and the offset of its
+    rank field."""
+    w = ByteWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    for v in (2, 1, 0, 0, 1):  # width, prompt length, no taps, one entry
+        w.u32(v)
+    w.string("logit.rho")
+    rank_at = len(w.payload())
+    w.u32(len(dims))
+    for dim in dims:
+        w.u32(dim)
+    w.f64_array(np.asarray(values, dtype=np.float64))
+    return w.payload(), rank_at
+
+
+def test_checkpoint_rank_above_numpy_limit_is_format_error(files):
+    # numpy's reshape raised a bare ValueError at rank 65
+    path, _ = files["checkpoint"]
+    blob, rank_at = _one_entry_checkpoint([1] * 65, [1.0])
+    with pytest.raises(FormatError, match="rank 65 exceeds 64") as err:
+        _load("checkpoint", path, blob)
+    assert err.value.offset == rank_at
+
+
+def test_checkpoint_zero_size_shape_past_numpy_size_is_format_error(files):
+    # no entries to read, yet numpy's reshape refused the shape with a bare
+    # ValueError ("array is too big")
+    path, _ = files["checkpoint"]
+    dims = [2 ** 31, 2 ** 31, 0]
+    blob, rank_at = _one_entry_checkpoint(dims, [])
+    with pytest.raises(FormatError, match="numpy cannot hold") as err:
+        _load("checkpoint", path, blob)
+    assert err.value.offset == rank_at + 4 * (1 + len(dims))  # the payload

@@ -62,6 +62,15 @@ def test_parameter_inventory_small_spec():
     assert list(named_parameters(model)) == expected_names(model.spec)
 
 
+def test_two_pairs_may_share_a_text_tap():
+    # text adapters are keyed by text tap: (2, 4)/(1, 1) builds both pairs
+    # around one text adapter, and both align
+    spec = small_spec(selected_text=(1, 1))
+    model = init_model(spec, seed=7)
+    assert list(named_parameters(model)) == list(dict.fromkeys(expected_names(spec)))
+    assert sorted(forward(model, rand_taps(spec)).visual) == [2, 4]
+
+
 def test_rate_groups_split_adapters_from_the_rest():
     model = small_model()
     groups = parameter_groups(model)

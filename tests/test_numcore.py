@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fsad import numcore as nc
 from fsad import runner
-from fsad.errors import ContractError, DomainError, FsadError, ShapeError
+from fsad.errors import DomainError, FsadError, ShapeError
 from fsad.numcore import GradTape, Tensor, backward, finite_diff_grad
 from reference_backward import reference_backward
 
@@ -143,14 +143,6 @@ def test_finite_diff_rejects_nan_step():
         finite_diff_grad(lambda t: 0.0, Tensor([1.0]), h=float("nan"))
 
 
-def test_backward_rejects_nonscalar():
-    x = Tensor([1.0, 2.0], requires_grad=True)
-    with GradTape() as tape:
-        y = nc.scale(x, 2.0)
-    with pytest.raises(ContractError):
-        backward(y, tape)
-
-
 def test_double_use_accumulates():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with GradTape() as tape:
@@ -213,7 +205,9 @@ def test_backward_matches_the_reference_walk_on_every_gradcheck_case(monkeypatch
     """numcore.backward equals the test-local reverse walk bit for bit, grads
     and ``grad is None`` alike, on every tape that gradcheck_ops
     differentiates: batched matmul and attention broadcasts, double use,
-    frozen inputs."""
+    frozen inputs. Each case's un-summed output, taken as a vector loss,
+    gets the gradients of its ``sum_all`` bit for bit too: the walk seeds
+    every entry with the ones that sum_all's backward produces."""
     compared = []
 
     def both(loss, tape):
@@ -221,14 +215,17 @@ def test_backward_matches_the_reference_walk_on_every_gradcheck_case(monkeypatch
         before = [t.grad for t in tensors]
         reference_backward(loss, tape)
         want = [t.grad for t in tensors]
-        for t, g in zip(tensors, before):
-            t.grad = g
-        backward(loss, tape)
-        for t, w in zip(tensors, want):
-            assert (t.grad is None) == (w is None)
-            if w is not None:
-                assert t.grad.shape == w.shape and t.grad.dtype == w.dtype
-                assert t.grad.tobytes() == w.tobytes()
+        last = tape.nodes[-1]
+        assert last.kernel.name == "sum_all" and last.output is loss
+        for walked in (loss, last.inputs[0]):  # the scalar, then its summands
+            for t, g in zip(tensors, before):
+                t.grad = g
+            backward(walked, tape)
+            for t, w in zip(tensors, want):
+                assert (t.grad is None) == (w is None)
+                if w is not None:
+                    assert t.grad.shape == w.shape and t.grad.dtype == w.dtype
+                    assert t.grad.tobytes() == w.tobytes()
         compared.append(sum(w is not None for w in want))
 
     monkeypatch.setattr(runner, "backward", both)

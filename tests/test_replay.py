@@ -153,6 +153,17 @@ def test_later_epochs_replay_the_recorded_steps(monkeypatch):
     assert len(calls) == 3  # one eager step per position, in epoch 0
 
 
+def test_each_position_is_compiled_once(monkeypatch):
+    # numcore.backward hands its compiled schedule on to the replays
+    compiled = []
+    original = nc.Schedule.__init__
+    monkeypatch.setattr(nc.Schedule, "__init__", lambda self, *args:
+                        compiled.append(1) or original(self, *args))
+    config = TrainConfig(epochs=5, lr_fast=0.03, lr_slow=0.003, batch_size=3)
+    train_episode(one("seq")(), *support(60, 8), config)
+    assert len(compiled) == 3  # 8 rows at batch 3: three positions
+
+
 @pytest.mark.parametrize("episodes", [None, 2])
 def test_divergence_in_a_replayed_epoch_raises_the_reference_message(episodes):
     config = TrainConfig(epochs=30, lr_fast=1e3, lr_slow=1e3)
@@ -184,8 +195,10 @@ def test_schedule_replays_a_tape_on_updated_parameters():
             loss = nc.sum_all(out)
         return tape, loss, out
 
+    # a vector loss: the replay returns its value and differentiates the sum
+    # of its entries, which the reference walk takes from the scalar
     tape, loss, out = step()
-    schedule = nc.Schedule(tape, loss, out)
+    schedule = nc.Schedule(tape, out)
     w.data = w.data * 0.5
     w.grad = None
     got = schedule.forward()
@@ -201,12 +214,10 @@ def test_schedule_rejects_a_backward_without_its_forward():
     w = Tensor(np.ones(2), requires_grad=True)
     with GradTape() as tape:
         loss = nc.sum_all(nc.scale(w, 2.0))
-    schedule = nc.Schedule(tape, loss, loss)
+    schedule = nc.Schedule(tape, loss)
     with pytest.raises(ContractError):
         schedule.backward()
     schedule.forward()
     schedule.backward()
     with pytest.raises(ContractError):
         schedule.backward()
-    with pytest.raises(ContractError):
-        nc.Schedule(tape, nc.scale(w, 1.0), loss)

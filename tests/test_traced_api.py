@@ -1,16 +1,22 @@
 """The benchmark's tracer wraps fsad functions by name; each must exist, and
-its hooks must read the arguments a real run passes."""
+its hooks must read the arguments a real run passes. The benchmark's
+recorder checks the tape length of one training step before it records."""
 
 import importlib.util
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from fsad.config import RunConfig
-from fsad.runner import RunSpec, build_feature_store, run_plan
-from fsad.synthdata import generate_dataset
+from fsad.numcore import GradTape, Tensor
+from fsad.runner import (RunSpec, build_feature_store, model_from_config,
+                         run_plan)
+from fsad.synthdata import generate_dataset, sample_episode
+from fsad.training import bce_loss, training_scores
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 TINY = {
     "backbone.d": 16, "backbone.vision_layers": 4, "backbone.text_layers": 2,
@@ -57,3 +63,22 @@ def test_hooks_see_a_stacked_and_a_single_training(monkeypatch):
     metrics = tracer.metrics()
     assert metrics["runner.trainings"] == 2
     assert metrics["numcore.tape_nodes_per_step"] > 0
+
+
+def test_the_grid_seq_k4_step_has_the_recorded_tape_length():
+    # perfbench/record.py refuses to record unless one seq step at k=4 on
+    # the grid workload's config has this many nodes; the step is built as
+    # its seq_k4_tape_nodes() builds it, on perfbench/workloads.py's grid
+    # config (the benchmark protocol at episode.count=2)
+    cfg = RunConfig({"train.epochs": 100, "train.lr_fast": 0.03,
+                     "train.lr_slow": 0.003, "episode.count": 2})
+    dataset = generate_dataset(cfg.dataset_spec())
+    store = build_feature_store(cfg.backbone_spec(), dataset)
+    ep = sample_episode(dataset, 4, 0)
+    feats = store.take(cfg.backbone_spec().selected_visual, ep.support_ids)
+    with GradTape() as tape:
+        scores = training_scores(model_from_config(cfg),
+                                 {layer: Tensor(a) for layer, a in feats.items()})
+        bce_loss(scores, store.labels[ep.support_ids])
+    references = json.loads((PERFBENCH / "references.json").read_text())
+    assert len(tape) == references["seq_k4_tape_nodes"]

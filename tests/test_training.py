@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from fsad import numcore as nc
+from fsad import training
 from fsad.backbone import BackboneSpec
 from fsad.errors import ConfigError, ContractError, DomainError, NumericError
 from fsad.model import (backbone_checksum, forward, init_model, named_parameters,
-                        state_checksum)
+                        stack_models, state_checksum)
 from fsad.inference import semantic_scores
+from fsad.runner import stage_specs
 from fsad.numcore import GradTape, Tensor, backward
 from fsad.training import (AdamW, TrainConfig, bce_loss, cosine_lr,
                            train_episode, training_scores)
@@ -275,6 +277,48 @@ def test_batch_size_caps_at_support_size():
     trace = train_episode(model, feats, labels,
                           TrainConfig(epochs=1, batch_size=16))
     assert len(trace) == 1 and np.isfinite(trace[0].loss)
+
+
+# --- recorded steps ------------------------------------------------------------
+
+# tape nodes of one seq step at k=4 under the default backbone, per stage spec
+K4_SEQ_NODES = {"stage1": 95, "stage2": 121, "stage3": 147, "stage4": 173,
+                "all": 308}
+
+
+def recorded_tape_lengths(monkeypatch, model, feats, labels, config):
+    """The tape length of every step train_episode records."""
+    lengths = []
+    original = training.backward
+    monkeypatch.setattr(training, "backward", lambda loss, tape:
+                        lengths.append(len(tape)) or original(loss, tape))
+    train_episode(model, feats, labels, config)
+    return lengths
+
+
+def k4_support(spec, episodes=()):
+    rng = np.random.default_rng(9)
+    feats = {l: rng.normal(size=episodes + (8, spec.patches, spec.d))
+             for l in spec.selected_visual}
+    return feats, np.broadcast_to(np.arange(8) % 2, episodes + (8,))
+
+
+def test_a_stage_step_records_only_the_text_blocks_its_tap_reads(monkeypatch):
+    # the text tower stops at the stage's text tap: stage 1 runs one block
+    for name, spec in stage_specs(BackboneSpec()):
+        lengths = recorded_tape_lengths(monkeypatch, init_model(spec, seed=1),
+                                        *k4_support(spec), TrainConfig(epochs=1))
+        assert lengths == [K4_SEQ_NODES[name]], name
+
+
+def test_a_stacked_step_records_as_many_nodes_as_one_episode(monkeypatch):
+    # the per-episode losses are differentiated as they are, with no sum node
+    spec = BackboneSpec()
+    stack = stack_models([init_model(spec, seed) for seed in (1, 2)])
+    lengths = recorded_tape_lengths(monkeypatch, stack,
+                                    *k4_support(spec, episodes=(2,)),
+                                    TrainConfig(epochs=1))
+    assert lengths == [K4_SEQ_NODES["all"]]
 
 
 # --- divergence ----------------------------------------------------------------
