@@ -274,7 +274,7 @@ def load_feature_bundle(path: str) -> FeatureBundle:
     d = r.u32("width")
     bundle = FeatureBundle(d=d)
     for _ in range(r.u32("visual layer count")):
-        layer = r.u32("visual layer id")
+        layer = r.unique(r.u32, bundle.visual, "visual layer id")
         p = r.u32("patch count")
         bundle.visual[layer] = r.f32_array((p, d), f"visual layer {layer}")
     r.expect_exhausted()

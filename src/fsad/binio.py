@@ -89,6 +89,15 @@ class ByteReader:
                               offset=pos)
         return value
 
+    def unique(self, read, seen, what: str):
+        """``read(what)``'s value, which must not be a key of ``seen``; a
+        repeat fails at its field's offset."""
+        pos = self._pos
+        key = read(what)
+        if key in seen:
+            raise FormatError(f"{self._label}: repeated {what} {key!r}", offset=pos)
+        return key
+
     def _array(self, shape: tuple[int, ...], dtype: str, what: str) -> np.ndarray:
         # a Python int count cannot wrap: an oversized header is a truncation
         pos = self._pos

@@ -8,11 +8,12 @@ query batch and the two are blended by a convex weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numcore as nc
+from .backbone import CLASSES
 from .errors import (CapacityError, ConfigError, ContractError, DomainError,
                      NumericError, ShapeError)
 from .numcore import Tensor
@@ -22,10 +23,6 @@ from .numcore import Tensor
 # attention weights, is under 1 MB at the default width, and its gathered
 # rows take 400 KB per tap, so each stays in a 2 MB per-core L2 cache.
 SCORE_BLOCK = 100
-
-# The prototype branch's classes, in the order of ``proto_distance``'s rows.
-CLASSES = ("normal", "abnormal")
-
 
 @dataclass(frozen=True)
 class InferSpec:
@@ -38,8 +35,9 @@ class InferSpec:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"infer.lam must lie in [0, 1], got {self.lam}")
-        if not self.eps > 0:  # NaN fails this test too
-            raise ConfigError(f"infer.eps must be positive, got {self.eps}")
+        if not 0 < self.eps < np.inf:  # NaN fails this test too
+            raise ConfigError(f"infer.eps must be positive and finite, "
+                              f"got {self.eps}")
 
 
 def semantic_scores(visual: dict[int, Tensor], t_abn: Tensor, tau: Tensor) -> Tensor:
@@ -102,46 +100,40 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.norm(rows, axis=-1), nc.NORM_FLOOR)
 
 
-@dataclass
-class PrototypeSet:
-    """Per class, per visual layer, the mean of support patch means."""
+def check_labels(labels, n: int) -> np.ndarray:
+    """``labels`` as an int64 array of ``n`` class rows, each exactly 0 or 1."""
+    try:
+        y = np.asarray(labels)
+    except (TypeError, ValueError) as exc:  # a ragged nested list
+        raise ContractError(f"labels are not an array: {exc}") from None
+    if y.shape != (n,):
+        raise ContractError(f"labels of shape {y.shape} for {n} images")
+    if y.dtype.kind not in "biuf" or not ((y == 0) | (y == 1)).all():
+        raise ContractError(f"labels must each be 0 or 1, got {y.tolist()!r}")
+    return y.astype(np.int64, copy=False)
 
-    vectors: dict[str, dict[int, np.ndarray]] = field(default_factory=dict)
 
-
-def build_prototypes(support_visual: dict[int, np.ndarray],
-                     index_sets: dict[str, list[int]]) -> PrototypeSet:
-    """Aggregate aligned support features: class mean of per-image patch means.
-
-    support_visual maps layers to [B, P, d] over the whole support batch;
-    index_sets maps each class to its row indices within that batch, each
-    in [0, B).
-    """
-    for layer, v in support_visual.items():
-        if np.ndim(v) != 3 or v.shape[1] == 0:
-            raise ShapeError(f"support rows at layer {layer} must be [B, P, d] "
-                             f"with P >= 1, got {np.shape(v)}")
-    index_sets = {cls: np.asarray(idx) for cls, idx in index_sets.items()}
-    for cls, idx in index_sets.items():
+def build_prototypes(support: Aligned, labels) -> dict[int, np.ndarray]:
+    """Per visual tap, a [2, d] array whose row c is the mean, in batch
+    order, of the patch means of the support images labelled c."""
+    labels = check_labels(labels, support.ids.size)
+    members = [np.flatnonzero(labels == c) for c in range(len(CLASSES))]
+    for cls, idx in zip(CLASSES, members):
         if not idx.size:
             raise CapacityError(f"class {cls!r} has no support samples")
-        if idx.ndim != 1 or idx.dtype.kind not in "iu":  # a bool list would mask
-            raise ContractError(f"class {cls!r}: support indices must be a 1-D "
-                                f"list of integers, got {idx.tolist()!r}")
-        for layer, v in support_visual.items():
-            bad = idx[(idx < 0) | (idx >= v.shape[0])]
-            if bad.size:
-                raise ContractError(f"class {cls!r}: support index {bad[0]} "
-                                    f"outside [0, {v.shape[0]}) at layer {layer}")
-    patch_means = {layer: v.mean(axis=-2) for layer, v in support_visual.items()}
-    return PrototypeSet({cls: {layer: means[idx].mean(axis=0)
-                               for layer, means in patch_means.items()}
-                         for cls, idx in index_sets.items()})
+    protos = {}
+    for layer, rows in support.visual.items():
+        if rows.shape[1] == 0:
+            raise ShapeError(f"support rows at layer {layer} have no patches")
+        means = rows[support.ids].mean(axis=-2)
+        protos[layer] = np.stack([means[idx].mean(axis=0) for idx in members])
+    return protos
 
 
-def proto_distance(batch: Aligned, protos: PrototypeSet) -> np.ndarray:
-    """Per class of ``CLASSES``, the sum over the batch's taps of one minus
-    the mean patch cosine to the class prototype: [2, B] distances.
+def proto_distance(batch: Aligned, protos: dict[int, np.ndarray]) -> np.ndarray:
+    """Per class row of the prototypes (``CLASSES`` order), the sum over the
+    batch's taps of one minus the mean patch cosine to that row: [2, B]
+    distances.
 
     The cosines are ``nc.cosine_rows``'s IEEE operations on the batch's
     memoized row norms (README "Numerics contract"). The rows are gathered
@@ -149,19 +141,15 @@ def proto_distance(batch: Aligned, protos: PrototypeSet) -> np.ndarray:
     meets both prototypes; each image's dots are one gemv over its own
     [P, d] rows, as in a pass over the image alone.
     """
-    for cls in CLASSES:
-        if cls not in protos.vectors:
-            raise DomainError(f"no prototype for class {cls!r}")
-    if not batch.visual:
-        raise ContractError("prototype distance needs at least one visual tap")
+    if not batch.visual or set(batch.visual) != set(protos):
+        raise ContractError(f"aligned rows at visual taps {sorted(batch.visual)} "
+                            f"do not match the prototypes' taps {sorted(protos)}")
     ids, total, block = batch.ids, None, None
     for layer, rows in batch.visual.items():
-        vecs = [protos.vectors[cls].get(layer) for cls in CLASSES]
-        if any(vec is None for vec in vecs):
-            raise ContractError(f"no prototype at visual tap {layer}")
-        if any(vec.shape != rows.shape[-1:] for vec in vecs):
-            raise ShapeError(f"prototypes {[vec.shape for vec in vecs]} do not "
-                             f"match the rows {rows.shape} at visual tap {layer}")
+        vecs = protos[layer]
+        if np.shape(vecs) != (len(CLASSES),) + rows.shape[-1:]:
+            raise ShapeError(f"prototypes {np.shape(vecs)} do not match the "
+                             f"rows {rows.shape} at visual tap {layer}")
         if 0 in rows.shape[-2:]:  # nc.cosine_rows needs a nonzero width too
             raise ShapeError(f"rows {rows.shape} at visual tap {layer} have no "
                              f"patches or zero width")
@@ -186,41 +174,59 @@ def proto_distance(batch: Aligned, protos: PrototypeSet) -> np.ndarray:
     return total
 
 
-def proto_scores(d_norm: np.ndarray, d_abn: np.ndarray, eps: float) -> np.ndarray:
+def reals(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array of finite real numbers, else a
+    ``NumericError`` that names them ``what``."""
+    try:
+        if np.iscomplexobj(values):  # a cast would drop the imaginary parts
+            raise TypeError(f"complex {what}")
+        out = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NumericError(f"{what} that are not real numbers: {exc}") from None
+    bad = np.count_nonzero(~np.isfinite(out))
+    if bad:
+        raise NumericError(f"{bad} non-finite {what}")
+    return out
+
+
+def proto_scores(d_norm, d_abn, eps: float) -> np.ndarray:
     """Relative proximity to the abnormal prototype, in [0, 1)."""
-    if not eps > 0:  # NaN fails this test too
-        raise DomainError(f"eps must be positive, got {eps}")
-    d_norm = np.asarray(d_norm, dtype=np.float64)
-    d_abn = np.asarray(d_abn, dtype=np.float64)
-    return d_norm / (d_norm + d_abn + eps)
+    if not 0 < eps < np.inf:  # NaN fails this test too
+        raise DomainError(f"eps must be positive and finite, got {eps}")
+    d_norm, d_abn = reals(d_norm, "distances"), reals(d_abn, "distances")
+    if d_norm.shape != d_abn.shape:
+        raise ContractError(f"distance shapes differ: {d_norm.shape} vs {d_abn.shape}")
+    with np.errstate(over="ignore"):
+        total = d_norm + d_abn + eps
+        # distances are nonnegative up to rounding (a cosine may exceed 1 by
+        # an ulp), so only a sum that is not positive is refused
+        if not (total > 0).all():
+            raise DomainError("distances must sum with eps to a positive number")
+        out = d_norm / total
+    if not (np.isfinite(total).all() and np.isfinite(out).all()):
+        raise NumericError("distances overflow their sum or ratio")
+    return out
 
 
 def minmax_normalize(scores) -> np.ndarray:
     """Map to [0, 1] by batch min/max; a constant batch maps to all 0.5."""
-    try:
-        if np.iscomplexobj(scores):  # a cast would drop the imaginary parts
-            raise TypeError("complex scores")
-        s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    except (TypeError, ValueError) as exc:
-        raise NumericError(f"cannot normalize scores that are not real "
-                           f"numbers: {exc}") from None
+    s = reals(scores, "scores").reshape(-1)
     if s.size == 0:
         raise ContractError("cannot normalize an empty batch")
-    bad = np.count_nonzero(~np.isfinite(s))
-    if bad:
-        raise NumericError(f"cannot normalize {bad} non-finite scores")
     lo, hi = s.min(), s.max()
     if hi == lo:
         return np.full_like(s, 0.5)
-    return (s - lo) / (hi - lo)
+    span = float(hi) - float(lo)  # Python floats overflow to inf unwarned
+    if span == np.inf:
+        raise NumericError(f"score range {lo} to {hi} overflows")
+    return (s - lo) / span
 
 
 def ensemble(sem_norm, proto_norm, lam: float) -> np.ndarray:
     """Convex blend of the two normalized branches."""
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"ensemble weight must lie in [0, 1], got {lam}")
-    a = np.asarray(sem_norm, dtype=np.float64)
-    b = np.asarray(proto_norm, dtype=np.float64)
+    a, b = reals(sem_norm, "branch scores"), reals(proto_norm, "branch scores")
     if a.shape != b.shape:
         raise ContractError(f"branch lengths differ: {a.shape} vs {b.shape}")
     return lam * a + (1.0 - lam) * b
@@ -239,22 +245,15 @@ class ScoreReport:
     lam: float
 
 
-def score_batch(batch: Aligned, labels, protos: PrototypeSet,
+def score_batch(batch: Aligned, labels, protos: dict[int, np.ndarray],
                 infer: InferSpec = InferSpec()) -> ScoreReport:
     """Dual-branch scores of one batch of aligned images.
 
     The prototype distances sum the batch's taps in dict order. Both
     branches are normalized over the whole batch, then blended.
     """
-    taps = {layer for per_layer in protos.vectors.values() for layer in per_layer}
-    missing = sorted(taps - set(batch.visual))
-    if missing:
-        raise ContractError(f"no aligned rows for visual tap {missing[0]}; "
-                            f"got taps {sorted(batch.visual)}")
+    labels = check_labels(labels, batch.ids.size)
     sem_raw = np.asarray(batch.sem, dtype=np.float64)[batch.ids]
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size != sem_raw.size:
-        raise ContractError(f"{labels.size} labels for {sem_raw.size} queries")
     d_norm, d_abn = proto_distance(batch, protos)
     proto_raw = proto_scores(d_norm, d_abn, infer.eps)
     sem_norm = minmax_normalize(sem_raw)

@@ -332,7 +332,7 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             for key, what, kind, _ in _SETTINGS}
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.u32("entry count")):
-        name = r.string("entry name")
+        name = r.unique(r.string, tensors, "entry name")
         ndim = r.u32("rank", most=MAX_RANK)
         shape = tuple(r.u32("dim") for _ in range(ndim))
         tensors[name] = r.f64_array(shape, f"entry {name}")

@@ -138,8 +138,7 @@ def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
              if train else [])
     memo = align(model, store, ep.support_ids + ep.query_ids)
     sup, qry = memo.take(ep.support_ids), memo.take(ep.query_ids)
-    protos = build_prototypes({t: rows[sup.ids] for t, rows in sup.visual.items()},
-                              {"normal": ep.idx_norm, "abnormal": ep.idx_abn})
+    protos = build_prototypes(sup, ysup)
     report = score_batch(qry, yq, protos, infer)
     sup_report = score_batch(sup, ysup, protos, infer)
     thr = threshold_from_support(sup_report.final, ysup)

@@ -98,8 +98,6 @@ class Episode:
 
     support_ids: list[int]
     query_ids: list[int]
-    idx_norm: list[int]
-    idx_abn: list[int]
     k: int
 
 
@@ -166,13 +164,7 @@ def sample_episode(dataset: list[Sample], k: int, seed: int,
     picked_a = abn_ids[rng.permutation(abn_ids.size)]
     sup_ids = picked_n[:k].tolist() + picked_a[:k].tolist()
     qry_ids = picked_n[k:need].tolist() + picked_a[k:need].tolist()
-    return Episode(
-        support_ids=sup_ids,
-        query_ids=qry_ids,
-        idx_norm=list(range(k)),
-        idx_abn=list(range(k, 2 * k)),
-        k=k,
-    )
+    return Episode(support_ids=sup_ids, query_ids=qry_ids, k=k)
 
 
 def manifest_text(spec: DatasetSpec) -> str:

@@ -176,6 +176,7 @@ def test_dict_values_must_have_their_key_type(key, value):
     (InferSpec, "infer.lam", 1.5),
     (InferSpec, "infer.eps", 0.0),
     (InferSpec, "infer.eps", float("nan")),  # used to pass `eps <= 0`
+    (InferSpec, "infer.eps", float("inf")),  # proto_scores refuses it
     (EpisodeSpec, "episode.k", 0),
     (EpisodeSpec, "episode.query_per_class", 0),
     (EpisodeSpec, "episode.count", 0),

@@ -17,6 +17,11 @@ from fsad.errors import FormatError, FsadError, NumericError
 from fsad.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint,
                         write_checkpoint)
 
+# a loaded value written back: a checkpoint as the same bytes, a bundle with
+# its layers sorted
+RESAVE = {"bundle": save_feature_bundle,
+          "checkpoint": lambda loaded, path: write_checkpoint(path, *loaded)}
+
 
 def _write_bundle(path):
     save_feature_bundle(FeatureBundle(d=2, visual={1: np.array([[0.5, -1.0]]),
@@ -89,19 +94,32 @@ def test_byte_flip_loads_or_raises_categorized(files, data):
 U32_EDGES = [0, 1, 2, 3, 63, 64, 65, 2 ** 16, 2 ** 31 - 1, 2 ** 31, 2 ** 32 - 1]
 
 
+def _repeated(data, entries: list) -> list:
+    """``entries``, one of them possibly written again at a drawn position:
+    the "repeat an entry" edit."""
+    if entries and data.draw(st.booleans(), label="repeat an entry"):
+        entries.insert(data.draw(st.integers(0, len(entries))),
+                       data.draw(st.sampled_from(entries)))
+    return entries
+
+
 def _drawn_bundle(data) -> bytes:
     """A feature bundle written field by field from drawn values."""
     w = ByteWriter(BUNDLE_MAGIC, BUNDLE_VERSION)
     d = data.draw(st.integers(0, 4))
     w.u32(d)
-    layers = data.draw(st.integers(0, 3))
-    w.u32(layers)
-    for _ in range(layers):
-        w.u32(data.draw(st.integers(0, 9)))
+    layers = []
+    for _ in range(data.draw(st.integers(0, 3))):
         p = data.draw(st.integers(0, 3))
+        layers.append((data.draw(st.integers(0, 9)), p,
+                       data.draw(st.lists(st.floats(width=32), min_size=p * d,
+                                          max_size=p * d))))
+    layers = _repeated(data, layers)
+    w.u32(len(layers))
+    for layer, p, values in layers:
+        w.u32(layer)
         w.u32(p)
-        w.f32_array(np.array(data.draw(st.lists(st.floats(width=32),
-                                                min_size=p * d, max_size=p * d))))
+        w.f32_array(np.array(values))
     return w.payload()
 
 
@@ -116,20 +134,24 @@ def _drawn_checkpoint(data) -> bytes:
         w.u32(len(taps))
         for tap in taps:
             w.u32(tap)
-    entries = data.draw(st.integers(0, 3))
-    w.u32(entries)
-    for _ in range(entries):
-        w.string(data.draw(st.sampled_from(["logit.rho", "prompt.context", ""])
-                           | st.text(max_size=4)))
+    entries = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        name = data.draw(st.sampled_from(["logit.rho", "prompt.context", ""])
+                         | st.text(max_size=4))
         rank = data.draw(st.integers(0, 3) | st.sampled_from([64, 65]))
         dims = ([data.draw(st.integers(0, 3)) for _ in range(rank)] if rank <= 3
                 else [1] * rank)
-        w.u32(rank)
+        n = math.prod(dims)
+        entries.append((name, dims, data.draw(st.lists(st.floats(), min_size=n,
+                                                       max_size=n))))
+    entries = _repeated(data, entries)
+    w.u32(len(entries))
+    for name, dims, values in entries:
+        w.string(name)
+        w.u32(len(dims))
         for dim in dims:
             w.u32(dim)
-        n = math.prod(dims)
-        w.f64_array(np.array(data.draw(st.lists(st.floats(), min_size=n,
-                                                max_size=n))))
+        w.f64_array(np.array(values))
     return w.payload()
 
 
@@ -162,9 +184,15 @@ def test_drawn_and_edited_files_load_or_raise_categorized(files, data):
     base = data.draw(st.sampled_from([intact, None]))
     blob = _mutated(data, DRAWN[fmt](data) if base is None else base)
     try:
-        _load(fmt, path, blob)
+        loaded = _load(fmt, path, blob)
     except FsadError:
-        pass
+        return
+    # a file that loads kept every entry it holds: written back, it gives
+    # the same bytes, or for a bundle, whose layers save sorted, as many
+    RESAVE[fmt](loaded, path)
+    with open(path, "rb") as fh:
+        again = fh.read()
+    assert again == blob if fmt == "checkpoint" else len(again) == len(blob)
 
 
 def _one_entry_checkpoint(dims, values) -> tuple[bytes, int]:
@@ -200,3 +228,35 @@ def test_checkpoint_zero_size_shape_past_numpy_size_is_format_error(files):
     with pytest.raises(FormatError, match="numpy cannot hold") as err:
         _load("checkpoint", path, blob)
     assert err.value.offset == rank_at + 4 * (1 + len(dims))  # the payload
+
+
+def test_checkpoint_repeated_entry_is_format_error(files):
+    # loaded as {'logit.rho': 2.0}, the first entry dropped
+    path, _ = files["checkpoint"]
+    w = ByteWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    for v in (2, 1, 0, 0, 2):  # width, prompt length, no taps, two entries
+        w.u32(v)
+    for value in (1.0, 2.0):
+        at = len(w.payload())
+        w.string("logit.rho")
+        w.u32(0)  # a scalar
+        w.f64_array(np.array(value))
+    with pytest.raises(FormatError, match="repeated entry name 'logit.rho'") as err:
+        _load("checkpoint", path, w.payload())
+    assert err.value.offset == at
+
+
+def test_bundle_repeated_layer_is_format_error(files):
+    # loaded as visual={3: [[2.0]]}, the first layer dropped
+    path, _ = files["bundle"]
+    w = ByteWriter(BUNDLE_MAGIC, BUNDLE_VERSION)
+    w.u32(1)  # width
+    w.u32(2)  # layers
+    for value in (1.0, 2.0):
+        at = len(w.payload())
+        w.u32(3)  # layer id
+        w.u32(1)  # patches
+        w.f32_array(np.array([[value]]))
+    with pytest.raises(FormatError, match="repeated visual layer id 3") as err:
+        _load("bundle", path, w.payload())
+    assert err.value.offset == at

@@ -1,6 +1,8 @@
 """Dual-branch scoring: closed-form oracles for both branches and the blend."""
 
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from fsad import numcore as nc
 from fsad.backbone import BackboneSpec
 from fsad.clsa import STRATEGIES
 from fsad.config import RunConfig
-from fsad.errors import CapacityError, ContractError, DomainError, ShapeError
-from fsad.inference import (SCORE_BLOCK, Aligned, InferSpec, PrototypeSet,
+from fsad.errors import (CapacityError, ContractError, DomainError, FsadError,
+                         NumericError, ShapeError)
+from fsad.inference import (SCORE_BLOCK, Aligned, InferSpec,
                             build_prototypes, ensemble, minmax_normalize,
                             proto_distance, proto_scores, row_norms,
                             score_batch, semantic_scores)
@@ -78,29 +81,57 @@ def test_semantic_scores_needs_layers():
         semantic_scores({}, Tensor(np.zeros(D)), Tensor(np.asarray(1.0)))
 
 
+def batch_of(visual, sem):
+    """Aligned rows as ``model.align`` memoizes them: with their row norms."""
+    return Aligned(visual=visual, norms={l: row_norms(v) for l, v in visual.items()},
+                   sem=sem, ids=np.arange(len(sem)))
+
+
+def support_of(visual, ids=None):
+    """A support batch over ``visual``'s rows: all of them, or ``ids``."""
+    n = len(next(iter(visual.values())))
+    return Aligned(visual=visual, norms={l: row_norms(v) for l, v in visual.items()},
+                   sem=np.zeros(n), ids=np.arange(n) if ids is None else ids)
+
+
 def test_build_prototypes_hand_mean():
     rng = np.random.default_rng(8)
     feats = {2: rng.normal(size=(6, 5, D))}
-    idx = {"normal": [0, 2, 4], "abnormal": [1, 3, 5]}
-    protos = build_prototypes(feats, idx)
-    for cls, rows in idx.items():
+    protos = build_prototypes(support_of(feats), [0, 1, 0, 1, 0, 1])
+    assert protos[2].shape == (2, D)
+    for c, rows in enumerate(([0, 2, 4], [1, 3, 5])):
         want = feats[2][rows].mean(axis=1).mean(axis=0)
-        np.testing.assert_allclose(protos.vectors[cls][2], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(protos[2][c], want, rtol=0, atol=1e-12)
+
+
+def test_build_prototypes_equals_a_per_class_index_mean_oracle():
+    # interleaved labels over permuted and repeated memo rows: row c is
+    # means[idx].mean(axis=0) over the images labelled c, in batch order
+    rng = np.random.default_rng(20)
+    feats = {t: rng.normal(size=(9, 5, D)) for t in (4, 1, 3)}
+    ids = np.array([7, 2, 2, 0, 8, 5, 1])
+    labels = [1, 0, 1, 1, 0, 0, 1]
+    protos = build_prototypes(support_of(feats, ids), labels)
+    assert list(protos) == [4, 1, 3]
+    for t, rows in feats.items():
+        means = rows[ids].mean(axis=-2)
+        want = np.stack([means[[i for i, y in enumerate(labels) if y == c]].mean(axis=0)
+                         for c in (0, 1)])
+        assert np.array_equal(protos[t], want), t
 
 
 def test_build_prototypes_rejects_empty_class():
     feats = {2: np.zeros((2, 5, D))}
-    with pytest.raises(CapacityError):
-        build_prototypes(feats, {"normal": [0, 1], "abnormal": []})
+    with pytest.raises(CapacityError, match="'abnormal' has no support samples"):
+        build_prototypes(support_of(feats), [0, 0])
 
 
 @pytest.mark.parametrize("bad", [4, 9, -1])
 def test_build_prototypes_rejects_a_support_index_outside_the_batch(bad):
     # 4 and 9 used to raise a bare IndexError; -1 silently picked the last row
     feats = {2: np.zeros((4, 5, D))}
-    with pytest.raises(ContractError, match=rf"'abnormal': support index {bad} "
-                                            r"outside \[0, 4\) at layer 2"):
-        build_prototypes(feats, {"normal": [0, 1], "abnormal": [2, bad]})
+    with pytest.raises(ContractError, match=rf"image id {bad} outside \[0, 4\)"):
+        build_prototypes(support_of(feats, [0, 1, 2, bad]), [0, 0, 1, 1])
 
 
 @pytest.mark.parametrize("idx", [[0.0, 1.0], [True, False, True, False], [[0, 1]]])
@@ -108,60 +139,78 @@ def test_build_prototypes_takes_integer_support_indices(idx):
     # floats used to raise a bare IndexError, and a bool list silently
     # masked the support rows
     feats = {2: np.zeros((4, 5, D))}
-    with pytest.raises(ContractError, match="1-D list of integers"):
-        build_prototypes(feats, {"normal": idx, "abnormal": [2, 3]})
+    with pytest.raises(ContractError, match="1-D array of integers"):
+        build_prototypes(support_of(feats, idx), [0, 1])
 
 
 def test_build_prototypes_takes_index_arrays_as_lists():
-    # an array index set used to raise numpy's bare "truth value of an
-    # array is ambiguous"
     feats = {2: np.random.default_rng(19).normal(size=(6, 5, D))}
-    idx = {"normal": [0, 2, 4], "abnormal": [1, 3, 5]}
-    as_arrays = build_prototypes(feats, {c: np.array(i) for c, i in idx.items()})
-    for cls, vectors in build_prototypes(feats, idx).vectors.items():
-        assert np.array_equal(as_arrays.vectors[cls][2], vectors[2])
-
-
-def batch_of(visual, sem):
-    """Aligned rows as ``model.align`` memoizes them: with their row norms."""
-    return Aligned(visual=visual, norms={l: row_norms(v) for l, v in visual.items()},
-                   sem=sem, ids=np.arange(len(sem)))
+    ids, labels = [0, 2, 4, 1, 3, 5], [0, 0, 0, 1, 1, 1]
+    as_array = build_prototypes(support_of(feats, np.array(ids)), np.array(labels))
+    assert np.array_equal(build_prototypes(support_of(feats, ids), labels)[2],
+                          as_array[2])
 
 
 def test_proto_distance_matches_cosine_loop():
     rng = np.random.default_rng(9)
-    idx = {"normal": [0, 1, 2], "abnormal": [3, 4, 5]}
     support = {l: rng.normal(size=(6, 5, D)) for l in (2, 4)}
-    protos = build_prototypes(support, idx)
+    protos = build_prototypes(support_of(support), [0, 0, 0, 1, 1, 1])
     query = {l: v.data for l, v in rand_visual(10, layers=(2, 4), p=5,
                                                  batch=3).items()}
     query[4][1, 2] = 0.0  # a row at the norm floor
     batch = batch_of(query, np.zeros(3))
-    with pytest.raises(DomainError):
-        proto_distance(batch, PrototypeSet({"normal": protos.vectors["normal"]}))
     dists = proto_distance(batch, protos)
     assert dists.shape == (2, 3)
     # bit for bit what nc.cosine_rows gives on the same rows
-    for cls, dist in zip(("normal", "abnormal"), dists):
+    for c, dist in enumerate(dists):
         want = None
         for l in (2, 4):
             with nc.no_grad():
                 cos = nc.cosine_rows(Tensor(query[l]),
-                                     Tensor(protos.vectors[cls][l])).data
+                                     Tensor(protos[l][c])).data
             term = 1.0 - cos.mean(axis=-1)
             want = term if want is None else want + term
-        assert np.array_equal(dist, want), cls
+        assert np.array_equal(dist, want), c
     got = dists[1]
     # and close to the closed form
     hand = np.zeros(3)
     for l in (2, 4):
-        pv = protos.vectors["abnormal"][l]
+        pv = protos[l][1]
         for b in range(3):
             rows = query[l][b]
             cos = np.array([r @ pv / (max(np.linalg.norm(r), nc.NORM_FLOOR)
                                       * np.linalg.norm(pv)) for r in rows])
             hand[b] += 1.0 - cos.mean()
     np.testing.assert_allclose(got, hand, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch_taps, proto_taps", [
+    ((2,), (2, 4)), ((2, 4, 5), (2, 4)), ((), (2, 4)), ((2, 4), (4,))])
+def test_proto_distance_refuses_taps_that_differ_from_the_prototypes(batch_taps,
+                                                                    proto_taps):
+    # a batch tap without a prototype, a prototype tap without rows and an
+    # empty batch all meet one check
+    rng = np.random.default_rng(21)
+    rows = aligned_rows(rng, 3, layers=batch_taps)
+    protos = {t: rng.normal(size=(2, D)) for t in proto_taps}
+    with pytest.raises(ContractError, match=re.escape(
+            f"visual taps {list(batch_taps)} do not match the prototypes' "
+            f"taps {list(proto_taps)}")):
+        proto_distance(batch_of(rows, rng.uniform(size=3)), protos)
+
+
+@pytest.mark.parametrize("shape", [(1, D), (3, D), (D,), (2, D - 1)])
+def test_proto_distance_needs_one_prototype_row_per_class(shape):
+    rng = np.random.default_rng(22)
+    rows = aligned_rows(rng, 3, layers=(2,))
+    with pytest.raises(ShapeError, match=re.escape(f"prototypes {shape}")):
+        proto_distance(batch_of(rows, rng.uniform(size=3)),
+                       {2: rng.normal(size=shape)})
+
+
+def aligned_rows(rng, n, layers=(2, 4), p=4):
+    """Stand-ins for n images' aligned patch rows at each tap."""
+    return {l: rng.normal(size=(n, p, D)) for l in layers}
 
 
 def test_proto_scores_relative_proximity():
@@ -197,15 +246,9 @@ def test_ensemble_endpoints_bit_exact():
         ensemble(a, b[:5], 0.5)
 
 
-def aligned_rows(rng, n, layers=(2, 4), p=4):
-    """Stand-ins for n images' aligned patch rows at each tap."""
-    return {l: rng.normal(size=(n, p, D)) for l in layers}
-
-
 def test_score_batch_fields_consistent():
     rng = np.random.default_rng(12)
-    idx = {"normal": [0, 1, 2, 3], "abnormal": [4, 5, 6, 7]}
-    protos = build_prototypes(aligned_rows(rng, 8), idx)
+    protos = build_prototypes(support_of(aligned_rows(rng, 8)), [0] * 4 + [1] * 4)
     query, sem = aligned_rows(rng, 6), rng.uniform(size=6)
     labels = [0, 0, 0, 1, 1, 1]
     rep = score_batch(batch_of(query, sem), labels, protos, InferSpec(lam=0.3))
@@ -221,8 +264,7 @@ def test_score_batch_fields_consistent():
 
 def test_score_batch_lambda_endpoints_match_single_branches():
     rng = np.random.default_rng(13)
-    protos = build_prototypes(aligned_rows(rng, 4),
-                              {"normal": [0, 1], "abnormal": [2, 3]})
+    protos = build_prototypes(support_of(aligned_rows(rng, 4)), [0, 0, 1, 1])
     query, sem = aligned_rows(rng, 5), rng.uniform(size=5)
     labels = [0, 0, 1, 1, 1]
     sem_only = score_batch(batch_of(query, sem), labels, protos, InferSpec(lam=1.0))
@@ -325,8 +367,8 @@ def wide_episode(wide_world):
     scores and labels, and the scores of all of them in one call."""
     store, ep = wide_world
     memo = align(jittered_model("seq"), store, ep.support_ids + ep.query_ids)
-    protos = build_prototypes({l: v[ep.support_ids] for l, v in memo.visual.items()},
-                              {"normal": ep.idx_norm, "abnormal": ep.idx_abn})
+    protos = build_prototypes(memo.take(ep.support_ids),
+                              store.labels[ep.support_ids])
     query = memo.take(ep.query_ids)
     labels = store.labels[ep.query_ids]
     whole = score_batch(query, labels, protos)
@@ -411,9 +453,8 @@ def test_text_tower_runs_once_for_every_block(wide_world, monkeypatch):
 def test_scoring_392_queries_keeps_peak_memory_small(wide_world):
     store, ep = wide_world
     model = jittered_model("seq")
-    support = align(model, store, ep.support_ids).visual
-    protos = build_prototypes({l: v[ep.support_ids] for l, v in support.items()},
-                              {"normal": ep.idx_norm, "abnormal": ep.idx_abn})
+    support = align(model, store, ep.support_ids).take(ep.support_ids)
+    protos = build_prototypes(support, store.labels[ep.support_ids])
     tracemalloc.start()
     try:
         memo = align(model, fresh(store), ep.query_ids)
@@ -454,8 +495,7 @@ def test_a_memo_full_wide_episode_copies_no_rows(wide_world):
 
 
 def small_scoring_setup(rng, n):
-    protos = build_prototypes(aligned_rows(rng, 4),
-                              {"normal": [0, 1], "abnormal": [2, 3]})
+    protos = build_prototypes(support_of(aligned_rows(rng, 4)), [0, 0, 1, 1])
     return protos, aligned_rows(rng, n), rng.uniform(size=n)
 
 
@@ -475,14 +515,15 @@ def test_score_batch_names_a_missing_visual_tap():
     rng = np.random.default_rng(18)
     protos, query, sem = small_scoring_setup(rng, 3)
     del query[4]
-    with pytest.raises(ContractError, match=r"visual tap 4; got taps \[2\]"):
+    with pytest.raises(ContractError, match=r"visual taps \[2\] do not match "
+                                            r"the prototypes' taps \[2, 4\]"):
         score_batch(batch_of(query, sem), [0, 1, 1], protos)
 
 
 def test_score_batch_rejects_a_label_count_off_the_query_count():
     rng = np.random.default_rng(15)
     protos, query, sem = small_scoring_setup(rng, 3)
-    with pytest.raises(ContractError, match="2 labels for 3 queries"):
+    with pytest.raises(ContractError, match=r"labels of shape \(2,\) for 3 images"):
         score_batch(batch_of(query, sem), [0, 1], protos)
 
 
@@ -508,12 +549,12 @@ def test_aligned_takes_a_1d_array_of_integer_ids(ids):
 
 FAULTS = {  # a drawn fault -> the categorized error it must raise
     "empty class": CapacityError,          # build_prototypes
-    "support index": ContractError,        # build_prototypes
+    "support index": ContractError,        # Aligned, of the support
     "no patches": ShapeError,              # build_prototypes
     "image id": ContractError,             # Aligned
     "tap without prototype": ContractError,  # proto_distance
     "zero width": ShapeError,              # proto_distance
-    "prototype without rows": ContractError,  # score_batch
+    "prototype without rows": ContractError,  # proto_distance
 }
 
 
@@ -521,12 +562,12 @@ def image_oracle(visual, protos, image):
     """One image's distance to each class prototype: ``nc.cosine_rows`` on
     its [P, d] rows alone at each tap, their mean, summed in tap order."""
     out = []
-    for cls in ("normal", "abnormal"):
+    for c in (0, 1):
         total = None
         for layer, rows in visual.items():
             with nc.no_grad():
                 cos = nc.cosine_rows(Tensor(rows[image]),
-                                     Tensor(protos.vectors[cls][layer])).data
+                                     Tensor(protos[layer][c])).data
             term = 1.0 - cos.mean()
             total = term if total is None else total + term
         out.append(total)
@@ -538,7 +579,7 @@ def image_oracle(visual, protos, image):
 @given(data=st.data())
 def test_drawn_batches_score_as_each_image_alone_or_raise(fault, data):
     # memo-sized rows indexed by drawn ids (permuted or repeated, past the
-    # SCORE_BLOCK edges), drawn tap sets and support index sets: each draw
+    # SCORE_BLOCK edges), drawn tap sets and labelled support ids: each draw
     # either raises its fault's categorized error or gives prototypes and
     # distances equal to per-image loops bit for bit
     draw = data.draw
@@ -568,26 +609,25 @@ def test_drawn_batches_score_as_each_image_alone_or_raise(fault, data):
         ids[rng.integers(size)] = draw(st.sampled_from([-1, n]), label="bad id")
     if draw(st.booleans(), label="ids as a list"):
         ids = ids.tolist()
-    m = draw(st.integers(1, 12), label="support images")
+    m = draw(st.integers(2, 12), label="support images")
     sup_ids = rng.integers(0, n, size=m)
-    index_sets = {cls: draw(st.lists(st.integers(0, m - 1), min_size=1,
-                                     max_size=6), label=cls)
-                  for cls in ("normal", "abnormal")}
-    if fault == "empty class":
-        index_sets["abnormal"] = []
     if fault == "support index":
-        index_sets["normal"].append(draw(st.sampled_from([-1, m]), label="bad"))
+        sup_ids[rng.integers(m)] = draw(st.sampled_from([-1, n]), label="bad")
+    normal = draw(st.integers(1, m - 1), label="normal support images")
+    if fault == "empty class":
+        normal = draw(st.sampled_from([0, m]), label="one class")
+    sup_labels = rng.permutation([0] * normal + [1] * (m - normal))
     sem = rng.uniform(size=n)
     labels = rng.integers(0, 2, size=size)
-
-    support = {t: rows[t][sup_ids] for t in proto_taps}
     visual = {t: rows[t] for t in taps}
 
+    def aligned(at, ids):
+        return Aligned(visual={t: rows[t] for t in at},
+                       norms={t: row_norms(rows[t]) for t in at}, sem=sem, ids=ids)
+
     def run():
-        protos = build_prototypes(support, index_sets)
-        batch = Aligned(visual=visual, norms={t: row_norms(v) for t, v in
-                                              visual.items()},
-                        sem=sem, ids=ids)
+        protos = build_prototypes(aligned(proto_taps, sup_ids), sup_labels)
+        batch = aligned(taps, ids)
         return (protos, batch, proto_distance(batch, protos),
                 score_batch(batch, labels, protos))
 
@@ -596,11 +636,144 @@ def test_drawn_batches_score_as_each_image_alone_or_raise(fault, data):
             run()
         return
     protos, batch, dists, rep = run()
-    for cls, idx in index_sets.items():
-        for t, v in support.items():
-            want = np.mean([v[i].mean(axis=0) for i in idx], axis=0)
-            assert np.array_equal(protos.vectors[cls][t], want), (cls, t)
+    for c in (0, 1):
+        for t in proto_taps:
+            want = np.mean([rows[t][i].mean(axis=0)
+                            for i, y in zip(sup_ids, sup_labels) if y == c], axis=0)
+            assert np.array_equal(protos[t][c], want), (c, t)
     want = np.array([image_oracle(visual, protos, i) for i in batch.ids]).T
     assert np.array_equal(dists, want)
     assert np.array_equal(rep.sem_raw, sem[batch.ids])
     assert np.array_equal(rep.proto_raw, proto_scores(*want, 1e-8))
+
+
+# ---------------------------------------------------------------------------
+# drawn labels and branch scores: each works or raises categorized, unwarned
+
+
+@pytest.mark.parametrize("labels", [
+    ["a", "b", "c", "d"], None, [0.7, 0.2, 1.9, 1.2], [2, 3, 2, 3],
+    [[0, 1], [0, 1]]], ids=["str", "None", "float", "outside", "2-D"])
+def test_score_batch_takes_labels_of_0_or_1(labels):
+    # str and None leaked a bare ValueError and TypeError; the floats were
+    # truncated to [0, 0, 1, 1], and the last two were stored as given
+    rng = np.random.default_rng(23)
+    protos, query, sem = small_scoring_setup(rng, 4)
+    with pytest.raises(ContractError, match="labels"):
+        score_batch(batch_of(query, sem), labels, protos)
+
+
+def drawn_labels(draw, n):
+    """Drawn labels for n images and the error each call must raise
+    (None: it works): ``(labels, build_prototypes error, score_batch error)``."""
+    both = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))
+    kind = draw(st.sampled_from(["valid", "one class", "float", "str", "2-D",
+                                 "outside", "length", "ragged"]), label="kind")
+    if kind == "valid":
+        form = draw(st.sampled_from([list, np.array, lambda y: np.array(y, float),
+                                     lambda y: np.array(y, bool)]), label="form")
+        return form(draw(st.permutations(both))), None, None
+    if kind == "one class":
+        return [draw(st.integers(0, 1))] * n, CapacityError, None
+    if kind == "float":
+        values = st.floats() | st.sampled_from([0.5, 1.5, -0.0, np.inf, np.nan])
+        labels = draw(st.lists(values, min_size=n, max_size=n))
+        if all(y in (0, 1) for y in labels):
+            return labels, None if 0 in labels and 1 in labels else CapacityError, None
+        return labels, ContractError, ContractError
+    if kind == "str":
+        return draw(st.lists(st.text(max_size=2), min_size=n, max_size=n)), \
+            ContractError, ContractError
+    if kind == "2-D":
+        return np.reshape(both * 2, (2, n)), ContractError, ContractError
+    if kind == "outside":
+        labels = both[:]
+        labels[draw(st.integers(0, n - 1))] = draw(
+            st.integers(-2**70, 2**70).filter(lambda y: y not in (0, 1)))
+        return labels, ContractError, ContractError
+    if kind == "length":
+        labels = draw(st.lists(st.integers(0, 1), max_size=2 * n).filter(
+            lambda y: len(y) != n))
+        return labels, ContractError, ContractError
+    return [both[:1], both], ContractError, ContractError  # ragged
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_drawn_labels_work_or_raise_categorized(data):
+    n = data.draw(st.integers(2, 6), label="images")
+    labels, proto_error, score_error = drawn_labels(data.draw, n)
+    rng = np.random.default_rng(24)
+    rows, sem = aligned_rows(rng, n), rng.uniform(size=n)
+    protos = build_prototypes(support_of(aligned_rows(rng, 2)), [0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, error in ((lambda: build_prototypes(support_of(rows), labels),
+                             proto_error),
+                            (lambda: score_batch(batch_of(rows, sem), labels, protos),
+                             score_error)):
+            if error is not None:
+                with pytest.raises(error):
+                    call()
+                continue
+            got = call()
+            if isinstance(got, inference.ScoreReport):
+                assert got.labels.dtype == np.int64
+                assert np.array_equal(got.labels, np.asarray(labels))
+
+
+@pytest.mark.parametrize("call, args, error", [
+    (ensemble, (["a"], [0.1], 0.5), NumericError),
+    (ensemble, ([1j], [0.1], 0.5), NumericError),
+    (ensemble, ([np.nan], [0.1], 0.5), NumericError),
+    (proto_scores, (["a"], [0.0], 1e-8), NumericError),
+    (proto_scores, ([-1e-8], [0.0], 1e-8), DomainError),
+    (proto_scores, ([np.inf], [1.0], 1e-8), NumericError),
+    (proto_scores, ([1.0, 2.0], [1.0, 2.0, 3.0], 1e-8), ContractError),
+    (proto_scores, ([1e308], [-1e308], 1e-8), NumericError),
+    (minmax_normalize, ([1e308, -1e308],), NumericError),
+], ids=["ensemble-str", "ensemble-complex", "ensemble-nan", "proto-str",
+        "proto-negative", "proto-inf", "proto-lengths", "proto-overflow",
+        "minmax-overflow"])
+def test_branch_scores_refuse_unreadable_input(call, args, error):
+    # str and complex input leaked a bare ValueError or TypeError, as did
+    # the broadcast of unequal lengths; -1e-8 (a zero denominator), inf and
+    # the two overflows warned; a NaN blended to [nan]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call(*args)
+
+
+def drawn_values(draw, n):
+    """n drawn scores or distances, mostly real, some not numbers at all."""
+    reals = st.floats() | st.sampled_from([0.0, 1.0, 1e308, -1e308, 5e-324])
+    odd = st.text(max_size=2) | st.complex_numbers() | st.none() | \
+        st.integers(-2**1100, 2**1100) | st.booleans()
+    kind = draw(st.sampled_from(["reals", "reals", "odd", "ragged"]), label="values")
+    if kind == "ragged":
+        return [[0.5], [0.5, 0.5]]
+    return draw(st.lists(reals if kind == "reals" else reals | odd,
+                         min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_drawn_branch_scores_work_or_raise_categorized(data):
+    draw = data.draw
+    n = draw(st.integers(0, 4), label="length")
+    a = drawn_values(draw, n)
+    b = drawn_values(draw, draw(st.sampled_from([n, n, n + 1]), label="other length"))
+    weight = draw(st.floats() | st.floats(0, 1), label="lam or eps")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, args in ((ensemble, (a, b, weight)),
+                           (proto_scores, (a, b, weight)),
+                           (minmax_normalize, (a,))):
+            try:
+                got = call(*args)
+            except FsadError:
+                continue
+            assert got.dtype == np.float64 and np.isfinite(got).all()
+            if call is minmax_normalize:
+                assert ((0 <= got) & (got <= 1)).all()

@@ -81,13 +81,15 @@ def test_every_recipe_key_reaches_what_it_configures():
                               store.take(taps, ep.support_ids).items()})
         qry = forward(model, {l: nc.Tensor(a) for l, a in
                               store.take(taps, ep.query_ids).items()})
-    protos = build_prototypes({l: v.data for l, v in sup.visual.items()},
-                              {"normal": ep.idx_norm, "abnormal": ep.idx_abn})
-    rows = {l: v.data for l, v in qry.visual.items()}
-    batch = Aligned(visual=rows, norms={l: row_norms(v) for l, v in rows.items()},
-                    sem=np.zeros(len(ep.query_ids)),
-                    ids=np.arange(len(ep.query_ids)))
-    d_norm, d_abn = proto_distance(batch, protos)
+
+    def batch(out):
+        rows = {l: v.data for l, v in out.visual.items()}
+        n = len(next(iter(rows.values())))
+        return Aligned(visual=rows, norms={l: row_norms(v) for l, v in rows.items()},
+                       sem=np.zeros(n), ids=np.arange(n))
+
+    protos = build_prototypes(batch(sup), store.labels[ep.support_ids])
+    d_norm, d_abn = proto_distance(batch(qry), protos)
     assert np.array_equal(run.report.proto_raw, d_norm / (d_norm + d_abn + 1e-6))
 
 

@@ -96,8 +96,7 @@ def test_episode_structure_and_determinism():
     assert len(query) == 20
     assert sum(s.label for s in query) == 10
     assert set(ep.support_ids).isdisjoint(ep.query_ids)
-    assert [support[i].label for i in ep.idx_norm] == [0] * 4
-    assert [support[i].label for i in ep.idx_abn] == [1] * 4
+    assert [s.label for s in support] == [0] * 4 + [1] * 4
     ep2 = sample_episode(data, k=4, seed=9, query_per_class=10)
     assert ep.support_ids == ep2.support_ids and ep.query_ids == ep2.query_ids
 
@@ -107,9 +106,8 @@ def test_episode_invariants_many_seeds():
     for seed in range(100):
         ep = sample_episode(data, k=2, seed=seed, query_per_class=5)
         labels = [data[i].label for i in ep.support_ids]
-        assert labels.count(0) == 2 and labels.count(1) == 2
+        assert labels == [0, 0, 1, 1]
         assert set(ep.support_ids).isdisjoint(ep.query_ids)
-        assert sorted(ep.idx_norm + ep.idx_abn) == list(range(4))
 
 
 def test_episode_capacity_error():

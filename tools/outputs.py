@@ -12,7 +12,9 @@ and 2, so ragged positions are covered in a stack of five and in a stack
 of one. The ``*_wide`` steps score 392 queries per episode, so scoring
 crosses its block boundaries; ``eval_wide_proto`` scores them at
 ``infer.lam=0``, so its AUC, AP and threshold come from the prototype
-branch alone. The ``*_recipe`` steps also set every
+branch alone. ``eval_k1`` scores the k=4 checkpoint at ``episode.k=1``,
+so each prototype row is one image's patch mean and the threshold is
+fitted on two support scores. The ``*_recipe`` steps also set every
 ``episode.*``, ``adapt.*``, ``clsa.*`` and ``infer.*`` key but
 ``episode.count`` and ``episode.k`` off its default, so a setting the
 library drops on its way changes an output.
@@ -51,6 +53,8 @@ def steps(root: str) -> list[tuple[str, list[str]]]:
         ("train_k4", ["train"]),
         ("train_k16", ["train", "--set", "episode.k=16"]),
         ("eval_k4", ["eval", "--checkpoint", f"{root}/train_k4/model.ckpt"]),
+        ("eval_k1", ["eval", "--checkpoint", f"{root}/train_k4/model.ckpt",
+                     "--set", "episode.k=1"]),
         ("eval_wide", ["eval", "--checkpoint", f"{root}/train_k4/model.ckpt"]
          + WIDE),
         ("eval_wide_proto", ["eval", "--checkpoint",
