@@ -33,6 +33,14 @@ _TAG_POS = 14
 
 WEIGHT_STD = 0.02
 
+# Images per block of the frozen visual tower (``encode_images``), of
+# alignment (``model.align``) and of ``proto_distance``'s row gather. A
+# 100-image block's largest buffer is under 1 MB at the default width (the
+# tower's FF hidden layer and attention weights 0.8 MB, the alignment's t2v
+# attention weights 0.92 MB, a gather 400 KB per tap), so each stays in a
+# 2 MB per-core L2 cache.
+SCORE_BLOCK = 100
+
 
 @dataclass(frozen=True)
 class BackboneSpec:
@@ -180,15 +188,33 @@ def _patchify(image: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
 
 
 def encode_images(enc: ToyEncoder, images: list[np.ndarray]) -> dict[int, np.ndarray]:
-    """Patch tokens [B, P, d] at each visual tap, row b from images[b], from
-    one pass through the tower; plain arrays, never tracked for gradients."""
-    flat = np.stack([_patchify(np.asarray(img, dtype=np.float64), enc.spec.patch_grid)
-                     for img in images])
+    """Patch tokens [B, P, d] at each visual tap, row b from images[b]; plain
+    arrays, never tracked for gradients.
+
+    The images run through the tower in blocks of ``SCORE_BLOCK``, each
+    block patchified on its own and its taps written into arrays allocated
+    once, so no buffer spans the whole batch but the output. An empty list
+    gives [0, P, d] arrays. Images of different sizes are a ``ShapeError``
+    before any block runs: a later block would otherwise meet another
+    patch projection.
+    """
+    shapes = [np.shape(img) for img in images]
+    bad = next((i for i, s in enumerate(shapes) if s != shapes[0]), None)
+    if bad is not None:
+        raise ShapeError(f"image {bad} is {shapes[bad]} but image 0 is "
+                         f"{shapes[0]}; a batch needs one image size")
+    spec = enc.spec
+    out = {layer: np.empty((len(images), spec.patches, spec.d))
+           for layer in sorted(enc.taps)}  # the order enc.run emits them in
     with nc.no_grad():
-        proj = enc.patch_projection(flat.shape[-1])
-        x = nc.add(nc.matmul(Tensor(flat), proj), enc.pos)
-        taps, _ = enc.run(x)
-    return {layer: t.data for layer, t in taps.items()}
+        for lo in range(0, len(images), SCORE_BLOCK):
+            flat = np.stack([_patchify(np.asarray(img, dtype=np.float64), spec.patch_grid)
+                             for img in images[lo:lo + SCORE_BLOCK]])
+            proj = enc.patch_projection(flat.shape[-1])
+            taps, _ = enc.run(nc.add(nc.matmul(Tensor(flat), proj), enc.pos))
+            for layer, t in taps.items():
+                out[layer][lo:lo + len(flat)] = t.data
+    return out
 
 
 def sinusoid_positions(rows: int, d: int) -> np.ndarray:

@@ -37,9 +37,14 @@ def _as_binary(scores, labels, who: str):
         if np.iscomplexobj(scores):  # a cast would drop the imaginary parts
             raise TypeError("complex scores")
         s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int beyond the float range
         raise MetricError(f"{who}: scores must be real numbers: {exc}") from None
-    y = np.asarray(labels).reshape(-1)
+    try:
+        if np.iscomplexobj(labels):  # the int cast would warn and drop the imaginary parts
+            raise TypeError("complex labels")
+        y = np.asarray(labels).reshape(-1)
+    except (TypeError, ValueError) as exc:  # a ragged nested list
+        raise MetricError(f"{who}: labels must be 0 or 1: {exc}") from None
     if s.shape != y.shape:
         raise MetricError(f"{who}: {s.size} scores vs {y.size} labels")
     if s.size == 0:

@@ -13,16 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .backbone import CLASSES
+from .backbone import CLASSES, SCORE_BLOCK
 from .errors import (CapacityError, ConfigError, ContractError, DomainError,
                      NumericError, ShapeError)
 from .numcore import Tensor
 
-# Images per alignment block (``model.align``) and per row gather of
-# ``proto_distance``. A 100-row block's largest alignment buffer, the t2v
-# attention weights, is under 1 MB at the default width, and its gathered
-# rows take 400 KB per tap, so each stays in a 2 MB per-core L2 cache.
-SCORE_BLOCK = 100
 
 @dataclass(frozen=True)
 class InferSpec:
@@ -190,7 +185,10 @@ def reals(values, what: str) -> np.ndarray:
 
 
 def proto_scores(d_norm, d_abn, eps: float) -> np.ndarray:
-    """Relative proximity to the abnormal prototype, in [0, 1)."""
+    """Relative proximity to the abnormal prototype, in [0, 1) up to one
+    rounding; a cosine may exceed 1 by an ulp, so a query on the normal
+    prototype can score about -1e-16 (not clamped: that would change
+    outputs)."""
     if not 0 < eps < np.inf:  # NaN fails this test too
         raise DomainError(f"eps must be positive and finite, got {eps}")
     d_norm, d_abn = reals(d_norm, "distances"), reals(d_abn, "distances")

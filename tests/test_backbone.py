@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fsad import backbone
 from fsad import numcore as nc
 from fsad.backbone import (BUNDLE_MAGIC, BUNDLE_VERSION, BackboneSpec,
                            FeatureBundle, ToyEncoder, _Block, encode_images,
@@ -102,7 +103,42 @@ def test_encode_batch_matches_single():
     for b, img in enumerate(imgs):
         single = encode_images(vis, [img])
         for layer in single:
-            np.testing.assert_allclose(batched[layer][b], single[layer][0], atol=1e-12)
+            assert np.array_equal(batched[layer][b], single[layer][0])
+
+
+def test_encode_blocks_match_each_image_alone(monkeypatch):
+    # blocks of 2 over 5 images: two full blocks and a ragged one of 1
+    monkeypatch.setattr(backbone, "SCORE_BLOCK", 2)
+    vis = ToyEncoder(small_spec(), "visual")
+    rng = np.random.default_rng(13)
+    imgs = [rand_image(rng) for _ in range(5)]
+    blocked = encode_images(vis, imgs)
+    assert {layer: t.shape for layer, t in blocked.items()} == {2: (5, 4, 16), 4: (5, 4, 16)}
+    for b, img in enumerate(imgs):
+        single = encode_images(vis, [img])
+        for layer in single:
+            assert np.array_equal(blocked[layer][b], single[layer][0])
+
+
+def test_encode_no_images_gives_empty_taps():
+    taps = encode_images(ToyEncoder(small_spec(), "visual"), [])
+    assert list(taps) == [2, 4]
+    assert all(t.shape == (0, 4, 16) and t.dtype == np.float64 for t in taps.values())
+
+
+def test_encode_mixed_sizes_refused_before_any_block(monkeypatch):
+    # image 3 sits in the second block of 2, so only the up-front check can
+    # keep the first block from running
+    monkeypatch.setattr(backbone, "SCORE_BLOCK", 2)
+    runs = []
+    original = _Block.forward
+    monkeypatch.setattr(_Block, "forward",
+                        lambda self, x: runs.append(1) or original(self, x))
+    rng = np.random.default_rng(14)
+    imgs = [rand_image(rng) for _ in range(3)] + [rand_image(rng, 12, 12), rand_image(rng)]
+    with pytest.raises(ShapeError, match=r"image 3 is \(12, 12, 3\) but image 0 is \(8, 8, 3\)"):
+        encode_images(ToyEncoder(small_spec(), "visual"), imgs)
+    assert runs == []
 
 
 def test_patch_perturbation_moves_some_tokens():

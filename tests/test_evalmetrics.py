@@ -1,14 +1,16 @@
 """Metric oracles: brute-force pair counting, step sums, threshold search."""
 
 import contextlib
+import math
 import signal
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fsad.errors import CapacityError, MetricError, NumericError
+from fsad.errors import CapacityError, FsadError, MetricError, NumericError
 from fsad.evalmetrics import (auc, average_precision, compute_report,
                               threshold_from_support, thresholded_metrics)
 from fsad.inference import minmax_normalize
@@ -273,3 +275,91 @@ def test_unreadable_scores_raise_a_categorized_error(call, args, error, match):
     # the imaginary parts, or (minmax_normalize with a NaN) return all NaN
     with pytest.raises(error, match=match):
         call(*args)
+
+
+@pytest.mark.parametrize("scores, labels, match", [
+    ([0.1, 0.2, 0.3], [[0, 1], [0]], "labels must be 0 or 1"),
+    ([0.1, 0.9], [0j, 1 + 0j], "labels must be 0 or 1: complex labels"),
+    ([10**400, 0.9], [0, 1], "scores must be real numbers"),
+], ids=["ragged-labels", "complex-labels", "int-beyond-float"])
+@pytest.mark.parametrize("metric", [auc, average_precision, threshold_from_support,
+                                    lambda s, y: compute_report(s, y, 0.5)],
+                         ids=["auc", "ap", "threshold", "report"])
+def test_unreadable_labels_and_huge_scores_raise_metric_error(metric, scores, labels, match):
+    # found by the drawn-input test: a bare ValueError from a ragged label
+    # list, a ComplexWarning from the labels' int cast, a bare OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MetricError, match=match):
+            metric(scores, labels)
+
+
+# Drawn inputs: ties, signed zeros, subnormals, values at the float range's
+# edge, non-finite values, one-class and non-binary labels, wrong lengths,
+# 2-D input, str and bool. Each call either works or raises an FsadError,
+# with warnings as errors.
+_SCORE = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 0.5, 1.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, np.nan, np.inf, -np.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(), st.sampled_from(["0.25", "x", "", 10**400, None, 1 + 0j, 1j]))
+_LABEL = st.one_of(st.sampled_from([0, 1, 0, 1, True, False, 1.0, -0.0]),
+                   st.sampled_from([2, -1, 0.5, np.nan, "0", "1", 1 + 0j, 1j, None,
+                                    10**400, [0], [0, 1]]))
+_THRESHOLD = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.sampled_from([0.5, -0.0, 5e-324, 1e308, "0.5", True, None,
+                                        10**400, 1j]))
+
+
+def _shaped(draw, values, numeric):
+    """``values`` as drawn, as one scalar, or (if ``numeric``) as a float
+    array: 1-D, a column or a row."""
+    kind = draw(st.sampled_from(["list", "scalar"] + numeric * ["array", "column", "row"]))
+    if kind == "list":
+        return values
+    if kind == "scalar":
+        return values[0] if values else 0.5
+    arr = np.array(values, dtype=np.float64)
+    return {"array": arr, "column": arr.reshape(-1, 1), "row": arr.reshape(1, -1)}[kind]
+
+
+@st.composite
+def metric_inputs(draw):
+    n = draw(st.integers(0, 9))
+    floats_only = draw(st.booleans())
+    elem = st.sampled_from([0.0, -0.0, 0.5, 5e-324, 1e308, -1e308]) if floats_only else _SCORE
+    scores = draw(st.lists(elem, min_size=n, max_size=n))
+    m = max(0, n + draw(st.sampled_from([0, 0, 0, 0, -1, 1])))  # mostly matching lengths
+    binary = draw(st.booleans())
+    labels = draw(st.lists(st.sampled_from([0, 1]) if binary else _LABEL,
+                           min_size=m, max_size=m))
+    return (_shaped(draw, scores, floats_only), _shaped(draw, labels, binary),
+            draw(_THRESHOLD))
+
+
+def _works_or_raises_categorized(call, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call(*args)
+        except FsadError:
+            return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(metric_inputs())
+@example(([0.1, 0.2, 0.3], [[0, 1], [0]], 0.5))  # ragged labels
+@example(([0.1, 0.9], [0j, 1 + 0j], 0.5))  # complex labels without imaginary parts
+@example(([10**400, 0.9], [0, 1], 0.5))  # an int beyond the float range
+def test_drawn_metric_inputs_work_or_raise_categorized(inputs):
+    scores, labels, threshold = inputs
+    for metric in (auc, average_precision):
+        got = _works_or_raises_categorized(metric, scores, labels)
+        assert got is None or 0.0 <= got <= 1.0
+    t = _works_or_raises_categorized(threshold_from_support, scores, labels)
+    assert t is None or (isinstance(t, float) and math.isfinite(t))
+    rep = _works_or_raises_categorized(compute_report, scores, labels, threshold)
+    if rep is not None:
+        assert all(0.0 <= v <= 1.0 for v in (rep.auc, rep.ap, rep.f1, rep.acc))
+        assert rep.tp + rep.fp + rep.tn + rep.fn == np.size(scores)
+        assert math.isfinite(rep.threshold)

@@ -226,6 +226,18 @@ def test_proto_scores_relative_proximity():
         proto_scores(d_n, d_a, eps=float("nan"))
 
 
+def test_query_on_the_normal_prototype_scores_a_rounding_below_zero():
+    # one patch per image, one image per class: the normal prototype is
+    # image 0's row itself, and its cosine with that row rounds to 1 + 1 ulp
+    rows = {2: np.array([[[-0.7, -0.2]], [[1.7, 0.7]]])}
+    sup = support_of(rows)
+    d_norm, d_abn = proto_distance(sup, build_prototypes(sup, [0, 1]))
+    assert d_norm[0] == -2.0 ** -52
+    got = proto_scores(d_norm, d_abn, 1e-8)
+    assert -1e-15 < got[0] < 0.0  # documented, not clamped
+    assert 0.0 < got[1] < 1.0
+
+
 def test_minmax_normalize_oracle():
     np.testing.assert_allclose(minmax_normalize([1.0, 3.0, 2.0]), [0.0, 1.0, 0.5])
     np.testing.assert_allclose(minmax_normalize([4.0, 4.0, 4.0]), [0.5, 0.5, 0.5])

@@ -1,5 +1,6 @@
 """Orchestration: feature caching, episode mechanics, grids, gradcheck."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from fsad import model as fmodel
 from fsad import numcore as nc
 from fsad import runner
-from fsad.config import RunConfig
+from fsad.config import RunConfig, defaults
 from fsad.errors import ConfigError, ContractError
 from fsad.evalmetrics import auc
 from fsad.inference import Aligned, build_prototypes, proto_distance, row_norms
@@ -102,6 +103,21 @@ def test_feature_store_layout(world):
     assert store.labels.tolist() == [0] * 12 + [1] * 12
     again = build_feature_store(spec, dataset)
     np.testing.assert_array_equal(store.feats[2], again.feats[2])
+
+
+def test_feature_store_build_peaks_below_one_block_of_transients():
+    # the default 400-image corpus: a 6.25 MB store plus one SCORE_BLOCK
+    # block's tower buffers; one pass over the whole corpus peaked at 38.5 MB
+    cfg = RunConfig(defaults())
+    dataset = generate_dataset(cfg.dataset_spec())
+    tracemalloc.start()
+    try:
+        store = build_feature_store(cfg.backbone_spec(), dataset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [arr.shape for arr in store.feats.values()] == [(400, 16, 32)] * 4
+    assert peak < 24 * 2**20, f"store build peaked at {peak / 2**20:.1f} MB"
 
 
 def test_take_slices_and_guards(world):
