@@ -20,9 +20,8 @@ from .backbone import FeatureBundle, save_feature_bundle
 from .config import RunConfig, load_config
 from .errors import FsadError
 from .model import apply_checkpoint, save_checkpoint, state_checksum
-from .runner import (beta_sweep, build_feature_store, gradcheck_all,
-                     lambda_sweep, model_from_config, run_episode, stage_grid,
-                     strategy_grid)
+from .runner import (ablate, beta_sweep, build_feature_store, gradcheck_all,
+                     lambda_sweep, model_from_config, run_episode)
 from .synthdata import generate_dataset, manifest_text
 
 
@@ -158,9 +157,8 @@ STAGE_COLS = ["stage", "visual_taps", "text_taps", "auc", "ap"]
 def cmd_ablate(cfg: RunConfig, args) -> int:
     out = _prepare_out(cfg)
     dataset, store = _world(cfg)
-    sgrid = strategy_grid(cfg, store, dataset)
+    sgrid, tgrid = ablate(cfg, store, dataset)
     write_csv(out / "ablate_strategies.csv", STRATEGY_COLS, sgrid.rows, cfg)
-    tgrid = stage_grid(cfg, store, dataset)
     write_csv(out / "ablate_stages.csv", STAGE_COLS, tgrid.rows, cfg)
     episodes = cfg["episode.count"]
     _print_table(f"component/strategy grid (mean over {episodes} episodes)",

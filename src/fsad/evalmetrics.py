@@ -135,8 +135,9 @@ def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
 def threshold_from_support(scores, labels) -> float:
     """Best-F1 threshold over the support set.
 
-    Candidates are midpoints between adjacent distinct sorted scores; ties in
-    F1 break toward the lowest threshold. Constant scores fall back to 0.5,
+    Candidates are midpoints between adjacent distinct sorted scores (the
+    upper score where a midpoint rounds onto the lower); ties in F1 break
+    toward the lowest threshold. Constant scores fall back to 0.5,
     the centre of the degenerate normalized scale (everything predicted
     abnormal there, since prediction uses score >= threshold).
     """
@@ -148,8 +149,11 @@ def threshold_from_support(scores, labels) -> float:
     distinct = ss[np.concatenate(([True], ss[1:] != ss[:-1]))]
     if distinct.size == 1:
         return 0.5
-    # halving first cannot overflow; it differs from (a + b) / 2 only on subnormals
+    # halving first cannot overflow; it differs from (a + b) / 2 only on
+    # subnormals, where two adjacent scores' midpoint may round down onto
+    # the lower one: the upper score then splits them instead
     mids = distinct[:-1] / 2.0 + distinct[1:] / 2.0
+    mids = np.where(mids > distinct[:-1], mids, distinct[1:])
     # a candidate predicts abnormal for exactly the scores >= it; both
     # classes are present, so every F1 denominator is positive
     below = np.searchsorted(ss, mids, side="left")

@@ -3,17 +3,17 @@
 Frozen visual features are encoded once per corpus and sliced per episode
 and per tap subset, so ablation grids never re-run the image tower; a
 model aligns each image once while its parameters stay fixed
-(``model.align``), so evaluation episodes share alignments. Grid
-cells share trained models wherever only the evaluation side differs (for
-example the dual-branch and semantic-only readings of one training run).
-Each grid or sweep call is one plan of ``RunSpec`` values (``run_plan``):
-its trained episodes of the same structure share one tape
-(``model.stack_models``), each bit-identical to training it alone.
+(``model.align``), so evaluation episodes share alignments. A command's
+runs are one plan of ``RunSpec`` values (``run_plan``; ``fsad ablate``'s
+two grids are one, ``ablate``), which trains each distinct key once and
+reads that run for every spec that asked for it; its trained episodes of
+the same structure share one tape (``model.stack_models``), each
+bit-identical to training it alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class EpisodeRun:
 
     index: int
     episode_seed: int
-    model: Model
+    model: Model | None  # None in the runs a grid or sweep reads (``_runs``)
     episode: Episode
     trace: list[TraceRow]
     report: ScoreReport
@@ -93,25 +93,30 @@ class EpisodeRun:
 class RunSpec:
     """One episode run a report asks for: episode ``index`` under a model
     recipe, trained on its support or scored as initialized. None fields
-    take the run config's value."""
+    take the run config's value (``key``)."""
 
     index: int = 0
     mspec: BackboneSpec | None = None
     clsa: ClsaSpec | None = None
     train: bool = True
 
+    def key(self, cfg: RunConfig) -> "RunSpec":
+        """This spec with its None fields resolved against ``cfg``: specs
+        with one key under one config are one training."""
+        return replace(self, mspec=self.mspec or cfg.backbone_spec(),
+                       clsa=self.clsa or cfg.section("clsa"))
+
     def structure(self) -> "RunSpec":
-        """Specs that agree here may share a stack: they differ only in
+        """Keys that agree here may share a stack: they differ only in
         their episode (support set, model seed) and initial gate value."""
-        return replace(self, index=0,
-                       clsa=self.clsa and replace(self.clsa, gate_init=0.0))
+        return replace(self, index=0, clsa=replace(self.clsa, gate_init=0.0))
 
 
 def model_from_config(cfg: RunConfig, spec: RunSpec = RunSpec()) -> Model:
     """The freshly initialized model of one spec, seeded by its episode."""
-    return init_model(spec.mspec or cfg.backbone_spec(),
-                      cfg["model.seed"] + spec.index, cfg.section("adapt"),
-                      spec.clsa or cfg.section("clsa"))
+    key = spec.key(cfg)
+    return init_model(key.mspec, cfg["model.seed"] + key.index,
+                      cfg.section("adapt"), key.clsa)
 
 
 def _sample(episode: EpisodeSpec, dataset: list[Sample], index: int) -> Episode:
@@ -156,34 +161,41 @@ def run_plan(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     """Run every spec, score it through ``run_episode`` and return
     ``read(run)`` for each, in request order.
 
-    Same-structure specs run together, up to ``MAX_STACK`` episodes at a
+    Specs with one ``key`` are one run: it is trained and scored once and
+    read for each spec that asked for it, so ``read`` must not mutate it.
+    Same-structure keys run together, up to ``MAX_STACK`` episodes at a
     time; a trained group of two or more shares one tape, and
     ``run_episode`` trains a group of one. Each run is read as soon as it
     is scored and then dropped, so one stack of models is alive at a time
     and one alignment memo (``model.align``) at most.
     """
     tcfg, episode = cfg.train_config(), cfg.section("episode")
-    groups: dict[RunSpec, list[int]] = {}
+    positions: dict[RunSpec, list[int]] = {}
     for pos, spec in enumerate(specs):
-        groups.setdefault(spec.structure(), []).append(pos)
+        positions.setdefault(spec.key(cfg), []).append(pos)
+    groups: dict[RunSpec, list[RunSpec]] = {}
+    for key in positions:
+        groups.setdefault(key.structure(), []).append(key)
     out: list = [None] * len(specs)
-    for structure, positions in groups.items():
-        for lo in range(0, len(positions), MAX_STACK):
-            stack = positions[lo:lo + MAX_STACK]
-            models = [model_from_config(cfg, specs[pos]) for pos in stack]
+    for structure, keys in groups.items():
+        for lo in range(0, len(keys), MAX_STACK):
+            stack = keys[lo:lo + MAX_STACK]
+            models = [model_from_config(cfg, key) for key in stack]
             traces = [None] * len(stack)  # None: not trained yet
             if structure.train and len(stack) > 1:
-                ids = np.array([_sample(episode, dataset, specs[pos].index).support_ids
-                                for pos in stack])  # [E, B]
+                ids = np.array([_sample(episode, dataset, key.index).support_ids
+                                for key in stack])  # [E, B]
                 stacked = stack_models(models)
                 feats = store.take(stacked.spec.selected_visual, ids)
                 traces = train_episode(stacked, feats, store.labels[ids], tcfg)
                 unstack_model(stacked, models)
-            for pos, trace in zip(stack, traces):
-                run = run_episode(cfg, store, dataset, specs[pos].index,
+            for key, trace in zip(stack, traces):
+                run = run_episode(cfg, store, dataset, key.index,
                                   train=structure.train and trace is None,
                                   model=models.pop(0))
-                out[pos] = read(run if trace is None else replace(run, trace=trace))
+                run = run if trace is None else replace(run, trace=trace)
+                for pos in positions[key]:
+                    out[pos] = read(run)
                 del run  # drops the model and its alignment memo
     return out
 
@@ -194,19 +206,22 @@ def eval_at_lambda(report: ScoreReport, lam: float) -> tuple[float, float]:
     return auc(final, report.labels), average_precision(final, report.labels)
 
 
+def _runs(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
+          specs: list[RunSpec]) -> list[EpisodeRun]:
+    """A plan's runs without their models, as the grids and sweeps read them."""
+    return run_plan(cfg, store, dataset, specs, lambda run: replace(run, model=None))
+
+
 # ---------------------------------------------------------------------------
-# ablation grids
+# grids and sweeps
 
 @dataclass
 class Cell:
-    """Per-seed AUC/AP samples for one grid cell."""
+    """One grid cell or sweep point: the per-seed AUC/AP of its runs."""
 
-    aucs: list[float] = field(default_factory=list)
-    aps: list[float] = field(default_factory=list)
-
-    def add(self, a: float, p: float) -> None:
-        self.aucs.append(a)
-        self.aps.append(p)
+    seeds: list[int]
+    aucs: list[float]
+    aps: list[float]
 
     @property
     def auc(self) -> float:
@@ -217,14 +232,28 @@ class Cell:
         return float(np.mean(self.aps))
 
 
-# the six strategy-grid rows: (row, adapters trained, strategy, dual branch)
-STRATEGY_ROWS = (
-    (1, False, "none", False),
-    (2, True, "none", False),
-    (3, True, "none", True),
-    (4, True, "v2t", True),
-    (5, True, "t2v", True),
-    (6, True, "seq", True),
+def _cells(cfg: RunConfig, runs: list[EpisodeRun], weights) -> list[Cell]:
+    """Cell j holds the j-th ``episode.count`` of a plan's runs, each report
+    read at ensemble weight ``weights[j]``."""
+    count, cells = cfg.section("episode").count, []
+    for j, weight in enumerate(weights):
+        point = runs[j * count:(j + 1) * count]
+        scored = [eval_at_lambda(run.report, weight) for run in point]
+        cells.append(Cell([run.episode_seed for run in point],
+                          [a for a, _ in scored], [p for _, p in scored]))
+    return cells
+
+
+# the strategy grid's cells in row order, each one reading of a training or
+# of an untrained model: (cell, table row, trained, strategy, dual branch)
+STRATEGY_CELLS = (
+    ("untrained_sem", 1, False, "none", False),
+    ("untrained_dual", None, False, "none", True),
+    ("none_sem", 2, True, "none", False),
+    ("none_dual", 3, True, "none", True),
+    ("v2t_dual", 4, True, "v2t", True),
+    ("t2v_dual", 5, True, "t2v", True),
+    ("seq_dual", 6, True, "seq", True),
 )
 
 
@@ -238,41 +267,33 @@ class StrategyGrid:
     loss_last: list[float]
 
 
-def strategy_grid(cfg: RunConfig, store: FeatureStore,
-                  dataset: list[Sample]) -> StrategyGrid:
-    """Seed-averaged grid over adaptation components and alignment strategies.
+def strategy_plan(cfg: RunConfig) -> list[RunSpec]:
+    """The strategy grid's runs: every episode for each of ``STRATEGY_CELLS``.
+    The two readings of one training are one key, so they share its run."""
+    count, clsa = cfg.section("episode").count, cfg.section("clsa")
+    return [RunSpec(i, clsa=replace(clsa, strategy=strategy), train=trained)
+            for _, _, trained, strategy, _ in STRATEGY_CELLS for i in range(count)]
+
+
+def strategy_table(cfg: RunConfig, runs: list[EpisodeRun]) -> StrategyGrid:
+    """Seed-averaged grid over adaptation components and alignment
+    strategies, from the runs of ``strategy_plan(cfg)``.
 
     Row 1 is the zero-adaptation baseline (nothing trained, semantic branch
-    only). Rows 2 and 3 share one training run per seed and differ only in
+    only). Rows 2 and 3 read one training run per seed and differ only in
     the evaluation branch blend.
     """
-    lam_dual = cfg.section("infer").lam
-    cells = {name: Cell() for name in
-             ("untrained_sem", "untrained_dual", "none_sem", "none_dual",
-              "v2t_dual", "t2v_dual", "seq_dual")}
-    count, clsa = cfg.section("episode").count, cfg.section("clsa")
-    specs = [RunSpec(i, clsa=replace(clsa, strategy="none"), train=False)
-             for i in range(count)]
-    specs += [RunSpec(i, clsa=replace(clsa, strategy=s))
-              for s in ("none", "v2t", "t2v", "seq") for i in range(count)]
-    runs = run_plan(cfg, store, dataset, specs,
-                    lambda run: (run.report, run.trace))
-    for spec, (report, _) in zip(specs, runs):
-        prefix = spec.clsa.strategy if spec.train else "untrained"
-        cells[f"{prefix}_dual"].add(*eval_at_lambda(report, lam_dual))
-        if spec.clsa.strategy == "none":
-            cells[f"{prefix}_sem"].add(*eval_at_lambda(report, 1.0))
-    seq_traces = [trace for spec, (_, trace) in zip(specs, runs)
-                  if spec.clsa.strategy == "seq" and trace]
-    loss_first = [trace[0].loss for trace in seq_traces]
-    loss_last = [trace[-1].loss for trace in seq_traces]
-    cell_of = {1: "untrained_sem", 2: "none_sem", 3: "none_dual",
-               4: "v2t_dual", 5: "t2v_dual", 6: "seq_dual"}
-    rows = [{"row": row, "adapters": adapters, "strategy": strat, "dual": dual,
-             "auc": cells[cell_of[row]].auc, "ap": cells[cell_of[row]].ap}
-            for row, adapters, strat, dual in STRATEGY_ROWS]
-    return StrategyGrid(rows=rows, cells=cells, loss_first=loss_first,
-                        loss_last=loss_last)
+    lam = cfg.section("infer").lam
+    cells = dict(zip([name for name, *_ in STRATEGY_CELLS], _cells(
+        cfg, runs, [lam if dual else 1.0 for *_, dual in STRATEGY_CELLS])))
+    rows = [{"row": row, "adapters": trained, "strategy": strategy, "dual": dual,
+             "auc": cells[name].auc, "ap": cells[name].ap}
+            for name, row, trained, strategy, dual in STRATEGY_CELLS if row is not None]
+    # the last cell's runs: the seq trainings
+    seq = [run.trace for run in runs[-cfg.section("episode").count:] if run.trace]
+    return StrategyGrid(rows=rows, cells=cells,
+                        loss_first=[trace[0].loss for trace in seq],
+                        loss_last=[trace[-1].loss for trace in seq])
 
 
 def stage_specs(spec: BackboneSpec) -> list[tuple[str, BackboneSpec]]:
@@ -294,72 +315,83 @@ class StageGrid:
     cells: dict[str, Cell]
 
 
+def stage_plan(cfg: RunConfig) -> list[RunSpec]:
+    """The stage grid's runs: every episode under each of ``stage_specs``,
+    at the configured strategy."""
+    count = cfg.section("episode").count
+    return [RunSpec(i, mspec=mspec) for _, mspec in stage_specs(cfg.backbone_spec())
+            for i in range(count)]
+
+
+def stage_table(cfg: RunConfig, runs: list[EpisodeRun]) -> StageGrid:
+    """Seed-averaged adaptation-depth ablation, from the runs of
+    ``stage_plan(cfg)``."""
+    specs = stage_specs(cfg.backbone_spec())
+    cells = dict(zip([name for name, _ in specs],
+                     _cells(cfg, runs, [cfg.section("infer").lam] * len(specs))))
+    return StageGrid(rows=[{"stage": name,
+                            "visual_taps": ",".join(map(str, mspec.selected_visual)),
+                            "text_taps": ",".join(map(str, mspec.selected_text)),
+                            "auc": cells[name].auc, "ap": cells[name].ap}
+                           for name, mspec in specs], cells=cells)
+
+
+def strategy_grid(cfg: RunConfig, store: FeatureStore,
+                  dataset: list[Sample]) -> StrategyGrid:
+    """The strategy grid from a plan of its own runs."""
+    return strategy_table(cfg, _runs(cfg, store, dataset, strategy_plan(cfg)))
+
+
 def stage_grid(cfg: RunConfig, store: FeatureStore,
                dataset: list[Sample]) -> StageGrid:
-    """Seed-averaged adaptation-depth ablation at the configured strategy."""
-    specs = stage_specs(cfg.backbone_spec())
-    count = cfg.section("episode").count
-    scored = run_plan(cfg, store, dataset,
-                      [RunSpec(i, mspec=mspec) for _, mspec in specs
-                       for i in range(count)],
-                      lambda run: (run.metrics.auc, run.metrics.ap))
-    cells: dict[str, Cell] = {}
-    rows = []
-    for j, (name, mspec) in enumerate(specs):
-        cell = cells[name] = Cell()
-        for a, p in scored[j * count:(j + 1) * count]:
-            cell.add(a, p)
-        rows.append({"stage": name,
-                     "visual_taps": ",".join(map(str, mspec.selected_visual)),
-                     "text_taps": ",".join(map(str, mspec.selected_text)),
-                     "auc": cell.auc, "ap": cell.ap})
-    return StageGrid(rows=rows, cells=cells)
+    """The stage grid from a plan of its own runs."""
+    return stage_table(cfg, _runs(cfg, store, dataset, stage_plan(cfg)))
+
+
+def ablate(cfg: RunConfig, store: FeatureStore,
+           dataset: list[Sample]) -> tuple[StrategyGrid, StageGrid]:
+    """Both grids of ``fsad ablate`` from one plan, so a training both ask
+    for (the ``all`` stage is the configured strategy's row) runs once."""
+    strategy, stage = strategy_plan(cfg), stage_plan(cfg)
+    runs = _runs(cfg, store, dataset, strategy + stage)
+    return (strategy_table(cfg, runs[:len(strategy)]),
+            stage_table(cfg, runs[len(strategy):]))
 
 
 # ---------------------------------------------------------------------------
 # sensitivity sweeps
 
-def _sweep_rows(parameter: str, points, scored) -> list[dict]:
-    """One row per seed and a closing mean row per point; scored[j] holds
-    the (seed, auc, ap) runs of points[j]."""
+def _sweep_rows(parameter: str, values, cells: list[Cell]) -> list[dict]:
+    """One row per seed and a closing mean row per value, from its cell."""
+    if not values:
+        raise ConfigError("sweep grid is empty")
     rows = []
-    for value, runs in zip(points, scored):
-        rows += [{"parameter": parameter, "value": value, "seed": seed,
-                  "auc": a, "ap": p} for seed, a, p in runs]
+    for value, cell in zip(values, cells):
+        rows += [{"parameter": parameter, "value": value, "seed": seed, "auc": a, "ap": p}
+                 for seed, a, p in zip(cell.seeds, cell.aucs, cell.aps)]
         rows.append({"parameter": parameter, "value": value, "seed": "mean",
-                     "auc": float(np.mean([a for _, a, _ in runs])),
-                     "ap": float(np.mean([p for _, _, p in runs]))})
+                     "auc": cell.auc, "ap": cell.ap})
     return rows
 
 
 def lambda_sweep(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
                  points=LAMBDA_POINTS) -> list[dict]:
     """One training run per seed, re-blended at every ensemble weight."""
-    if not points:
-        raise ConfigError("sweep grid is empty")
-    runs = run_plan(cfg, store, dataset,
-                    [RunSpec(i) for i in range(cfg.section("episode").count)],
-                    lambda run: (run.episode_seed, run.report))
-    return _sweep_rows("lambda", points,
-                       [[(seed, *eval_at_lambda(report, lam))
-                         for seed, report in runs] for lam in points])
+    specs = [RunSpec(i) for i in range(cfg.section("episode").count)]
+    runs = _runs(cfg, store, dataset, specs * len(points))
+    return _sweep_rows("lambda", points, _cells(cfg, runs, points))
 
 
 def beta_sweep(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
                points=BETA_POINTS) -> list[dict]:
     """Fixed, non-learnable gate values; a full training run per point.
     Stacks span gate values: the gate is a value, not a structure."""
-    if not points:
-        raise ConfigError("sweep grid is empty")
     count, clsa = cfg.section("episode").count, cfg.section("clsa")
-    runs = run_plan(
-        cfg, store, dataset,
-        [RunSpec(i, clsa=replace(clsa, gate_init=float(beta), gates_learnable=False))
-         for beta in points for i in range(count)],
-        lambda run: (run.episode_seed, run.metrics.auc, run.metrics.ap))
+    specs = [RunSpec(i, clsa=replace(clsa, gate_init=float(beta), gates_learnable=False))
+             for beta in points for i in range(count)]
+    runs = _runs(cfg, store, dataset, specs)
     return _sweep_rows("beta", points,
-                       [runs[j * count:(j + 1) * count]
-                        for j in range(len(points))])
+                       _cells(cfg, runs, [cfg.section("infer").lam] * len(points)))
 
 
 # ---------------------------------------------------------------------------

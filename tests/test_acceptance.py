@@ -27,8 +27,8 @@ from fsad.inference import ensemble
 from fsad.model import (apply_checkpoint, forward, init_model,
                         named_parameters, save_checkpoint, state_checksum)
 from fsad.numcore import Tensor
-from fsad.runner import (build_feature_store, gradcheck_all, model_from_config,
-                         run_episode, stage_grid, strategy_grid)
+from fsad.runner import (ablate, build_feature_store, gradcheck_all,
+                         model_from_config, run_episode)
 from fsad.synthdata import generate_dataset
 
 PROTOCOL = {"episode.count": 20, "train.epochs": 100,
@@ -65,15 +65,21 @@ def world(cfg):
 
 
 @pytest.fixture(scope="module")
-def sgrid(cfg, world):
+def grids(cfg, world):
+    # both grids from one plan, as fsad ablate runs them: the all-stages
+    # row reads the seq row's trainings
     dataset, store = world
-    return strategy_grid(cfg, store, dataset)
+    return ablate(cfg, store, dataset)
 
 
 @pytest.fixture(scope="module")
-def tgrid(cfg, world):
-    dataset, store = world
-    return stage_grid(cfg, store, dataset)
+def sgrid(grids):
+    return grids[0]
+
+
+@pytest.fixture(scope="module")
+def tgrid(grids):
+    return grids[1]
 
 
 def test_01_gradient_correctness():

@@ -141,6 +141,48 @@ def test_encode_mixed_sizes_refused_before_any_block(monkeypatch):
     assert runs == []
 
 
+@pytest.fixture
+def block_runs(monkeypatch):
+    """Blocks of 2 images; records every tower block that runs."""
+    monkeypatch.setattr(backbone, "SCORE_BLOCK", 2)
+    runs = []
+    original = _Block.forward
+    monkeypatch.setattr(_Block, "forward",
+                        lambda self, x: runs.append(1) or original(self, x))
+    return runs
+
+
+def encode_with_image_3(bad):
+    # image 3 sits in the second block of 2, so only the up-front check can
+    # keep the first block from running
+    rng = np.random.default_rng(15)
+    imgs = [rand_image(rng) for _ in range(3)] + [bad, rand_image(rng)]
+    return encode_images(ToyEncoder(small_spec(), "visual"), imgs)
+
+
+def test_encode_ragged_image_is_a_shape_error(block_runs):
+    ragged = rand_image(np.random.default_rng(16)).tolist()
+    ragged[0] = ragged[0][:-1]  # one row a pixel short
+    with pytest.raises(ShapeError, match="image 3 is not a rectangular array"):
+        encode_with_image_3(ragged)
+    assert block_runs == []
+
+
+def test_encode_string_image_is_a_numeric_error(block_runs):
+    with pytest.raises(NumericError, match="image 3 has dtype <U1"):
+        encode_with_image_3(np.full((8, 8, 3), "a"))
+    assert block_runs == []
+
+
+def test_encode_complex_image_is_a_numeric_error(block_runs):
+    image = rand_image(np.random.default_rng(17)) + 0.5j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing casts it and drops the imaginary parts
+        with pytest.raises(NumericError, match="image 3 has dtype complex128"):
+            encode_with_image_3(image)
+    assert block_runs == []
+
+
 def test_patch_perturbation_moves_some_tokens():
     spec = small_spec()
     vis = ToyEncoder(spec, "visual")

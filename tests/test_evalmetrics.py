@@ -51,6 +51,8 @@ def brute_threshold(scores, labels):
     best_t, best_f1 = None, -1.0
     for lo, hi in zip(distinct, distinct[1:]):
         t = lo / 2.0 + hi / 2.0  # threshold_from_support's rounding
+        if t <= lo:  # a subnormal midpoint rounded onto the lower score
+            t = hi
         pred = s >= t
         tp = int(np.count_nonzero(pred & (y == 1)))
         fp = int(np.count_nonzero(pred & (y == 0)))
@@ -196,6 +198,14 @@ def test_threshold_tie_breaks_low():
 def test_threshold_midpoints_of_huge_scores_stay_finite():
     # (a + b) / 2 overflows to inf here and warns
     assert threshold_from_support([1e308, 1.7e308, -1e308], [0, 1, 0]) == 1.35e308
+
+
+def test_threshold_between_adjacent_subnormals_splits_them():
+    # the halved midpoint of 0 and the smallest subnormal rounds onto 0,
+    # which would predict the normal score abnormal too
+    t = threshold_from_support([0.0, 5e-324], [0, 1])
+    assert t == 5e-324
+    assert compute_report([0.0, 5e-324], [0, 1], t).f1 == 1.0
 
 
 def test_threshold_rejects_single_class():
@@ -351,6 +361,7 @@ def _works_or_raises_categorized(call, *args):
 @example(([0.1, 0.2, 0.3], [[0, 1], [0]], 0.5))  # ragged labels
 @example(([0.1, 0.9], [0j, 1 + 0j], 0.5))  # complex labels without imaginary parts
 @example(([10**400, 0.9], [0, 1], 0.5))  # an int beyond the float range
+@example(([0.0, 5e-324], [0, 1], 0.5))  # a midpoint that rounds onto the lower score
 def test_drawn_metric_inputs_work_or_raise_categorized(inputs):
     scores, labels, threshold = inputs
     for metric in (auc, average_precision):
@@ -358,6 +369,11 @@ def test_drawn_metric_inputs_work_or_raise_categorized(inputs):
         assert got is None or 0.0 <= got <= 1.0
     t = _works_or_raises_categorized(threshold_from_support, scores, labels)
     assert t is None or (isinstance(t, float) and math.isfinite(t))
+    if t is not None:
+        s = np.asarray(scores, dtype=np.float64)
+        # distinct scores: the threshold splits an adjacent pair, strictly
+        # above the lower score and at most the upper one
+        assert s.min() == s.max() or s.min() < t <= s.max()
     rep = _works_or_raises_categorized(compute_report, scores, labels, threshold)
     if rep is not None:
         assert all(0.0 <= v <= 1.0 for v in (rep.auc, rep.ap, rep.f1, rep.acc))

@@ -11,7 +11,8 @@ from fsad.config import RunConfig
 from fsad.errors import ContractError, NumericError
 from fsad.model import (init_model, named_parameters, stack_models, stack_size,
                         state_checksum, unstack_model)
-from fsad.runner import (RunSpec, beta_sweep, build_feature_store,
+from fsad.cli import main
+from fsad.runner import (RunSpec, ablate, beta_sweep, build_feature_store,
                          lambda_sweep, run_episode, run_plan, stage_grid,
                          strategy_grid)
 from fsad.synthdata import generate_dataset
@@ -191,6 +192,39 @@ def test_seven_episodes_train_as_five_plus_two(world, stack_sizes):
         assert metrics == alone.metrics
 
 
+def test_specs_of_one_key_train_once_and_read_one_run(world, stack_sizes):
+    cfg, store, dataset = world
+    # the config's clsa recipe and tap spec, given or left unset, are one key
+    specs = [RunSpec(0), RunSpec(0, clsa=cfg.section("clsa")),
+             RunSpec(0, mspec=cfg.backbone_spec())]
+    runs = []
+
+    def read(run):
+        runs.append(run)
+        return (state_checksum(run.model), run.trace, run.metrics,
+                run.report.final.copy())
+
+    got = run_plan(cfg, store, dataset, specs, read)
+    assert stack_sizes == [None]
+    assert runs[0] is runs[1] is runs[2]
+    alone = run_episode(cfg, store, dataset, 0)
+    for checksum, trace, metrics, final in got:
+        # each reader saw the run as the first one did: none mutated it
+        assert checksum == state_checksum(alone.model)
+        assert trace == alone.trace
+        assert metrics == alone.metrics
+        np.testing.assert_array_equal(final, alone.report.final)
+
+
+def test_fsad_ablate_trains_each_distinct_episode_once(stack_sizes, tmp_path):
+    # default taps at episode.count=2: 4 strategies and 5 stage specs per
+    # episode are 18 trainings, and the configured seq strategy is the
+    # all-stages spec, so 16 of them are distinct
+    assert main(["ablate", "--out", str(tmp_path), "--set", "episode.count=2",
+                 "--set", "train.epochs=1"]) == 0
+    assert sum(size or 1 for size in stack_sizes) == 16
+
+
 def strategy_rows(*world):
     grid = strategy_grid(*world)
     return grid.rows, grid.loss_first, grid.loss_last
@@ -199,9 +233,11 @@ def strategy_rows(*world):
 @pytest.mark.parametrize("grid, sizes", [
     (strategy_rows, [3] * 4),              # one stack per trained strategy
     (lambda *world: stage_grid(*world).rows, [3] * 3),   # one per stage
+    # one plan for both: the all-stages stack is the seq one
+    (ablate, [3] * 6),
     (lambda_sweep, [3]),
     (beta_sweep, [5] * 3),                 # 5 gate values x 3 episodes
-], ids=["strategy", "stage", "lambda", "beta"])
+], ids=["strategy", "stage", "ablate", "lambda", "beta"])
 def test_grid_rows_equal_one_episode_at_a_time(world, grid, sizes, stack_sizes,
                                                one_at_a_time):
     stacked = grid(*world)

@@ -10,8 +10,8 @@ from pathlib import Path
 
 from fsad.config import RunConfig
 from fsad.numcore import GradTape, Tensor
-from fsad.runner import (RunSpec, build_feature_store, model_from_config,
-                         run_plan)
+from fsad.runner import (RunSpec, ablate, build_feature_store,
+                         model_from_config, run_plan, stage_grid, strategy_grid)
 from fsad.synthdata import generate_dataset, sample_episode
 from fsad.training import bce_loss, training_scores
 
@@ -63,6 +63,28 @@ def test_hooks_see_a_stacked_and_a_single_training(monkeypatch):
     metrics = tracer.metrics()
     assert metrics["runner.trainings"] == 2
     assert metrics["numcore.tape_nodes_per_step"] > 0
+
+
+def test_the_tracer_counts_no_repeated_training_in_one_plan_ablate(monkeypatch):
+    cfg = RunConfig({**TINY, "episode.count": 2})
+    dataset = generate_dataset(cfg.dataset_spec())
+    store = build_feature_store(cfg.backbone_spec(), dataset)
+    tracer = _tracer(monkeypatch)
+    try:
+        tracer.install()
+        # the grids one after the other train the seq stack twice, once as
+        # the strategy grid's seq row and once as the all-stages row
+        strategy_grid(cfg, store, dataset)
+        stage_grid(cfg, store, dataset)
+        apart = tracer.metrics()
+        tracer.reset()
+        ablate(cfg, store, dataset)
+        together = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert apart["runner.trainings"] == apart["runner.distinct_trainings"] + 1
+    assert together["runner.trainings"] == together["runner.distinct_trainings"]
+    assert together["runner.distinct_trainings"] == apart["runner.distinct_trainings"]
 
 
 def test_the_grid_seq_k4_step_has_the_recorded_tape_length():

@@ -17,7 +17,9 @@ so each prototype row is one image's patch mean and the threshold is
 fitted on two support scores. The ``*_recipe`` steps also set every
 ``episode.*``, ``adapt.*``, ``clsa.*`` and ``infer.*`` key but
 ``episode.count`` and ``episode.k`` off its default, so a setting the
-library drops on its way changes an output.
+library drops on its way changes an output; in ``ablate_recipe`` the
+all-stages row reads the trainings of the configured ``t2v`` row, not
+of ``seq``, so a key that ignored the configured strategy would show.
 The package is imported from this checkout's ``src``. Run the script from
 two checkouts with the same relative DIR and compare them with ``diff
 -r``: an empty diff means the change kept every output byte-equal,
