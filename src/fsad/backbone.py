@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numcore as nc
+from . import inputs, numcore as nc
 from .binio import ByteReader, ByteWriter
 from .errors import ConfigError, NumericError, ShapeError
 from .numcore import Tensor
@@ -187,18 +187,6 @@ def _patchify(image: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
     return tiles.reshape(rows * cols, ph * pw * 3)
 
 
-def _as_image(img, i: int) -> np.ndarray:
-    """Image ``i`` as an array of real numbers (a ``ShapeError`` if ragged,
-    a ``NumericError`` if not real), before its float cast."""
-    try:
-        img = np.asarray(img)
-    except ValueError as exc:  # numpy refuses a ragged nesting
-        raise ShapeError(f"image {i} is not a rectangular array: {exc}") from None
-    if img.dtype.kind not in "biuf":
-        raise NumericError(f"image {i} has dtype {img.dtype}; an image holds real numbers")
-    return img
-
-
 def encode_images(enc: ToyEncoder, images: list[np.ndarray]) -> dict[int, np.ndarray]:
     """Patch tokens [B, P, d] at each visual tap, row b from images[b]; plain
     arrays, never tracked for gradients.
@@ -207,11 +195,17 @@ def encode_images(enc: ToyEncoder, images: list[np.ndarray]) -> dict[int, np.nda
     block patchified on its own and its taps written into arrays allocated
     once, so no buffer spans the whole batch but the output. An empty list
     gives [0, P, d] arrays. Images of different sizes, a ragged image and
-    one that is not real numbers are refused before any block runs: a
-    later block would otherwise meet another patch projection, or the
-    float cast fail or drop imaginary parts.
+    one that is not finite real numbers are refused before any block runs:
+    a later block would otherwise meet another patch projection, the float
+    cast fail or drop imaginary parts, or a NaN spread through the tower.
     """
-    images = [_as_image(img, i) for i, img in enumerate(images)]
+    images = list(images)
+    for i, img in enumerate(images):
+        try:
+            images[i] = img = np.asarray(img)
+        except ValueError as exc:  # numpy refuses a ragged nesting
+            raise ShapeError(f"image {i} is not a rectangular array: {exc}") from None
+        inputs.reals(img, f"image {i}", NumericError)  # each block casts its own
     bad = next((i for i, img in enumerate(images) if img.shape != images[0].shape), None)
     if bad is not None:
         raise ShapeError(f"image {bad} is {images[bad].shape} but image 0 is "

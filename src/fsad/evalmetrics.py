@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import inputs
 from .errors import CapacityError, MetricError
 
 
@@ -32,31 +33,15 @@ class MetricReport:
     fn: int
 
 
-def _as_binary(scores, labels, who: str):
-    try:
-        if np.iscomplexobj(scores):  # a cast would drop the imaginary parts
-            raise TypeError("complex scores")
-        s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    except (TypeError, ValueError, OverflowError) as exc:  # an int beyond the float range
-        raise MetricError(f"{who}: scores must be real numbers: {exc}") from None
-    try:
-        if np.iscomplexobj(labels):  # the int cast would warn and drop the imaginary parts
-            raise TypeError("complex labels")
-        y = np.asarray(labels).reshape(-1)
-    except (TypeError, ValueError) as exc:  # a ragged nested list
-        raise MetricError(f"{who}: labels must be 0 or 1: {exc}") from None
+def _metric_inputs(scores, labels, who: str):
+    """Flattened float64 scores and int64 0/1 labels of one nonzero length."""
+    s = inputs.reals(scores, f"{who}: scores", MetricError).reshape(-1)
+    y = inputs.labels(labels, None, f"{who}: labels", MetricError).reshape(-1)
     if s.shape != y.shape:
         raise MetricError(f"{who}: {s.size} scores vs {y.size} labels")
     if s.size == 0:
         raise MetricError(f"{who}: empty input")
-    bad = np.count_nonzero(~np.isfinite(s))
-    if bad:
-        # a NaN sorts last and ties with nothing, so it would rank as the top score
-        raise MetricError(f"{who}: {bad} non-finite scores")
-    # accepts and rejects what np.isin(y, (0, 1)) does, in a fraction of its time
-    if not ((y == 0) | (y == 1)).all():
-        raise MetricError(f"{who}: labels must be 0 or 1")
-    return s, y.astype(np.int64, copy=False)
+    return s, y
 
 
 def _as_threshold(threshold, who: str) -> float:
@@ -82,9 +67,9 @@ def _tie_groups(ss: np.ndarray, ys: np.ndarray):
 def auc(scores, labels, *, _checked: bool = False) -> float:
     """Probability a random positive outscores a random negative (ties half).
 
-    ``_checked``: the inputs are ``_as_binary``'s output (``compute_report``).
+    ``_checked``: the inputs are ``_metric_inputs``'s output (``compute_report``).
     """
-    s, y = (scores, labels) if _checked else _as_binary(scores, labels, "auc")
+    s, y = (scores, labels) if _checked else _metric_inputs(scores, labels, "auc")
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -101,10 +86,10 @@ def auc(scores, labels, *, _checked: bool = False) -> float:
 def average_precision(scores, labels, *, _checked: bool = False) -> float:
     """Step-interpolated area under precision-recall, tie groups collapsed.
 
-    ``_checked``: the inputs are ``_as_binary``'s output (``compute_report``).
+    ``_checked``: the inputs are ``_metric_inputs``'s output (``compute_report``).
     """
     s, y = ((scores, labels) if _checked
-            else _as_binary(scores, labels, "average_precision"))
+            else _metric_inputs(scores, labels, "average_precision"))
     n_pos = int(y.sum())
     if n_pos == 0:
         raise MetricError("average_precision undefined: no positives")
@@ -141,7 +126,7 @@ def threshold_from_support(scores, labels) -> float:
     the centre of the degenerate normalized scale (everything predicted
     abnormal there, since prediction uses score >= threshold).
     """
-    s, y = _as_binary(scores, labels, "threshold_from_support")
+    s, y = _metric_inputs(scores, labels, "threshold_from_support")
     if y.min() == y.max():
         raise CapacityError("support must contain both classes to fit a threshold")
     order = np.argsort(s, kind="stable")
@@ -166,7 +151,7 @@ def threshold_from_support(scores, labels) -> float:
 
 def thresholded_metrics(scores, labels, threshold: float):
     """(f1, acc, (tp, fp, tn, fn)) for predictions score >= threshold."""
-    s, y = _as_binary(scores, labels, "thresholded_metrics")
+    s, y = _metric_inputs(scores, labels, "thresholded_metrics")
     return _thresholded(s, y, _as_threshold(threshold, "thresholded_metrics"))
 
 
@@ -179,7 +164,7 @@ def _thresholded(s: np.ndarray, y: np.ndarray, threshold: float):
 
 def compute_report(scores, labels, threshold: float) -> MetricReport:
     """Bundle ranking metrics and thresholded metrics for one batch."""
-    s, y = _as_binary(scores, labels, "compute_report")
+    s, y = _metric_inputs(scores, labels, "compute_report")
     threshold = _as_threshold(threshold, "compute_report")
     f1, acc, (tp, fp, tn, fn) = _thresholded(s, y, threshold)
     return MetricReport(auc=auc(s, y, _checked=True),

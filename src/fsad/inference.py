@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numcore as nc
+from . import inputs, numcore as nc
 from .backbone import CLASSES, SCORE_BLOCK
 from .errors import (CapacityError, ConfigError, ContractError, DomainError,
                      NumericError, ShapeError)
@@ -78,14 +78,10 @@ class Aligned:
             if layer not in self.norms or np.shape(self.norms[layer]) != v.shape[:-1]:
                 raise ShapeError(f"row norms at visual tap {layer} do not match "
                                  f"its rows {v.shape}")
-        ids = np.asarray(self.ids)
-        if ids.ndim != 1 or ids.size and ids.dtype.kind not in "iu":
+        ids = inputs.ids(self.ids, n, ContractError)
+        if ids.ndim != 1:
             raise ContractError(f"image ids must be a 1-D array of integers, "
-                                f"got {ids.dtype} of shape {ids.shape}")
-        ids = ids.astype(np.int64, copy=False)
-        bad = ids[(ids < 0) | (ids >= n)]
-        if bad.size:
-            raise ContractError(f"image id {bad[0]} outside [0, {n})")
+                                f"got shape {ids.shape}")
         object.__setattr__(self, "ids", ids)
 
 
@@ -95,23 +91,10 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.maximum(np.linalg.norm(rows, axis=-1), nc.NORM_FLOOR)
 
 
-def check_labels(labels, n: int) -> np.ndarray:
-    """``labels`` as an int64 array of ``n`` class rows, each exactly 0 or 1."""
-    try:
-        y = np.asarray(labels)
-    except (TypeError, ValueError) as exc:  # a ragged nested list
-        raise ContractError(f"labels are not an array: {exc}") from None
-    if y.shape != (n,):
-        raise ContractError(f"labels of shape {y.shape} for {n} images")
-    if y.dtype.kind not in "biuf" or not ((y == 0) | (y == 1)).all():
-        raise ContractError(f"labels must each be 0 or 1, got {y.tolist()!r}")
-    return y.astype(np.int64, copy=False)
-
-
 def build_prototypes(support: Aligned, labels) -> dict[int, np.ndarray]:
     """Per visual tap, a [2, d] array whose row c is the mean, in batch
     order, of the patch means of the support images labelled c."""
-    labels = check_labels(labels, support.ids.size)
+    labels = inputs.labels(labels, support.ids.shape, "labels", ContractError)
     members = [np.flatnonzero(labels == c) for c in range(len(CLASSES))]
     for cls, idx in zip(CLASSES, members):
         if not idx.size:
@@ -169,21 +152,6 @@ def proto_distance(batch: Aligned, protos: dict[int, np.ndarray]) -> np.ndarray:
     return total
 
 
-def reals(values, what: str) -> np.ndarray:
-    """``values`` as a float64 array of finite real numbers, else a
-    ``NumericError`` that names them ``what``."""
-    try:
-        if np.iscomplexobj(values):  # a cast would drop the imaginary parts
-            raise TypeError(f"complex {what}")
-        out = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise NumericError(f"{what} that are not real numbers: {exc}") from None
-    bad = np.count_nonzero(~np.isfinite(out))
-    if bad:
-        raise NumericError(f"{bad} non-finite {what}")
-    return out
-
-
 def proto_scores(d_norm, d_abn, eps: float) -> np.ndarray:
     """Relative proximity to the abnormal prototype, in [0, 1) up to one
     rounding; a cosine may exceed 1 by an ulp, so a query on the normal
@@ -191,7 +159,7 @@ def proto_scores(d_norm, d_abn, eps: float) -> np.ndarray:
     outputs)."""
     if not 0 < eps < np.inf:  # NaN fails this test too
         raise DomainError(f"eps must be positive and finite, got {eps}")
-    d_norm, d_abn = reals(d_norm, "distances"), reals(d_abn, "distances")
+    d_norm, d_abn = (inputs.reals(d, "distances", NumericError) for d in (d_norm, d_abn))
     if d_norm.shape != d_abn.shape:
         raise ContractError(f"distance shapes differ: {d_norm.shape} vs {d_abn.shape}")
     with np.errstate(over="ignore"):
@@ -208,7 +176,7 @@ def proto_scores(d_norm, d_abn, eps: float) -> np.ndarray:
 
 def minmax_normalize(scores) -> np.ndarray:
     """Map to [0, 1] by batch min/max; a constant batch maps to all 0.5."""
-    s = reals(scores, "scores").reshape(-1)
+    s = inputs.reals(scores, "scores", NumericError).reshape(-1)
     if s.size == 0:
         raise ContractError("cannot normalize an empty batch")
     lo, hi = s.min(), s.max()
@@ -224,7 +192,7 @@ def ensemble(sem_norm, proto_norm, lam: float) -> np.ndarray:
     """Convex blend of the two normalized branches."""
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"ensemble weight must lie in [0, 1], got {lam}")
-    a, b = reals(sem_norm, "branch scores"), reals(proto_norm, "branch scores")
+    a, b = (inputs.reals(s, "branch scores", NumericError) for s in (sem_norm, proto_norm))
     if a.shape != b.shape:
         raise ContractError(f"branch lengths differ: {a.shape} vs {b.shape}")
     return lam * a + (1.0 - lam) * b
@@ -250,7 +218,7 @@ def score_batch(batch: Aligned, labels, protos: dict[int, np.ndarray],
     The prototype distances sum the batch's taps in dict order. Both
     branches are normalized over the whole batch, then blended.
     """
-    labels = check_labels(labels, batch.ids.size)
+    labels = inputs.labels(labels, batch.ids.shape, "labels", ContractError)
     sem_raw = np.asarray(batch.sem, dtype=np.float64)[batch.ids]
     d_norm, d_abn = proto_distance(batch, protos)
     proto_raw = proto_scores(d_norm, d_abn, infer.eps)

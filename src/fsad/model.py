@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import numcore as nc
+from . import inputs, numcore as nc
 from .adaptation import (AdaptationState, AdaptSpec, apply_text_adapter,
                          apply_visual_adapter, init_adaptation)
 from .backbone import BackboneSpec, ToyEncoder, encode_prompt, layer_map
@@ -248,17 +248,17 @@ def align(model: Model, store, ids) -> AlignMemo:
     edit). An image's rows do not depend on the other images in its block
     (README "Numerics contract"), so they equal a pass over the image alone.
     """
+    n = store.labels.size
+    ids = inputs.ids(ids, n, ContractError)
     key = _memo_key(model)
     memo = model._memo
     if memo is None or memo.store is not store or memo.key != key:
-        n = store.labels.size
         empty = store.take(model.spec.selected_visual, [])  # tap -> [0, P, d]
         memo = model._memo = AlignMemo(
             store=store, key=key,
             visual={t: np.empty((n,) + a.shape[1:]) for t, a in empty.items()},
             norms={t: np.empty((n,) + a.shape[1:-1]) for t, a in empty.items()},
             sem=np.empty(n), filled=np.zeros(n, dtype=bool))
-    ids = np.asarray(ids, dtype=np.int64)
     todo = ids[~memo.filled[ids]]
     # the NumericError below reports an overflow; numpy's warnings would repeat it
     with nc.no_grad(), np.errstate(over="ignore", invalid="ignore"):

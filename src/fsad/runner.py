@@ -17,11 +17,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import numcore as nc
+from . import inputs, numcore as nc
 from .backbone import BackboneSpec, ToyEncoder, encode_images
 from .clsa import ClsaSpec
 from .config import RunConfig
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .evalmetrics import (MetricReport, auc, average_precision, compute_report,
                           threshold_from_support)
 from .inference import ScoreReport, build_prototypes, ensemble, score_batch
@@ -57,7 +57,7 @@ class FeatureStore:
         if missing:
             raise ConfigError(f"taps {missing} not present in feature store "
                               f"(has {sorted(self.feats)})")
-        idx = np.asarray(ids, dtype=np.int64)
+        idx = inputs.ids(ids, self.labels.size, ContractError)
         return {t: self.feats[t][idx] for t in taps}
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numcore as nc
+from . import inputs, numcore as nc
 from .errors import ConfigError, ContractError, DomainError, NumericError
 from .inference import semantic_scores
 from .model import (FAST_GROUP, Model, forward, named_parameters,
@@ -58,7 +58,7 @@ def bce_loss(scores: Tensor, labels) -> Tensor:
     away from {0, 1} so saturated sigmoids cannot produce infinite log
     terms; clamped entries contribute zero gradient.
     """
-    y = np.atleast_1d(np.asarray(labels, dtype=np.float64))
+    y = np.atleast_1d(inputs.labels(labels, None, "labels", ContractError))
     if y.size == 0:
         raise ContractError("empty batch in loss")
     if scores.data.size != y.size:
@@ -172,9 +172,10 @@ def train_episode(model: Model, support_feats: dict[int, np.ndarray], labels,
     kernels in the same order on the updated parameters.
     """
     stacked = stack_size(model) is not None
-    y = np.asarray(labels, dtype=np.int64)
-    if not stacked:
-        y = y.reshape(-1)
+    shapes = {np.shape(feats)[:-2] for feats in support_feats.values()}
+    if len(shapes) != 1 or () in shapes:
+        raise ContractError(f"support taps need one batch shape, got {sorted(shapes)}")
+    y = inputs.labels(labels, shapes.pop(), "labels", ContractError)
     n = y.shape[-1]
     if n == 0:
         raise ContractError("empty support set")

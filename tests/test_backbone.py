@@ -169,7 +169,7 @@ def test_encode_ragged_image_is_a_shape_error(block_runs):
 
 
 def test_encode_string_image_is_a_numeric_error(block_runs):
-    with pytest.raises(NumericError, match="image 3 has dtype <U1"):
+    with pytest.raises(NumericError, match="image 3 must be real numbers, got dtype <U1"):
         encode_with_image_3(np.full((8, 8, 3), "a"))
     assert block_runs == []
 
@@ -178,8 +178,19 @@ def test_encode_complex_image_is_a_numeric_error(block_runs):
     image = rand_image(np.random.default_rng(17)) + 0.5j
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # nothing casts it and drops the imaginary parts
-        with pytest.raises(NumericError, match="image 3 has dtype complex128"):
+        with pytest.raises(NumericError, match="image 3 must be real numbers, got dtype complex128"):
             encode_with_image_3(image)
+    assert block_runs == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_non_finite_image_is_a_numeric_error(block_runs, bad):
+    # one NaN pixel put 32 NaN values into the store, and the fault showed
+    # only later, in alignment, as "alignment diverged"
+    image = rand_image(np.random.default_rng(18))
+    image[5, 2, 1] = bad
+    with pytest.raises(NumericError, match="image 3 must be finite, got 1 non-finite"):
+        encode_with_image_3(image)
     assert block_runs == []
 
 

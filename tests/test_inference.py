@@ -21,11 +21,12 @@ from fsad.inference import (SCORE_BLOCK, Aligned, InferSpec,
                             build_prototypes, ensemble, minmax_normalize,
                             proto_distance, proto_scores, row_norms,
                             score_batch, semantic_scores)
-from fsad.model import align, forward, named_parameters
+from fsad.model import align, forward, init_model, named_parameters
 from fsad.numcore import Tensor
 from fsad.runner import (FeatureStore, build_feature_store, model_from_config,
                          run_episode)
 from fsad.synthdata import generate_dataset, sample_episode
+from fsad.training import TrainConfig, train_episode
 
 D = 16
 
@@ -139,7 +140,7 @@ def test_build_prototypes_takes_integer_support_indices(idx):
     # floats used to raise a bare IndexError, and a bool list silently
     # masked the support rows
     feats = {2: np.zeros((4, 5, D))}
-    with pytest.raises(ContractError, match="1-D array of integers"):
+    with pytest.raises(ContractError, match=r"image ids must be an? (1-D )?array of integers"):
         build_prototypes(support_of(feats, idx), [0, 1])
 
 
@@ -535,7 +536,7 @@ def test_score_batch_names_a_missing_visual_tap():
 def test_score_batch_rejects_a_label_count_off_the_query_count():
     rng = np.random.default_rng(15)
     protos, query, sem = small_scoring_setup(rng, 3)
-    with pytest.raises(ContractError, match=r"labels of shape \(2,\) for 3 images"):
+    with pytest.raises(ContractError, match=r"labels must have shape \(3,\), got \(2,\)"):
         score_batch(batch_of(query, sem), [0, 1], protos)
 
 
@@ -551,7 +552,7 @@ def test_score_batch_rejects_an_empty_batch():
 def test_aligned_takes_a_1d_array_of_integer_ids(ids):
     rng = np.random.default_rng(17)
     rows = aligned_rows(rng, 3)
-    with pytest.raises(ContractError, match="1-D array of integers"):
+    with pytest.raises(ContractError, match=r"image ids must be an? (1-D )?array of integers"):
         Aligned(visual=rows, norms={l: row_norms(v) for l, v in rows.items()},
                 sem=rng.uniform(size=3), ids=ids)
 
@@ -677,7 +678,8 @@ def test_score_batch_takes_labels_of_0_or_1(labels):
 
 def drawn_labels(draw, n):
     """Drawn labels for n images and the error each call must raise
-    (None: it works): ``(labels, build_prototypes error, score_batch error)``."""
+    (None: it works): ``(labels, build_prototypes error, score_batch error)``;
+    ``train_episode`` must raise the ``score_batch`` error."""
     both = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))
     kind = draw(st.sampled_from(["valid", "one class", "float", "str", "2-D",
                                  "outside", "length", "ragged"]), label="kind")
@@ -718,11 +720,17 @@ def test_drawn_labels_work_or_raise_categorized(data):
     rng = np.random.default_rng(24)
     rows, sem = aligned_rows(rng, n), rng.uniform(size=n)
     protos = build_prototypes(support_of(aligned_rows(rng, 2)), [0, 1])
+    model = init_model(BackboneSpec(d=D, vision_layers=4, text_layers=2,
+                                    selected_visual=(2, 4), selected_text=(1, 2),
+                                    patch_grid=(2, 2), heads=4, seed=5), seed=7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call, error in ((lambda: build_prototypes(support_of(rows), labels),
                              proto_error),
                             (lambda: score_batch(batch_of(rows, sem), labels, protos),
+                             score_error),
+                            (lambda: train_episode(model, rows, labels,
+                                                   TrainConfig(epochs=1)),
                              score_error)):
             if error is not None:
                 with pytest.raises(error):

@@ -138,6 +138,25 @@ def test_take_slices_and_guards(world):
         store.take((6,), [0])
 
 
+@pytest.mark.parametrize("ids, match", [
+    ([0.5], "image ids must be an array of integers, got dtype float64"),
+    ([-1], r"image id -1 outside \[0, 24\)"),
+    (["1"], "image ids must be an array of integers, got dtype <U1"),
+    ([True, False], "image ids must be an array of integers, got dtype bool"),
+    ([24], r"image id 24 outside \[0, 24\)"),
+    ([[0, 1], [2]], "image ids must be an array of integers, got setting"),
+], ids=["float", "negative", "str", "bool", "N", "ragged"])
+def test_take_and_align_take_image_ids_in_range(world, ids, match):
+    # take gathered image 0 for 0.5, wrapped -1 to the last image, cast "1"
+    # and the bools to ints, and raised a bare IndexError for 24 and a bare
+    # ValueError for the ragged list; align did the same through its cast
+    cfg, store, _ = world
+    with pytest.raises(ContractError, match=match):
+        store.take((2, 4), ids)
+    with pytest.raises(ContractError, match=match):
+        fmodel.align(model_from_config(cfg), store, ids)
+
+
 def test_run_episode_fields(world):
     cfg, store, dataset = world
     run = run_episode(cfg, store, dataset, 1)

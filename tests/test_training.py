@@ -63,6 +63,18 @@ def test_bce_contract_guards():
         bce_loss(Tensor(np.full(3, 0.5)), [1, 0])
 
 
+@pytest.mark.parametrize("labels, match", [
+    ([2, 0], "labels must be 0 or 1, got 2"),
+    ([np.nan, 1], "labels must be 0 or 1, got nan"),
+    (["a", "b"], "labels must be 0 or 1, got dtype <U1"),
+], ids=["outside", "nan", "str"])
+def test_bce_takes_labels_of_0_or_1(labels, match):
+    # [2, 0] returned a loss of 0.308, [nan, 1] a NaN loss, and ["a", "b"]
+    # raised a bare ValueError from the float cast
+    with pytest.raises(ContractError, match=match):
+        bce_loss(Tensor(np.array([0.3, 0.6])), labels)
+
+
 def test_bce_keeps_one_loss_per_episode():
     scores = np.array([[0.3, 0.8, 0.6], [0.9, 0.1, 0.5]])
     labels = np.array([[1, 0, 1], [0, 0, 1]])
@@ -262,6 +274,31 @@ def test_loss_decreases_on_support():
     cfg = TrainConfig(epochs=20, lr_fast=0.03, lr_slow=0.003, batch_size=8)
     trace = train_episode(model, feats, labels, cfg)
     assert trace[-1].loss < trace[0].loss
+
+
+@pytest.mark.parametrize("labels, match", [
+    ([0.7, 0.2, 1.9, 1.2], "labels must be 0 or 1, got 0.7"),
+    ([0, 1, 2, 3], "labels must be 0 or 1, got 2"),
+    (["0", "1", "0", "1"], "labels must be 0 or 1, got dtype <U1"),
+    ([0, 1, 0], r"labels must have shape \(4,\), got \(3,\)"),
+], ids=["float", "outside", "str", "short"])
+def test_train_episode_takes_labels_of_0_or_1(labels, match):
+    # the floats were truncated to [0, 0, 1, 1] and trained, [0, 1, 2, 3]
+    # and the strings trained, and 3 labels trained the first 3 of 4 rows
+    feats, _ = support(n=4)
+    with pytest.raises(ContractError, match=match):
+        train_episode(small_model(), feats, labels, TrainConfig(epochs=1))
+
+
+def test_stacked_training_takes_labels_of_one_episode_row_each():
+    stack = stack_models([small_model(seed) for seed in (1, 2)])
+    feats, labels = support(n=4)
+    stacked = {l: np.stack([f, f]) for l, f in feats.items()}  # [2, 4, P, d]
+    with pytest.raises(ContractError, match=r"must have shape \(2, 4\), got \(4,\)"):
+        train_episode(stack, stacked, labels, TrainConfig(epochs=1))
+    with pytest.raises(ContractError, match="support taps need one batch shape"):
+        train_episode(stack, {2: stacked[2], 4: stacked[4][:, :3]},
+                      np.stack([labels, labels]), TrainConfig(epochs=1))
 
 
 def test_empty_support_rejected():
