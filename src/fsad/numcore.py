@@ -515,10 +515,13 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def _sigmoid_fwd(x):
     # Two-branch form: never exponentiates a positive argument, so large
-    # inputs neither overflow nor produce denormal outputs.
-    pos = x >= 0
-    e = np.exp(np.where(pos, -x, x))
-    out = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    # inputs neither overflow nor produce denormal outputs. e = exp(-|x|)
+    # is each branch's exponential, and 1 / (e + 1) or e / (e + 1) is its
+    # quotient, so one buffer takes both branches with the same IEEE
+    # operations per element as two.
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= e + 1.0
     return out, out
 
 

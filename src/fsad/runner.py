@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import inputs, numcore as nc
-from .backbone import BackboneSpec, ToyEncoder, encode_images
+from .backbone import SCORE_BLOCK, BackboneSpec, ToyEncoder, encode_images
 from .clsa import ClsaSpec
 from .config import RunConfig
 from .errors import ConfigError, ContractError
@@ -66,10 +66,21 @@ take = FeatureStore.take
 
 
 def build_feature_store(spec: BackboneSpec, dataset: list[Sample]) -> FeatureStore:
-    """Encode every sample once through the frozen visual tower."""
-    return FeatureStore(
-        feats=encode_images(ToyEncoder(spec, "visual"), [s.image for s in dataset]),
-        labels=np.array([s.label for s in dataset], dtype=np.int64))
+    """Encode every sample once through the frozen visual tower.
+
+    The samples are rendered ``SCORE_BLOCK`` at a time, each block encoded
+    (one block of ``encode_images``) and its taps written into [N, P, d]
+    arrays allocated once, so at most one block of pixels is alive.
+    """
+    enc = ToyEncoder(spec, "visual")
+    feats = {layer: np.empty((len(dataset), spec.patches, spec.d))
+             for layer in sorted(enc.taps)}  # encode_images's order
+    for lo in range(0, len(dataset), SCORE_BLOCK):
+        block = encode_images(enc, [s.image for s in dataset[lo:lo + SCORE_BLOCK]])
+        for layer, rows in block.items():
+            feats[layer][lo:lo + len(rows)] = rows
+    return FeatureStore(feats=feats,
+                        labels=np.array([s.label for s in dataset], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -81,14 +81,25 @@ class EpisodeSpec:
                                   f"got {getattr(self, name)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sample:
-    """One labeled image; abnormal samples carry their planted disk."""
+    """One labeled image as its render recipe: sample ``index`` of class
+    ``label`` under ``spec``. Abnormal samples carry their planted disk;
+    ``with_anomaly=False`` renders the image without it. No pixels are
+    kept: ``image`` renders them on each read."""
 
-    image: np.ndarray
+    spec: DatasetSpec
     label: int
+    index: int
+    with_anomaly: bool = True
     center: tuple[float, float] | None = None
     radius: float | None = None
+
+    @property
+    def image(self) -> np.ndarray:
+        """The [H, W, 3] pixels in [0, 1], rendered afresh from the
+        sample's stream."""
+        return _render(self.spec, self.label, self.index, self.with_anomaly)
 
 
 @dataclass
@@ -101,49 +112,64 @@ class Episode:
     k: int
 
 
-def _field(rng, spec: DatasetSpec, freq_factor: float, phases=None, freqs=None):
-    h, w = spec.height, spec.width
-    ys = np.arange(h, dtype=np.float64)[:, None]
-    xs = np.arange(w, dtype=np.float64)[None, :]
-    img = np.empty((h, w, 3))
-    if freqs is None:
-        freqs = rng.uniform(spec.freq_min, spec.freq_max, size=(3, 2))
-    if phases is None:
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(3, 2))
-    for c in range(3):
-        fy, fx = freqs[c] * freq_factor
-        py, px = phases[c]
-        img[:, :, c] = 0.5 + 0.25 * (np.sin(2 * np.pi * fy * ys / h + py)
-                                     * np.sin(2 * np.pi * fx * xs / w + px))
-    return img, freqs, phases
-
-
-def render_sample(spec: DatasetSpec, label: int, index: int,
-                  with_anomaly: bool = True) -> Sample:
-    """Render one sample; the random stream is a pure function of (spec.seed,
-    label, index), and suppressing the anomaly does not shift that stream."""
+def _stream(spec: DatasetSpec, label: int, index: int):
+    """The sample's generator after the draws that precede its pixels, and
+    those draws: the field's (3, 2) frequencies and phases, then an abnormal
+    sample's radius and centre. The one owner of the stream's order."""
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _TAG_IMAGE, label, index)))
-    img, freqs, phases = _field(rng, spec, 1.0)
+    freqs = rng.uniform(spec.freq_min, spec.freq_max, size=(3, 2))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(3, 2))
     center = radius = None
     if label == 1:
         radius = float(rng.uniform(spec.blob_radius_min, spec.blob_radius_max))
         cy = float(rng.uniform(radius, spec.height - radius))
         cx = float(rng.uniform(radius, spec.width - radius))
         center = (cy, cx)
-        if with_anomaly:
-            anom, _, _ = _field(rng, spec, spec.anomaly_freq_factor,
-                                phases=phases, freqs=freqs)
-            anom = anom + spec.contrast_shift
-            ys = np.arange(spec.height, dtype=np.float64)[:, None]
-            xs = np.arange(spec.width, dtype=np.float64)[None, :]
-            mask = (ys - cy) ** 2 + (xs - cx) ** 2 <= radius ** 2
-            img = np.where(mask[:, :, None], anom, img)
+    return rng, freqs, phases, center, radius
+
+
+def _field(spec: DatasetSpec, freqs, phases, freq_factor: float) -> np.ndarray:
+    h, w = spec.height, spec.width
+    ys = np.arange(h, dtype=np.float64)[:, None]
+    xs = np.arange(w, dtype=np.float64)[None, :]
+    img = np.empty((h, w, 3))
+    for c in range(3):
+        fy, fx = freqs[c] * freq_factor
+        py, px = phases[c]
+        img[:, :, c] = 0.5 + 0.25 * (np.sin(2 * np.pi * fy * ys / h + py)
+                                     * np.sin(2 * np.pi * fx * xs / w + px))
+    return img
+
+
+def _render(spec: DatasetSpec, label: int, index: int, with_anomaly: bool) -> np.ndarray:
+    """The pixels of one sample; the noise is drawn after the disk either
+    way, so suppressing the anomaly does not shift the stream."""
+    rng, freqs, phases, center, radius = _stream(spec, label, index)
+    img = _field(spec, freqs, phases, 1.0)
+    if center is not None and with_anomaly:
+        anom = _field(spec, freqs, phases, spec.anomaly_freq_factor) + spec.contrast_shift
+        cy, cx = center
+        ys = np.arange(spec.height, dtype=np.float64)[:, None]
+        xs = np.arange(spec.width, dtype=np.float64)[None, :]
+        mask = (ys - cy) ** 2 + (xs - cx) ** 2 <= radius ** 2
+        img = np.where(mask[:, :, None], anom, img)
     img = img + rng.normal(0.0, spec.noise_std, size=img.shape)
-    return Sample(image=np.clip(img, 0.0, 1.0), label=label, center=center, radius=radius)
+    return np.clip(img, 0.0, 1.0)
+
+
+def render_sample(spec: DatasetSpec, label: int, index: int,
+                  with_anomaly: bool = True) -> Sample:
+    """One sample's recipe; the random stream is a pure function of
+    (spec.seed, label, index). Only the draws behind its disk are made
+    here; ``Sample.image`` renders the pixels."""
+    _, _, _, center, radius = _stream(spec, label, index)
+    return Sample(spec=spec, label=label, index=index, with_anomaly=with_anomaly,
+                  center=center, radius=radius)
 
 
 def generate_dataset(spec: DatasetSpec) -> list[Sample]:
-    """All normal samples first, then all abnormal samples."""
+    """All normal samples first, then all abnormal samples, as recipes:
+    no pixels are rendered."""
     out = [render_sample(spec, 0, i) for i in range(spec.n_normal)]
     out += [render_sample(spec, 1, i) for i in range(spec.n_abnormal)]
     return out

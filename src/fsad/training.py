@@ -155,9 +155,11 @@ def train_episode(model: Model, support_feats: dict[int, np.ndarray], labels,
     """Optimize the adaptation stack on one support set.
 
     support_feats maps visual taps to [B, P, d] frozen features; labels is
-    the matching 0/1 vector. Mini-batches are consecutive fixed-order slices
-    capped at the configured batch size, so runs are fully deterministic.
-    Returns the per-epoch trace.
+    the matching 0/1 vector. Features missing one of the model's taps, or
+    not finite real numbers (``inputs.reals``), raise ContractError.
+    Mini-batches are consecutive fixed-order slices capped at the
+    configured batch size, so runs are fully deterministic. Returns the
+    per-epoch trace.
 
     A stacked model of E episodes takes [E, B, P, d] features and [E, B]
     labels and returns one trace per episode. The step differentiates the
@@ -172,7 +174,15 @@ def train_episode(model: Model, support_feats: dict[int, np.ndarray], labels,
     kernels in the same order on the updated parameters.
     """
     stacked = stack_size(model) is not None
-    shapes = {np.shape(feats)[:-2] for feats in support_feats.values()}
+    missing = [t for t in model.spec.selected_visual if t not in support_feats]
+    if missing:
+        raise ContractError(f"support features at visual taps {sorted(support_feats)} "
+                            f"do not match the model's taps "
+                            f"{list(model.spec.selected_visual)}: missing {missing}")
+    support_feats = {layer: inputs.reals(feats, f"support features at visual tap {layer}",
+                                         ContractError)
+                     for layer, feats in support_feats.items()}
+    shapes = {feats.shape[:-2] for feats in support_feats.values()}
     if len(shapes) != 1 or () in shapes:
         raise ContractError(f"support taps need one batch shape, got {sorted(shapes)}")
     y = inputs.labels(labels, shapes.pop(), "labels", ContractError)

@@ -63,6 +63,30 @@ def test_sigmoid_known_values():
     np.testing.assert_allclose(out.data, [0.75, 0.5], atol=1e-12)
 
 
+def _two_branch_sigmoid(x):
+    """The sigmoid kernel's former formula: two np.where branches."""
+    pos = x >= 0
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def test_sigmoid_matches_the_two_branch_formula_bit_for_bit():
+    # the one-buffer kernel makes each element's IEEE operations of the
+    # two-branch form: signed zeros, infinities, NaN, the exp underflow and
+    # denormal edges, the largest magnitudes and the frozen tower's shape
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308,
+                      745.2, -745.2, 709.8, -709.8, 36.8, -36.8, 5e-324,
+                      -5e-324, 2.2e-308, -2.2e-308, 1.0, -1.0])
+    rng = np.random.default_rng(41)
+    wide = rng.normal(size=(100, 16, 64)) * 10.0 ** rng.integers(-3, 3, size=(100, 16, 64))
+    for x in (edges, wide, np.array(-2.5), np.zeros((0, 3))):
+        got = nc.sigmoid(Tensor(x)).data
+        want = _two_branch_sigmoid(x)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.isnan(got), np.isnan(x))
+
+
 def test_sigmoid_grad_at_zero():
     x = Tensor([0.0], requires_grad=True)
     with GradTape() as tape:

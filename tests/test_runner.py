@@ -1,5 +1,6 @@
 """Orchestration: feature caching, episode mechanics, grids, gradcheck."""
 
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 
 from fsad import model as fmodel
 from fsad import numcore as nc
-from fsad import runner
+from fsad import runner, synthdata
 from fsad.config import RunConfig, defaults
 from fsad.errors import ConfigError, ContractError
 from fsad.evalmetrics import auc
@@ -106,18 +107,55 @@ def test_feature_store_layout(world):
 
 
 def test_feature_store_build_peaks_below_one_block_of_transients():
-    # the default 400-image corpus: a 6.25 MB store plus one SCORE_BLOCK
-    # block's tower buffers; one pass over the whole corpus peaked at 38.5 MB
+    # the default 400-image corpus, generated and encoded: a 6.25 MB store
+    # plus one SCORE_BLOCK block's rendered pixels (2.4 MB) and tower
+    # buffers. One pass over the whole corpus peaked at 38.5 MB, and the
+    # generated corpus alone held 9.4 MB of pixels
     cfg = RunConfig(defaults())
-    dataset = generate_dataset(cfg.dataset_spec())
     tracemalloc.start()
     try:
+        dataset = generate_dataset(cfg.dataset_spec())
         store = build_feature_store(cfg.backbone_spec(), dataset)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert [arr.shape for arr in store.feats.values()] == [(400, 16, 32)] * 4
     assert peak < 24 * 2**20, f"store build peaked at {peak / 2**20:.1f} MB"
+
+
+DEFAULT_STORE_SHA256 = {
+    2: "ddf7867bfe014739981bb9cd1e2cf68d8709c4074ce3350de7ec37c77d446785",
+    4: "7d106fd5ec55b1e27c90b2467edab3f439189c9cf4d0db2f521f9a0d2c4f4b35",
+    6: "d60cc78bea72474ceaf78a3bb3e65de9f5a7269ce19bb39f717cfe2dc6cd16d7",
+    8: "4e206e7236015bf8179f49983a0492554dc30cfb9282aea0fe846f56ade609e9",
+}
+
+
+def test_default_store_taps_are_pinned():
+    cfg = RunConfig(defaults())
+    store = build_feature_store(cfg.backbone_spec(),
+                                generate_dataset(cfg.dataset_spec()))
+    assert list(store.feats) == sorted(DEFAULT_STORE_SHA256)
+    for tap, arr in store.feats.items():
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous
+        assert hashlib.sha256(arr.tobytes()).hexdigest() == DEFAULT_STORE_SHA256[tap]
+
+
+def test_feature_store_renders_each_image_once(monkeypatch):
+    # 140 images: a full SCORE_BLOCK block and a partial one
+    cfg = RunConfig(dict(SMALL, **{"data.n_normal": 130, "data.n_abnormal": 10}))
+    rendered, render = [], synthdata._render
+
+    def counting(spec, label, index, with_anomaly):
+        rendered.append((label, index))
+        return render(spec, label, index, with_anomaly)
+
+    monkeypatch.setattr(synthdata, "_render", counting)
+    dataset = generate_dataset(cfg.dataset_spec())
+    assert rendered == []  # generation renders no pixels
+    store = build_feature_store(cfg.backbone_spec(), dataset)
+    assert rendered == [(s.label, s.index) for s in dataset]
+    assert store.labels.tolist() == [0] * 130 + [1] * 10
 
 
 def test_take_slices_and_guards(world):

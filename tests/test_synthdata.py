@@ -1,5 +1,8 @@
 """Synthetic corpus: determinism, anomaly statistics, episode structure."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +51,45 @@ def test_determinism():
     b = generate_dataset(small_spec())
     for x, y in zip(a, b):
         assert np.array_equal(x.image, y.image) and x.label == y.label
+
+
+def test_default_corpus_pixels_are_pinned():
+    # sha256 of the default 400 images' rendered pixels in dataset order; a
+    # renderer change that moves one bit of one pixel changes it
+    h = hashlib.sha256()
+    for sample in generate_dataset(DatasetSpec()):
+        h.update(sample.image.tobytes())
+    assert h.hexdigest() == ("372e91d07926bcf10e642646aab942134fa9de4ef019bf6e"
+                             "07ac0f565f4234f6")
+
+
+def test_a_generated_sample_is_a_recipe_without_pixels():
+    # the default corpus rendered held 9.4 MiB of pixels; its recipes hold
+    # the spec, the stream key and the planted disk
+    render_sample(DatasetSpec(), 0, 0)  # numpy.random's lazy imports, untraced
+    tracemalloc.start()
+    try:
+        data = generate_dataset(DatasetSpec())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"generate_dataset peaked at {peak / 2**20:.2f} MB"
+    for sample in data:
+        held = list(vars(sample).values()) + list(sample.center or ())
+        assert not any(isinstance(value, np.ndarray) for value in held)
+    assert data[200] == render_sample(DatasetSpec(), 1, 0)
+
+
+def test_image_reads_render_equal_pixels_each_time():
+    spec = small_spec()
+    for with_anomaly in (True, False):
+        sample = render_sample(spec, 1, 4, with_anomaly=with_anomaly)
+        first, again = sample.image, sample.image
+        assert first is not again and np.array_equal(first, again)
+        assert np.array_equal(first, render_sample(spec, 1, 4, with_anomaly).image)
+    # the disk's draws come before the noise, so a clean sample keeps them
+    clean, planted = render_sample(spec, 1, 4, False), render_sample(spec, 1, 4)
+    assert (clean.center, clean.radius) == (planted.center, planted.radius)
 
 
 def test_images_in_unit_range_and_shape():

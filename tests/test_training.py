@@ -301,6 +301,37 @@ def test_stacked_training_takes_labels_of_one_episode_row_each():
                       np.stack([labels, labels]), TrainConfig(epochs=1))
 
 
+def test_support_lacking_a_model_tap_is_a_contract_error():
+    # raised a bare KeyError: 4 from the forward pass
+    feats, labels = support()
+    with pytest.raises(ContractError, match=r"support features at visual taps "
+                                            r"\[2\] do not match the model's "
+                                            r"taps \[2, 4\]: missing \[4\]"):
+        train_episode(small_model(), {2: feats[2]}, labels, TrainConfig(epochs=1))
+
+
+def test_support_features_as_nested_lists_train_as_their_arrays():
+    # raised a bare TypeError from the mini-batch slice
+    feats, labels = support()
+    config = TrainConfig(epochs=2, batch_size=3)
+    model, listed = small_model(), small_model()
+    want = train_episode(model, feats, labels, config)
+    got = train_episode(listed, {l: f.tolist() for l, f in feats.items()},
+                        labels.tolist(), config)
+    assert got == want and state_checksum(listed) == state_checksum(model)
+    ragged = {2: feats[2].tolist(), 4: feats[4].tolist()}
+    ragged[4][0] = ragged[4][0][:-1]
+    spread = feats[4].copy()
+    spread[1, 2, 3] = np.nan
+    for bad, match in ((ragged, "support features at visual tap 4 must be real"),
+                       ({2: feats[2], 4: feats[4].astype(str)},
+                        "support features at visual tap 4 must be real"),
+                       ({2: feats[2], 4: spread},
+                        "support features at visual tap 4 must be finite")):
+        with pytest.raises(ContractError, match=match):
+            train_episode(small_model(), bad, labels, config)
+
+
 def test_empty_support_rejected():
     model = small_model()
     with pytest.raises(ContractError):
