@@ -33,12 +33,12 @@ _TAG_POS = 14
 
 WEIGHT_STD = 0.02
 
-# Images per block of the frozen visual tower (``encode_images``), of
-# alignment (``model.align``) and of ``proto_distance``'s row gather. A
-# 100-image block's largest buffer is under 1 MB at the default width (the
-# tower's FF hidden layer and attention weights 0.8 MB, the alignment's t2v
-# attention weights 0.92 MB, a gather 400 KB per tap), so each stays in a
-# 2 MB per-core L2 cache.
+# Images per block of the frozen visual tower (``encode_images``) and of
+# alignment (``model.align``). A 100-image block's largest buffer is under
+# 1 MB at the default width (the tower's FF hidden layer and attention
+# weights 0.8 MB, the alignment's t2v attention weights 0.92 MB, a block's
+# gathered features 400 KB per tap), so each stays in a 2 MB per-core L2
+# cache.
 SCORE_BLOCK = 100
 
 

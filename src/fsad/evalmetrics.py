@@ -8,8 +8,6 @@ descending-score groups with ties collapsed into one group.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +43,11 @@ def _metric_inputs(scores, labels, who: str):
 
 
 def _as_threshold(threshold, who: str) -> float:
-    try:
-        t = float(threshold) if isinstance(threshold, numbers.Real) else math.nan
-    except OverflowError:  # an int beyond the float range
-        t = math.inf
-    if not math.isfinite(t):
-        raise MetricError(f"{who}: threshold must be a finite real number, "
-                          f"got {threshold!r}")
-    return t
+    """One finite real number (``inputs.reals``), a 0-d array included."""
+    t = inputs.reals(threshold, f"{who}: threshold", MetricError)
+    if t.ndim:
+        raise MetricError(f"{who}: threshold must be one number, got shape {t.shape}")
+    return float(t)
 
 
 def _tie_groups(ss: np.ndarray, ys: np.ndarray):

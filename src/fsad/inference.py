@@ -57,27 +57,28 @@ def semantic_scores(visual: dict[int, Tensor], t_abn: Tensor, tau: Tensor) -> Te
 @dataclass(frozen=True)
 class Aligned:
     """A batch of B aligned images, ready to score, named by index: per
-    visual tap, in the model's tap order, an [N, P, d] array of patch rows
-    and an [N, P] array of their norms (``row_norms``), an [N] array of
-    semantic scores, and the batch's B ``ids`` into those N rows, in batch
-    order. ``model.AlignMemo.take`` passes the memo's own arrays, so a batch
-    copies no rows; a hand-built batch of B images passes ``np.arange(B)``."""
+    visual tap, in the model's tap order, [N, d] arrays of the images'
+    mean unit rows and patch means (``summaries``), an [N] array of
+    semantic scores, and the batch's B ``ids`` into those N images, in
+    batch order. ``model.AlignMemo.take`` passes the memo's own arrays, so
+    a batch copies nothing; a hand-built batch of B images passes
+    ``np.arange(B)``."""
 
-    visual: dict[int, np.ndarray]
-    norms: dict[int, np.ndarray]
+    unit: dict[int, np.ndarray]
+    mean: dict[int, np.ndarray]
     sem: np.ndarray
     ids: np.ndarray
 
     def __post_init__(self):
         n = np.size(self.sem)
-        counts = {layer: np.shape(v)[:-2] for layer, v in self.visual.items()}
+        shapes = {layer: np.shape(u) for layer, u in self.unit.items()}
+        counts = {layer: shape[:-1] for layer, shape in shapes.items()}
         if np.ndim(self.sem) != 1 or counts and set(counts.values()) != {(n,)}:
             raise ShapeError(f"aligned rows per visual tap {counts} do not match "
                              f"{n} semantic scores")
-        for layer, v in self.visual.items():
-            if layer not in self.norms or np.shape(self.norms[layer]) != v.shape[:-1]:
-                raise ShapeError(f"row norms at visual tap {layer} do not match "
-                                 f"its rows {v.shape}")
+        if {layer: np.shape(m) for layer, m in self.mean.items()} != shapes:
+            raise ShapeError(f"patch means per visual tap do not match the "
+                             f"unit rows {shapes}")
         ids = inputs.ids(self.ids, n, ContractError)
         if ids.ndim != 1:
             raise ContractError(f"image ids must be a 1-D array of integers, "
@@ -85,10 +86,23 @@ class Aligned:
         object.__setattr__(self, "ids", ids)
 
 
-def row_norms(rows: np.ndarray) -> np.ndarray:
-    """Norms over the last axis floored at ``NORM_FLOOR``: the row norms
-    ``nc.cosine_rows`` divides by, bit for bit."""
-    return np.maximum(np.linalg.norm(rows, axis=-1), nc.NORM_FLOOR)
+def summaries(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The two [..., d] vectors scoring reads of [..., P, d] aligned patch
+    rows: ``unit``, the mean over the patches of each row divided by its
+    norm floored at ``NORM_FLOOR`` (as ``nc.cosine_rows`` floors it), and
+    ``mean``, the mean of the rows. The sums run over a C-contiguous copy,
+    so an image's summaries do not depend on the layout or the batch its
+    rows came in. Rows with no patches or zero width are a ``ShapeError``,
+    and a row whose norm is not finite a ``NumericError``."""
+    rows = np.ascontiguousarray(rows)
+    if 0 in rows.shape[-2:]:
+        raise ShapeError(f"rows {rows.shape} have no patches or zero width")
+    with np.errstate(over="ignore"):  # the NumericError below reports it
+        norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+    if not np.isfinite(norms).all():
+        raise NumericError(f"rows {rows.shape} have a norm that is not finite")
+    unit = (rows / np.maximum(norms, nc.NORM_FLOOR)).mean(axis=-2)
+    return unit, rows.mean(axis=-2)
 
 
 def build_prototypes(support: Aligned, labels) -> dict[int, np.ndarray]:
@@ -100,10 +114,8 @@ def build_prototypes(support: Aligned, labels) -> dict[int, np.ndarray]:
         if not idx.size:
             raise CapacityError(f"class {cls!r} has no support samples")
     protos = {}
-    for layer, rows in support.visual.items():
-        if rows.shape[1] == 0:
-            raise ShapeError(f"support rows at layer {layer} have no patches")
-        means = rows[support.ids].mean(axis=-2)
+    for layer, mean in support.mean.items():
+        means = mean[support.ids]
         protos[layer] = np.stack([means[idx].mean(axis=0) for idx in members])
     return protos
 
@@ -113,41 +125,26 @@ def proto_distance(batch: Aligned, protos: dict[int, np.ndarray]) -> np.ndarray:
     batch's taps of one minus the mean patch cosine to that row: [2, B]
     distances.
 
-    The cosines are ``nc.cosine_rows``'s IEEE operations on the batch's
-    memoized row norms (README "Numerics contract"). The rows are gathered
-    in blocks of ``SCORE_BLOCK`` images, so a block stays in cache while it
-    meets both prototypes; each image's dots are one gemv over its own
-    [P, d] rows, as in a pass over the image alone.
+    The mean cosine of an image's rows to c is ``unit . c / |c|``, with
+    ``unit`` its mean unit row (``summaries``) and ``|c|`` floored at
+    ``NORM_FLOOR``. Each dot is a sum over a contiguous last axis, not a
+    BLAS gemv, so it does not depend on the image's place in the batch
+    (README "Numerics contract").
     """
-    if not batch.visual or set(batch.visual) != set(protos):
-        raise ContractError(f"aligned rows at visual taps {sorted(batch.visual)} "
+    if not batch.unit or set(batch.unit) != set(protos):
+        raise ContractError(f"aligned rows at visual taps {sorted(batch.unit)} "
                             f"do not match the prototypes' taps {sorted(protos)}")
-    ids, total, block = batch.ids, None, None
-    for layer, rows in batch.visual.items():
+    total = None
+    for layer, unit in batch.unit.items():
         vecs = protos[layer]
-        if np.shape(vecs) != (len(CLASSES),) + rows.shape[-1:]:
+        if np.shape(vecs) != (len(CLASSES),) + unit.shape[-1:]:
             raise ShapeError(f"prototypes {np.shape(vecs)} do not match the "
-                             f"rows {rows.shape} at visual tap {layer}")
-        if 0 in rows.shape[-2:]:  # nc.cosine_rows needs a nonzero width too
-            raise ShapeError(f"rows {rows.shape} at visual tap {layer} have no "
-                             f"patches or zero width")
-        shape = (min(ids.size, SCORE_BLOCK),) + rows.shape[1:]
-        if block is None or block.shape != shape or block.dtype != rows.dtype:
-            block = np.empty(shape, rows.dtype)  # taps of one shape share it
-            dots = np.empty((len(CLASSES), ids.size, rows.shape[-2]))
-        for lo in range(0, ids.size, SCORE_BLOCK):
-            hi = min(lo + SCORE_BLOCK, ids.size)
-            # ids are checked (Aligned), so "clip" clips nothing; it spares
-            # the copy that "raise" makes of an out= buffer
-            part = np.take(rows, ids[lo:hi], axis=0, out=block[:hi - lo],
-                           mode="clip")
-            for c, vec in enumerate(vecs):
-                np.matmul(part, vec, out=dots[c, lo:hi])
-        # per class: dots / (norms * max(|proto|, NORM_FLOOR)), then the mean
-        # over the patches, as nc.cosine_rows and the mean of its output
+                             f"unit rows {unit.shape} at visual tap {layer}")
+        # each class row's norm is its own call: one norm over the [2, d]
+        # array may sum in another order
         scale = np.array([max(np.linalg.norm(vec), nc.NORM_FLOOR) for vec in vecs])
-        np.divide(dots, batch.norms[layer][ids] * scale[:, None, None], out=dots)
-        term = 1.0 - dots.mean(axis=-1)
+        dirs = vecs / scale[:, None]
+        term = 1.0 - (unit[batch.ids] * dirs[:, None]).sum(axis=-1)
         total = term if total is None else total + term
     return total
 

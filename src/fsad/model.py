@@ -9,9 +9,10 @@ serializes exactly that mapping into a checkpoint file. Checkpoints store
 64-bit floats so a save/load cycle is bit-exact.
 
 A Model also keeps a private memo of its alignment over one feature store
-(``align``): under fixed parameters an image's aligned patch rows, their
-norms and its semantic score depend on the image alone, so each is
-computed once.
+(``align``): under fixed parameters an image's aligned patch rows depend
+on the image alone, so each image is aligned once and kept as what
+scoring reads of it, two [d] summaries per tap (``inference.summaries``)
+and its semantic score.
 
 A stacked Model holds E independent episodes: every learnable tensor and
 class embedding carries a leading episode axis shaped to broadcast against
@@ -33,7 +34,7 @@ from .backbone import BackboneSpec, ToyEncoder, encode_prompt, layer_map
 from .binio import ByteReader, ByteWriter
 from .clsa import ClsaOutput, ClsaSpec, ClsaState, clsa_forward, init_clsa
 from .errors import CompatError, ContractError, NumericError
-from .inference import SCORE_BLOCK, Aligned, row_norms, semantic_scores
+from .inference import SCORE_BLOCK, Aligned, semantic_scores, summaries
 from .numcore import Tensor
 
 CHECKPOINT_MAGIC = b"HAAP"
@@ -202,23 +203,22 @@ def forward(model: Model, visual_taps: dict[int, Tensor]) -> ClsaOutput:
 
 @dataclass
 class AlignMemo:
-    """A model's aligned patch rows, their row norms and semantic scores
-    over one feature store: row i belongs to the store's image i and holds
-    data once ``filled[i]`` is set. ``store`` and ``key`` say what the rows
-    were computed from."""
+    """A model's per-image alignment summaries and semantic scores over one
+    feature store: row i belongs to the store's image i and holds data once
+    ``filled[i]`` is set. ``store`` and ``key`` say what the rows were
+    computed from."""
 
     store: object
     key: bytes
-    visual: dict[int, np.ndarray]  # tap -> [N, P, d], in selected_visual order
-    norms: dict[int, np.ndarray]  # tap -> [N, P], inference.row_norms
+    unit: dict[int, np.ndarray]  # tap -> [N, d], in selected_visual order
+    mean: dict[int, np.ndarray]  # tap -> [N, d]; both inference.summaries
     sem: np.ndarray  # [N]
     filled: np.ndarray  # [N] bool
 
     def take(self, ids) -> Aligned:
         """Images ``ids``, each aligned already, as one batch to score: the
-        memo's own arrays and ``ids``, so no row is copied."""
-        batch = Aligned(visual=self.visual, norms=self.norms, sem=self.sem,
-                        ids=ids)
+        memo's own arrays and ``ids``, so nothing is copied."""
+        batch = Aligned(unit=self.unit, mean=self.mean, sem=self.sem, ids=ids)
         missing = batch.ids[~self.filled[batch.ids]]
         if missing.size:  # its rows would be uninitialized memory
             raise ContractError(f"image {missing[0]} is not aligned yet; "
@@ -242,11 +242,12 @@ def align(model: Model, store, ids) -> AlignMemo:
     the images ``ids`` aligned.
 
     Images not in the memo yet run through ``forward`` in blocks of at most
-    ``SCORE_BLOCK``, each block written straight into the memo. The memo
-    starts empty for a store it was not filled from, and after any change
-    to an episode tensor (training, ``apply_checkpoint``, an in-place
-    edit). An image's rows do not depend on the other images in its block
-    (README "Numerics contract"), so they equal a pass over the image alone.
+    ``SCORE_BLOCK``, and each block's summaries are written straight into
+    the memo; the aligned rows are dropped. The memo starts empty for a
+    store it was not filled from, and after any change to an episode
+    tensor (training, ``apply_checkpoint``, an in-place edit). An image's
+    rows do not depend on the other images in its block (README "Numerics
+    contract"), so its summaries equal those of a pass over the image alone.
     """
     n = store.labels.size
     ids = inputs.ids(ids, n, ContractError)
@@ -256,8 +257,8 @@ def align(model: Model, store, ids) -> AlignMemo:
         empty = store.take(model.spec.selected_visual, [])  # tap -> [0, P, d]
         memo = model._memo = AlignMemo(
             store=store, key=key,
-            visual={t: np.empty((n,) + a.shape[1:]) for t, a in empty.items()},
-            norms={t: np.empty((n,) + a.shape[1:-1]) for t, a in empty.items()},
+            unit={t: np.empty((n, a.shape[-1])) for t, a in empty.items()},
+            mean={t: np.empty((n, a.shape[-1])) for t, a in empty.items()},
             sem=np.empty(n), filled=np.zeros(n, dtype=bool))
     todo = ids[~memo.filled[ids]]
     # the NumericError below reports an overflow; numpy's warnings would repeat it
@@ -266,15 +267,14 @@ def align(model: Model, store, ids) -> AlignMemo:
         for lo in range(0, todo.size, SCORE_BLOCK):
             block = todo[lo:lo + SCORE_BLOCK]
             out = forward(model, {t: Tensor(a) for t, a in
-                                  store.take(memo.visual, block).items()})
-            for t, rows in memo.visual.items():
-                rows[block] = out.visual[t].data
-                # from a C-contiguous gather, like the gathered rows scoring
-                # reads: a norm's summation order follows the memory layout
-                memo.norms[t][block] = row_norms(rows[block])
-                if not np.isfinite(memo.norms[t][block]).all():
+                                  store.take(memo.unit, block).items()})
+            for t in memo.unit:
+                try:
+                    memo.unit[t][block], memo.mean[t][block] = summaries(
+                        out.visual[t].data)
+                except NumericError:  # a non-finite entry, or a norm overflow
                     raise NumericError(f"alignment diverged: the aligned rows "
-                                       f"at visual tap {t} overflow")
+                                       f"at visual tap {t} overflow") from None
             memo.sem[block] = semantic_scores(
                 out.visual, out.class_vectors["abnormal"], tau).data
             memo.filled[block] = True

@@ -263,8 +263,17 @@ def test_non_finite_scores_rejected_promptly(metric, bad):
 def test_threshold_must_be_a_finite_real_number(metric, threshold):
     # a NaN threshold used to report threshold=nan, f1=0.0; a str one leaked
     # numpy's bare UFuncTypeError
-    with pytest.raises(MetricError, match="threshold must be a finite real number"):
+    with pytest.raises(MetricError, match="threshold must be (real numbers|finite)"):
         metric([0.1, 0.8, 0.9], [0, 1, 1], threshold)
+
+
+@pytest.mark.parametrize("metric", [thresholded_metrics, compute_report])
+def test_threshold_is_one_number_a_0d_array_included(metric):
+    scores, labels = [0.1, 0.8, 0.9], [0, 1, 1]
+    assert metric(scores, labels, np.array(0.5)) == metric(scores, labels, 0.5)
+    for shaped in ([0.5], np.array([[0.5]])):
+        with pytest.raises(MetricError, match=r"threshold must be one number, got shape \("):
+            metric(scores, labels, shaped)
 
 
 @pytest.mark.parametrize("call, args, error, match", [

@@ -19,8 +19,8 @@ from fsad.errors import (CapacityError, ContractError, DomainError, FsadError,
                          NumericError, ShapeError)
 from fsad.inference import (SCORE_BLOCK, Aligned, InferSpec,
                             build_prototypes, ensemble, minmax_normalize,
-                            proto_distance, proto_scores, row_norms,
-                            score_batch, semantic_scores)
+                            proto_distance, proto_scores, score_batch,
+                            semantic_scores, summaries)
 from fsad.model import align, forward, init_model, named_parameters
 from fsad.numcore import Tensor
 from fsad.runner import (FeatureStore, build_feature_store, model_from_config,
@@ -82,17 +82,23 @@ def test_semantic_scores_needs_layers():
         semantic_scores({}, Tensor(np.zeros(D)), Tensor(np.asarray(1.0)))
 
 
+def aligned_of(visual, sem, ids):
+    """Images ``ids`` of aligned rows ``visual`` ({tap: [N, P, d]}) as
+    ``model.align`` memoizes them: by their summaries."""
+    s = {l: summaries(v) for l, v in visual.items()}
+    return Aligned(unit={l: u for l, (u, _) in s.items()},
+                   mean={l: m for l, (_, m) in s.items()}, sem=sem, ids=ids)
+
+
 def batch_of(visual, sem):
-    """Aligned rows as ``model.align`` memoizes them: with their row norms."""
-    return Aligned(visual=visual, norms={l: row_norms(v) for l, v in visual.items()},
-                   sem=sem, ids=np.arange(len(sem)))
+    """A batch of all of ``visual``'s images, in order."""
+    return aligned_of(visual, sem, np.arange(len(sem)))
 
 
 def support_of(visual, ids=None):
-    """A support batch over ``visual``'s rows: all of them, or ``ids``."""
+    """A support batch over ``visual``'s images: all of them, or ``ids``."""
     n = len(next(iter(visual.values())))
-    return Aligned(visual=visual, norms={l: row_norms(v) for l, v in visual.items()},
-                   sem=np.zeros(n), ids=np.arange(n) if ids is None else ids)
+    return aligned_of(visual, np.zeros(n), np.arange(n) if ids is None else ids)
 
 
 def test_build_prototypes_hand_mean():
@@ -162,7 +168,8 @@ def test_proto_distance_matches_cosine_loop():
     batch = batch_of(query, np.zeros(3))
     dists = proto_distance(batch, protos)
     assert dists.shape == (2, 3)
-    # bit for bit what nc.cosine_rows gives on the same rows
+    # within a few ulps of what nc.cosine_rows gives on the same rows (the
+    # mean of the cosines is taken as one dot with the mean unit row)
     for c, dist in enumerate(dists):
         want = None
         for l in (2, 4):
@@ -171,7 +178,7 @@ def test_proto_distance_matches_cosine_loop():
                                      Tensor(protos[l][c])).data
             term = 1.0 - cos.mean(axis=-1)
             want = term if want is None else want + term
-        assert np.array_equal(dist, want), c
+        np.testing.assert_allclose(dist, want, rtol=0, atol=2e-15, err_msg=str(c))
     got = dists[1]
     # and close to the closed form
     hand = np.zeros(3)
@@ -319,13 +326,22 @@ def fresh(store):
 
 
 def one_pass(model, store, ids):
-    """Aligned rows and semantic scores of ``ids`` in one forward pass."""
+    """The summaries ({tap: (unit, mean)}) and semantic scores of ``ids``
+    aligned in one forward pass; unbatched for an int ``ids``."""
     with nc.no_grad():
         out = forward(model, {l: Tensor(store.feats[l][ids])
                               for l in model.spec.selected_visual})
         sem = semantic_scores(out.visual, out.class_vectors["abnormal"],
                               model.tau())
-    return {l: v.data for l, v in out.visual.items()}, sem.data
+    return {l: summaries(v.data) for l, v in out.visual.items()}, sem.data
+
+
+def assert_memo_holds(memo, ids, want):
+    """The memo's summaries of images ``ids`` equal ``want`` bit for bit."""
+    assert list(memo.unit) == list(memo.mean) == list(want)
+    for l, (unit, mean) in want.items():
+        assert np.array_equal(memo.unit[l][ids], unit), l
+        assert np.array_equal(memo.mean[l][ids], mean), l
 
 
 @pytest.fixture(scope="module", params=STRATEGIES)
@@ -340,7 +356,8 @@ def wide_scorer(request, wide_world):
 def test_an_images_alignment_does_not_depend_on_its_block(wide_scorer, data):
     # an image aligned alone, at a random position of a full block, and as
     # the last row of one block or the first row of the next gives the same
-    # rows at every tap and the same semantic score, bit for bit
+    # summaries at every tap and the same semantic score, bit for bit, and
+    # they are the summaries of its unbatched pass
     model, store, _ = wide_scorer
     n = store.labels.size
     image = data.draw(st.integers(0, n - 1), label="image")
@@ -352,14 +369,11 @@ def test_an_images_alignment_does_not_depend_on_its_block(wide_scorer, data):
                                               label="spill")]
     at_edge.insert(data.draw(st.sampled_from([SCORE_BLOCK - 1, SCORE_BLOCK]),
                              label="side"), image)
-    alone = align(model, fresh(store), [image])
-    want_rows = {l: rows[image].copy() for l, rows in alone.visual.items()}
-    want_sem = alone.sem[image]
-    for ids in (in_block, at_edge):
+    want, want_sem = one_pass(model, store, image)
+    assert list(want) == list(model.spec.selected_visual)
+    for ids in ([image], in_block, at_edge):
         memo = align(model, fresh(store), ids)
-        assert list(memo.visual) == list(model.spec.selected_visual)
-        for l, rows in memo.visual.items():
-            assert np.array_equal(rows[image], want_rows[l]), l
+        assert_memo_holds(memo, image, want)
         assert memo.sem[image] == want_sem
 
 
@@ -367,17 +381,16 @@ def test_an_images_alignment_does_not_depend_on_its_block(wide_scorer, data):
 def test_blocked_scores_equal_one_pass_bit_for_bit(wide_scorer, n):
     model, store, ids = wide_scorer
     assert ids.size == 392
-    rows, sem = one_pass(model, store, ids[:n])
+    want, sem = one_pass(model, store, ids[:n])
     memo = align(model, fresh(store), ids[:n])
-    for l, want in rows.items():
-        assert np.array_equal(memo.visual[l][ids[:n]], want), l
+    assert_memo_holds(memo, ids[:n], want)
     assert np.array_equal(memo.sem[ids[:n]], sem)
 
 
 @pytest.fixture(scope="module")
 def wide_episode(wide_world):
-    """The seq scorer's prototypes, the 392 queries' aligned rows, semantic
-    scores and labels, and the scores of all of them in one call."""
+    """The seq scorer's prototypes, the 392 queries' aligned batch and
+    labels, and the scores of all of them in one call."""
     store, ep = wide_world
     memo = align(jittered_model("seq"), store, ep.support_ids + ep.query_ids)
     protos = build_prototypes(memo.take(ep.support_ids),
@@ -390,7 +403,7 @@ def wide_episode(wide_world):
 
 def part(batch, ids):
     """Images ``ids`` of an aligned batch."""
-    return Aligned(visual=batch.visual, norms=batch.norms, sem=batch.sem,
+    return Aligned(unit=batch.unit, mean=batch.mean, sem=batch.sem,
                    ids=batch.ids[ids])
 
 
@@ -421,19 +434,36 @@ def test_raw_scores_bit_identical_one_query_at_a_time(wide_episode):
 
 
 def test_unbatched_query_scores_as_one_pass(wide_world):
-    # an unbatched [P, d] image through forward gives its memo row and score
+    # an unbatched [P, d] image through forward gives its memo summaries
+    # and score
     store, _ = wide_world
     model = jittered_model("seq")
     memo = align(model, fresh(store), [7])
-    with nc.no_grad():
-        out = forward(model, {l: Tensor(store.feats[l][7])
-                              for l in model.spec.selected_visual})
-        sem = semantic_scores(out.visual, out.class_vectors["abnormal"],
-                              model.tau())
+    want, sem = one_pass(model, store, 7)
     assert sem.shape == ()
-    for l, v in out.visual.items():
-        assert np.array_equal(memo.visual[l][7], v.data)
-    assert memo.sem[7] == sem.data
+    for unit, mean in want.values():
+        assert unit.shape == mean.shape == (32,)
+    assert_memo_holds(memo, 7, want)
+    assert memo.sem[7] == sem
+
+
+def test_finite_rows_whose_norm_overflows_are_a_numeric_error(wide_world,
+                                                               monkeypatch):
+    # entries of 1e200 are finite, but each row's norm overflows: the row
+    # would add 0 to its image's unit-row mean and a finite value to its
+    # patch mean, so the check must read the norms, not the summaries
+    store, ep = wide_world
+    real = fmodel.forward
+
+    def huge(model, taps):
+        out = real(model, taps)
+        out.visual[6] = Tensor(np.full(out.visual[6].shape, 1e200))
+        return out
+
+    monkeypatch.setattr(fmodel, "forward", huge)
+    with pytest.raises(NumericError, match="alignment diverged: the aligned "
+                                           "rows at visual tap 6 overflow"):
+        align(jittered_model("seq"), fresh(store), ep.query_ids[:3])
 
 
 def counted_alignment(monkeypatch):
@@ -475,16 +505,16 @@ def test_scoring_392_queries_keeps_peak_memory_small(wide_world):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the memo's rows take 6.25 MiB and aligning one block about 11 more;
-    # one pass over all 392 queries would take about 36, and keeping a
-    # block's output alive through the next block about 5
-    assert peak < 20 * 2**20
+    # the memo takes 0.8 MiB and aligning one block about 11 more; one pass
+    # over all 392 queries would take about 36, and keeping a block's
+    # output alive through the next block about 5
+    assert peak < 15 * 2**20
 
 
 def test_a_memo_full_wide_episode_copies_no_rows(wide_world):
-    # a steady-state 392-query episode reads the memo's rows where they
-    # are: its peak stays under one tap's gathered query rows, which the
-    # scoring used to copy for each of the four taps
+    # a steady-state 392-query episode reads the memo's arrays where they
+    # are: its peak stays under half of one tap's [392, P, d] query rows,
+    # which the scoring used to gather for each of the four taps
     store, ep = wide_world
     cfg = RunConfig(WIDE)
     dataset = generate_dataset(cfg.dataset_spec())
@@ -492,9 +522,8 @@ def test_a_memo_full_wide_episode_copies_no_rows(wide_world):
     run_episode(cfg, store, dataset, 0, train=False, model=model)  # fills the memo
     memo = model._memo
     batch = memo.take(ep.query_ids)
-    for t, rows in memo.visual.items():
-        assert np.shares_memory(batch.visual[t], rows)
-        assert np.shares_memory(batch.norms[t], memo.norms[t])
+    for t in memo.unit:
+        assert batch.unit[t] is memo.unit[t] and batch.mean[t] is memo.mean[t]
     tracemalloc.start()
     try:
         run_episode(cfg, store, dataset, 0, train=False, model=model)
@@ -502,9 +531,23 @@ def test_a_memo_full_wide_episode_copies_no_rows(wide_world):
     finally:
         tracemalloc.stop()
     assert model._memo is memo
-    gathered = len(ep.query_ids) * memo.visual[2][0].nbytes
+    gathered = len(ep.query_ids) * store.feats[2][0].nbytes
     assert gathered == 392 * 16 * 32 * 8  # 1.6 MB
-    assert peak < gathered
+    assert peak < gathered / 2
+
+
+def test_the_memo_holds_two_vectors_per_image_and_tap(wide_world):
+    # at the default corpus (400 images, 4 taps, 16 patches, width 32) the
+    # memo used to hold [N, P, d] rows and [N, P] norms per tap, 6.76 MB;
+    # scoring reads only an [N, d] array of unit-row means and one of patch
+    # means per tap, plus the [N] semantic scores and filled mask
+    store, ep = wide_world
+    memo = align(jittered_model("seq"), fresh(store), ep.query_ids)
+    arrays = [a for v in vars(memo).values()
+              for a in (v.values() if isinstance(v, dict) else [v])
+              if isinstance(a, np.ndarray)]
+    # 2 arrays x 4 taps x 400 images x 32 x 8 bytes, then sem and filled
+    assert sum(a.nbytes for a in arrays) == 819_200 + 400 * (8 + 1)
 
 
 def small_scoring_setup(rng, n):
@@ -553,8 +596,18 @@ def test_aligned_takes_a_1d_array_of_integer_ids(ids):
     rng = np.random.default_rng(17)
     rows = aligned_rows(rng, 3)
     with pytest.raises(ContractError, match=r"image ids must be an? (1-D )?array of integers"):
-        Aligned(visual=rows, norms={l: row_norms(v) for l, v in rows.items()},
-                sem=rng.uniform(size=3), ids=ids)
+        aligned_of(rows, rng.uniform(size=3), ids)
+
+
+@pytest.mark.parametrize("widths", [{2: D}, {2: D, 4: D - 1}, {2: D, 4: D, 5: D}],
+                         ids=["missing tap", "other width", "extra tap"])
+def test_aligned_takes_patch_means_at_the_unit_rows_taps_and_shapes(widths):
+    # build_prototypes reads the means and proto_distance the unit rows, so
+    # the two must cover the same taps at the same shapes
+    unit = {2: np.zeros((3, D)), 4: np.zeros((3, D))}
+    mean = {t: np.zeros((3, d)) for t, d in widths.items()}
+    with pytest.raises(ShapeError, match="patch means per visual tap do not match"):
+        Aligned(unit=unit, mean=mean, sem=np.zeros(3), ids=[0, 1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +616,21 @@ def test_aligned_takes_a_1d_array_of_integer_ids(ids):
 FAULTS = {  # a drawn fault -> the categorized error it must raise
     "empty class": CapacityError,          # build_prototypes
     "support index": ContractError,        # Aligned, of the support
-    "no patches": ShapeError,              # build_prototypes
+    "no patches": ShapeError,              # summaries
     "image id": ContractError,             # Aligned
     "tap without prototype": ContractError,  # proto_distance
-    "zero width": ShapeError,              # proto_distance
+    "zero width": ShapeError,              # summaries
     "prototype without rows": ContractError,  # proto_distance
 }
+
+
+def image_alone(visual, protos, image):
+    """One image's distance to each class prototype, its [P, d] rows at
+    each tap summarized and scored alone, as a batch of one."""
+    s = {layer: summaries(rows[image]) for layer, rows in visual.items()}
+    one = Aligned(unit={l: u[None] for l, (u, _) in s.items()},
+                  mean={l: m[None] for l, (_, m) in s.items()}, sem=np.zeros(1), ids=[0])
+    return proto_distance(one, protos)[:, 0]
 
 
 def image_oracle(visual, protos, image):
@@ -594,7 +656,8 @@ def test_drawn_batches_score_as_each_image_alone_or_raise(fault, data):
     # memo-sized rows indexed by drawn ids (permuted or repeated, past the
     # SCORE_BLOCK edges), drawn tap sets and labelled support ids: each draw
     # either raises its fault's categorized error or gives prototypes and
-    # distances equal to per-image loops bit for bit
+    # distances equal to per-image loops bit for bit, and distances within
+    # 1e-12 of the mean nc.cosine_rows cosines
     draw = data.draw
     n = draw(st.integers(1, 250), label="memo images")
     size = draw(st.one_of(st.sampled_from([1, SCORE_BLOCK - 1, SCORE_BLOCK,
@@ -635,8 +698,7 @@ def test_drawn_batches_score_as_each_image_alone_or_raise(fault, data):
     visual = {t: rows[t] for t in taps}
 
     def aligned(at, ids):
-        return Aligned(visual={t: rows[t] for t in at},
-                       norms={t: row_norms(rows[t]) for t in at}, sem=sem, ids=ids)
+        return aligned_of({t: rows[t] for t in at}, sem, ids)
 
     def run():
         protos = build_prototypes(aligned(proto_taps, sup_ids), sup_labels)
@@ -654,8 +716,10 @@ def test_drawn_batches_score_as_each_image_alone_or_raise(fault, data):
             want = np.mean([rows[t][i].mean(axis=0)
                             for i, y in zip(sup_ids, sup_labels) if y == c], axis=0)
             assert np.array_equal(protos[t][c], want), (c, t)
-    want = np.array([image_oracle(visual, protos, i) for i in batch.ids]).T
+    want = np.array([image_alone(visual, protos, i) for i in batch.ids]).T
     assert np.array_equal(dists, want)
+    cosines = np.array([image_oracle(visual, protos, i) for i in batch.ids]).T
+    np.testing.assert_allclose(dists, cosines, rtol=0, atol=1e-12)
     assert np.array_equal(rep.sem_raw, sem[batch.ids])
     assert np.array_equal(rep.proto_raw, proto_scores(*want, 1e-8))
 

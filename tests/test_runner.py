@@ -13,7 +13,7 @@ from fsad import runner, synthdata
 from fsad.config import RunConfig, defaults
 from fsad.errors import ConfigError, ContractError
 from fsad.evalmetrics import auc
-from fsad.inference import Aligned, build_prototypes, proto_distance, row_norms
+from fsad.inference import Aligned, build_prototypes, proto_distance, summaries
 from fsad.model import (apply_checkpoint, forward, named_parameters,
                         save_checkpoint, stack_models, state_checksum)
 from fsad.runner import (BETA_POINTS, LAMBDA_POINTS, FeatureStore, RunSpec,
@@ -85,9 +85,10 @@ def test_every_recipe_key_reaches_what_it_configures():
                               store.take(taps, ep.query_ids).items()})
 
     def batch(out):
-        rows = {l: v.data for l, v in out.visual.items()}
-        n = len(next(iter(rows.values())))
-        return Aligned(visual=rows, norms={l: row_norms(v) for l, v in rows.items()},
+        s = {l: summaries(v.data) for l, v in out.visual.items()}
+        n = len(next(iter(s.values()))[0])
+        return Aligned(unit={l: u for l, (u, _) in s.items()},
+                       mean={l: m for l, (_, m) in s.items()},
                        sem=np.zeros(n), ids=np.arange(n))
 
     protos = build_prototypes(batch(sup), store.labels[ep.support_ids])
@@ -396,7 +397,7 @@ def test_a_memo_full_episode_computes_no_row_norm(world, monkeypatch, tmp_path):
     again = run_episode(cfg, store, dataset, 0, train=False, model=model)
     assert calls == {"cosine_rows": 0, "row_norms": 0}
     assert_same_scores(again, first)
-    norms = None
+    before = None
     for change, train in ((lambda: None, False),
                           (lambda: apply_checkpoint(model, str(tmp_path / "m.ckpt")),
                            False),
@@ -404,13 +405,17 @@ def test_a_memo_full_episode_computes_no_row_norm(world, monkeypatch, tmp_path):
         change()
         run_episode(cfg, store, dataset, 0, train=train, model=model)
         memo = model._memo
-        if norms is not None:  # each change recomputes every image's norms
-            assert calls["row_norms"] == len(memo.visual)  # one block per tap
-            assert not np.array_equal(memo.norms[2][ids], norms)
-        for t, rows in memo.visual.items():  # bit for bit, floor included
-            want = np.maximum(np.linalg.norm(rows[ids], axis=-1), nc.NORM_FLOOR)
-            assert np.array_equal(memo.norms[t][ids], want), t
-        norms = memo.norms[2][ids].copy()
+        if before is not None:  # each change recomputes every image's norms
+            assert calls["row_norms"] == len(memo.unit)  # one block per tap
+            assert not np.array_equal(memo.unit[2][ids], before)
+        with nc.no_grad():
+            out = forward(model, {t: nc.Tensor(a) for t, a in
+                                  store.take(list(memo.unit), ids).items()})
+        for t, rows in out.visual.items():  # bit for bit, floor included
+            unit, mean = summaries(rows.data)
+            assert np.array_equal(memo.unit[t][ids], unit), t
+            assert np.array_equal(memo.mean[t][ids], mean), t
+        before = memo.unit[2][ids].copy()
         calls.update(cosine_rows=0, row_norms=0)
 
 
