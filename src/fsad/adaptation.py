@@ -56,10 +56,6 @@ class ResidualAdapter:
                            requires_grad=True)
         self.up = Tensor(np.zeros((hidden, d)), requires_grad=True)
 
-    @property
-    def width(self) -> int:
-        return self.down.shape[-2]
-
     def contribution(self, x: Tensor) -> Tensor:
         return nc.matmul(nc.silu(nc.matmul(x, self.down)), self.up)
 

@@ -33,9 +33,9 @@ _TAG_POS = 14
 
 WEIGHT_STD = 0.02
 
-# Images per block of the frozen visual tower (``encode_images``) and of
-# alignment (``model.align``). A 100-image block's largest buffer is under
-# 1 MB at the default width (the tower's FF hidden layer and attention
+# Images per block of the frozen visual tower (``runner.build_feature_store``)
+# and of alignment (``model.align``). A 100-image block's largest buffer is
+# under 1 MB at the default width (the tower's FF hidden layer and attention
 # weights 0.8 MB, the alignment's t2v attention weights 0.92 MB, a block's
 # gathered features 400 KB per tap), so each stays in a 2 MB per-core L2
 # cache.
@@ -191,13 +191,12 @@ def encode_images(enc: ToyEncoder, images: list[np.ndarray]) -> dict[int, np.nda
     """Patch tokens [B, P, d] at each visual tap, row b from images[b]; plain
     arrays, never tracked for gradients.
 
-    The images run through the tower in blocks of ``SCORE_BLOCK``, each
-    block patchified on its own and its taps written into arrays allocated
-    once, so no buffer spans the whole batch but the output. An empty list
-    gives [0, P, d] arrays. Images of different sizes, a ragged image and
-    one that is not finite real numbers are refused before any block runs:
-    a later block would otherwise meet another patch projection, the float
-    cast fail or drop imaginary parts, or a NaN spread through the tower.
+    The images run through the tower in one pass: a caller that bounds
+    memory hands in one block (``runner.build_feature_store``). An empty
+    list gives [0, P, d] arrays. Images of different sizes, a ragged image
+    and one that is not finite real numbers are refused before the tower
+    runs: they would otherwise meet another patch projection, fail the
+    float cast or drop imaginary parts, or spread a NaN through the tower.
     """
     images = list(images)
     for i, img in enumerate(images):
@@ -205,23 +204,20 @@ def encode_images(enc: ToyEncoder, images: list[np.ndarray]) -> dict[int, np.nda
             images[i] = img = np.asarray(img)
         except ValueError as exc:  # numpy refuses a ragged nesting
             raise ShapeError(f"image {i} is not a rectangular array: {exc}") from None
-        inputs.reals(img, f"image {i}", NumericError)  # each block casts its own
+        inputs.reals(img, f"image {i}", NumericError)
     bad = next((i for i, img in enumerate(images) if img.shape != images[0].shape), None)
     if bad is not None:
         raise ShapeError(f"image {bad} is {images[bad].shape} but image 0 is "
                          f"{images[0].shape}; a batch needs one image size")
     spec = enc.spec
-    out = {layer: np.empty((len(images), spec.patches, spec.d))
-           for layer in sorted(enc.taps)}  # the order enc.run emits them in
+    if not images:
+        return {layer: np.empty((0, spec.patches, spec.d)) for layer in sorted(enc.taps)}
+    flat = np.stack([_patchify(np.asarray(img, dtype=np.float64), spec.patch_grid)
+                     for img in images])
     with nc.no_grad():
-        for lo in range(0, len(images), SCORE_BLOCK):
-            flat = np.stack([_patchify(np.asarray(img, dtype=np.float64), spec.patch_grid)
-                             for img in images[lo:lo + SCORE_BLOCK]])
-            proj = enc.patch_projection(flat.shape[-1])
-            taps, _ = enc.run(nc.add(nc.matmul(Tensor(flat), proj), enc.pos))
-            for layer, t in taps.items():
-                out[layer][lo:lo + len(flat)] = t.data
-    return out
+        proj = enc.patch_projection(flat.shape[-1])
+        taps, _ = enc.run(nc.add(nc.matmul(Tensor(flat), proj), enc.pos))
+    return {layer: t.data for layer, t in taps.items()}
 
 
 def sinusoid_positions(rows: int, d: int) -> np.ndarray:

@@ -84,8 +84,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
              f"# samples={len(dataset)}",
              "index,label,center_y,center_x,radius"]
     for i, s in enumerate(dataset):
-        cy, cx = (map(lambda x: repr(float(x)), s.center)) if s.center else ("", "")
-        rad = repr(float(s.radius)) if s.radius is not None else ""
+        (cy, cx), rad = s.disk or (("", ""), "")  # a float prints as its repr
         lines.append(f"{i},{s.label},{cy},{cx},{rad}")
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
     note = ""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inputs, numcore as nc
-from .backbone import CLASSES, SCORE_BLOCK
+from .backbone import CLASSES
 from .errors import (CapacityError, ConfigError, ContractError, DomainError,
                      NumericError, ShapeError)
 from .numcore import Tensor

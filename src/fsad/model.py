@@ -30,11 +30,12 @@ import numpy as np
 from . import inputs, numcore as nc
 from .adaptation import (AdaptationState, AdaptSpec, apply_text_adapter,
                          apply_visual_adapter, init_adaptation)
-from .backbone import BackboneSpec, ToyEncoder, encode_prompt, layer_map
+from .backbone import (SCORE_BLOCK, BackboneSpec, ToyEncoder, encode_prompt,
+                       layer_map)
 from .binio import ByteReader, ByteWriter
 from .clsa import ClsaOutput, ClsaSpec, ClsaState, clsa_forward, init_clsa
 from .errors import CompatError, ContractError, NumericError
-from .inference import SCORE_BLOCK, Aligned, semantic_scores, summaries
+from .inference import Aligned, semantic_scores, summaries
 from .numcore import Tensor
 
 CHECKPOINT_MAGIC = b"HAAP"

@@ -69,7 +69,7 @@ def build_feature_store(spec: BackboneSpec, dataset: list[Sample]) -> FeatureSto
     """Encode every sample once through the frozen visual tower.
 
     The samples are rendered ``SCORE_BLOCK`` at a time, each block encoded
-    (one block of ``encode_images``) and its taps written into [N, P, d]
+    in one pass of ``encode_images`` and its taps written into [N, P, d]
     arrays allocated once, so at most one block of pixels is alive.
     """
     enc = ToyEncoder(spec, "visual")

@@ -83,17 +83,23 @@ class EpisodeSpec:
 
 @dataclass(frozen=True)
 class Sample:
-    """One labeled image as its render recipe: sample ``index`` of class
-    ``label`` under ``spec``. Abnormal samples carry their planted disk;
-    ``with_anomaly=False`` renders the image without it. No pixels are
-    kept: ``image`` renders them on each read."""
+    """One labeled image as its stream key: sample ``index`` of class
+    ``label`` under ``spec``, whose random stream is a pure function of
+    (spec.seed, label, index). ``with_anomaly=False`` renders an abnormal
+    sample without its disk. Nothing drawn is kept: ``disk`` and ``image``
+    draw from the stream afresh on each read."""
 
     spec: DatasetSpec
     label: int
     index: int
     with_anomaly: bool = True
-    center: tuple[float, float] | None = None
-    radius: float | None = None
+
+    @property
+    def disk(self) -> tuple[tuple[float, float], float] | None:
+        """The planted disk as ((cy, cx), radius), None for a normal
+        sample; a ``with_anomaly=False`` sample reports the disk it
+        would plant."""
+        return _stream(self.spec, self.label, self.index)[3]
 
     @property
     def image(self) -> np.ndarray:
@@ -115,17 +121,18 @@ class Episode:
 def _stream(spec: DatasetSpec, label: int, index: int):
     """The sample's generator after the draws that precede its pixels, and
     those draws: the field's (3, 2) frequencies and phases, then an abnormal
-    sample's radius and centre. The one owner of the stream's order."""
+    sample's radius and centre, returned as its disk ((cy, cx), radius).
+    The one owner of the stream's order."""
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _TAG_IMAGE, label, index)))
     freqs = rng.uniform(spec.freq_min, spec.freq_max, size=(3, 2))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(3, 2))
-    center = radius = None
+    disk = None
     if label == 1:
         radius = float(rng.uniform(spec.blob_radius_min, spec.blob_radius_max))
         cy = float(rng.uniform(radius, spec.height - radius))
         cx = float(rng.uniform(radius, spec.width - radius))
-        center = (cy, cx)
-    return rng, freqs, phases, center, radius
+        disk = ((cy, cx), radius)
+    return rng, freqs, phases, disk
 
 
 def _field(spec: DatasetSpec, freqs, phases, freq_factor: float) -> np.ndarray:
@@ -144,11 +151,11 @@ def _field(spec: DatasetSpec, freqs, phases, freq_factor: float) -> np.ndarray:
 def _render(spec: DatasetSpec, label: int, index: int, with_anomaly: bool) -> np.ndarray:
     """The pixels of one sample; the noise is drawn after the disk either
     way, so suppressing the anomaly does not shift the stream."""
-    rng, freqs, phases, center, radius = _stream(spec, label, index)
+    rng, freqs, phases, disk = _stream(spec, label, index)
     img = _field(spec, freqs, phases, 1.0)
-    if center is not None and with_anomaly:
+    if disk is not None and with_anomaly:
         anom = _field(spec, freqs, phases, spec.anomaly_freq_factor) + spec.contrast_shift
-        cy, cx = center
+        (cy, cx), radius = disk
         ys = np.arange(spec.height, dtype=np.float64)[:, None]
         xs = np.arange(spec.width, dtype=np.float64)[None, :]
         mask = (ys - cy) ** 2 + (xs - cx) ** 2 <= radius ** 2
@@ -157,22 +164,11 @@ def _render(spec: DatasetSpec, label: int, index: int, with_anomaly: bool) -> np
     return np.clip(img, 0.0, 1.0)
 
 
-def render_sample(spec: DatasetSpec, label: int, index: int,
-                  with_anomaly: bool = True) -> Sample:
-    """One sample's recipe; the random stream is a pure function of
-    (spec.seed, label, index). Only the draws behind its disk are made
-    here; ``Sample.image`` renders the pixels."""
-    _, _, _, center, radius = _stream(spec, label, index)
-    return Sample(spec=spec, label=label, index=index, with_anomaly=with_anomaly,
-                  center=center, radius=radius)
-
-
 def generate_dataset(spec: DatasetSpec) -> list[Sample]:
-    """All normal samples first, then all abnormal samples, as recipes:
-    no pixels are rendered."""
-    out = [render_sample(spec, 0, i) for i in range(spec.n_normal)]
-    out += [render_sample(spec, 1, i) for i in range(spec.n_abnormal)]
-    return out
+    """All normal samples first, then all abnormal samples, as stream keys:
+    nothing is drawn or rendered."""
+    return ([Sample(spec, 0, i) for i in range(spec.n_normal)]
+            + [Sample(spec, 1, i) for i in range(spec.n_abnormal)])
 
 
 def sample_episode(dataset: list[Sample], k: int, seed: int,

@@ -73,7 +73,6 @@ def test_adapter_shape_guards():
 def test_adapter_bottleneck_shapes():
     ad = fresh_adapter(d=16, reduction=4)
     assert ad.down.shape == (16, 4) and ad.up.shape == (4, 16)
-    assert ad.width == 16
     assert ad.down.requires_grad and ad.up.requires_grad
 
 

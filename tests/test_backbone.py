@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fsad import backbone
 from fsad import numcore as nc
 from fsad.backbone import (BUNDLE_MAGIC, BUNDLE_VERSION, BackboneSpec,
                            FeatureBundle, ToyEncoder, _Block, encode_images,
@@ -106,20 +105,6 @@ def test_encode_batch_matches_single():
             assert np.array_equal(batched[layer][b], single[layer][0])
 
 
-def test_encode_blocks_match_each_image_alone(monkeypatch):
-    # blocks of 2 over 5 images: two full blocks and a ragged one of 1
-    monkeypatch.setattr(backbone, "SCORE_BLOCK", 2)
-    vis = ToyEncoder(small_spec(), "visual")
-    rng = np.random.default_rng(13)
-    imgs = [rand_image(rng) for _ in range(5)]
-    blocked = encode_images(vis, imgs)
-    assert {layer: t.shape for layer, t in blocked.items()} == {2: (5, 4, 16), 4: (5, 4, 16)}
-    for b, img in enumerate(imgs):
-        single = encode_images(vis, [img])
-        for layer in single:
-            assert np.array_equal(blocked[layer][b], single[layer][0])
-
-
 def test_encode_no_images_gives_empty_taps():
     taps = encode_images(ToyEncoder(small_spec(), "visual"), [])
     assert list(taps) == [2, 4]
@@ -127,9 +112,8 @@ def test_encode_no_images_gives_empty_taps():
 
 
 def test_encode_mixed_sizes_refused_before_any_block(monkeypatch):
-    # image 3 sits in the second block of 2, so only the up-front check can
-    # keep the first block from running
-    monkeypatch.setattr(backbone, "SCORE_BLOCK", 2)
+    # image 3 follows three good images, so only the up-front check can keep
+    # the tower from running on them
     runs = []
     original = _Block.forward
     monkeypatch.setattr(_Block, "forward",
@@ -143,8 +127,7 @@ def test_encode_mixed_sizes_refused_before_any_block(monkeypatch):
 
 @pytest.fixture
 def block_runs(monkeypatch):
-    """Blocks of 2 images; records every tower block that runs."""
-    monkeypatch.setattr(backbone, "SCORE_BLOCK", 2)
+    """Records every tower block that runs."""
     runs = []
     original = _Block.forward
     monkeypatch.setattr(_Block, "forward",
@@ -153,8 +136,8 @@ def block_runs(monkeypatch):
 
 
 def encode_with_image_3(bad):
-    # image 3 sits in the second block of 2, so only the up-front check can
-    # keep the first block from running
+    # image 3 follows three good images, so only the up-front check can keep
+    # the tower from running on them
     rng = np.random.default_rng(15)
     imgs = [rand_image(rng) for _ in range(3)] + [bad, rand_image(rng)]
     return encode_images(ToyEncoder(small_spec(), "visual"), imgs)

@@ -12,15 +12,14 @@ from hypothesis import strategies as st
 from fsad import inference
 from fsad import model as fmodel
 from fsad import numcore as nc
-from fsad.backbone import BackboneSpec
+from fsad.backbone import SCORE_BLOCK, BackboneSpec
 from fsad.clsa import STRATEGIES
 from fsad.config import RunConfig
 from fsad.errors import (CapacityError, ContractError, DomainError, FsadError,
                          NumericError, ShapeError)
-from fsad.inference import (SCORE_BLOCK, Aligned, InferSpec,
-                            build_prototypes, ensemble, minmax_normalize,
-                            proto_distance, proto_scores, score_batch,
-                            semantic_scores, summaries)
+from fsad.inference import (Aligned, InferSpec, build_prototypes, ensemble,
+                            minmax_normalize, proto_distance, proto_scores,
+                            score_batch, semantic_scores, summaries)
 from fsad.model import align, forward, init_model, named_parameters
 from fsad.numcore import Tensor
 from fsad.runner import (FeatureStore, build_feature_store, model_from_config,

@@ -10,6 +10,7 @@ import pytest
 from fsad import model as fmodel
 from fsad import numcore as nc
 from fsad import runner, synthdata
+from fsad.backbone import ToyEncoder, encode_images
 from fsad.config import RunConfig, defaults
 from fsad.errors import ConfigError, ContractError
 from fsad.evalmetrics import auc
@@ -157,6 +158,22 @@ def test_feature_store_renders_each_image_once(monkeypatch):
     store = build_feature_store(cfg.backbone_spec(), dataset)
     assert rendered == [(s.label, s.index) for s in dataset]
     assert store.labels.tolist() == [0] * 130 + [1] * 10
+
+
+def test_store_blocks_match_each_image_alone(world, monkeypatch):
+    # blocks of 2 over 5 samples: two full blocks and a ragged one of 1
+    monkeypatch.setattr(runner, "SCORE_BLOCK", 2)
+    cfg, _, _ = world
+    spec = cfg.backbone_spec()
+    dataset = generate_dataset(replace(cfg.dataset_spec(), n_normal=3, n_abnormal=2))
+    store = build_feature_store(spec, dataset)
+    assert {tap: arr.shape for tap, arr in store.feats.items()} == {
+        2: (5, 4, 16), 4: (5, 4, 16)}
+    enc = ToyEncoder(spec, "visual")
+    for b, sample in enumerate(dataset):
+        alone = encode_images(enc, [sample.image])
+        for tap, rows in alone.items():
+            assert np.array_equal(store.feats[tap][b], rows[0])
 
 
 def test_take_slices_and_guards(world):

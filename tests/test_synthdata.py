@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fsad import synthdata
 from fsad.errors import CapacityError, ConfigError
-from fsad.synthdata import (DatasetSpec, generate_dataset, manifest_text,
-                            render_sample, sample_episode)
+from fsad.synthdata import (DatasetSpec, Sample, generate_dataset,
+                            manifest_text, sample_episode)
 
 
 def small_spec(**kw):
@@ -64,9 +65,8 @@ def test_default_corpus_pixels_are_pinned():
 
 
 def test_a_generated_sample_is_a_recipe_without_pixels():
-    # the default corpus rendered held 9.4 MiB of pixels; its recipes hold
-    # the spec, the stream key and the planted disk
-    render_sample(DatasetSpec(), 0, 0)  # numpy.random's lazy imports, untraced
+    # the default corpus rendered held 9.4 MiB of pixels; its samples hold
+    # the spec and the stream key
     tracemalloc.start()
     try:
         data = generate_dataset(DatasetSpec())
@@ -75,21 +75,29 @@ def test_a_generated_sample_is_a_recipe_without_pixels():
         tracemalloc.stop()
     assert peak < 2**20, f"generate_dataset peaked at {peak / 2**20:.2f} MB"
     for sample in data:
-        held = list(vars(sample).values()) + list(sample.center or ())
-        assert not any(isinstance(value, np.ndarray) for value in held)
-    assert data[200] == render_sample(DatasetSpec(), 1, 0)
+        assert not any(isinstance(value, np.ndarray) for value in vars(sample).values())
+    assert data[200] == Sample(DatasetSpec(), 1, 0)
+
+
+def test_generation_draws_nothing(monkeypatch):
+    # the disk is drawn when read, not stored: generation seeds no stream
+    calls, stream = [], synthdata._stream
+    monkeypatch.setattr(synthdata, "_stream",
+                        lambda *key: calls.append(key) or stream(*key))
+    data = generate_dataset(DatasetSpec())
+    assert calls == []
+    assert data[200].disk == stream(DatasetSpec(), 1, 0)[3]
 
 
 def test_image_reads_render_equal_pixels_each_time():
     spec = small_spec()
     for with_anomaly in (True, False):
-        sample = render_sample(spec, 1, 4, with_anomaly=with_anomaly)
+        sample = Sample(spec, 1, 4, with_anomaly=with_anomaly)
         first, again = sample.image, sample.image
         assert first is not again and np.array_equal(first, again)
-        assert np.array_equal(first, render_sample(spec, 1, 4, with_anomaly).image)
+        assert np.array_equal(first, Sample(spec, 1, 4, with_anomaly).image)
     # the disk's draws come before the noise, so a clean sample keeps them
-    clean, planted = render_sample(spec, 1, 4, False), render_sample(spec, 1, 4)
-    assert (clean.center, clean.radius) == (planted.center, planted.radius)
+    assert Sample(spec, 1, 4, False).disk == Sample(spec, 1, 4).disk
 
 
 def test_images_in_unit_range_and_shape():
@@ -102,16 +110,36 @@ def test_images_in_unit_range_and_shape():
 def test_degenerate_control_erases_anomaly():
     spec = small_spec(noise_std=0.0, contrast_shift=0.0, anomaly_freq_factor=1.0)
     for i in range(10):
-        planted = render_sample(spec, 1, i, with_anomaly=True)
-        clean = render_sample(spec, 1, i, with_anomaly=False)
+        planted = Sample(spec, 1, i, with_anomaly=True)
+        clean = Sample(spec, 1, i, with_anomaly=False)
         assert np.array_equal(planted.image, clean.image)
 
 
 def test_default_anomaly_changes_pixels():
     spec = small_spec()
-    planted = render_sample(spec, 1, 0, with_anomaly=True)
-    clean = render_sample(spec, 1, 0, with_anomaly=False)
+    planted = Sample(spec, 1, 0, with_anomaly=True)
+    clean = Sample(spec, 1, 0, with_anomaly=False)
     assert not np.array_equal(planted.image, clean.image)
+
+
+def disk_mask(spec, disk):
+    (cy, cx), radius = disk
+    ys = np.arange(spec.height, dtype=float)[:, None]
+    xs = np.arange(spec.width, dtype=float)[None, :]
+    return (ys - cy) ** 2 + (xs - cx) ** 2 <= radius ** 2
+
+
+def test_the_anomaly_is_planted_inside_its_disk_only():
+    # the ROI: an abnormal image equals its clean render outside the disk
+    # and differs from it inside; a normal sample has no disk
+    spec = small_spec(n_normal=10, n_abnormal=10)
+    for i in range(spec.n_abnormal):
+        planted, clean = Sample(spec, 1, i), Sample(spec, 1, i, False)
+        inside = disk_mask(spec, planted.disk)
+        differs = (planted.image != clean.image).any(axis=-1)
+        assert not differs[~inside].any()
+        assert differs[inside].any()
+    assert all(Sample(spec, 0, i).disk is None for i in range(spec.n_normal))
 
 
 def test_disk_mean_shift_matches_contrast():
@@ -121,9 +149,7 @@ def test_disk_mean_shift_matches_contrast():
     for s in data:
         if s.label != 1:
             continue
-        ys = np.arange(spec.height, dtype=float)[:, None]
-        xs = np.arange(spec.width, dtype=float)[None, :]
-        mask = (ys - s.center[0]) ** 2 + (xs - s.center[1]) ** 2 <= s.radius ** 2
+        mask = disk_mask(spec, s.disk)
         diffs.append(s.image[mask].mean() - s.image[~mask].mean())
     assert abs(np.mean(diffs) - spec.contrast_shift) < 0.05
 
