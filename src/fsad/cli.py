@@ -122,9 +122,9 @@ METRIC_COLS = ["episode", "seed", "k", "strategy", "lam", "auc", "ap", "f1",
 
 def cmd_eval(cfg: RunConfig, args) -> int:
     out = _prepare_out(cfg)
-    dataset, store = _world(cfg)
     model = model_from_config(cfg)
-    apply_checkpoint(model, args.checkpoint)
+    apply_checkpoint(model, args.checkpoint)  # before the corpus: a bad one fails fast
+    dataset, store = _world(cfg)
     srows, mrows = [], []
     for i in range(cfg["episode.count"]):
         run = run_episode(cfg, store, dataset, i, train=False, model=model)
@@ -149,21 +149,18 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     return 0
 
 
-STRATEGY_COLS = ["row", "adapters", "strategy", "dual", "auc", "ap"]
-STAGE_COLS = ["stage", "visual_taps", "text_taps", "auc", "ap"]
+ABLATE_TABLES = (("strategies", ["row", "adapters", "strategy", "dual", "auc", "ap"],
+                  "component/strategy grid"),
+                 ("stages", ["stage", "visual_taps", "text_taps", "auc", "ap"], "stage grid"))
 
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
     out = _prepare_out(cfg)
     dataset, store = _world(cfg)
-    sgrid, tgrid = ablate(cfg, store, dataset)
-    write_csv(out / "ablate_strategies.csv", STRATEGY_COLS, sgrid.rows, cfg)
-    write_csv(out / "ablate_stages.csv", STAGE_COLS, tgrid.rows, cfg)
-    episodes = cfg["episode.count"]
-    _print_table(f"component/strategy grid (mean over {episodes} episodes)",
-                 STRATEGY_COLS, sgrid.rows)
-    _print_table(f"stage grid (mean over {episodes} episodes)",
-                 STAGE_COLS, tgrid.rows)
+    for (name, cols, title), grid in zip(ABLATE_TABLES, ablate(cfg, store, dataset)):
+        write_csv(out / f"ablate_{name}.csv", cols, grid.rows, cfg)
+        _print_table(f"{title} (mean over {cfg['episode.count']} episodes)",
+                     cols, grid.rows)
     return 0
 
 
@@ -173,16 +170,13 @@ SWEEP_COLS = ["parameter", "value", "seed", "auc", "ap"]
 def cmd_sweep(cfg: RunConfig, args) -> int:
     out = _prepare_out(cfg)
     dataset, store = _world(cfg)
-    if args.which in ("lambda", "all"):
-        rows = lambda_sweep(cfg, store, dataset)
-        write_csv(out / "sweep_lambda.csv", SWEEP_COLS, rows, cfg)
-        means = [r for r in rows if r["seed"] == "mean"]
-        _print_table("ensemble weight sweep (mean rows)", SWEEP_COLS, means)
-    if args.which in ("beta", "all"):
-        rows = beta_sweep(cfg, store, dataset)
-        write_csv(out / "sweep_beta.csv", SWEEP_COLS, rows, cfg)
-        means = [r for r in rows if r["seed"] == "mean"]
-        _print_table("gate value sweep (mean rows)", SWEEP_COLS, means)
+    for name, sweep, title in (("lambda", lambda_sweep, "ensemble weight sweep"),
+                               ("beta", beta_sweep, "gate value sweep")):
+        if args.which in (name, "all"):
+            rows = sweep(cfg, store, dataset)
+            write_csv(out / f"sweep_{name}.csv", SWEEP_COLS, rows, cfg)
+            _print_table(f"{title} (mean rows)", SWEEP_COLS,
+                         [r for r in rows if r["seed"] == "mean"])
     return 0
 
 

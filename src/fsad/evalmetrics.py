@@ -144,25 +144,13 @@ def threshold_from_support(scores, labels) -> float:
     return float(mids[np.argmax(f1)])  # argmax: the first, lowest, best
 
 
-def thresholded_metrics(scores, labels, threshold: float):
-    """(f1, acc, (tp, fp, tn, fn)) for predictions score >= threshold."""
-    s, y = _metric_inputs(scores, labels, "thresholded_metrics")
-    return _thresholded(s, y, _as_threshold(threshold, "thresholded_metrics"))
-
-
-def _thresholded(s: np.ndarray, y: np.ndarray, threshold: float):
-    tp, fp, tn, fn = _confusion(s, y, threshold)
-    f1 = _f1_from_counts(tp, fp, fn)
-    acc = (tp + tn) / s.size
-    return f1, acc, (tp, fp, tn, fn)
-
-
 def compute_report(scores, labels, threshold: float) -> MetricReport:
-    """Bundle ranking metrics and thresholded metrics for one batch."""
+    """Ranking metrics, and F1, accuracy and confusion counts for
+    predictions score >= threshold, for one batch."""
     s, y = _metric_inputs(scores, labels, "compute_report")
     threshold = _as_threshold(threshold, "compute_report")
-    f1, acc, (tp, fp, tn, fn) = _thresholded(s, y, threshold)
+    tp, fp, tn, fn = _confusion(s, y, threshold)
     return MetricReport(auc=auc(s, y, _checked=True),
                         ap=average_precision(s, y, _checked=True),
-                        f1=f1, acc=acc, threshold=threshold,
-                        tp=tp, fp=fp, tn=tn, fn=fn)
+                        f1=_f1_from_counts(tp, fp, fn), acc=(tp + tn) / s.size,
+                        threshold=threshold, tp=tp, fp=fp, tn=tn, fn=fn)

@@ -3,9 +3,10 @@
 Frozen visual features are encoded once per corpus and sliced per episode
 and per tap subset, so ablation grids never re-run the image tower; a
 model aligns each image once while its parameters stay fixed
-(``model.align``), so evaluation episodes share alignments. A command's
-runs are one plan of ``RunSpec`` values (``run_plan``; ``fsad ablate``'s
-two grids are one, ``ablate``), which trains each distinct key once and
+(``model.align``), so evaluation episodes share alignments. Every grid
+and sweep is a list of points, ``(RunSpec, ensemble weight)`` pairs, that
+``_cells`` reads through one plan (``run_plan``; ``fsad ablate``'s two
+grids are one list, ``ablate``). A plan trains each distinct key once and
 reads that run for every spec that asked for it; its trained episodes of
 the same structure share one tape (``model.stack_models``), each
 bit-identical to training it alone.
@@ -92,7 +93,7 @@ class EpisodeRun:
 
     index: int
     episode_seed: int
-    model: Model | None  # None in the runs a grid or sweep reads (``_runs``)
+    model: Model
     episode: Episode
     trace: list[TraceRow]
     report: ScoreReport
@@ -217,22 +218,18 @@ def eval_at_lambda(report: ScoreReport, lam: float) -> tuple[float, float]:
     return auc(final, report.labels), average_precision(final, report.labels)
 
 
-def _runs(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
-          specs: list[RunSpec]) -> list[EpisodeRun]:
-    """A plan's runs without their models, as the grids and sweeps read them."""
-    return run_plan(cfg, store, dataset, specs, lambda run: replace(run, model=None))
-
-
 # ---------------------------------------------------------------------------
 # grids and sweeps
 
 @dataclass
 class Cell:
-    """One grid cell or sweep point: the per-seed AUC/AP of its runs."""
+    """One grid cell or sweep point: the per-seed AUC/AP of its runs and
+    each run's training trace (empty if the run was untrained)."""
 
     seeds: list[int]
     aucs: list[float]
     aps: list[float]
+    traces: list[list[TraceRow]]
 
     @property
     def auc(self) -> float:
@@ -243,16 +240,37 @@ class Cell:
         return float(np.mean(self.aps))
 
 
-def _cells(cfg: RunConfig, runs: list[EpisodeRun], weights) -> list[Cell]:
-    """Cell j holds the j-th ``episode.count`` of a plan's runs, each report
-    read at ensemble weight ``weights[j]``."""
-    count, cells = cfg.section("episode").count, []
-    for j, weight in enumerate(weights):
+def _cells(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
+           points: list[tuple[RunSpec, float]]) -> list[Cell]:
+    """One cell per point, a ``(spec, ensemble weight)`` pair, from one plan:
+    cell j reads every episode of point j's spec at point j's weight."""
+    count = cfg.section("episode").count
+    runs = run_plan(cfg, store, dataset,
+                    [replace(spec, index=i) for spec, _ in points for i in range(count)],
+                    lambda run: (run.episode_seed, run.report, run.trace))
+    cells = []
+    for j, (_, weight) in enumerate(points):
         point = runs[j * count:(j + 1) * count]
-        scored = [eval_at_lambda(run.report, weight) for run in point]
-        cells.append(Cell([run.episode_seed for run in point],
-                          [a for a, _ in scored], [p for _, p in scored]))
+        scored = [eval_at_lambda(report, weight) for _, report, _ in point]
+        cells.append(Cell([seed for seed, _, _ in point], [a for a, _ in scored],
+                          [p for _, p in scored], [trace for _, _, trace in point]))
     return cells
+
+
+@dataclass
+class Grid:
+    """A grid's table rows and its per-seed cells by name, in point order."""
+
+    rows: list[dict]
+    cells: dict[str, Cell]
+
+
+def _grid(layout: list[tuple], cells: list[Cell]) -> Grid:
+    """A grid from its ``(name, point, row)`` layout and the first cells of
+    its points: each row (None: the cell has none) gains the mean AUC and AP."""
+    return Grid([{**row, "auc": cell.auc, "ap": cell.ap}
+                 for (_, _, row), cell in zip(layout, cells) if row],
+                {name: cell for (name, _, _), cell in zip(layout, cells)})
 
 
 # the strategy grid's cells in row order, each one reading of a training or
@@ -268,43 +286,21 @@ STRATEGY_CELLS = (
 )
 
 
-@dataclass
-class StrategyGrid:
-    """Six-row component/strategy table plus the raw per-seed cells."""
-
-    rows: list[dict]
-    cells: dict[str, Cell]
-    loss_first: list[float]
-    loss_last: list[float]
-
-
-def strategy_plan(cfg: RunConfig) -> list[RunSpec]:
-    """The strategy grid's runs: every episode for each of ``STRATEGY_CELLS``.
-    The two readings of one training are one key, so they share its run."""
-    count, clsa = cfg.section("episode").count, cfg.section("clsa")
-    return [RunSpec(i, clsa=replace(clsa, strategy=strategy), train=trained)
-            for _, _, trained, strategy, _ in STRATEGY_CELLS for i in range(count)]
-
-
-def strategy_table(cfg: RunConfig, runs: list[EpisodeRun]) -> StrategyGrid:
-    """Seed-averaged grid over adaptation components and alignment
-    strategies, from the runs of ``strategy_plan(cfg)``.
+def _strategy_layout(cfg: RunConfig) -> list[tuple]:
+    """Grid over adaptation components and alignment strategies, one point
+    per ``STRATEGY_CELLS`` entry, read at ``infer.lam`` on the dual branch
+    and at 1.0 (semantic only) otherwise.
 
     Row 1 is the zero-adaptation baseline (nothing trained, semantic branch
     only). Rows 2 and 3 read one training run per seed and differ only in
     the evaluation branch blend.
     """
-    lam = cfg.section("infer").lam
-    cells = dict(zip([name for name, *_ in STRATEGY_CELLS], _cells(
-        cfg, runs, [lam if dual else 1.0 for *_, dual in STRATEGY_CELLS])))
-    rows = [{"row": row, "adapters": trained, "strategy": strategy, "dual": dual,
-             "auc": cells[name].auc, "ap": cells[name].ap}
-            for name, row, trained, strategy, dual in STRATEGY_CELLS if row is not None]
-    # the last cell's runs: the seq trainings
-    seq = [run.trace for run in runs[-cfg.section("episode").count:] if run.trace]
-    return StrategyGrid(rows=rows, cells=cells,
-                        loss_first=[trace[0].loss for trace in seq],
-                        loss_last=[trace[-1].loss for trace in seq])
+    lam, clsa = cfg.section("infer").lam, cfg.section("clsa")
+    return [(name, (RunSpec(clsa=replace(clsa, strategy=strategy), train=trained),
+                    lam if dual else 1.0),
+             row and {"row": row, "adapters": trained, "strategy": strategy,
+                      "dual": dual})
+            for name, row, trained, strategy, dual in STRATEGY_CELLS]
 
 
 def stage_specs(spec: BackboneSpec) -> list[tuple[str, BackboneSpec]]:
@@ -318,55 +314,35 @@ def stage_specs(spec: BackboneSpec) -> list[tuple[str, BackboneSpec]]:
     return out
 
 
-@dataclass
-class StageGrid:
-    """Single-stage rows plus the all-stages row, with per-seed cells."""
-
-    rows: list[dict]
-    cells: dict[str, Cell]
-
-
-def stage_plan(cfg: RunConfig) -> list[RunSpec]:
-    """The stage grid's runs: every episode under each of ``stage_specs``,
-    at the configured strategy."""
-    count = cfg.section("episode").count
-    return [RunSpec(i, mspec=mspec) for _, mspec in stage_specs(cfg.backbone_spec())
-            for i in range(count)]
+def _stage_layout(cfg: RunConfig) -> list[tuple]:
+    """Adaptation-depth ablation: one point per ``stage_specs`` entry, at
+    the configured strategy and ``infer.lam``."""
+    lam = cfg.section("infer").lam
+    return [(name, (RunSpec(mspec=mspec), lam),
+             {"stage": name, "visual_taps": ",".join(map(str, mspec.selected_visual)),
+              "text_taps": ",".join(map(str, mspec.selected_text))})
+            for name, mspec in stage_specs(cfg.backbone_spec())]
 
 
-def stage_table(cfg: RunConfig, runs: list[EpisodeRun]) -> StageGrid:
-    """Seed-averaged adaptation-depth ablation, from the runs of
-    ``stage_plan(cfg)``."""
-    specs = stage_specs(cfg.backbone_spec())
-    cells = dict(zip([name for name, _ in specs],
-                     _cells(cfg, runs, [cfg.section("infer").lam] * len(specs))))
-    return StageGrid(rows=[{"stage": name,
-                            "visual_taps": ",".join(map(str, mspec.selected_visual)),
-                            "text_taps": ",".join(map(str, mspec.selected_text)),
-                            "auc": cells[name].auc, "ap": cells[name].ap}
-                           for name, mspec in specs], cells=cells)
+def strategy_grid(cfg: RunConfig, store: FeatureStore, dataset: list[Sample]) -> Grid:
+    """The seed-averaged ``_strategy_layout`` grid."""
+    layout = _strategy_layout(cfg)
+    return _grid(layout, _cells(cfg, store, dataset, [p for _, p, _ in layout]))
 
 
-def strategy_grid(cfg: RunConfig, store: FeatureStore,
-                  dataset: list[Sample]) -> StrategyGrid:
-    """The strategy grid from a plan of its own runs."""
-    return strategy_table(cfg, _runs(cfg, store, dataset, strategy_plan(cfg)))
-
-
-def stage_grid(cfg: RunConfig, store: FeatureStore,
-               dataset: list[Sample]) -> StageGrid:
-    """The stage grid from a plan of its own runs."""
-    return stage_table(cfg, _runs(cfg, store, dataset, stage_plan(cfg)))
+def stage_grid(cfg: RunConfig, store: FeatureStore, dataset: list[Sample]) -> Grid:
+    """The seed-averaged ``_stage_layout`` grid."""
+    layout = _stage_layout(cfg)
+    return _grid(layout, _cells(cfg, store, dataset, [p for _, p, _ in layout]))
 
 
 def ablate(cfg: RunConfig, store: FeatureStore,
-           dataset: list[Sample]) -> tuple[StrategyGrid, StageGrid]:
+           dataset: list[Sample]) -> tuple[Grid, Grid]:
     """Both grids of ``fsad ablate`` from one plan, so a training both ask
     for (the ``all`` stage is the configured strategy's row) runs once."""
-    strategy, stage = strategy_plan(cfg), stage_plan(cfg)
-    runs = _runs(cfg, store, dataset, strategy + stage)
-    return (strategy_table(cfg, runs[:len(strategy)]),
-            stage_table(cfg, runs[len(strategy):]))
+    strategy, stage = _strategy_layout(cfg), _stage_layout(cfg)
+    cells = _cells(cfg, store, dataset, [p for _, p, _ in strategy + stage])
+    return _grid(strategy, cells), _grid(stage, cells[len(strategy):])
 
 
 # ---------------------------------------------------------------------------
@@ -388,21 +364,18 @@ def _sweep_rows(parameter: str, values, cells: list[Cell]) -> list[dict]:
 def lambda_sweep(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
                  points=LAMBDA_POINTS) -> list[dict]:
     """One training run per seed, re-blended at every ensemble weight."""
-    specs = [RunSpec(i) for i in range(cfg.section("episode").count)]
-    runs = _runs(cfg, store, dataset, specs * len(points))
-    return _sweep_rows("lambda", points, _cells(cfg, runs, points))
+    return _sweep_rows("lambda", points, _cells(
+        cfg, store, dataset, [(RunSpec(), lam) for lam in points]))
 
 
 def beta_sweep(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
                points=BETA_POINTS) -> list[dict]:
     """Fixed, non-learnable gate values; a full training run per point.
     Stacks span gate values: the gate is a value, not a structure."""
-    count, clsa = cfg.section("episode").count, cfg.section("clsa")
-    specs = [RunSpec(i, clsa=replace(clsa, gate_init=float(beta), gates_learnable=False))
-             for beta in points for i in range(count)]
-    runs = _runs(cfg, store, dataset, specs)
-    return _sweep_rows("beta", points,
-                       _cells(cfg, runs, [cfg.section("infer").lam] * len(points)))
+    lam, clsa = cfg.section("infer").lam, cfg.section("clsa")
+    return _sweep_rows("beta", points, _cells(cfg, store, dataset, [
+        (RunSpec(clsa=replace(clsa, gate_init=float(beta), gates_learnable=False)), lam)
+        for beta in points]))
 
 
 # ---------------------------------------------------------------------------

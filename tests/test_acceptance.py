@@ -196,7 +196,9 @@ def test_04_sequentiality_probe():
 
 
 def test_05_training_efficacy(cfg, sgrid):
-    first, last = np.mean(sgrid.loss_first), np.mean(sgrid.loss_last)
+    seq = [trace for trace in sgrid.cells["seq_dual"].traces if trace]
+    first = np.mean([trace[0].loss for trace in seq])
+    last = np.mean([trace[-1].loss for trace in seq])
     gain = sgrid.cells["seq_dual"].auc - sgrid.cells["untrained_dual"].auc
     check(5, "training efficacy", last < first and gain >= 0.05,
           f"support loss {first:.4f} -> {last:.4f}, "

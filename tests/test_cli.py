@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fsad.backbone import load_feature_bundle
+from fsad import cli
 from fsad.cli import main
 from fsad.config import RunConfig, load_config
 from fsad.model import (checkpoint_meta, load_checkpoint, named_parameters,
@@ -196,6 +197,26 @@ def test_eval_missing_checkpoint(cfg_file, tmp_path, capsys):
     assert "error[io]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["missing", "truncated"])
+def test_eval_refuses_a_bad_checkpoint_before_building_the_corpus(
+        cfg_file, trained, tmp_path, capsys, monkeypatch, damage):
+    builds = []
+    monkeypatch.setattr(cli, "build_feature_store",
+                        lambda *a: builds.append(a) or build_feature_store(*a))
+    path = tmp_path / "model.ckpt"
+    if damage == "truncated":
+        blob = (trained / "model.ckpt").read_bytes()
+        path.write_bytes(blob[:len(blob) // 2])
+    out = tmp_path / "x"
+    rc = main(["eval", "--config", cfg_file, "--out", str(out),
+               "--checkpoint", str(path)])
+    assert rc == 1
+    category = {"missing": "io", "truncated": "format"}[damage]
+    assert capsys.readouterr().err.startswith(f"error[{category}]")
+    assert builds == []
+    assert (out / "effective.cfg").exists()
+
+
 def test_ablate_reports(cfg_file, tmp_path):
     out = tmp_path / "a"
     assert main(["ablate", "--config", cfg_file, "--out", str(out)]) == 0
@@ -238,6 +259,28 @@ def test_sweep_reports(cfg_file, tmp_path):
             if r[bheader.index("value")] == "0.0"
             and r[bheader.index("seed")] != "mean"]
     assert zero == none
+
+
+def test_ablate_prints_the_strategy_table_then_the_stage_table(cfg_file, tmp_path,
+                                                                capsys):
+    assert main(["ablate", "--config", cfg_file, "--out", str(tmp_path / "a")]) == 0
+    titles = [line for line in capsys.readouterr().out.splitlines()
+              if not line.startswith("  ")]
+    episodes = SMALL["episode.count"]
+    assert titles == [f"component/strategy grid (mean over {episodes} episodes)",
+                      f"stage grid (mean over {episodes} episodes)"]
+
+
+@pytest.mark.parametrize("which, title", [("lambda", "ensemble weight sweep"),
+                                          ("beta", "gate value sweep")])
+def test_sweep_which_runs_only_that_sweep(cfg_file, tmp_path, capsys, which, title):
+    out = tmp_path / "w"
+    assert main(["sweep", "--config", cfg_file, "--out", str(out),
+                 "--which", which]) == 0
+    assert sorted(p.name for p in out.glob("sweep_*.csv")) == [f"sweep_{which}.csv"]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == f"{title} (mean rows)"
+    assert all(line.startswith("  ") for line in printed[1:])
 
 
 def test_diverging_train_reports_only_numeric_error(cfg_file, tmp_path, capsys):

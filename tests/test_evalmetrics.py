@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fsad.errors import CapacityError, FsadError, MetricError, NumericError
 from fsad.evalmetrics import (auc, average_precision, compute_report,
-                              threshold_from_support, thresholded_metrics)
+                              threshold_from_support)
 from fsad.inference import minmax_normalize
 
 
@@ -174,8 +174,7 @@ def test_oracle_equivalence_wide_batches(seed, n, ties, positives):
 
 def test_threshold_separated_support():
     t = threshold_from_support([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1])
-    f1, _, _ = thresholded_metrics([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1], t)
-    assert f1 == 1.0
+    assert compute_report([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1], t).f1 == 1.0
     assert threshold_from_support([0.2, 0.8], [0, 1]) == 0.5
 
 
@@ -190,7 +189,7 @@ def test_threshold_tie_breaks_low():
     y = [0, 1, 0, 1]
     t = threshold_from_support(s, y)
     cands = [0.2, 0.4, 0.6]
-    f1s = [thresholded_metrics(s, y, c)[0] for c in cands]
+    f1s = [compute_report(s, y, c).f1 for c in cands]
     best = max(f1s)
     assert t == min(c for c, f in zip(cands, f1s) if f == best)
 
@@ -214,16 +213,15 @@ def test_threshold_rejects_single_class():
 
 
 def test_thresholded_metrics_counts():
-    f1, acc, (tp, fp, tn, fn) = thresholded_metrics(
-        [0.9, 0.8, 0.7, 0.6, 0.2], [1, 1, 1, 0, 1], 0.5)
-    assert (tp, fp, tn, fn) == (3, 1, 0, 1)
-    assert f1 == 0.75
-    assert acc == 0.6
+    rep = compute_report([0.9, 0.8, 0.7, 0.6, 0.2], [1, 1, 1, 0, 1], 0.5)
+    assert (rep.tp, rep.fp, rep.tn, rep.fn) == (3, 1, 0, 1)
+    assert rep.f1 == 0.75
+    assert rep.acc == 0.6
 
 
 def test_thresholded_all_negative_prediction():
-    f1, acc, _ = thresholded_metrics([0.1, 0.2], [1, 0], 0.9)
-    assert f1 == 0.0 and acc == 0.5
+    rep = compute_report([0.1, 0.2], [1, 0], 0.9)
+    assert rep.f1 == 0.0 and rep.acc == 0.5
 
 
 def test_compute_report_consistency():
@@ -259,7 +257,7 @@ def test_non_finite_scores_rejected_promptly(metric, bad):
 
 @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, "0.5", None, 10**400],
                          ids=["nan", "inf", "-inf", "str", "None", "int-beyond-float"])
-@pytest.mark.parametrize("metric", [thresholded_metrics, compute_report])
+@pytest.mark.parametrize("metric", [compute_report])
 def test_threshold_must_be_a_finite_real_number(metric, threshold):
     # a NaN threshold used to report threshold=nan, f1=0.0; a str one leaked
     # numpy's bare UFuncTypeError
@@ -267,7 +265,7 @@ def test_threshold_must_be_a_finite_real_number(metric, threshold):
         metric([0.1, 0.8, 0.9], [0, 1, 1], threshold)
 
 
-@pytest.mark.parametrize("metric", [thresholded_metrics, compute_report])
+@pytest.mark.parametrize("metric", [compute_report])
 def test_threshold_is_one_number_a_0d_array_included(metric):
     scores, labels = [0.1, 0.8, 0.9], [0, 1, 1]
     assert metric(scores, labels, np.array(0.5)) == metric(scores, labels, 0.5)

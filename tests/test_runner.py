@@ -456,7 +456,19 @@ def test_strategy_grid_structure(world):
         assert len(cell.aucs) == cfg["episode.count"]
     assert grid.rows[5]["auc"] == grid.cells["seq_dual"].auc
     assert grid.rows[0]["auc"] == grid.cells["untrained_sem"].auc
-    assert len(grid.loss_first) == len(grid.loss_last) == cfg["episode.count"]
+    assert len([t for t in grid.cells["seq_dual"].traces if t]) == cfg["episode.count"]
+
+
+def test_strategy_cells_carry_their_runs_training_traces(world):
+    cfg, store, dataset = world
+    cells = strategy_grid(cfg, store, dataset).cells
+    assert cells["untrained_sem"].traces == cells["untrained_dual"].traces == (
+        [[]] * cfg["episode.count"])
+    # the two readings of one training read one run, so one trace
+    assert cells["none_sem"].traces == cells["none_dual"].traces
+    for name in ("none_dual", "v2t_dual", "t2v_dual", "seq_dual"):
+        assert [len(t) for t in cells[name].traces] == (
+            [cfg["train.epochs"]] * cfg["episode.count"])
 
 
 def test_stage_specs_and_grid(world):

@@ -227,7 +227,7 @@ def test_fsad_ablate_trains_each_distinct_episode_once(stack_sizes, tmp_path):
 
 def strategy_rows(*world):
     grid = strategy_grid(*world)
-    return grid.rows, grid.loss_first, grid.loss_last
+    return grid.rows, grid.cells["seq_dual"].traces
 
 
 @pytest.mark.parametrize("grid, sizes", [
@@ -247,6 +247,12 @@ def test_grid_rows_equal_one_episode_at_a_time(world, grid, sizes, stack_sizes,
     alone = grid(*world)
     assert stack_sizes == [None] * sum(sizes)
     assert stacked == alone
+
+
+def test_ablate_is_the_two_grids_each_from_its_own_plan(world):
+    # one plan over both grids' points, split after the strategy cells,
+    # gives exactly each grid's rows and cells, training traces included
+    assert ablate(*world) == (strategy_grid(*world), stage_grid(*world))
 
 
 def test_k16_stacks_and_matches_one_at_a_time(stack_sizes, one_at_a_time):
