@@ -88,27 +88,49 @@ class BackboneSpec:
     def patches(self) -> int:
         return self.patch_grid[0] * self.patch_grid[1]
 
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        """Positional pairing of visual and text tap layers."""
+        return list(zip(self.selected_visual, self.selected_text))
+
+
+class Attention:
+    """Projected multi-head attention, softmax(QK'/sqrt)V through W_o: the
+    towers' frozen self-attention and CLSA's learnable cross-attention."""
+
+    def __init__(self, d: int, heads: int, rng, learnable: bool):
+        if d % heads != 0:
+            raise ShapeError(f"width {d} not divisible by {heads} heads")
+        self.heads = heads
+        self.wq, self.wk, self.wv, self.wo = (
+            Tensor(rng.normal(0.0, WEIGHT_STD, size=(d, d)), requires_grad=learnable)
+            for _ in range(4))
+
+    def weights(self) -> dict[str, Tensor]:
+        return {"wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo}
+
+    def __call__(self, q: Tensor, kv: Tensor) -> Tensor:
+        att = nc.attention(nc.matmul(q, self.wq), nc.matmul(kv, self.wk),
+                           nc.matmul(kv, self.wv), self.heads)
+        return nc.matmul(att, self.wo)
+
 
 class _Block:
-    """Pre-norm biasless transformer block: attention then gated FF."""
+    """Pre-norm biasless transformer block: self-attention then gated FF."""
 
     def __init__(self, rng, d: int, heads: int):
-        def w(rows, cols):
-            return Tensor(rng.normal(0.0, WEIGHT_STD, size=(rows, cols)))
-        self.wq, self.wk, self.wv, self.wo = w(d, d), w(d, d), w(d, d), w(d, d)
-        self.w1, self.w2 = w(d, 2 * d), w(2 * d, d)
-        self.heads = heads
+        self.att = Attention(d, heads, rng, learnable=False)
+        self.w1 = Tensor(rng.normal(0.0, WEIGHT_STD, size=(d, 2 * d)))
+        self.w2 = Tensor(rng.normal(0.0, WEIGHT_STD, size=(2 * d, d)))
 
     def forward(self, x: Tensor) -> Tensor:
         h = nc.layernorm_rows(x)
-        att = nc.attention(nc.matmul(h, self.wq), nc.matmul(h, self.wk),
-                           nc.matmul(h, self.wv), self.heads)
-        x = nc.add(x, nc.matmul(att, self.wo))
+        x = nc.add(x, self.att(h, h))
         h = nc.layernorm_rows(x)
         return nc.add(x, nc.matmul(nc.silu(nc.matmul(h, self.w1)), self.w2))
 
     def weights(self):
-        return (self.wq, self.wk, self.wv, self.wo, self.w1, self.w2)
+        return (*self.att.weights().values(), self.w1, self.w2)
 
 
 class ToyEncoder:
@@ -116,13 +138,8 @@ class ToyEncoder:
 
     Every block of the configured depth is drawn, so the weights (and
     ``all_weights``) do not depend on the taps, but :meth:`run` stops after
-    the deepest tap: the blocks past it feed no output.
-
-    The visual tower emits each tap as token-centered: the mean token of the
-    image is subtracted, so the rows carry only within-image structure. That
-    keeps the shared stream component (identical across patches) out of the
-    cosine geometry downstream. Text taps are emitted raw because the class
-    row's absolute content is the point of the prompt.
+    the deepest tap: the blocks past it feed no output. Taps come out as
+    the raw hidden states; :func:`encode_images` centres the visual ones.
     """
 
     def __init__(self, spec: BackboneSpec, kind: str):
@@ -130,7 +147,6 @@ class ToyEncoder:
         tag = _TAG_VISUAL if kind == "visual" else _TAG_TEXT
         n = spec.vision_layers if kind == "visual" else spec.text_layers
         self.taps = spec.selected_visual if kind == "visual" else spec.selected_text
-        self.center_taps = kind == "visual"
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, tag)))
         self.blocks = [_Block(rng, spec.d, spec.heads) for _ in range(n)]
         if kind == "visual":
@@ -157,13 +173,8 @@ class ToyEncoder:
         for i, block in enumerate(self.blocks[:max(self.taps)], start=1):
             x = block.forward(x)
             if i in self.taps:
-                taps[i] = self._emit(x)
+                taps[i] = x
         return taps, x
-
-    def _emit(self, x: Tensor) -> Tensor:
-        if not self.center_taps:
-            return x
-        return nc.sub(x, nc.mean_axis(x, -2, keepdims=True))
 
     def all_weights(self):
         out = []
@@ -191,6 +202,12 @@ def encode_images(enc: ToyEncoder, images: list[np.ndarray]) -> dict[int, np.nda
     """Patch tokens [B, P, d] at each visual tap, row b from images[b]; plain
     arrays, never tracked for gradients.
 
+    Each tap is token-centred: the image's mean token is subtracted, so the
+    rows carry only within-image structure. That keeps the shared stream
+    component (identical across patches) out of the cosine geometry
+    downstream. Text taps stay raw (``encode_prompt``) because the class
+    row's absolute content is the point of the prompt.
+
     The images run through the tower in one pass: a caller that bounds
     memory hands in one block (``runner.build_feature_store``). An empty
     list gives [0, P, d] arrays. Images of different sizes, a ragged image
@@ -217,6 +234,8 @@ def encode_images(enc: ToyEncoder, images: list[np.ndarray]) -> dict[int, np.nda
     with nc.no_grad():
         proj = enc.patch_projection(flat.shape[-1])
         taps, _ = enc.run(nc.add(nc.matmul(Tensor(flat), proj), enc.pos))
+        for layer, t in taps.items():
+            taps[layer] = nc.sub(t, nc.mean_axis(t, -2, keepdims=True))
     return {layer: t.data for layer, t in taps.items()}
 
 
@@ -253,11 +272,6 @@ def class_row(t: Tensor) -> Tensor:
     position of a prompt or its hidden states."""
     picked = nc.narrow(t, t.ndim - 2, t.shape[-2] - 1, 1)
     return nc.reshape(picked, t.shape[:-2] + (t.shape[-1],))
-
-
-def layer_map(spec: BackboneSpec) -> list[tuple[int, int]]:
-    """Positional pairing of visual and text tap layers."""
-    return list(zip(spec.selected_visual, spec.selected_text))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Sequential cross-modal alignment between paired visual and text layers.
 
-Step 1 lets text rows attend over the image's patch tokens (context
-injection); step 2 reverses direction so patch tokens attend over the
-refined text rows of both classes (semantic guidance). Ablation strategies
-switch either step off; a shared gate pair scales both residual terms and
-starts closed by default.
+Alignment is one gated attention step (``gated_attention``) run in two
+directions. Step 1 lets text rows attend over the image's patch tokens
+(context injection, gate beta_t); step 2 reverses direction so patch
+tokens attend over the refined text rows of both classes (semantic
+guidance, gate beta_v). Ablation strategies switch either step off; the
+shared gate pair starts closed by default.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .backbone import WEIGHT_STD, class_row
-from .errors import ConfigError, ShapeError
+from .backbone import Attention, class_row
+from .errors import ConfigError
 from .numcore import Tensor
 
 _TAG_CLSA = 31
@@ -41,68 +42,38 @@ class ClsaSpec:
             raise ConfigError(f"clsa.heads must be >= 1, got {self.heads}")
 
 
-class CrossAttentionBlock:
-    """Projected multi-head cross-attention: softmax(QK'/sqrt)V through W_o."""
-
-    def __init__(self, d: int, heads: int, rng):
-        if d % heads != 0:
-            raise ShapeError(f"width {d} not divisible by {heads} heads")
-        self.heads = heads
-        self.wq, self.wk, self.wv, self.wo = (
-            Tensor(rng.normal(0.0, WEIGHT_STD, size=(d, d)), requires_grad=True)
-            for _ in range(4))
-
-    def weights(self):
-        return {"wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo}
-
-
-def mhca(q: Tensor, k: Tensor, v: Tensor, block: CrossAttentionBlock) -> Tensor:
-    """Cross-attention with learned projections; output matches query shape."""
-    att = nc.attention(nc.matmul(q, block.wq), nc.matmul(k, block.wk),
-                       nc.matmul(v, block.wv), block.heads)
-    return nc.matmul(att, block.wo)
-
-
-class GatePair:
-    """Learnable residual scales for the two alignment directions."""
-
-    def __init__(self, init: float, learnable: bool):
-        self.beta_t = Tensor(np.full((), float(init)), requires_grad=learnable)
-        self.beta_v = Tensor(np.full((), float(init)), requires_grad=learnable)
-
-
-def context_injection(t: Tensor, v: Tensor, block: CrossAttentionBlock,
-                      beta_t: Tensor) -> Tensor:
-    """Text rows absorb visual context: T + beta_t * MHCA(Q=T, K=V=visual)."""
-    return nc.add(t, nc.mul(beta_t, mhca(t, v, v, block)))
-
-
-def semantic_guidance(v: Tensor, t: Tensor, block: CrossAttentionBlock,
-                      beta_v: Tensor) -> Tensor:
-    """Patch tokens re-weighted by refined text: V + beta_v * MHCA(Q=V, K=V=text)."""
-    return nc.add(v, nc.mul(beta_v, mhca(v, t, t, block)))
+def gated_attention(x: Tensor, context: Tensor, block: Attention,
+                    gate: Tensor) -> Tensor:
+    """x + gate * block(x, context): ``x`` absorbs what it attends to in
+    ``context``. Context injection runs it on text rows over patch tokens
+    under beta_t; semantic guidance on patch tokens over the refined text
+    under beta_v."""
+    return nc.add(x, nc.mul(gate, block(x, context)))
 
 
 @dataclass
 class ClsaState:
     """Per-pair unshared attention blocks plus the shared gate pair."""
 
-    v2t_blocks: dict[int, CrossAttentionBlock]
-    t2v_blocks: dict[int, CrossAttentionBlock]
-    gates: GatePair
+    v2t_blocks: dict[int, Attention]
+    t2v_blocks: dict[int, Attention]
+    beta_t: Tensor
+    beta_v: Tensor
 
 
 def init_clsa(pairs: list[tuple[int, int]], d: int, seed: int,
               spec: ClsaSpec) -> ClsaState:
     """Fresh blocks per mapped pair, keyed by the pair's visual layer."""
-    def rng(direction, layer):
-        return np.random.default_rng(
+    def block(direction, layer):
+        rng = np.random.default_rng(
             np.random.SeedSequence((seed, _TAG_CLSA, direction, layer)))
+        return Attention(d, spec.heads, rng, learnable=True)
 
-    v2t = {l: CrossAttentionBlock(d, spec.heads, rng(0, l)) for l, _ in pairs}
-    t2v = {l: CrossAttentionBlock(d, spec.heads, rng(1, l)) for l, _ in pairs}
-    return ClsaState(v2t_blocks=v2t, t2v_blocks=t2v,
-                     gates=GatePair(spec.gate_init, spec.gates_learnable))
+    beta_t, beta_v = (Tensor(np.full((), float(spec.gate_init)),
+                             requires_grad=spec.gates_learnable) for _ in range(2))
+    return ClsaState(v2t_blocks={l: block(0, l) for l, _ in pairs},
+                     t2v_blocks={l: block(1, l) for l, _ in pairs},
+                     beta_t=beta_t, beta_v=beta_v)
 
 
 @dataclass
@@ -139,14 +110,14 @@ def clsa_forward(pairs: list[tuple[int, int]], visual: dict[int, Tensor],
             raise ConfigError(f"missing text features for pair layer {tl}")
         v, refined = visual[vl], dict(text[tl])
         if strategy in ("v2t", "seq"):
-            refined = {cls: context_injection(t, v, state.v2t_blocks[vl],
-                                              state.gates.beta_t)
+            refined = {cls: gated_attention(t, v, state.v2t_blocks[vl],
+                                            state.beta_t)
                        for cls, t in refined.items()}
         out_text[tl], guidance[vl], out_visual[vl] = refined, None, v
         if strategy in ("t2v", "seq"):
             guidance[vl] = nc.concat(list(refined.values()), axis=-2)
-            out_visual[vl] = semantic_guidance(
-                v, guidance[vl], state.t2v_blocks[vl], state.gates.beta_v)
+            out_visual[vl] = gated_attention(
+                v, guidance[vl], state.t2v_blocks[vl], state.beta_v)
     class_vectors = {cls: class_row(t)
                      for cls, t in out_text[pairs[-1][1]].items()}
     return ClsaOutput(visual=out_visual, text_refined=out_text,

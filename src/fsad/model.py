@@ -30,8 +30,7 @@ import numpy as np
 from . import inputs, numcore as nc
 from .adaptation import (AdaptationState, AdaptSpec, apply_text_adapter,
                          apply_visual_adapter, init_adaptation)
-from .backbone import (SCORE_BLOCK, BackboneSpec, ToyEncoder, encode_prompt,
-                       layer_map)
+from .backbone import SCORE_BLOCK, BackboneSpec, ToyEncoder, encode_prompt
 from .binio import ByteReader, ByteWriter
 from .clsa import ClsaOutput, ClsaSpec, ClsaState, clsa_forward, init_clsa
 from .errors import CompatError, ContractError, NumericError
@@ -63,10 +62,6 @@ class Model:
     _memo: AlignMemo | None = field(default=None, init=False, repr=False,
                                     compare=False)
 
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return layer_map(self.spec)
-
     def tau(self) -> Tensor:
         return nc.exp(self.rho)
 
@@ -75,7 +70,7 @@ def init_model(spec: BackboneSpec, seed: int, adapt: AdaptSpec = AdaptSpec(),
                clsa: ClsaSpec = ClsaSpec()) -> Model:
     return Model(spec=spec, text_enc=ToyEncoder(spec, "text"),
                  adapt=init_adaptation(spec, seed, adapt),
-                 clsa=init_clsa(layer_map(spec), spec.d, seed, clsa),
+                 clsa=init_clsa(spec.pairs, spec.d, seed, clsa),
                  rho=Tensor(np.full((), RHO_INIT), requires_grad=True),
                  strategy=clsa.strategy)
 
@@ -97,8 +92,8 @@ def named_parameters(model: Model) -> dict[str, Tensor]:
                                  ("t2v", model.clsa.t2v_blocks[layer])):
             for wname, w in block.weights().items():
                 out[f"clsa.{layer}.{direction}.{wname}"] = w
-    out["clsa.beta_t"] = model.clsa.gates.beta_t
-    out["clsa.beta_v"] = model.clsa.gates.beta_v
+    out["clsa.beta_t"] = model.clsa.beta_t
+    out["clsa.beta_v"] = model.clsa.beta_v
     out["logit.rho"] = model.rho
     return out
 
@@ -186,6 +181,9 @@ def forward_text(model: Model) -> dict[int, dict[str, Tensor]]:
 
 def forward_visual(model: Model, visual_taps: dict[int, Tensor]) -> dict[int, Tensor]:
     """Adapted patch tokens per visual tap; accepts [P, d] or [B, P, d]."""
+    missing = [t for t in model.spec.selected_visual if t not in visual_taps]
+    if missing:
+        raise ContractError(f"no features for visual taps {missing}")
     return {layer: apply_visual_adapter(visual_taps[layer],
                                         model.adapt.visual_adapters[layer])
             for layer in model.spec.selected_visual}
@@ -195,7 +193,7 @@ def forward(model: Model, visual_taps: dict[int, Tensor]) -> ClsaOutput:
     """Adapt both modalities then align them under the model's strategy."""
     adapted_v = forward_visual(model, visual_taps)
     adapted_t = forward_text(model)
-    return clsa_forward(model.pairs, adapted_v, adapted_t, model.clsa,
+    return clsa_forward(model.spec.pairs, adapted_v, adapted_t, model.clsa,
                         model.strategy)
 
 

@@ -306,8 +306,7 @@ def _strategy_layout(cfg: RunConfig) -> list[tuple]:
 def stage_specs(spec: BackboneSpec) -> list[tuple[str, BackboneSpec]]:
     """One single-pair spec per mapped stage, then the full multi-stage spec."""
     out = []
-    for i, (vl, tl) in enumerate(zip(spec.selected_visual, spec.selected_text),
-                                 start=1):
+    for i, (vl, tl) in enumerate(spec.pairs, start=1):
         out.append((f"stage{i}", replace(spec, selected_visual=(vl,),
                                          selected_text=(tl,))))
     out.append(("all", spec))

@@ -10,7 +10,7 @@ import pytest
 from fsad import numcore as nc
 from fsad.backbone import (BUNDLE_MAGIC, BUNDLE_VERSION, BackboneSpec,
                            FeatureBundle, ToyEncoder, _Block, encode_images,
-                           encode_prompt, layer_map, load_feature_bundle,
+                           encode_prompt, load_feature_bundle,
                            save_feature_bundle)
 from fsad.binio import ByteWriter
 from fsad.errors import ConfigError, FormatError, NumericError, ShapeError
@@ -67,10 +67,10 @@ def test_default_spec_taps_and_head_width():
 def test_build_deterministic():
     v1, t1 = ToyEncoder(small_spec(), "visual"), ToyEncoder(small_spec(), "text")
     v2, t2 = ToyEncoder(small_spec(), "visual"), ToyEncoder(small_spec(), "text")
-    np.testing.assert_array_equal(v1.blocks[0].wq.data, v2.blocks[0].wq.data)
+    np.testing.assert_array_equal(v1.blocks[0].att.wq.data, v2.blocks[0].att.wq.data)
     np.testing.assert_array_equal(t1.blocks[-1].w2.data, t2.blocks[-1].w2.data)
     v3 = ToyEncoder(small_spec(seed=6), "visual")
-    assert not np.array_equal(v1.blocks[0].wq.data, v3.blocks[0].wq.data)
+    assert not np.array_equal(v1.blocks[0].att.wq.data, v3.blocks[0].att.wq.data)
 
 
 def test_encode_image_shapes_and_determinism():
@@ -279,9 +279,9 @@ def test_stacked_prompts_encode_like_each_alone():
 
 
 def test_layer_map_positional():
-    assert layer_map(BackboneSpec()) == [(2, 1), (4, 2), (6, 3), (8, 4)]
+    assert BackboneSpec().pairs == [(2, 1), (4, 2), (6, 3), (8, 4)]
     single = small_spec(selected_visual=(3,), selected_text=(2,))
-    assert layer_map(single) == [(3, 2)]
+    assert single.pairs == [(3, 2)]
 
 
 def _random_bundle(rng, d=16):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fsad import numcore as nc
-from fsad.clsa import (STRATEGIES, ClsaSpec, ClsaState, CrossAttentionBlock,
-                       GatePair, clsa_forward, context_injection, init_clsa,
-                       mhca, semantic_guidance)
+from fsad.backbone import Attention
+from fsad.clsa import (STRATEGIES, ClsaSpec, ClsaState, clsa_forward,
+                       gated_attention, init_clsa)
 from fsad.errors import ConfigError, ShapeError
 from fsad.numcore import GradTape, Tensor, backward
 
@@ -24,7 +24,7 @@ def inputs(seed=0, p=5, prompt_rows=4):
 
 def identity_block():
     """A block whose four projections are the identity."""
-    block = CrossAttentionBlock(D, HEADS, np.random.default_rng(0))
+    block = Attention(D, HEADS, np.random.default_rng(0), learnable=True)
     for w in block.weights().values():
         w.data = np.eye(D)
     return block
@@ -37,7 +37,7 @@ def test_single_key_attention_returns_value_row():
     rng = np.random.default_rng(1)
     q = Tensor(rng.normal(size=(6, D)))
     kv = Tensor(rng.normal(size=(1, D)))
-    out = mhca(q, kv, kv, block)
+    out = block(q, kv)
     np.testing.assert_allclose(out.data, np.broadcast_to(kv.data, (6, D)),
                                rtol=0, atol=1e-12)
 
@@ -45,10 +45,9 @@ def test_single_key_attention_returns_value_row():
 def test_mhca_width_guard_and_head_divisibility():
     block = identity_block()
     with pytest.raises(ShapeError):
-        mhca(Tensor(np.zeros((2, 8))), Tensor(np.zeros((3, D))),
-             Tensor(np.zeros((3, D))), block)
+        block(Tensor(np.zeros((2, 8))), Tensor(np.zeros((3, D))))
     with pytest.raises(ShapeError):
-        CrossAttentionBlock(15, 4, np.random.default_rng(0))
+        Attention(15, 4, np.random.default_rng(0), learnable=True)
 
 
 def test_closed_gates_are_bit_exact_identity_for_every_strategy():
@@ -66,7 +65,8 @@ def test_closed_gates_are_bit_exact_identity_for_every_strategy():
 def test_none_equals_seq_with_zero_gates_bit_exact():
     state = init_clsa(PAIRS, D, 4, ClsaSpec(heads=HEADS, gate_init=0.7))
     zero = ClsaState(v2t_blocks=state.v2t_blocks, t2v_blocks=state.t2v_blocks,
-                     gates=GatePair(0.0, True))
+                     beta_t=Tensor(np.zeros(()), requires_grad=True),
+                     beta_v=Tensor(np.zeros(()), requires_grad=True))
     visual, text = inputs(seed=2)
     a = clsa_forward(PAIRS, visual, text, zero, "seq")
     b = clsa_forward(PAIRS, visual, text, state, "none")
@@ -174,8 +174,8 @@ def test_gradients_reach_weights_and_closed_gates():
         for _, tl in PAIRS:
             loss = nc.add(loss, nc.sum_all(out.text_refined[tl]["abnormal"]))
     backward(loss, tape)
-    assert state.gates.beta_t.grad is not None and float(state.gates.beta_t.grad) != 0
-    assert state.gates.beta_v.grad is not None and float(state.gates.beta_v.grad) != 0
+    assert state.beta_t.grad is not None and float(state.beta_t.grad) != 0
+    assert state.beta_v.grad is not None and float(state.beta_v.grad) != 0
 
     open_state = init_clsa(PAIRS, D, 12, ClsaSpec(heads=HEADS, gate_init=0.5))
     with GradTape() as tape:
@@ -189,14 +189,14 @@ def test_gradients_reach_weights_and_closed_gates():
 
 
 def test_residual_form_matches_manual_composition():
-    block = CrossAttentionBlock(D, HEADS, np.random.default_rng(13))
+    block = Attention(D, HEADS, np.random.default_rng(13), learnable=True)
     beta = Tensor(np.asarray(0.6))
     rng = np.random.default_rng(14)
     t = Tensor(rng.normal(size=(3, D)))
     v = Tensor(rng.normal(size=(5, D)))
-    got = context_injection(t, v, block, beta)
-    want = t.data + 0.6 * mhca(t, v, v, block).data
+    got = gated_attention(t, v, block, beta)
+    want = t.data + 0.6 * block(t, v).data
     np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
-    got_v = semantic_guidance(v, t, block, beta)
-    want_v = v.data + 0.6 * mhca(v, t, t, block).data
+    got_v = gated_attention(v, t, block, beta)
+    want_v = v.data + 0.6 * block(v, t).data
     np.testing.assert_allclose(got_v.data, want_v, rtol=0, atol=1e-12)

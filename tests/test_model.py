@@ -1,20 +1,25 @@
 """Model assembly: parameter registry, rate groups, checkpoints, checksums."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from fsad import numcore as nc
 from fsad.adaptation import AdaptSpec
-from fsad.backbone import BackboneSpec
+from fsad.backbone import BackboneSpec, ToyEncoder
 from fsad.binio import ByteWriter
 from fsad.clsa import ClsaSpec
-from fsad.errors import CompatError, FormatError, NumericError
+from fsad.config import RunConfig
+from fsad.errors import CompatError, ContractError, FormatError, NumericError
 from fsad.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, FAST_GROUP,
                         SLOW_GROUP, apply_checkpoint, backbone_checksum, forward,
                         forward_text, init_model, load_checkpoint,
                         named_parameters, parameter_groups, save_checkpoint,
                         state_checksum, write_checkpoint)
 from fsad.numcore import Tensor
+from fsad.runner import model_from_config
+from fsad.training import training_scores
 
 
 def small_spec(**kw):
@@ -114,6 +119,18 @@ def test_forward_shapes_batched():
         assert out.visual[l].shape == (3, model.spec.patches, model.spec.d)
     for cls in ("normal", "abnormal"):
         assert out.class_vectors[cls].shape[-1] == model.spec.d
+
+
+def test_missing_visual_taps_are_named():
+    # forward and the training scores it feeds name every missing tap
+    # instead of raising a bare KeyError for the first
+    model = small_model()
+    with pytest.raises(ContractError, match=r"visual taps \[2, 4\]"):
+        forward(model, {})
+    taps = rand_taps(model.spec, seed=3, batch=2)
+    del taps[4]
+    with pytest.raises(ContractError, match=r"visual taps \[4\]"):
+        training_scores(model, taps)
 
 
 def test_strategy_override_in_forward():
@@ -278,3 +295,19 @@ def test_init_model_seed_controls_learnables_only():
     assert state_checksum(a) != state_checksum(b)
     c = init_model(small_spec(), seed=1)
     assert state_checksum(a) == state_checksum(c)
+
+
+def test_fresh_default_model_draws_are_pinned():
+    # every initial draw of the default model: adapters, prompts, CLSA
+    # blocks and gates (state), the text tower, and the visual tower that
+    # encodes the feature store
+    model = model_from_config(RunConfig({}))
+    assert state_checksum(model) == (
+        "394c23471b5db24baf80cc9141685cc28d9965b88b160fbdf4db29389d56475e")
+    assert backbone_checksum(model) == (
+        "0cea940807c6f63399d97d7eca49c2f4e44454c35b85483d4c7637f83c04df32")
+    h = hashlib.sha256()
+    for w in ToyEncoder(BackboneSpec(), "visual").all_weights():
+        h.update(np.ascontiguousarray(w.data, dtype="<f8").tobytes())
+    assert h.hexdigest() == (
+        "e97e60233615d1bfd799bd335aa5ce1bbe06a36b58b1538570d04e124128d1d0")

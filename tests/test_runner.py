@@ -66,7 +66,7 @@ def test_every_recipe_key_reaches_what_it_configures():
     assert model.strategy == "t2v"
     blocks = [*clsa.v2t_blocks.values(), *clsa.t2v_blocks.values()]
     assert [block.heads for block in blocks] == [2] * 4
-    for gate in (clsa.gates.beta_t, clsa.gates.beta_v):
+    for gate in (clsa.beta_t, clsa.beta_v):
         assert float(gate.data) == 0.25 and not gate.requires_grad
     adapt = model.adapt
     assert adapt.prompts.context.shape == (4, 16)
