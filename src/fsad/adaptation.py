@@ -95,13 +95,13 @@ class PromptBank:
 
         In a stacked model the context is [E, 1, L, d] and the class
         embedding [E, 1, d]; the rows then join on the second-to-last axis.
+        At ``prompt_len`` 0 the context is [0, d] ([E, 1, 0, d] stacked)
+        and the concat returns the class row alone.
         """
         if cls not in self.class_embeddings:
             raise DomainError(f"unknown class {cls!r}, expected one of {CLASSES}")
         e = self.class_embeddings[cls]
         row = nc.reshape(e, e.shape[:-1] + (1, e.shape[-1]))
-        if self.prompt_len == 0:
-            return row
         return nc.concat([self.context, row], axis=-2)
 
 

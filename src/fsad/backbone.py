@@ -140,6 +140,9 @@ class ToyEncoder:
     ``all_weights``) do not depend on the taps, but :meth:`run` stops after
     the deepest tap: the blocks past it feed no output. Taps come out as
     the raw hidden states; :func:`encode_images` centres the visual ones.
+    The patch projection depends on the image size, so the tower keeps
+    none: :meth:`patch_projection` draws it on each call, and
+    ``all_weights`` depends on the spec alone.
     """
 
     def __init__(self, spec: BackboneSpec, kind: str):
@@ -154,17 +157,13 @@ class ToyEncoder:
             self.pos = Tensor(pos_rng.normal(0.0, WEIGHT_STD, size=(spec.patches, spec.d)))
         else:
             self.pos = None
-        self._patch_proj: dict[int, Tensor] = {}
 
     def patch_projection(self, patch_dim: int) -> Tensor:
-        """Patchify projection for a given flattened patch size, seeded by it."""
-        got = self._patch_proj.get(patch_dim)
-        if got is None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((self.spec.seed, _TAG_PATCH, patch_dim)))
-            got = Tensor(rng.normal(0.0, WEIGHT_STD, size=(patch_dim, self.spec.d)))
-            self._patch_proj[patch_dim] = got
-        return got
+        """Patchify projection for a given flattened patch size, seeded by it
+        and drawn afresh on each call."""
+        rng = np.random.default_rng(
+            np.random.SeedSequence((self.spec.seed, _TAG_PATCH, patch_dim)))
+        return Tensor(rng.normal(0.0, WEIGHT_STD, size=(patch_dim, self.spec.d)))
 
     def run(self, x: Tensor) -> tuple[dict[int, Tensor], Tensor]:
         """Feed embedded tokens through the blocks up to the deepest tap:
@@ -182,7 +181,6 @@ class ToyEncoder:
             out.extend(b.weights())
         if self.pos is not None:
             out.append(self.pos)
-        out.extend(self._patch_proj.values())
         return out
 
 

@@ -159,12 +159,11 @@ def unstack_model(stacked: Model, models: list[Model]) -> None:
             t.data = source[name].data[e].reshape(t.shape).copy()
 
 
-def parameter_groups(model: Model) -> dict[str, list[str]]:
-    """Differential learning-rate split: adapters slow, everything else fast."""
-    fast, slow = [], []
-    for name in named_parameters(model):
-        (slow if name.startswith(("rav.", "rat.")) else fast).append(name)
-    return {FAST_GROUP: fast, SLOW_GROUP: slow}
+def parameter_groups(model: Model) -> dict[str, str]:
+    """Each parameter's learning-rate group, name -> group in
+    ``named_parameters`` order: adapters slow, everything else fast."""
+    return {name: SLOW_GROUP if name.startswith(("rav.", "rat.")) else FAST_GROUP
+            for name in named_parameters(model)}
 
 
 def forward_text(model: Model) -> dict[int, dict[str, Tensor]]:

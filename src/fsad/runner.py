@@ -388,31 +388,31 @@ class GradCheckRow:
     ok: bool
 
 
-def _rel_err(ag: np.ndarray, fd: np.ndarray) -> float:
-    scale = max(float(np.max(np.abs(fd))) if fd.size else 0.0, 1e-3)
-    return float(np.max(np.abs(ag - fd))) / scale if ag.size else 0.0
-
-
-def _check_op(name: str, build, args: list[np.ndarray], rng) -> GradCheckRow:
-    tensors = [Tensor(np.array(a, dtype=np.float64), requires_grad=True)
-               for a in args]
+def _rel_errs(loss, tensors: list[Tensor], picks: list[np.ndarray]) -> list[float]:
+    """Per tensor, the worst gap between the tape gradient of the scalar
+    ``loss()`` and central differences at its flat coordinates ``picks``,
+    over the largest difference (floored at 1e-3). Each difference re-runs
+    ``loss()`` under ``no_grad`` on a patched copy of the tensor's data."""
     with GradTape() as tape:
-        out = build(tensors)
-        proj = rng.normal(size=out.shape)
-        loss = nc.sum_all(nc.mul(out, Tensor(proj)))
-    backward(loss, tape)
-    worst = 0.0
-    for i, t in enumerate(tensors):
-        def value(repl: Tensor, i=i) -> float:
-            subs = list(tensors)
-            subs[i] = repl
-            with nc.no_grad():
-                return float(np.sum(build(subs).data * proj))
-        fd = nc.finite_diff_grad(value, t)
-        ag = t.grad if t.grad is not None else np.zeros_like(t.data)
-        worst = max(worst, _rel_err(np.asarray(ag), fd))
-    return GradCheckRow(name=name, group="op", rel_err=worst,
-                        ok=worst < GRADCHECK_TOL)
+        out = loss()
+    backward(out, tape)
+    errs = []
+    for t, picked in zip(tensors, picks, strict=True):
+        def patched(probe: Tensor, t=t, picked=picked) -> float:
+            orig = t.data
+            t.data = orig.copy()
+            t.data.reshape(-1)[picked] = probe.data
+            try:
+                with nc.no_grad():
+                    return float(loss().data)
+            finally:
+                t.data = orig
+
+        fd = nc.finite_diff_grad(patched, Tensor(t.data.reshape(-1)[picked]))
+        ag = (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)[picked]
+        scale = max(float(np.max(np.abs(fd), initial=0.0)), 1e-3)
+        errs.append(float(np.max(np.abs(ag - fd), initial=0.0)) / scale)
+    return errs
 
 
 def gradcheck_ops() -> list[GradCheckRow]:
@@ -458,7 +458,15 @@ def gradcheck_ops() -> list[GradCheckRow]:
          [rng.normal(size=(2, 3, 8)), rng.normal(size=(2, 5, 8)),
           rng.normal(size=(2, 5, 8))]),
     ]
-    return [_check_op(name, build, args, rng) for name, build, args in checks]
+    rows = []
+    for name, build, args in checks:
+        ts = [Tensor(np.array(a, dtype=np.float64), requires_grad=True) for a in args]
+        with nc.no_grad():
+            proj = Tensor(rng.normal(size=build(ts).shape))
+        worst = max(_rel_errs(lambda: nc.sum_all(nc.mul(build(ts), proj)), ts,
+                              [np.arange(t.data.size) for t in ts]))
+        rows.append(GradCheckRow(name, "op", worst, worst < GRADCHECK_TOL))
+    return rows
 
 
 def gradcheck_episode(cfg: RunConfig) -> list[GradCheckRow]:
@@ -480,34 +488,12 @@ def gradcheck_episode(cfg: RunConfig) -> list[GradCheckRow]:
              for l in spec.selected_visual}
     labels = np.array([0, 1, 0, 1])
     batch = {l: Tensor(a) for l, a in feats.items()}
-    with GradTape() as tape:
-        loss = bce_loss(training_scores(model, batch), labels)
-    backward(loss, tape)
-    group_of = {name: group for group, names in parameter_groups(model).items()
-                for name in names}
-    rows = []
-    for name, p in params.items():
-        ag = (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
-        picked = rng.choice(p.data.size, size=min(GRADCHECK_COORDS, p.data.size),
-                            replace=False)
-
-        def loss_at(probe: Tensor) -> float:
-            """The loss with the sampled coordinates of ``p`` set to ``probe``."""
-            orig = p.data
-            p.data = orig.copy()
-            p.data.reshape(-1)[picked] = probe.data
-            try:
-                with nc.no_grad():
-                    scores = training_scores(model, batch)
-                    return float(bce_loss(scores, labels).data)
-            finally:
-                p.data = orig
-
-        fd = nc.finite_diff_grad(loss_at, Tensor(p.data.reshape(-1)[picked]))
-        rel = _rel_err(ag[picked], fd)
-        rows.append(GradCheckRow(name=name, group=group_of[name],
-                                 rel_err=rel, ok=rel < GRADCHECK_TOL))
-    return rows
+    picks = [rng.choice(p.data.size, size=min(GRADCHECK_COORDS, p.data.size),
+                        replace=False) for p in params.values()]
+    errs = _rel_errs(lambda: bce_loss(training_scores(model, batch), labels),
+                     list(params.values()), picks)
+    return [GradCheckRow(name, group, rel, rel < GRADCHECK_TOL) for (name, group), rel
+            in zip(parameter_groups(model).items(), errs, strict=True)]
 
 
 def gradcheck_all(cfg: RunConfig, corrupt: bool = False) -> list[GradCheckRow]:

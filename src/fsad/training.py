@@ -189,9 +189,8 @@ def train_episode(model: Model, support_feats: dict[int, np.ndarray], labels,
     n = y.shape[-1]
     if n == 0:
         raise ContractError("empty support set")
-    groups = parameter_groups(model)
     rate_key = {name: (config.lr_fast if group == FAST_GROUP else config.lr_slow)
-                for group, names in groups.items() for name in names}
+                for name, group in parameter_groups(model).items()}
     opt = AdamW(named_parameters(model), config)
     bounds = list(range(0, n, min(config.batch_size, n))) + [n]
     traces: list[list[TraceRow]] = [[] for _ in range(y.size // n)]

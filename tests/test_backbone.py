@@ -404,6 +404,14 @@ def test_towers_stop_at_their_deepest_tap(monkeypatch):
             assert a.data.tobytes() == b.data.tobytes()
 
 
+def test_frozen_tower_weights_do_not_depend_on_what_it_encoded():
+    # the patch projection is drawn per image size, so the tower keeps none
+    enc = ToyEncoder(BackboneSpec(), "visual")
+    before = [w.data.tobytes() for w in enc.all_weights()]
+    encode_images(enc, [rand_image(np.random.default_rng(0), 32, 32)])
+    assert [w.data.tobytes() for w in enc.all_weights()] == before
+
+
 def test_backbone_weights_not_learnable():
     vis, txt = ToyEncoder(small_spec(), "visual"), ToyEncoder(small_spec(), "text")
     for enc in (vis, txt):

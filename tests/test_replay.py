@@ -54,7 +54,7 @@ def reference_train(model, feats, labels, config):
         y = y.reshape(-1)
     n = y.shape[-1]
     rates = {name: config.lr_fast if group == FAST_GROUP else config.lr_slow
-             for group, names in parameter_groups(model).items() for name in names}
+             for name, group in parameter_groups(model).items()}
     opt = AdamW(named_parameters(model), config)
     bounds = list(range(0, n, min(config.batch_size, n))) + [n]
     traces = [[] for _ in range(y.size // n)]

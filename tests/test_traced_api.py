@@ -2,6 +2,8 @@
 its hooks must read the arguments a real run passes. The benchmark's
 recorder checks the tape length of one training step before it records."""
 
+import ast
+import importlib
 import importlib.util
 import json
 import sys
@@ -104,3 +106,44 @@ def test_the_grid_seq_k4_step_has_the_recorded_tape_length():
         bce_loss(scores, store.labels[ep.support_ids])
     references = json.loads((PERFBENCH / "references.json").read_text())
     assert len(tape) == references["seq_k4_tape_nodes"]
+
+
+def _perfbench_reads():
+    """Every ``module.name`` that perfbench's sources read from fsad, found
+    by parsing them: ``from fsad import M [as A]`` then ``A.name``, and
+    ``from fsad.M import name``. Nothing under perfbench/ is imported."""
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.module == "fsad":
+                aliases.update({a.asname or a.name: f"fsad.{a.name}" for a in node.names})
+            elif (node.module or "").startswith("fsad."):
+                reads.update((node.module, a.name) for a in node.names)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                reads.add((aliases[node.value.id], node.attr))
+    return reads
+
+
+def test_every_name_perfbench_reads_exists():
+    # the tracer's list is checked above; these are the names that the
+    # workloads, the worker and the recorder read directly, and no other
+    # test reads some of them (runner.take, for one)
+    reads = _perfbench_reads()
+    assert ("fsad.runner", "run_episode") in reads
+    missing = [f"{module}.{name}" for module, name in sorted(reads)
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def test_the_run_config_methods_perfbench_calls_exist():
+    called = {node.func.attr for path in PERFBENCH.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    for name in ("backbone_spec", "dataset_spec", "hash"):
+        assert name in called and callable(getattr(RunConfig, name, None))

@@ -20,6 +20,9 @@ fitted on two support scores. The ``*_recipe`` steps also set every
 library drops on its way changes an output; in ``ablate_recipe`` the
 all-stages row reads the trainings of the configured ``t2v`` row, not
 of ``seq``, so a key that ignored the configured strategy would show.
+``train_p0`` trains at ``adapt.prompt_len=0`` and ``eval_p0`` scores its
+checkpoint, so each prompt is the class row alone and the empty context
+path is covered.
 The package is imported from this checkout's ``src``. Run the script from
 two checkouts with the same relative DIR and compare them with ``diff
 -r``: an empty diff means the change kept every output byte-equal,
@@ -47,6 +50,8 @@ RECIPE = [arg for item in (
 ) for arg in ("--set", item)]
 
 WIDE = ["--set", "episode.query_per_class=196"]
+
+P0 = ["--set", "adapt.prompt_len=0"]
 
 
 def steps(root: str) -> list[tuple[str, list[str]]]:
@@ -78,6 +83,8 @@ def steps(root: str) -> list[tuple[str, list[str]]]:
                               f"{root}/train_recipe/model.ckpt"] + RECIPE + WIDE),
         ("ablate_recipe", ["ablate"] + RECIPE),
         ("sweep_recipe", ["sweep", "--which", "all"] + RECIPE),
+        ("train_p0", ["train"] + P0),
+        ("eval_p0", ["eval", "--checkpoint", f"{root}/train_p0/model.ckpt"] + P0),
     ]
 
 
