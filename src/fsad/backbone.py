@@ -33,13 +33,15 @@ _TAG_POS = 14
 
 WEIGHT_STD = 0.02
 
-# Images per block of the frozen visual tower (``runner.build_feature_store``)
-# and of alignment (``model.align``). A 100-image block's largest buffer is
-# under 1 MB at the default width (the tower's FF hidden layer and attention
-# weights 0.8 MB, the alignment's t2v attention weights 0.92 MB, a block's
-# gathered features 400 KB per tap), so each stays in a 2 MB per-core L2
-# cache.
-SCORE_BLOCK = 100
+# Images per block of the frozen visual tower (``runner.build_feature_store``,
+# which also renders each block as one array) and of alignment
+# (``model.align``), chosen by memory: these two set-up passes set a
+# command's peak resident memory, and their transients grow with the block
+# (default corpus, tracemalloc peak: store build 19.3 MB at 100 images,
+# 10.5 MB at 25; a fresh model aligning 400 images 12.4 MB at 100, 4.4 MB
+# at 25). Each extra alignment block costs about 1 ms, since ``forward``
+# runs the text tower once per block (README "Numerics contract").
+SCORE_BLOCK = 25
 
 
 @dataclass(frozen=True)

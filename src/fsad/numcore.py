@@ -567,10 +567,12 @@ def _softmax_rows_bwd(out, g, _needs):
 
 
 def _layernorm_rows_fwd(x, eps):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    # numpy's own mean and var arithmetic, with the rows centred once
+    n = x.shape[-1]
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    out = (x - mu) * inv
+    out = centred * inv
     return out, (out, inv)
 
 
@@ -644,7 +646,9 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def layernorm_rows(x: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalise the last axis to zero mean / unit variance (no affine)."""
-    if x.ndim and x.shape[-1] == 0:  # numpy warns and gives NaN
+    if x.ndim == 0:  # numpy reduces a 0-d array over axis -1
+        raise ShapeError(f"layernorm_rows needs at least 1-d input, got {x.shape}")
+    if x.shape[-1] == 0:  # numpy warns and gives NaN
         raise ShapeError(f"layernorm_rows: empty last axis in shape {x.shape}")
     return _apply(_LAYERNORM_ROWS, (x,), (eps,))
 

@@ -1,7 +1,8 @@
 """Benchmark orchestration: cached features, episode runs, grids, sweeps.
 
-Frozen visual features are encoded once per corpus and sliced per episode
-and per tap subset, so ablation grids never re-run the image tower; a
+Frozen visual features are encoded once per corpus, rendered and encoded
+``SCORE_BLOCK`` images at a time, and sliced per episode and per tap
+subset, so ablation grids never re-run the image tower; a
 model aligns each image once while its parameters stay fixed
 (``model.align``), so evaluation episodes share alignments. Every grid
 and sweep is a list of points, ``(RunSpec, ensemble weight)`` pairs, that
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import inputs, numcore as nc
+from . import inputs, numcore as nc, synthdata
 from .backbone import SCORE_BLOCK, BackboneSpec, ToyEncoder, encode_images
 from .clsa import ClsaSpec
 from .config import RunConfig
@@ -69,15 +70,16 @@ take = FeatureStore.take
 def build_feature_store(spec: BackboneSpec, dataset: list[Sample]) -> FeatureStore:
     """Encode every sample once through the frozen visual tower.
 
-    The samples are rendered ``SCORE_BLOCK`` at a time, each block encoded
-    in one pass of ``encode_images`` and its taps written into [N, P, d]
-    arrays allocated once, so at most one block of pixels is alive.
+    The samples are rendered ``SCORE_BLOCK`` at a time, each block as one
+    [b, H, W, 3] array (``synthdata.render``), encoded in one pass of
+    ``encode_images`` and its taps written into [N, P, d] arrays allocated
+    once, so at most one block of pixels and tower buffers is alive.
     """
     enc = ToyEncoder(spec, "visual")
     feats = {layer: np.empty((len(dataset), spec.patches, spec.d))
              for layer in sorted(enc.taps)}  # encode_images's order
     for lo in range(0, len(dataset), SCORE_BLOCK):
-        block = encode_images(enc, [s.image for s in dataset[lo:lo + SCORE_BLOCK]])
+        block = encode_images(enc, synthdata.render(dataset[lo:lo + SCORE_BLOCK]))
         for layer, rows in block.items():
             feats[layer][lo:lo + len(rows)] = rows
     return FeatureStore(feats=feats,

@@ -4,17 +4,21 @@ Normal images are per-channel products of two sinusoids over a 0.5 baseline
 with Gaussian pixel noise. Abnormal images additionally contain one disk in
 which the sinusoid frequency is multiplied and the intensity shifted, which
 plants a patch-local texture signal for the detection pipeline to find.
+
+A sample is its stream key and holds no pixels; ``render`` draws and renders
+a block of samples as one [B, H, W, 3] array, each row equal to the sample
+rendered alone (``Sample.image`` is a block of one).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
-from operator import attrgetter
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, ContractError
 
 # Per-concern tags fed into SeedSequence so adding draws to one concern never
 # shifts the streams of another.
@@ -53,7 +57,7 @@ class DatasetSpec:
             raise ConfigError("anomaly radius must be under half the image size")
         if self.noise_std < 0:
             raise ConfigError("noise std must be nonnegative")
-        # _field's largest phase is under 2π · frequency · image size; an
+        # _fields' largest phase is under 2π · frequency · image size; an
         # overflow there would render non-finite pixels
         reach = 2 * math.pi * max(self.height, self.width)
         for key, freq in (("freq_max", self.freq_max),
@@ -94,6 +98,12 @@ class Sample:
     index: int
     with_anomaly: bool = True
 
+    def __post_init__(self):
+        if _integer(self.label, "label") not in (0, 1):
+            raise ContractError(f"Sample.label must be 0 or 1, got {self.label!r}")
+        if _integer(self.index, "index") < 0:
+            raise ContractError(f"Sample.index must be >= 0, got {self.index!r}")
+
     @property
     def disk(self) -> tuple[tuple[float, float], float] | None:
         """The planted disk as ((cy, cx), radius), None for a normal
@@ -105,7 +115,15 @@ class Sample:
     def image(self) -> np.ndarray:
         """The [H, W, 3] pixels in [0, 1], rendered afresh from the
         sample's stream."""
-        return _render(self.spec, self.label, self.index, self.with_anomaly)
+        return render([self])[0]
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int: any integer passes, numpy's too, and nothing else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ContractError(f"Sample.{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -135,33 +153,58 @@ def _stream(spec: DatasetSpec, label: int, index: int):
     return rng, freqs, phases, disk
 
 
-def _field(spec: DatasetSpec, freqs, phases, freq_factor: float) -> np.ndarray:
+def _fields(freqs, phases, h: int, w: int) -> np.ndarray:
+    """The [B, h, w, 3] sinusoid fields of B samples from their [B, 3, 2]
+    frequencies and phases: per pixel and channel, 0.5 + 0.25 · sin(2π·fy·y/h
+    + py) · sin(2π·fx·x/w + px), each operation in that order."""
+    ys = np.arange(h, dtype=np.float64)[None, :, None]  # [1, h, 1]
+    xs = np.arange(w, dtype=np.float64)[None, :, None]  # [1, w, 1]
+    rows = np.sin(2 * np.pi * freqs[:, None, :, 0] * ys / h + phases[:, None, :, 0])
+    cols = np.sin(2 * np.pi * freqs[:, None, :, 1] * xs / w + phases[:, None, :, 1])
+    out = rows[:, :, None, :] * cols[:, None, :, :]
+    out *= 0.25
+    out += 0.5
+    return out
+
+
+def render(samples) -> np.ndarray:
+    """The [B, H, W, 3] pixels in [0, 1] of B samples of one spec.
+
+    Each sample's generator draws in its stream's order (``_stream``), then
+    its noise: the noise comes after the disk either way, so suppressing
+    the anomaly does not shift the stream. The sinusoid fields are one
+    array expression over the block, and each disk and noise draw is added
+    to its own row, with the operations of one image per pixel, so a row
+    equals the sample rendered alone bit for bit.
+    """
+    samples = list(samples)
+    if not samples:
+        raise ContractError("render needs at least one sample: the spec "
+                            "fixes the image size")
+    spec = samples[0].spec
+    bad = next((i for i, s in enumerate(samples) if s.spec != spec), None)
+    if bad is not None:
+        raise ContractError(f"sample {bad} has another dataset spec than "
+                            f"sample 0; a block renders one spec")
     h, w = spec.height, spec.width
-    ys = np.arange(h, dtype=np.float64)[:, None]
-    xs = np.arange(w, dtype=np.float64)[None, :]
-    img = np.empty((h, w, 3))
-    for c in range(3):
-        fy, fx = freqs[c] * freq_factor
-        py, px = phases[c]
-        img[:, :, c] = 0.5 + 0.25 * (np.sin(2 * np.pi * fy * ys / h + py)
-                                     * np.sin(2 * np.pi * fx * xs / w + px))
-    return img
-
-
-def _render(spec: DatasetSpec, label: int, index: int, with_anomaly: bool) -> np.ndarray:
-    """The pixels of one sample; the noise is drawn after the disk either
-    way, so suppressing the anomaly does not shift the stream."""
-    rng, freqs, phases, disk = _stream(spec, label, index)
-    img = _field(spec, freqs, phases, 1.0)
-    if disk is not None and with_anomaly:
-        anom = _field(spec, freqs, phases, spec.anomaly_freq_factor) + spec.contrast_shift
-        (cy, cx), radius = disk
-        ys = np.arange(spec.height, dtype=np.float64)[:, None]
-        xs = np.arange(spec.width, dtype=np.float64)[None, :]
-        mask = (ys - cy) ** 2 + (xs - cx) ** 2 <= radius ** 2
-        img = np.where(mask[:, :, None], anom, img)
-    img = img + rng.normal(0.0, spec.noise_std, size=img.shape)
-    return np.clip(img, 0.0, 1.0)
+    rngs, freqs, phases, disks = zip(*(_stream(spec, s.label, s.index)
+                                       for s in samples))
+    freqs, phases = np.array(freqs), np.array(phases)
+    img = _fields(freqs, phases, h, w)
+    planted = [b for b, (s, disk) in enumerate(zip(samples, disks))
+               if disk is not None and s.with_anomaly]
+    if planted:
+        anom = _fields(freqs[planted] * spec.anomaly_freq_factor, phases[planted], h, w)
+        anom += spec.contrast_shift
+        ys = np.arange(h, dtype=np.float64)[:, None]
+        xs = np.arange(w, dtype=np.float64)[None, :]
+        for b, field in zip(planted, anom):
+            (cy, cx), radius = disks[b]
+            mask = (ys - cy) ** 2 + (xs - cx) ** 2 <= radius ** 2
+            np.copyto(img[b], field, where=mask[:, :, None])
+    for pixels, rng in zip(img, rngs):
+        pixels += rng.normal(0.0, spec.noise_std, size=(h, w, 3))
+    return np.clip(img, 0.0, 1.0, out=img)
 
 
 def generate_dataset(spec: DatasetSpec) -> list[Sample]:
@@ -174,7 +217,7 @@ def generate_dataset(spec: DatasetSpec) -> list[Sample]:
 def sample_episode(dataset: list[Sample], k: int, seed: int,
                    query_per_class: int = EpisodeSpec.query_per_class) -> Episode:
     """Draw K support and a fixed-size query per class, without replacement."""
-    labels = np.fromiter(map(attrgetter("label"), dataset), dtype=np.int64,
+    labels = np.fromiter(map(operator.attrgetter("label"), dataset), dtype=np.int64,
                          count=len(dataset))
     norm_ids, abn_ids = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
     need = k + query_per_class

@@ -110,9 +110,10 @@ def test_feature_store_layout(world):
 
 def test_feature_store_build_peaks_below_one_block_of_transients():
     # the default 400-image corpus, generated and encoded: a 6.25 MB store
-    # plus one SCORE_BLOCK block's rendered pixels (2.4 MB) and tower
-    # buffers. One pass over the whole corpus peaked at 38.5 MB, and the
-    # generated corpus alone held 9.4 MB of pixels
+    # plus one SCORE_BLOCK block's rendered pixels (0.6 MB at 25 images)
+    # and tower buffers, 10.5 MB in all. Blocks of 100 images peaked at
+    # 19.3 MB, one pass over the whole corpus at 38.5 MB, and the generated
+    # corpus alone held 9.4 MB of pixels
     cfg = RunConfig(defaults())
     tracemalloc.start()
     try:
@@ -122,7 +123,26 @@ def test_feature_store_build_peaks_below_one_block_of_transients():
     finally:
         tracemalloc.stop()
     assert [arr.shape for arr in store.feats.values()] == [(400, 16, 32)] * 4
-    assert peak < 24 * 2**20, f"store build peaked at {peak / 2**20:.1f} MB"
+    assert peak < 13 * 2**20, f"store build peaked at {peak / 2**20:.1f} MB"
+
+
+def test_aligning_the_default_corpus_peaks_below_one_block_of_transients():
+    # a fresh default model aligning the 400 default images: the 0.8 MB
+    # memo plus one SCORE_BLOCK block's forward pass, 4.4 MB in all at 25
+    # images a block (bound: that plus 1.6 MB). Blocks of 100 peaked at
+    # 12.4 MB
+    cfg = RunConfig(defaults())
+    store = build_feature_store(cfg.backbone_spec(),
+                                generate_dataset(cfg.dataset_spec()))
+    model = model_from_config(cfg)
+    tracemalloc.start()
+    try:
+        memo = fmodel.align(model, store, np.arange(400))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert memo.filled.all()
+    assert peak < 6 * 2**20, f"alignment peaked at {peak / 2**20:.1f} MB"
 
 
 DEFAULT_STORE_SHA256 = {
@@ -144,19 +164,21 @@ def test_default_store_taps_are_pinned():
 
 
 def test_feature_store_renders_each_image_once(monkeypatch):
-    # 140 images: a full SCORE_BLOCK block and a partial one
+    # 140 images: full SCORE_BLOCK blocks and a partial one
     cfg = RunConfig(dict(SMALL, **{"data.n_normal": 130, "data.n_abnormal": 10}))
-    rendered, render = [], synthdata._render
+    blocks, render = [], synthdata.render
 
-    def counting(spec, label, index, with_anomaly):
-        rendered.append((label, index))
-        return render(spec, label, index, with_anomaly)
+    def counting(samples):
+        blocks.append([(s.label, s.index) for s in samples])
+        return render(samples)
 
-    monkeypatch.setattr(synthdata, "_render", counting)
+    monkeypatch.setattr(synthdata, "render", counting)
     dataset = generate_dataset(cfg.dataset_spec())
-    assert rendered == []  # generation renders no pixels
+    assert blocks == []  # generation renders no pixels
     store = build_feature_store(cfg.backbone_spec(), dataset)
-    assert rendered == [(s.label, s.index) for s in dataset]
+    assert [key for block in blocks for key in block] == [
+        (s.label, s.index) for s in dataset]
+    assert max(map(len, blocks)) == runner.SCORE_BLOCK
     assert store.labels.tolist() == [0] * 130 + [1] * 10
 
 

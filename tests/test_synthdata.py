@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from fsad import synthdata
-from fsad.errors import CapacityError, ConfigError
+from fsad.errors import CapacityError, ConfigError, ContractError
 from fsad.synthdata import (DatasetSpec, Sample, generate_dataset,
-                            manifest_text, sample_episode)
+                            manifest_text, render, sample_episode)
 
 
 def small_spec(**kw):
@@ -98,6 +98,48 @@ def test_image_reads_render_equal_pixels_each_time():
         assert np.array_equal(first, Sample(spec, 1, 4, with_anomaly).image)
     # the disk's draws come before the noise, so a clean sample keeps them
     assert Sample(spec, 1, 4, False).disk == Sample(spec, 1, 4).disk
+
+
+@pytest.mark.parametrize("label, index, match", [
+    (0, -1, "Sample.index must be >= 0, got -1"),
+    (0, 0.5, "Sample.index must be an integer, got 0.5"),
+    (1, None, "Sample.index must be an integer, got None"),
+    (2, 0, "Sample.label must be 0 or 1, got 2"),
+    (-1, 0, "Sample.label must be 0 or 1, got -1"),
+    (0.5, 1, "Sample.label must be an integer, got 0.5"),
+    ("1", 0, "Sample.label must be an integer, got '1'")])
+def test_a_sample_that_is_not_a_stream_key_is_a_contract_error(label, index, match):
+    with pytest.raises(ContractError, match=match):
+        Sample(DatasetSpec(), label, index)
+
+
+def test_numpy_integer_keys_are_stream_keys():
+    spec = small_spec()
+    sample = Sample(spec, np.int64(1), np.uint8(3))
+    assert sample == Sample(spec, 1, 3)
+    assert np.array_equal(sample.image, Sample(spec, 1, 3).image)
+
+
+@pytest.mark.parametrize("height, width", [(20, 24), (16, 16)])
+@pytest.mark.parametrize("count", [1, 3, 5, 14])
+def test_a_block_renders_each_sample_as_if_alone(height, width, count):
+    # odd row lengths, mixed labels and a suppressed anomaly in one call
+    spec = small_spec(height=height, width=width, blob_radius_min=2.0,
+                      blob_radius_max=4.0)
+    samples = [Sample(spec, i % 2, 3 * i, with_anomaly=i % 3 != 2)
+               for i in range(count)]
+    block = render(samples)
+    assert block.shape == (count, height, width, 3)
+    for pixels, sample in zip(block, samples):
+        assert pixels.tobytes() == sample.image.tobytes()
+
+
+def test_a_block_renders_one_spec():
+    a, b = Sample(small_spec(), 0, 0), Sample(small_spec(seed=4), 0, 0)
+    with pytest.raises(ContractError, match="sample 1 has another dataset spec"):
+        render([a, b])
+    with pytest.raises(ContractError, match="at least one sample"):
+        render([])
 
 
 def test_images_in_unit_range_and_shape():

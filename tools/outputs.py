@@ -22,7 +22,9 @@ all-stages row reads the trainings of the configured ``t2v`` row, not
 of ``seq``, so a key that ignored the configured strategy would show.
 ``train_p0`` trains at ``adapt.prompt_len=0`` and ``eval_p0`` scores its
 checkpoint, so each prompt is the class row alone and the empty context
-path is covered.
+path is covered. ``train_odd`` trains on 20x24 images, so the renderer
+and the patch projection meet an image size other than the 32x32 that
+every other step renders.
 The package is imported from this checkout's ``src``. Run the script from
 two checkouts with the same relative DIR and compare them with ``diff
 -r``: an empty diff means the change kept every output byte-equal,
@@ -85,6 +87,7 @@ def steps(root: str) -> list[tuple[str, list[str]]]:
         ("sweep_recipe", ["sweep", "--which", "all"] + RECIPE),
         ("train_p0", ["train"] + P0),
         ("eval_p0", ["eval", "--checkpoint", f"{root}/train_p0/model.ckpt"] + P0),
+        ("train_odd", ["train", "--set", "data.height=20", "--set", "data.width=24"]),
     ]
 
 
