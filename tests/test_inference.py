@@ -376,7 +376,9 @@ def test_an_images_alignment_does_not_depend_on_its_block(wide_scorer, data):
         assert memo.sem[image] == want_sem
 
 
-@pytest.mark.parametrize("n", [1, SCORE_BLOCK - 1, SCORE_BLOCK, SCORE_BLOCK + 1, 392])
+# sizes around the first block edge and around 100 images (a later edge)
+@pytest.mark.parametrize("n", sorted({1, SCORE_BLOCK - 1, SCORE_BLOCK,
+                                      SCORE_BLOCK + 1, 99, 100, 101, 392}))
 def test_blocked_scores_equal_one_pass_bit_for_bit(wide_scorer, n):
     model, store, ids = wide_scorer
     assert ids.size == 392
