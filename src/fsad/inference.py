@@ -8,7 +8,8 @@ query batch and the two are blended by a convex weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -62,14 +63,19 @@ class Aligned:
     semantic scores, and the batch's B ``ids`` into those N images, in
     batch order. ``model.AlignMemo.take`` passes the memo's own arrays, so
     a batch copies nothing; a hand-built batch of B images passes
-    ``np.arange(B)``."""
+    ``np.arange(B)``. ``_checked``: the arrays are a memo's and ``ids`` a
+    1-D int64 array that ``model.align`` has just aligned
+    (``AlignMemo.take``), so nothing is checked again."""
 
     unit: dict[int, np.ndarray]
     mean: dict[int, np.ndarray]
     sem: np.ndarray
     ids: np.ndarray
+    _checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _checked):
+        if _checked:
+            return
         n = np.size(self.sem)
         shapes = {layer: np.shape(u) for layer, u in self.unit.items()}
         counts = {layer: shape[:-1] for layer, shape in shapes.items()}
@@ -105,25 +111,61 @@ def summaries(rows) -> tuple[np.ndarray, np.ndarray]:
     return unit, rows.mean(axis=-2)
 
 
-def build_prototypes(support: Aligned, labels) -> dict[int, np.ndarray]:
+@dataclass(frozen=True)
+class Prototypes(Mapping):
+    """What ``build_prototypes`` gives: per visual tap, the [2, d] class
+    means ``means`` (row c of class c, ``CLASSES`` order), which the
+    mapping reads, and ``dirs``, the same rows each divided by its norm
+    floored at ``NORM_FLOOR``, which ``proto_distance`` reads."""
+
+    means: dict[int, np.ndarray]
+    dirs: dict[int, np.ndarray]
+
+    def __getitem__(self, layer: int) -> np.ndarray:
+        return self.means[layer]
+
+    def __iter__(self):
+        return iter(self.means)
+
+    def __len__(self) -> int:
+        return len(self.means)
+
+
+def _directions(vecs) -> np.ndarray:
+    """Each row of ``vecs`` divided by its norm floored at ``NORM_FLOOR``."""
+    # each class row's norm is its own call: one norm over the [2, d]
+    # array may sum in another order
+    scale = np.array([max(np.linalg.norm(vec), nc.NORM_FLOOR) for vec in vecs])
+    return vecs / scale[:, None]
+
+
+def build_prototypes(support: Aligned, labels, *, _checked: bool = False) -> Prototypes:
     """Per visual tap, a [2, d] array whose row c is the mean, in batch
-    order, of the patch means of the support images labelled c."""
-    labels = inputs.labels(labels, support.ids.shape, "labels", ContractError)
-    members = [np.flatnonzero(labels == c) for c in range(len(CLASSES))]
-    for cls, idx in zip(CLASSES, members):
-        if not idx.size:
+    order, of the patch means of the support images labelled c, and its
+    rows' directions (``Prototypes``).
+
+    ``_checked``: ``labels`` are ``inputs.labels``'s output for the
+    support's ids (``runner.run_episode``).
+    """
+    if not _checked:
+        labels = inputs.labels(labels, support.ids.shape, "labels", ContractError)
+    members = [support.ids[labels == c] for c in range(len(CLASSES))]
+    for cls, ids in zip(CLASSES, members):
+        if not ids.size:
             raise CapacityError(f"class {cls!r} has no support samples")
-    protos = {}
-    for layer, mean in support.mean.items():
-        means = mean[support.ids]
-        protos[layer] = np.stack([means[idx].mean(axis=0) for idx in members])
-    return protos
+    # a class row is the sum of its rows over axis 0 divided by their count,
+    # as ``ndarray.mean`` computes it, without its Python wrapper
+    means = {layer: np.array([np.add.reduce(mean[ids], axis=0) / ids.size
+                              for ids in members])
+             for layer, mean in support.mean.items()}
+    return Prototypes(means, {layer: _directions(v) for layer, v in means.items()})
 
 
-def proto_distance(batch: Aligned, protos: dict[int, np.ndarray]) -> np.ndarray:
+def proto_distance(batch: Aligned, protos: Mapping) -> np.ndarray:
     """Per class row of the prototypes (``CLASSES`` order), the sum over the
     batch's taps of one minus the mean patch cosine to that row: [2, B]
-    distances.
+    distances. ``protos`` is a ``Prototypes``, whose directions are read
+    as built, or a mapping of visual taps to [2, d] arrays.
 
     The mean cosine of an image's rows to c is ``unit . c / |c|``, with
     ``unit`` its mean unit row (``summaries``) and ``|c|`` floored at
@@ -134,17 +176,16 @@ def proto_distance(batch: Aligned, protos: dict[int, np.ndarray]) -> np.ndarray:
     if not batch.unit or set(batch.unit) != set(protos):
         raise ContractError(f"aligned rows at visual taps {sorted(batch.unit)} "
                             f"do not match the prototypes' taps {sorted(protos)}")
+    built = isinstance(protos, Prototypes)
     total = None
     for layer, unit in batch.unit.items():
         vecs = protos[layer]
         if np.shape(vecs) != (len(CLASSES),) + unit.shape[-1:]:
             raise ShapeError(f"prototypes {np.shape(vecs)} do not match the "
                              f"unit rows {unit.shape} at visual tap {layer}")
-        # each class row's norm is its own call: one norm over the [2, d]
-        # array may sum in another order
-        scale = np.array([max(np.linalg.norm(vec), nc.NORM_FLOOR) for vec in vecs])
-        dirs = vecs / scale[:, None]
-        term = 1.0 - (unit[batch.ids] * dirs[:, None]).sum(axis=-1)
+        dirs = protos.dirs[layer] if built else _directions(vecs)
+        rows = unit.take(batch.ids, axis=0)
+        term = 1.0 - np.add.reduce(rows * dirs[:, None], axis=-1)
         total = term if total is None else total + term
     return total
 
@@ -159,6 +200,12 @@ def proto_scores(d_norm, d_abn, eps: float) -> np.ndarray:
     d_norm, d_abn = (inputs.reals(d, "distances", NumericError) for d in (d_norm, d_abn))
     if d_norm.shape != d_abn.shape:
         raise ContractError(f"distance shapes differ: {d_norm.shape} vs {d_abn.shape}")
+    return _proto_scores(d_norm, d_abn, eps)
+
+
+def _proto_scores(d_norm: np.ndarray, d_abn: np.ndarray, eps: float) -> np.ndarray:
+    """``proto_scores`` of finite float64 distances of one shape and a
+    valid ``eps``."""
     with np.errstate(over="ignore"):
         total = d_norm + d_abn + eps
         # distances are nonnegative up to rounding (a cosine may exceed 1 by
@@ -173,7 +220,11 @@ def proto_scores(d_norm, d_abn, eps: float) -> np.ndarray:
 
 def minmax_normalize(scores) -> np.ndarray:
     """Map to [0, 1] by batch min/max; a constant batch maps to all 0.5."""
-    s = inputs.reals(scores, "scores", NumericError).reshape(-1)
+    return _minmax(inputs.reals(scores, "scores", NumericError).reshape(-1))
+
+
+def _minmax(s: np.ndarray) -> np.ndarray:
+    """``minmax_normalize`` of a 1-D float64 array of finite scores."""
     if s.size == 0:
         raise ContractError("cannot normalize an empty batch")
     lo, hi = s.min(), s.max()
@@ -192,6 +243,11 @@ def ensemble(sem_norm, proto_norm, lam: float) -> np.ndarray:
     a, b = (inputs.reals(s, "branch scores", NumericError) for s in (sem_norm, proto_norm))
     if a.shape != b.shape:
         raise ContractError(f"branch lengths differ: {a.shape} vs {b.shape}")
+    return _blend(a, b, lam)
+
+
+def _blend(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
+    """``ensemble`` of two float64 arrays of one shape and a weight in [0, 1]."""
     return lam * a + (1.0 - lam) * b
 
 
@@ -208,20 +264,28 @@ class ScoreReport:
     lam: float
 
 
-def score_batch(batch: Aligned, labels, protos: dict[int, np.ndarray],
-                infer: InferSpec = InferSpec()) -> ScoreReport:
+def score_batch(batch: Aligned, labels, protos: Mapping,
+                infer: InferSpec = InferSpec(), *, _checked: bool = False) -> ScoreReport:
     """Dual-branch scores of one batch of aligned images.
 
     The prototype distances sum the batch's taps in dict order. Both
-    branches are normalized over the whole batch, then blended.
+    branches are normalized over the whole batch, then blended. The
+    distances and the semantic scores are each checked once, as
+    ``proto_scores`` and ``minmax_normalize`` check them, and no array
+    computed from them is checked again.
+
+    ``_checked``: ``labels`` are ``inputs.labels``'s output for the
+    batch's ids (``runner.run_episode``).
     """
-    labels = inputs.labels(labels, batch.ids.shape, "labels", ContractError)
+    if not _checked:
+        labels = inputs.labels(labels, batch.ids.shape, "labels", ContractError)
     sem_raw = np.asarray(batch.sem, dtype=np.float64)[batch.ids]
-    d_norm, d_abn = proto_distance(batch, protos)
-    proto_raw = proto_scores(d_norm, d_abn, infer.eps)
-    sem_norm = minmax_normalize(sem_raw)
-    proto_norm = minmax_normalize(proto_raw)
-    final = ensemble(sem_norm, proto_norm, infer.lam)
+    d_norm, d_abn = inputs.reals(proto_distance(batch, protos), "distances",
+                                 NumericError)
+    proto_raw = _proto_scores(d_norm, d_abn, infer.eps)
+    sem_norm = _minmax(inputs.reals(sem_raw, "scores", NumericError))
+    proto_norm = _minmax(proto_raw)
+    final = _blend(sem_norm, proto_norm, infer.lam)
     return ScoreReport(sem_raw=sem_raw, proto_raw=proto_raw, sem_norm=sem_norm,
                        proto_norm=proto_norm, final=final, labels=labels,
                        lam=infer.lam)

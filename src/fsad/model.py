@@ -213,10 +213,17 @@ class AlignMemo:
     sem: np.ndarray  # [N]
     filled: np.ndarray  # [N] bool
 
-    def take(self, ids) -> Aligned:
+    def take(self, ids, *, _checked: bool = False) -> Aligned:
         """Images ``ids``, each aligned already, as one batch to score: the
-        memo's own arrays and ``ids``, so nothing is copied."""
-        batch = Aligned(unit=self.unit, mean=self.mean, sem=self.sem, ids=ids)
+        memo's own arrays and ``ids``, so nothing is copied.
+
+        ``_checked``: ``ids`` are a 1-D int64 array that ``align`` has just
+        aligned (``runner.run_episode``), so nothing is checked again.
+        """
+        batch = Aligned(unit=self.unit, mean=self.mean, sem=self.sem, ids=ids,
+                        _checked=_checked)
+        if _checked:
+            return batch
         missing = batch.ids[~self.filled[batch.ids]]
         if missing.size:  # its rows would be uninitialized memory
             raise ContractError(f"image {missing[0]} is not aligned yet; "
@@ -231,8 +238,10 @@ def _memo_key(model: Model) -> bytes:
     size. Comparing two snapshots with ``==`` is a memcmp, so no digest is
     computed, and any changed bit, a one-ulp edit or a sign of zero,
     starts the memo afresh."""
-    return b"".join(np.ascontiguousarray(t.data)
-                    for t in _episode_tensors(model).values())
+    arrays = (t.data for t in _episode_tensors(model).values())
+    # join reads a C-contiguous array's buffer as it is; a strided one is copied
+    return b"".join([a if a.flags.c_contiguous else np.ascontiguousarray(a)
+                     for a in arrays])
 
 
 def align(model: Model, store, ids) -> AlignMemo:
@@ -259,6 +268,8 @@ def align(model: Model, store, ids) -> AlignMemo:
             mean={t: np.empty((n, a.shape[-1])) for t, a in empty.items()},
             sem=np.empty(n), filled=np.zeros(n, dtype=bool))
     todo = ids[~memo.filled[ids]]
+    if not todo.size:
+        return memo
     # the NumericError below reports an overflow; numpy's warnings would repeat it
     with nc.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         tau = model.tau()

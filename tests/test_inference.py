@@ -292,6 +292,59 @@ def test_score_batch_lambda_endpoints_match_single_branches():
     np.testing.assert_array_equal(proto_only.final, proto_only.proto_norm)
 
 
+def bits(a):
+    """An array's dtype, shape and bytes: equal only when bit for bit equal."""
+    return a.dtype, a.shape, a.tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_score_batch_cores_equal_the_public_chain_bit_for_bit(data):
+    # score_batch checks its distances and semantic scores once and runs
+    # unchecked cores on what it computes from them; with labels checked by
+    # the caller (_checked) it skips the label check too
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    images = data.draw(st.integers(1, 5), label="images")
+    # repeated ids tie both branches; a batch of one image makes both constant
+    ids = np.array(data.draw(st.lists(st.integers(0, images - 1), min_size=1,
+                                      max_size=40), label="ids"))
+    sem = (np.full(images, data.draw(st.sampled_from([0.0, 0.25, 1.0]), label="sem"))
+           if data.draw(st.booleans(), label="constant sem") else rng.uniform(size=images))
+    infer = InferSpec(lam=data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]), label="lam"),
+                      eps=data.draw(st.sampled_from([1e-8, 1e-3]), label="eps"))
+    protos = build_prototypes(support_of(aligned_rows(rng, 4)), [0, 1, 1, 0])
+    batch = aligned_of(aligned_rows(rng, images), sem, ids)
+    labels = rng.integers(0, 2, size=ids.size)
+    sem_raw = sem[ids]
+    proto_raw = proto_scores(*proto_distance(batch, protos), infer.eps)
+    sem_norm, proto_norm = minmax_normalize(sem_raw), minmax_normalize(proto_raw)
+    want = {"sem_raw": sem_raw, "proto_raw": proto_raw, "sem_norm": sem_norm,
+            "proto_norm": proto_norm, "labels": labels,
+            "final": ensemble(sem_norm, proto_norm, infer.lam)}
+    for checked in (False, True):
+        got = score_batch(batch, labels, protos, infer, _checked=checked)
+        for field, value in want.items():
+            assert bits(getattr(got, field)) == bits(value), (checked, field)
+    assert bits(inference._minmax(sem_raw)) == bits(sem_norm)
+    assert bits(inference._blend(sem_norm, proto_norm, infer.lam)) == \
+        bits(want["final"])
+
+
+def test_prototypes_read_as_their_class_means_with_directions_built_once():
+    rng = np.random.default_rng(14)
+    protos = build_prototypes(support_of(aligned_rows(rng, 4)), [0, 1, 0, 1])
+    assert list(protos) == [2, 4] and len(protos) == 2
+    for tap, means in protos.items():
+        assert means is protos.means[tap]
+        for c in range(2):  # each row divided by its own 1-D norm
+            want = means[c] / max(np.linalg.norm(means[c]), nc.NORM_FLOOR)
+            assert bits(protos.dirs[tap][c]) == bits(want)
+    # a plain mapping of the same class means scores the same distances
+    batch = batch_of(aligned_rows(rng, 3), rng.uniform(size=3))
+    plain = {tap: means.copy() for tap, means in protos.items()}
+    assert bits(proto_distance(batch, plain)) == bits(proto_distance(batch, protos))
+
+
 # ---------------------------------------------------------------------------
 # batch invariance of alignment and scores
 
@@ -506,10 +559,10 @@ def test_scoring_392_queries_keeps_peak_memory_small(wide_world):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the memo takes 0.8 MiB and aligning one block about 11 more; one pass
-    # over all 392 queries would take about 36, and keeping a block's
-    # output alive through the next block about 5
-    assert peak < 15 * 2**20
+    # the memo takes 0.8 MiB and aligning one block of SCORE_BLOCK (25)
+    # images about 3 more: a 3.8 MiB peak, against 6.5 at blocks of 50,
+    # 11.9 at blocks of 100 and about 36 for one pass over all 392 queries
+    assert peak < 5 * 2**20
 
 
 def test_a_memo_full_wide_episode_copies_no_rows(wide_world):

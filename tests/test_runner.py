@@ -458,6 +458,23 @@ def test_a_memo_full_episode_computes_no_row_norm(world, monkeypatch, tmp_path):
         calls.update(cosine_rows=0, row_norms=0)
 
 
+def test_a_memo_full_episode_builds_each_prototype_direction_once(world, monkeypatch):
+    # the prototype directions are built once per episode, one 1-D norm per
+    # class row and tap, not again for each scored batch (which took 4 per tap)
+    cfg, store, dataset = world
+    model = model_from_config(cfg)
+    first = run_episode(cfg, store, dataset, 0, train=False, model=model)
+    norms = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm",
+                        lambda x, *a, **k: norms.append(np.ndim(x)) or norm(x, *a, **k))
+    again = run_episode(cfg, store, dataset, 0, train=False, model=model)
+    assert norms == [1] * 2 * len(model.spec.selected_visual)
+    assert_same_scores(again, first)
+    for name in ("sem_norm", "proto_norm", "labels"):
+        assert np.array_equal(getattr(again.report, name), getattr(first.report, name))
+
+
 def test_eval_at_lambda_endpoints(world):
     cfg, store, dataset = world
     run = run_episode(cfg, store, dataset, 0)
