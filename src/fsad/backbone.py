@@ -186,17 +186,7 @@ class ToyEncoder:
         return out
 
 
-def _real_image(image, i: int) -> np.ndarray:
-    """Image ``i`` as an array of real numbers, not yet cast or checked
-    finite (``inputs.real_array``); a ragged nesting is a ``ShapeError``."""
-    try:
-        image = np.asarray(image)
-    except ValueError as exc:  # numpy refuses a ragged nesting
-        raise ShapeError(f"image {i} is not a rectangular array: {exc}") from None
-    return inputs.real_array(image, f"image {i}", NumericError)
-
-
-def encode_images(enc: ToyEncoder, images) -> dict[int, np.ndarray]:
+def encode_images(enc: ToyEncoder, images: list[np.ndarray]) -> dict[int, np.ndarray]:
     """Patch tokens [B, P, d] at each visual tap, row b from images[b]; plain
     arrays, never tracked for gradients.
 
@@ -206,30 +196,30 @@ def encode_images(enc: ToyEncoder, images) -> dict[int, np.ndarray]:
     downstream. Text taps stay raw (``encode_prompt``) because the class
     row's absolute content is the point of the prompt.
 
-    ``images`` is a [B, H, W, 3] block (``synthdata.render``) or a list of
-    [H, W, 3] images; they run through the tower in one pass, so a caller
-    that bounds memory hands in one block (``runner.build_feature_store``).
-    The block is patchified with one reshape, its one copy (a list is
-    stacked first). An empty list gives [0, P, d] arrays. Images of
-    different sizes, a ragged image and one that is not finite real
-    numbers are refused before the tower runs, naming the first such
-    image: they would otherwise meet another patch projection, fail the
+    The images run through the tower in one pass: a caller that bounds
+    memory hands in one block (``runner.build_feature_store``). An empty
+    list gives [0, P, d] arrays. Images of different sizes, a ragged image
+    and one that is not finite real numbers are refused before the tower
+    runs: they would otherwise meet another patch projection, fail the
     float cast or drop imaginary parts, or spread a NaN through the tower.
+    The checked images are cast into one [B, H, W, 3] array and patchified
+    with one reshape and transpose.
     """
-    if isinstance(images, np.ndarray):  # one dtype for the whole block
-        images = _real_image(images, 0)
-    else:
-        images = [_real_image(img, i) for i, img in enumerate(images)]
-        bad = next((i for i, img in enumerate(images)
-                    if img.shape != images[0].shape), None)
-        if bad is not None:
-            raise ShapeError(f"image {bad} is {images[bad].shape} but image 0 is "
-                             f"{images[0].shape}; a batch needs one image size")
+    images = list(images)
+    for i, img in enumerate(images):
+        try:
+            images[i] = img = np.asarray(img)
+        except ValueError as exc:  # numpy refuses a ragged nesting
+            raise ShapeError(f"image {i} is not a rectangular array: {exc}") from None
+        inputs.reals(img, f"image {i}", NumericError)
+    bad = next((i for i, img in enumerate(images) if img.shape != images[0].shape), None)
+    if bad is not None:
+        raise ShapeError(f"image {bad} is {images[bad].shape} but image 0 is "
+                         f"{images[0].shape}; a batch needs one image size")
     spec = enc.spec
-    if not len(images):
+    if not images:
         return {layer: np.empty((0, spec.patches, spec.d)) for layer in sorted(enc.taps)}
-    with np.errstate(over="ignore"):  # a long double beyond the float range
-        block = np.asarray(images, dtype=np.float64)
+    block = np.asarray(images, dtype=np.float64)
     if block.ndim != 4 or block.shape[3] != 3:
         raise ShapeError(f"image must be [H, W, 3], got {block.shape[1:]}")
     b, h, w, _ = block.shape
@@ -239,10 +229,6 @@ def encode_images(enc: ToyEncoder, images) -> dict[int, np.ndarray]:
     ph, pw = h // rows, w // cols
     flat = (block.reshape(b, rows, ph, cols, pw, 3).transpose(0, 1, 3, 2, 4, 5)
             .reshape(b, rows * cols, ph * pw * 3))
-    if not np.isfinite(flat).all():
-        counts = np.count_nonzero(~np.isfinite(flat.reshape(b, -1)), axis=1)
-        i = int(np.flatnonzero(counts)[0])
-        raise NumericError(f"image {i} must be finite, got {counts[i]} non-finite")
     with nc.no_grad():
         proj = enc.patch_projection(flat.shape[-1])
         taps, _ = enc.run(nc.add(nc.matmul(Tensor(flat), proj), enc.pos))

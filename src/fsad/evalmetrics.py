@@ -112,7 +112,7 @@ def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom if denom else 0.0
 
 
-def threshold_from_support(scores, labels, *, _checked: bool = False) -> float:
+def threshold_from_support(scores, labels) -> float:
     """Best-F1 threshold over the support set.
 
     Candidates are midpoints between adjacent distinct sorted scores (the
@@ -120,12 +120,8 @@ def threshold_from_support(scores, labels, *, _checked: bool = False) -> float:
     toward the lowest threshold. Constant scores fall back to 0.5,
     the centre of the degenerate normalized scale (everything predicted
     abnormal there, since prediction uses score >= threshold).
-
-    ``_checked``: the inputs are arrays as ``_metric_inputs`` returns them
-    (``runner.run_episode``).
     """
-    s, y = ((scores, labels) if _checked
-            else _metric_inputs(scores, labels, "threshold_from_support"))
+    s, y = _metric_inputs(scores, labels, "threshold_from_support")
     if y.min() == y.max():
         raise CapacityError("support must contain both classes to fit a threshold")
     order = np.argsort(s, kind="stable")
@@ -148,19 +144,11 @@ def threshold_from_support(scores, labels, *, _checked: bool = False) -> float:
     return float(mids[np.argmax(f1)])  # argmax: the first, lowest, best
 
 
-def compute_report(scores, labels, threshold: float, *,
-                   _checked: bool = False) -> MetricReport:
+def compute_report(scores, labels, threshold: float) -> MetricReport:
     """Ranking metrics, and F1, accuracy and confusion counts for
-    predictions score >= threshold, for one batch.
-
-    ``_checked``: the inputs are arrays as ``_metric_inputs`` returns them
-    and a float threshold (``runner.run_episode``).
-    """
-    if _checked:
-        s, y = scores, labels
-    else:
-        s, y = _metric_inputs(scores, labels, "compute_report")
-        threshold = _as_threshold(threshold, "compute_report")
+    predictions score >= threshold, for one batch."""
+    s, y = _metric_inputs(scores, labels, "compute_report")
+    threshold = _as_threshold(threshold, "compute_report")
     tp, fp, tn, fn = _confusion(s, y, threshold)
     return MetricReport(auc=auc(s, y, _checked=True),
                         ap=average_precision(s, y, _checked=True),

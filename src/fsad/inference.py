@@ -9,7 +9,7 @@ query batch and the two are blended by a convex weight.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,19 +63,14 @@ class Aligned:
     semantic scores, and the batch's B ``ids`` into those N images, in
     batch order. ``model.AlignMemo.take`` passes the memo's own arrays, so
     a batch copies nothing; a hand-built batch of B images passes
-    ``np.arange(B)``. ``_checked``: the arrays are a memo's and ``ids`` a
-    1-D int64 array that ``model.align`` has just aligned
-    (``AlignMemo.take``), so nothing is checked again."""
+    ``np.arange(B)``."""
 
     unit: dict[int, np.ndarray]
     mean: dict[int, np.ndarray]
     sem: np.ndarray
     ids: np.ndarray
-    _checked: InitVar[bool] = False
 
-    def __post_init__(self, _checked):
-        if _checked:
-            return
+    def __post_init__(self):
         n = np.size(self.sem)
         shapes = {layer: np.shape(u) for layer, u in self.unit.items()}
         counts = {layer: shape[:-1] for layer, shape in shapes.items()}
@@ -90,6 +85,14 @@ class Aligned:
             raise ContractError(f"image ids must be a 1-D array of integers, "
                                 f"got shape {ids.shape}")
         object.__setattr__(self, "ids", ids)
+
+    @classmethod
+    def _prechecked(cls, unit, mean, sem, ids) -> Aligned:
+        """A batch of arrays that have passed ``__post_init__``'s checks
+        already (``model.AlignMemo._take``), built without them."""
+        batch = object.__new__(cls)
+        batch.__dict__.update(unit=unit, mean=mean, sem=sem, ids=ids)
+        return batch
 
 
 def summaries(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -131,24 +134,12 @@ class Prototypes(Mapping):
         return len(self.means)
 
 
-def _directions(vecs) -> np.ndarray:
-    """Each row of ``vecs`` divided by its norm floored at ``NORM_FLOOR``."""
-    # each class row's norm is its own call: one norm over the [2, d]
-    # array may sum in another order
-    scale = np.array([max(np.linalg.norm(vec), nc.NORM_FLOOR) for vec in vecs])
-    return vecs / scale[:, None]
-
-
-def build_prototypes(support: Aligned, labels, *, _checked: bool = False) -> Prototypes:
+def build_prototypes(support: Aligned, labels) -> Prototypes:
     """Per visual tap, a [2, d] array whose row c is the mean, in batch
     order, of the patch means of the support images labelled c, and its
-    rows' directions (``Prototypes``).
-
-    ``_checked``: ``labels`` are ``inputs.labels``'s output for the
-    support's ids (``runner.run_episode``).
-    """
-    if not _checked:
-        labels = inputs.labels(labels, support.ids.shape, "labels", ContractError)
+    rows' directions (``Prototypes``), built once for every batch scored
+    against them."""
+    labels = inputs.labels(labels, support.ids.shape, "labels", ContractError)
     members = [support.ids[labels == c] for c in range(len(CLASSES))]
     for cls, ids in zip(CLASSES, members):
         if not ids.size:
@@ -158,14 +149,19 @@ def build_prototypes(support: Aligned, labels, *, _checked: bool = False) -> Pro
     means = {layer: np.array([np.add.reduce(mean[ids], axis=0) / ids.size
                               for ids in members])
              for layer, mean in support.mean.items()}
-    return Prototypes(means, {layer: _directions(v) for layer, v in means.items()})
+    dirs = {}
+    for layer, vecs in means.items():
+        # each class row's norm is its own call: one norm over the [2, d]
+        # array may sum in another order
+        scale = np.array([max(np.linalg.norm(vec), nc.NORM_FLOOR) for vec in vecs])
+        dirs[layer] = vecs / scale[:, None]
+    return Prototypes(means, dirs)
 
 
-def proto_distance(batch: Aligned, protos: Mapping) -> np.ndarray:
+def proto_distance(batch: Aligned, protos: Prototypes) -> np.ndarray:
     """Per class row of the prototypes (``CLASSES`` order), the sum over the
     batch's taps of one minus the mean patch cosine to that row: [2, B]
-    distances. ``protos`` is a ``Prototypes``, whose directions are read
-    as built, or a mapping of visual taps to [2, d] arrays.
+    distances, read from the prototypes' directions as built.
 
     The mean cosine of an image's rows to c is ``unit . c / |c|``, with
     ``unit`` its mean unit row (``summaries``) and ``|c|`` floored at
@@ -176,16 +172,14 @@ def proto_distance(batch: Aligned, protos: Mapping) -> np.ndarray:
     if not batch.unit or set(batch.unit) != set(protos):
         raise ContractError(f"aligned rows at visual taps {sorted(batch.unit)} "
                             f"do not match the prototypes' taps {sorted(protos)}")
-    built = isinstance(protos, Prototypes)
     total = None
     for layer, unit in batch.unit.items():
         vecs = protos[layer]
         if np.shape(vecs) != (len(CLASSES),) + unit.shape[-1:]:
             raise ShapeError(f"prototypes {np.shape(vecs)} do not match the "
                              f"unit rows {unit.shape} at visual tap {layer}")
-        dirs = protos.dirs[layer] if built else _directions(vecs)
         rows = unit.take(batch.ids, axis=0)
-        term = 1.0 - np.add.reduce(rows * dirs[:, None], axis=-1)
+        term = 1.0 - np.add.reduce(rows * protos.dirs[layer][:, None], axis=-1)
         total = term if total is None else total + term
     return total
 
@@ -264,8 +258,8 @@ class ScoreReport:
     lam: float
 
 
-def score_batch(batch: Aligned, labels, protos: Mapping,
-                infer: InferSpec = InferSpec(), *, _checked: bool = False) -> ScoreReport:
+def score_batch(batch: Aligned, labels, protos: Prototypes,
+                infer: InferSpec = InferSpec()) -> ScoreReport:
     """Dual-branch scores of one batch of aligned images.
 
     The prototype distances sum the batch's taps in dict order. Both
@@ -273,12 +267,8 @@ def score_batch(batch: Aligned, labels, protos: Mapping,
     distances and the semantic scores are each checked once, as
     ``proto_scores`` and ``minmax_normalize`` check them, and no array
     computed from them is checked again.
-
-    ``_checked``: ``labels`` are ``inputs.labels``'s output for the
-    batch's ids (``runner.run_episode``).
     """
-    if not _checked:
-        labels = inputs.labels(labels, batch.ids.shape, "labels", ContractError)
+    labels = inputs.labels(labels, batch.ids.shape, "labels", ContractError)
     sem_raw = np.asarray(batch.sem, dtype=np.float64)[batch.ids]
     d_norm, d_abn = inputs.reals(proto_distance(batch, protos), "distances",
                                  NumericError)

@@ -1,7 +1,6 @@
 """The outside-input contract. Each converter returns exactly
-``np.asarray(values, float64)`` (or int64; ``real_array`` uncast), or
-raises the ``FsadError`` class its caller passes, as "<input> must be
-<rule>, got <fault>"."""
+``np.asarray(values, float64)`` (or int64), or raises the ``FsadError``
+class its caller passes, as "<input> must be <rule>, got <fault>"."""
 
 import numpy as np
 
@@ -21,16 +20,9 @@ def _array(values, kinds: str, what: str, rule: str, error: type[FsadError]):
     return arr
 
 
-def real_array(values, what: str, error: type[FsadError]) -> np.ndarray:
-    """``values`` as an array of real numbers, ``np.asarray(values)`` not
-    yet cast or checked finite: ``reals``'s first half, for a caller that
-    checks many such arrays at once (``backbone.encode_images``)."""
-    return _array(values, "biuf", what, "real numbers", error)
-
-
 def reals(values, what: str, error: type[FsadError]) -> np.ndarray:
     """``values`` as a float64 array of finite real numbers."""
-    out = real_array(values, what, error)
+    out = _array(values, "biuf", what, "real numbers", error)
     if out.dtype != np.float64:
         with np.errstate(over="ignore"):  # a long double beyond the float range
             out = out.astype(np.float64)

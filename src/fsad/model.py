@@ -213,22 +213,20 @@ class AlignMemo:
     sem: np.ndarray  # [N]
     filled: np.ndarray  # [N] bool
 
-    def take(self, ids, *, _checked: bool = False) -> Aligned:
+    def take(self, ids) -> Aligned:
         """Images ``ids``, each aligned already, as one batch to score: the
-        memo's own arrays and ``ids``, so nothing is copied.
-
-        ``_checked``: ``ids`` are a 1-D int64 array that ``align`` has just
-        aligned (``runner.run_episode``), so nothing is checked again.
-        """
-        batch = Aligned(unit=self.unit, mean=self.mean, sem=self.sem, ids=ids,
-                        _checked=_checked)
-        if _checked:
-            return batch
+        memo's own arrays and ``ids``, so nothing is copied."""
+        batch = Aligned(unit=self.unit, mean=self.mean, sem=self.sem, ids=ids)
         missing = batch.ids[~self.filled[batch.ids]]
         if missing.size:  # its rows would be uninitialized memory
             raise ContractError(f"image {missing[0]} is not aligned yet; "
                                 f"align it before taking it")
         return batch
+
+    def _take(self, ids: np.ndarray) -> Aligned:
+        """``take`` of a 1-D int64 array of ids that ``align`` has just
+        checked and aligned (``runner.run_episode``), checked no further."""
+        return Aligned._prechecked(self.unit, self.mean, self.sem, ids)
 
 
 def _memo_key(model: Model) -> bytes:
@@ -238,10 +236,8 @@ def _memo_key(model: Model) -> bytes:
     size. Comparing two snapshots with ``==`` is a memcmp, so no digest is
     computed, and any changed bit, a one-ulp edit or a sign of zero,
     starts the memo afresh."""
-    arrays = (t.data for t in _episode_tensors(model).values())
-    # join reads a C-contiguous array's buffer as it is; a strided one is copied
-    return b"".join([a if a.flags.c_contiguous else np.ascontiguousarray(a)
-                     for a in arrays])
+    return b"".join(np.ascontiguousarray(t.data)
+                    for t in _episode_tensors(model).values())
 
 
 def align(model: Model, store, ids) -> AlignMemo:

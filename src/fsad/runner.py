@@ -150,22 +150,22 @@ def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     ep = _sample(episode, dataset, index)
     if model is None:
         model = model_from_config(cfg, RunSpec(index))
-    # the episode's ids become one array here and align checks them; its
-    # labels are checked here; both go on as arrays, checked already
+    # the episode's ids become one array here; align checks it and aligns
+    # every image, so the memo's batches are its slices, checked no further
     ids = np.asarray(ep.support_ids + ep.query_ids)
     k = len(ep.support_ids)
-    labels = inputs.labels(store.labels[ids], None, "labels", ContractError)
+    labels = store.labels[ids]
     ysup, yq = labels[:k], labels[k:]
     trace = (train_episode(model, store.take(model.spec.selected_visual, ids[:k]),
                            ysup, cfg.train_config())
              if train else [])
     memo = align(model, store, ids)
-    sup, qry = memo.take(ids[:k], _checked=True), memo.take(ids[k:], _checked=True)
-    protos = build_prototypes(sup, ysup, _checked=True)
-    report = score_batch(qry, yq, protos, infer, _checked=True)
-    sup_report = score_batch(sup, ysup, protos, infer, _checked=True)
-    thr = threshold_from_support(sup_report.final, ysup, _checked=True)
-    metrics = compute_report(report.final, yq, thr, _checked=True)
+    sup, qry = memo._take(ids[:k]), memo._take(ids[k:])
+    protos = build_prototypes(sup, ysup)
+    report = score_batch(qry, yq, protos, infer)
+    sup_report = score_batch(sup, ysup, protos, infer)
+    thr = threshold_from_support(sup_report.final, ysup)
+    metrics = compute_report(report.final, yq, thr)
     return EpisodeRun(index=index, episode_seed=episode.seed + index,
                       model=model, episode=ep, trace=trace, report=report,
                       support_report=sup_report, metrics=metrics)
