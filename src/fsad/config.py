@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import fields
+from types import MappingProxyType
 
 from .adaptation import AdaptSpec
 from .backbone import BackboneSpec
@@ -68,18 +69,19 @@ _KINDS = ((bool, "bool"), (int, "int"), (float, "float"), (str, "str"),
           (tuple, "ints"))
 
 
-def _key(prefix: str, name: str) -> str:
-    return f"{prefix}.{_KEY_NAMES.get(name, name)}"
-
-
 def _entry(default) -> tuple[str, object]:
     return next(kind for cls, kind in _KINDS if isinstance(default, cls)), default
 
 
+# section -> its spec's (field, key) pairs, in field order
+_SECTION_KEYS = {prefix: tuple((f.name, f"{prefix}.{_KEY_NAMES.get(f.name, f.name)}")
+                               for f in fields(spec))
+                 for prefix, spec in SECTIONS.items()}
+
 # key -> (type name, default). The authoritative list of every config key.
 SCHEMA: dict[str, tuple[str, object]] = {
-    **{_key(prefix, f.name): _entry(f.default)
-       for prefix, spec in SECTIONS.items() for f in fields(spec)},
+    **{key: _entry(getattr(SECTIONS[prefix], name))  # a field's class default
+       for prefix, pairs in _SECTION_KEYS.items() for name, key in pairs},
     "model.seed": _entry(1000),
     "run.out": _entry("out"),
 }
@@ -176,7 +178,7 @@ def _typed(key: str, value):
 
 
 class RunConfig:
-    """Fully merged, validated view over the flat key space."""
+    """Fully merged, validated, read-only view over the flat key space."""
 
     def __init__(self, values: dict[str, object]):
         merged = defaults()
@@ -184,7 +186,9 @@ class RunConfig:
             if key not in SCHEMA:
                 raise ConfigError(f"unknown config key {key!r}")
             merged[key] = _typed(key, value)
-        self.values = merged
+        self.values = MappingProxyType(merged)
+        self._sections = {prefix: SECTIONS[prefix](**{f: merged[k] for f, k in pairs})
+                          for prefix, pairs in _SECTION_KEYS.items()}
         self._validate()
 
     def __getitem__(self, key: str):
@@ -196,7 +200,7 @@ class RunConfig:
         """Each spec constructor checks its own section; the checks here cover
         ``model.seed``, which no section owns, and pit one section's keys
         against another's, so a mismatch fails before any output is written."""
-        specs = {prefix: self.section(prefix) for prefix in SECTIONS}
+        specs = self._sections
         bb, data, ep = specs["backbone"], specs["data"], specs["episode"]
         if self["model.seed"] < 0:  # numpy's SeedSequence takes no negative entropy
             raise ConfigError(f"model.seed must be >= 0, got {self['model.seed']}")
@@ -218,8 +222,7 @@ class RunConfig:
 
     def section(self, prefix: str):
         """The spec object of one section, e.g. ``section("clsa")``."""
-        spec = SECTIONS[prefix]
-        return spec(**{f.name: self[_key(prefix, f.name)] for f in fields(spec)})
+        return self._sections[prefix]
 
     def backbone_spec(self) -> BackboneSpec:
         return self.section("backbone")

@@ -59,12 +59,9 @@ def _tie_groups(ss: np.ndarray, ys: np.ndarray):
     return starts, stops, np.add.reduceat(ys, starts)
 
 
-def auc(scores, labels, *, _checked: bool = False) -> float:
-    """Probability a random positive outscores a random negative (ties half).
-
-    ``_checked``: the inputs are ``_metric_inputs``'s output (``compute_report``).
-    """
-    s, y = (scores, labels) if _checked else _metric_inputs(scores, labels, "auc")
+def auc(scores, labels) -> float:
+    """Probability a random positive outscores a random negative (ties half)."""
+    s, y = _metric_inputs(scores, labels, "auc")
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -78,13 +75,9 @@ def auc(scores, labels, *, _checked: bool = False) -> float:
     return double_u / (2 * n_pos * n_neg)
 
 
-def average_precision(scores, labels, *, _checked: bool = False) -> float:
-    """Step-interpolated area under precision-recall, tie groups collapsed.
-
-    ``_checked``: the inputs are ``_metric_inputs``'s output (``compute_report``).
-    """
-    s, y = ((scores, labels) if _checked
-            else _metric_inputs(scores, labels, "average_precision"))
+def average_precision(scores, labels) -> float:
+    """Step-interpolated area under precision-recall, tie groups collapsed."""
+    s, y = _metric_inputs(scores, labels, "average_precision")
     n_pos = int(y.sum())
     if n_pos == 0:
         raise MetricError("average_precision undefined: no positives")
@@ -150,7 +143,6 @@ def compute_report(scores, labels, threshold: float) -> MetricReport:
     s, y = _metric_inputs(scores, labels, "compute_report")
     threshold = _as_threshold(threshold, "compute_report")
     tp, fp, tn, fn = _confusion(s, y, threshold)
-    return MetricReport(auc=auc(s, y, _checked=True),
-                        ap=average_precision(s, y, _checked=True),
+    return MetricReport(auc=auc(s, y), ap=average_precision(s, y),
                         f1=_f1_from_counts(tp, fp, fn), acc=(tp + tn) / s.size,
                         threshold=threshold, tp=tp, fp=fp, tn=tn, fn=fn)

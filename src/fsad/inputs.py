@@ -1,6 +1,8 @@
 """The outside-input contract. Each converter returns exactly
-``np.asarray(values, float64)`` (or int64), or raises the ``FsadError``
+``np.asarray(values, float64)`` (or int64, or one int), or raises the ``FsadError``
 class its caller passes, as "<input> must be <rule>, got <fault>"."""
+
+import operator
 
 import numpy as np
 
@@ -50,3 +52,14 @@ def ids(values, n: int, error: type[FsadError]) -> np.ndarray:
     if bad.size:
         raise error(f"image id {bad[0]} outside [0, {n})")
     return i.astype(np.int64, copy=False)
+
+
+def integer(value, what: str, error: type[FsadError], least: int | None = None) -> int:
+    """``value`` as an int (numpy's integers too), at least ``least`` if given."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and out < least:
+        raise error(f"{what} must be >= {least}, got {out}")
+    return out

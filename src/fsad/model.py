@@ -33,7 +33,7 @@ from .adaptation import (AdaptationState, AdaptSpec, apply_text_adapter,
 from .backbone import SCORE_BLOCK, BackboneSpec, ToyEncoder, encode_prompt
 from .binio import ByteReader, ByteWriter
 from .clsa import ClsaOutput, ClsaSpec, ClsaState, clsa_forward, init_clsa
-from .errors import CompatError, ContractError, NumericError
+from .errors import CompatError, ConfigError, ContractError, NumericError
 from .inference import Aligned, semantic_scores, summaries
 from .numcore import Tensor
 
@@ -49,30 +49,53 @@ FAST_GROUP = "fast"
 SLOW_GROUP = "slow"
 
 
+@dataclass(frozen=True)
+class Recipe:
+    """What a fresh model is drawn from: the backbone, the adaptation and
+    alignment recipes, and the seed of every learnable draw and class
+    embedding. Two models of one recipe are equal bit for bit."""
+
+    backbone: BackboneSpec = BackboneSpec()
+    adapt: AdaptSpec = AdaptSpec()
+    clsa: ClsaSpec = ClsaSpec()
+    seed: int = 0
+
+    def __post_init__(self):
+        # numpy's SeedSequence takes no negative entropy
+        inputs.integer(self.seed, "model seed", ConfigError, least=0)
+
+    def structure(self) -> Recipe:
+        """Recipes that agree here may share a stack (``stack_models``):
+        they differ only in their seed and initial gate value."""
+        return replace(self, seed=0, clsa=replace(self.clsa, gate_init=0.0))
+
+
 @dataclass
 class Model:
-    """Frozen text encoder plus every learnable tensor of the adaptation stack."""
+    """Frozen text encoder plus every learnable tensor, drawn from ``recipe``."""
 
-    spec: BackboneSpec
+    recipe: Recipe
     text_enc: ToyEncoder
     adapt: AdaptationState
     clsa: ClsaState
     rho: Tensor
-    strategy: str
     _memo: AlignMemo | None = field(default=None, init=False, repr=False,
                                     compare=False)
+
+    # read-only views of the recipe; a stack's recipe is its first model's
+    spec = property(lambda self: self.recipe.backbone)
+    strategy = property(lambda self: self.recipe.clsa.strategy)
 
     def tau(self) -> Tensor:
         return nc.exp(self.rho)
 
 
-def init_model(spec: BackboneSpec, seed: int, adapt: AdaptSpec = AdaptSpec(),
-               clsa: ClsaSpec = ClsaSpec()) -> Model:
-    return Model(spec=spec, text_enc=ToyEncoder(spec, "text"),
-                 adapt=init_adaptation(spec, seed, adapt),
-                 clsa=init_clsa(spec.pairs, spec.d, seed, clsa),
-                 rho=Tensor(np.full((), RHO_INIT), requires_grad=True),
-                 strategy=clsa.strategy)
+def init_model(recipe: Recipe) -> Model:
+    spec, seed = recipe.backbone, recipe.seed
+    return Model(recipe=recipe, text_enc=ToyEncoder(spec, "text"),
+                 adapt=init_adaptation(spec, seed, recipe.adapt),
+                 clsa=init_clsa(spec.pairs, spec.d, seed, recipe.clsa),
+                 rho=Tensor(np.full((), RHO_INIT), requires_grad=True))
 
 
 def named_parameters(model: Model) -> dict[str, Tensor]:
@@ -117,29 +140,25 @@ def _stacked_shape(name: str, shape: tuple[int, ...],
     return (episodes, 1, 1) if name == "logit.rho" else (episodes, 1, 1, 1)
 
 
-def _structure(model: Model):
-    return (model.strategy, model.spec,
-            [(name, p.shape, p.requires_grad)
-             for name, p in named_parameters(model).items()])
-
-
 def stack_size(model: Model) -> int | None:
     """Episodes in a stacked model; None for an ordinary one."""
     return model.rho.shape[0] if model.rho.ndim else None
 
 
 def stack_models(models: list[Model]) -> Model:
-    """One model that trains the given same-structure models side by side.
+    """One model that trains the given models of one recipe structure side by side.
 
-    The stack shares the first model's spec and frozen text encoder and
+    The stack shares the first model's recipe and frozen text encoder and
     copies its learnable set; episode e of every stacked tensor is
     models[e]'s tensor.
     """
+    if not models:
+        raise ContractError("a stack needs at least one model")
     first = models[0]
-    if any(_structure(m) != _structure(first) for m in models):
-        raise ContractError("stacked models must share strategy, taps, "
-                            "parameter shapes and learnable set")
-    shared = {id(obj): obj for obj in (first.spec, first.text_enc)}
+    structure = first.recipe.structure()
+    if any(m.recipe.structure() != structure for m in models):
+        raise ContractError("stacked models must share one Recipe.structure()")
+    shared = {id(obj): obj for obj in (first.recipe, first.text_enc)}
     stacked = copy.deepcopy(replace(first), shared)  # replace drops the memo
     per_model = [_episode_tensors(m) for m in models]
     for name, t in _episode_tensors(stacked).items():
@@ -291,19 +310,19 @@ def align(model: Model, store, ids) -> AlignMemo:
 # checkpoints
 
 # The settings a checkpoint records, in file order: key, the name format
-# errors give it, its kind and its value on a model. An int is one u32; a
-# tuple is a u32 count, then its entries.
+# errors give it, its kind and its value in a model's recipe. An int is one
+# u32; a tuple is a u32 count, then its entries.
 _SETTINGS = (
-    ("d", "width", int, lambda m: m.spec.d),
-    ("prompt_len", "prompt length", int, lambda m: m.adapt.prompts.prompt_len),
-    ("selected_visual", "visual tap", tuple, lambda m: m.spec.selected_visual),
-    ("selected_text", "text tap", tuple, lambda m: m.spec.selected_text),
+    ("d", "width", int, lambda r: r.backbone.d),
+    ("prompt_len", "prompt length", int, lambda r: r.adapt.prompt_len),
+    ("selected_visual", "visual tap", tuple, lambda r: r.backbone.selected_visual),
+    ("selected_text", "text tap", tuple, lambda r: r.backbone.selected_text),
 )
 
 
 def checkpoint_meta(model: Model) -> dict:
-    """The settings a checkpoint of this model records and must match."""
-    return {key: get(model) for key, _, _, get in _SETTINGS}
+    """The recipe settings a checkpoint of this model records and must match."""
+    return {key: get(model.recipe) for key, _, _, get in _SETTINGS}
 
 
 def write_checkpoint(path: str, meta: dict, tensors: dict[str, np.ndarray]) -> None:

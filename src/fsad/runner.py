@@ -7,10 +7,10 @@ model aligns each image once while its parameters stay fixed
 (``model.align``), so evaluation episodes share alignments. Every grid
 and sweep is a list of points, ``(RunSpec, ensemble weight)`` pairs, that
 ``_cells`` reads through one plan (``run_plan``; ``fsad ablate``'s two
-grids are one list, ``ablate``). A plan trains each distinct key once and
-reads that run for every spec that asked for it; its trained episodes of
-the same structure share one tape (``model.stack_models``), each
-bit-identical to training it alone.
+grids are one list, ``ablate``). A plan trains each distinct episode and
+``model.Recipe`` once and reads that run for every spec that asked for it;
+its trained episodes of one recipe structure share one tape
+(``model.stack_models``), each bit-identical to training it alone.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import ConfigError, ContractError
 from .evalmetrics import (MetricReport, auc, average_precision, compute_report,
                           threshold_from_support)
 from .inference import ScoreReport, build_prototypes, ensemble, score_batch
-from .model import (Model, align, init_model, named_parameters,
+from .model import (Model, Recipe, align, init_model, named_parameters,
                     parameter_groups, stack_models, unstack_model)
 from .numcore import GradTape, Tensor, backward
 from .synthdata import Episode, EpisodeSpec, Sample, sample_episode
@@ -107,30 +107,23 @@ class EpisodeRun:
 class RunSpec:
     """One episode run a report asks for: episode ``index`` under a model
     recipe, trained on its support or scored as initialized. None fields
-    take the run config's value (``key``)."""
+    take the run config's value (``recipe``)."""
 
     index: int = 0
     mspec: BackboneSpec | None = None
     clsa: ClsaSpec | None = None
     train: bool = True
 
-    def key(self, cfg: RunConfig) -> "RunSpec":
-        """This spec with its None fields resolved against ``cfg``: specs
-        with one key under one config are one training."""
-        return replace(self, mspec=self.mspec or cfg.backbone_spec(),
-                       clsa=self.clsa or cfg.section("clsa"))
-
-    def structure(self) -> "RunSpec":
-        """Keys that agree here may share a stack: they differ only in
-        their episode (support set, model seed) and initial gate value."""
-        return replace(self, index=0, clsa=replace(self.clsa, gate_init=0.0))
+    def recipe(self, cfg: RunConfig) -> Recipe:
+        """The recipe of this spec's fresh model: None fields from ``cfg``,
+        ``adapt.*`` from ``cfg`` and the seed ``model.seed + index``."""
+        return Recipe(self.mspec or cfg.backbone_spec(), cfg.section("adapt"),
+                      self.clsa or cfg.section("clsa"), cfg["model.seed"] + self.index)
 
 
 def model_from_config(cfg: RunConfig, spec: RunSpec = RunSpec()) -> Model:
     """The freshly initialized model of one spec, seeded by its episode."""
-    key = spec.key(cfg)
-    return init_model(key.mspec, cfg["model.seed"] + key.index,
-                      cfg.section("adapt"), key.clsa)
+    return init_model(spec.recipe(cfg))
 
 
 def _sample(episode: EpisodeSpec, dataset: list[Sample], index: int) -> Episode:
@@ -179,37 +172,38 @@ def run_plan(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     """Run every spec, score it through ``run_episode`` and return
     ``read(run)`` for each, in request order.
 
-    Specs with one ``key`` are one run: it is trained and scored once and
-    read for each spec that asked for it, so ``read`` must not mutate it.
-    Same-structure keys run together, up to ``MAX_STACK`` episodes at a
-    time; a trained group of two or more shares one tape, and
-    ``run_episode`` trains a group of one. Each run is read as soon as it
-    is scored and then dropped, so one stack of models is alive at a time
-    and one alignment memo (``model.align``) at most.
+    Specs with one key, ``(index, train, recipe)``, are one run: it is
+    trained and scored once and read for each spec that asked for it, so
+    ``read`` must not mutate it. Keys of one ``Recipe.structure`` run
+    together, up to ``MAX_STACK`` episodes at a time; a trained group of
+    two or more shares one tape, and ``run_episode`` trains a group of
+    one. Each run is read as soon as it is scored and then dropped, so one
+    stack of models is alive at a time and one alignment memo
+    (``model.align``) at most.
     """
     tcfg, episode = cfg.train_config(), cfg.section("episode")
-    positions: dict[RunSpec, list[int]] = {}
+    positions: dict[tuple[int, bool, Recipe], list[int]] = {}
     for pos, spec in enumerate(specs):
-        positions.setdefault(spec.key(cfg), []).append(pos)
-    groups: dict[RunSpec, list[RunSpec]] = {}
-    for key in positions:
-        groups.setdefault(key.structure(), []).append(key)
+        positions.setdefault((spec.index, spec.train, spec.recipe(cfg)), []).append(pos)
+    groups: dict[tuple[bool, Recipe], list[tuple[int, bool, Recipe]]] = {}
+    for index, train, recipe in positions:
+        groups.setdefault((train, recipe.structure()), []).append((index, train, recipe))
     out: list = [None] * len(specs)
-    for structure, keys in groups.items():
+    for (train, _), keys in groups.items():
         for lo in range(0, len(keys), MAX_STACK):
             stack = keys[lo:lo + MAX_STACK]
-            models = [model_from_config(cfg, key) for key in stack]
+            models = [init_model(recipe) for _, _, recipe in stack]
             traces = [None] * len(stack)  # None: not trained yet
-            if structure.train and len(stack) > 1:
-                ids = np.array([_sample(episode, dataset, key.index).support_ids
-                                for key in stack])  # [E, B]
+            if train and len(stack) > 1:
+                ids = np.array([_sample(episode, dataset, index).support_ids
+                                for index, _, _ in stack])  # [E, B]
                 stacked = stack_models(models)
                 feats = store.take(stacked.spec.selected_visual, ids)
                 traces = train_episode(stacked, feats, store.labels[ids], tcfg)
                 unstack_model(stacked, models)
             for key, trace in zip(stack, traces):
-                run = run_episode(cfg, store, dataset, key.index,
-                                  train=structure.train and trace is None,
+                run = run_episode(cfg, store, dataset, key[0],
+                                  train=train and trace is None,
                                   model=models.pop(0))
                 run = run if trace is None else replace(run, trace=trace)
                 for pos in positions[key]:

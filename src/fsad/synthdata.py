@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import inputs
 from .errors import CapacityError, ConfigError, ContractError
 
 # Per-concern tags fed into SeedSequence so adding draws to one concern never
@@ -99,10 +100,9 @@ class Sample:
     with_anomaly: bool = True
 
     def __post_init__(self):
-        if _integer(self.label, "label") not in (0, 1):
+        if inputs.integer(self.label, "Sample.label", ContractError) not in (0, 1):
             raise ContractError(f"Sample.label must be 0 or 1, got {self.label!r}")
-        if _integer(self.index, "index") < 0:
-            raise ContractError(f"Sample.index must be >= 0, got {self.index!r}")
+        inputs.integer(self.index, "Sample.index", ContractError, least=0)
 
     @property
     def disk(self) -> tuple[tuple[float, float], float] | None:
@@ -116,14 +116,6 @@ class Sample:
         """The [H, W, 3] pixels in [0, 1], rendered afresh from the
         sample's stream."""
         return render([self])[0]
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int: any integer passes, numpy's too, and nothing else."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ContractError(f"Sample.{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -217,6 +209,9 @@ def generate_dataset(spec: DatasetSpec) -> list[Sample]:
 def sample_episode(dataset: list[Sample], k: int, seed: int,
                    query_per_class: int = EpisodeSpec.query_per_class) -> Episode:
     """Draw K support and a fixed-size query per class, without replacement."""
+    for what, value, least in (("k", k, 1), ("query_per_class", query_per_class, 1),
+                               ("seed", seed, 0)):
+        inputs.integer(value, f"sample_episode: {what}", ContractError, least=least)
     labels = np.fromiter(map(operator.attrgetter("label"), dataset), dtype=np.int64,
                          count=len(dataset))
     norm_ids, abn_ids = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)

@@ -24,7 +24,7 @@ from fsad.config import RunConfig
 from fsad.errors import CompatError, FormatError
 from fsad.evalmetrics import auc, average_precision
 from fsad.inference import ensemble
-from fsad.model import (apply_checkpoint, forward, init_model,
+from fsad.model import (Recipe, apply_checkpoint, forward, init_model,
                         named_parameters, save_checkpoint, state_checksum)
 from fsad.numcore import Tensor
 from fsad.runner import (ablate, build_feature_store, gradcheck_all,
@@ -122,7 +122,7 @@ def test_02_gate_identity_suite():
     fresh = init_adaptation(spec, 3, AdaptSpec()).visual_adapters[spec.selected_visual[0]]
     visual_id = np.array_equal(apply_visual_adapter(v, fresh).data, v.data)
 
-    model = init_model(spec, seed=4)  # zero-init adapters, zero gates
+    model = init_model(Recipe(spec, seed=4))  # zero-init adapters, zero gates
     step0 = forward(model, visual)
     model_id = all(np.array_equal(step0.visual[vl].data, visual[vl].data)
                    for vl, _ in pairs)
@@ -277,10 +277,10 @@ def test_10_format_round_trips(tmp_path):
     bundle_ok = load_feature_bundle(str(bpath)) == bundle
 
     spec = BackboneSpec()
-    model = init_model(spec, seed=11)
+    model = init_model(Recipe(spec, seed=11))
     cpath = tmp_path / "m.ckpt"
     save_checkpoint(model, str(cpath))
-    clone = init_model(spec, seed=12)
+    clone = init_model(Recipe(spec, seed=12))
     apply_checkpoint(clone, str(cpath))
     ckpt_ok = state_checksum(clone) == state_checksum(model)
 
@@ -300,7 +300,7 @@ def test_10_format_round_trips(tmp_path):
         raises(FormatError, lambda: apply_checkpoint(
             clone, write(bad, raw + b"\0"))),
         raises(CompatError, lambda: apply_checkpoint(
-            init_model(spec, 1, AdaptSpec(prompt_len=6)), str(cpath))),
+            init_model(Recipe(spec, AdaptSpec(prompt_len=6), seed=1)), str(cpath))),
         raises(FormatError, lambda: load_feature_bundle(
             write(bad, b"ZZZZ" + braw[4:]))),
         raises(FormatError, lambda: load_feature_bundle(

@@ -97,6 +97,16 @@ def test_effective_text_round_trips():
     assert sorted(parse_config_text(text)) == sorted(defaults())
 
 
+def test_sections_are_built_once_from_read_only_values():
+    cfg = RunConfig({"clsa.heads": 2})
+    assert cfg.section("clsa") is cfg.section("clsa")
+    assert cfg.section("clsa") == ClsaSpec(heads=2)
+    assert {**cfg.values} == cfg.values
+    # a write would leave the kept section specs stale
+    with pytest.raises(TypeError):
+        cfg.values["clsa.heads"] = 4
+
+
 def test_hash_ignores_output_dir_only():
     base = RunConfig({})
     moved = RunConfig({"run.out": "elsewhere"})

@@ -20,7 +20,7 @@ from fsad.errors import (CapacityError, ContractError, DomainError, FsadError,
 from fsad.inference import (Aligned, InferSpec, build_prototypes, ensemble,
                             minmax_normalize, proto_distance, proto_scores,
                             score_batch, semantic_scores, summaries)
-from fsad.model import align, forward, init_model, named_parameters
+from fsad.model import Recipe, align, forward, init_model, named_parameters
 from fsad.numcore import Tensor
 from fsad.runner import (FeatureStore, build_feature_store, model_from_config,
                          run_episode)
@@ -832,9 +832,9 @@ def test_drawn_labels_work_or_raise_categorized(data):
     rng = np.random.default_rng(24)
     rows, sem = aligned_rows(rng, n), rng.uniform(size=n)
     protos = build_prototypes(support_of(aligned_rows(rng, 2)), [0, 1])
-    model = init_model(BackboneSpec(d=D, vision_layers=4, text_layers=2,
-                                    selected_visual=(2, 4), selected_text=(1, 2),
-                                    patch_grid=(2, 2), heads=4, seed=5), seed=7)
+    model = init_model(Recipe(BackboneSpec(d=D, vision_layers=4, text_layers=2,
+                                           selected_visual=(2, 4), selected_text=(1, 2),
+                                           patch_grid=(2, 2), heads=4, seed=5), seed=7))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call, error in ((lambda: build_prototypes(support_of(rows), labels),

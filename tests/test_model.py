@@ -1,6 +1,7 @@
 """Model assembly: parameter registry, rate groups, checkpoints, checksums."""
 
 import hashlib
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from fsad.backbone import BackboneSpec, ToyEncoder
 from fsad.binio import ByteWriter
 from fsad.clsa import ClsaSpec
 from fsad.config import RunConfig
-from fsad.errors import CompatError, ContractError, FormatError, NumericError
+from fsad.errors import (CompatError, ConfigError, ContractError, FormatError,
+                         NumericError)
 from fsad.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, FAST_GROUP,
-                        SLOW_GROUP, apply_checkpoint, backbone_checksum, forward,
+                        SLOW_GROUP, Model, Recipe, _episode_tensors,
+                        apply_checkpoint, backbone_checksum, forward,
                         forward_text, init_model, load_checkpoint,
                         named_parameters, parameter_groups, save_checkpoint,
                         state_checksum, write_checkpoint)
@@ -30,7 +33,7 @@ def small_spec(**kw):
 
 
 def small_model(**kw):
-    return init_model(small_spec(), seed=7, **kw)
+    return init_model(Recipe(small_spec(), seed=7, **kw))
 
 
 def rand_taps(spec, seed=0, batch=None):
@@ -55,7 +58,7 @@ def expected_names(spec, with_alpha=True):
 
 def test_parameter_inventory_default_spec():
     spec = BackboneSpec()
-    model = init_model(spec, seed=0)
+    model = init_model(Recipe(spec, seed=0))
     params = named_parameters(model)
     assert list(params) == expected_names(spec)
     assert len(params) == 53
@@ -71,7 +74,7 @@ def test_two_pairs_may_share_a_text_tap():
     # text adapters are keyed by text tap: (2, 4)/(1, 1) builds both pairs
     # around one text adapter, and both align
     spec = small_spec(selected_text=(1, 1))
-    model = init_model(spec, seed=7)
+    model = init_model(Recipe(spec, seed=7))
     assert list(named_parameters(model)) == list(dict.fromkeys(expected_names(spec)))
     assert sorted(forward(model, rand_taps(spec)).visual) == [2, 4]
 
@@ -173,9 +176,9 @@ def test_checkpoint_meta_guards(tmp_path):
     with pytest.raises(CompatError, match="prompt_len"):
         apply_checkpoint(small_model(adapt=AdaptSpec(prompt_len=4)), path)
     with pytest.raises(CompatError, match=r"\bd\b"):
-        apply_checkpoint(init_model(small_spec(d=32, heads=4), seed=7), path)
+        apply_checkpoint(init_model(Recipe(small_spec(d=32, heads=4), seed=7)), path)
     with pytest.raises(CompatError, match="selected_visual"):
-        apply_checkpoint(init_model(small_spec(selected_visual=(1, 3)), seed=7), path)
+        apply_checkpoint(init_model(Recipe(small_spec(selected_visual=(1, 3)), seed=7)), path)
 
 
 def test_checkpoint_shape_guard(tmp_path):
@@ -284,17 +287,53 @@ def test_backbone_checksum_ignores_learnables():
     m2 = small_model()
     scramble(m2)
     assert backbone_checksum(m1) == backbone_checksum(m2)
-    m3 = init_model(small_spec(seed=6), seed=7)
+    m3 = init_model(Recipe(small_spec(seed=6), seed=7))
     assert backbone_checksum(m1) != backbone_checksum(m3)
 
 
 def test_init_model_seed_controls_learnables_only():
-    a = init_model(small_spec(), seed=1)
-    b = init_model(small_spec(), seed=2)
+    a = init_model(Recipe(small_spec(), seed=1))
+    b = init_model(Recipe(small_spec(), seed=2))
     assert backbone_checksum(a) == backbone_checksum(b)
     assert state_checksum(a) != state_checksum(b)
-    c = init_model(small_spec(), seed=1)
+    c = init_model(Recipe(small_spec(), seed=1))
     assert state_checksum(a) == state_checksum(c)
+
+
+def test_one_recipe_draws_one_model():
+    recipe = Recipe(small_spec(), AdaptSpec(prompt_len=4), ClsaSpec(gate_init=0.5), 3)
+    a, b = init_model(recipe), init_model(recipe)
+    ta, tb = _episode_tensors(a), _episode_tensors(b)
+    assert list(ta) == list(tb)
+    for name in ta:
+        assert ta[name].data.tobytes() == tb[name].data.tobytes(), name
+    # the model keeps its recipe, and reads its taps and strategy there
+    assert a.recipe is recipe
+    assert a.spec is recipe.backbone and a.strategy == recipe.clsa.strategy
+    assert [f.name for f in fields(Model)] == ["recipe", "text_enc", "adapt",
+                                               "clsa", "rho", "_memo"]
+
+
+@pytest.mark.parametrize("seed, match", [
+    (-1, "model seed must be >= 0, got -1"),
+    (1.5, "model seed must be an integer, got 1.5"),
+    ("1", "model seed must be an integer, got '1'"),
+])
+def test_recipe_refuses_a_seed_numpy_cannot_take(seed, match):
+    with pytest.raises(ConfigError, match=match):
+        init_model(Recipe(small_spec(), seed=seed))
+
+
+def test_recipe_structure_forgets_the_seed_and_the_gate_value_only():
+    recipe = Recipe(small_spec(), clsa=ClsaSpec(gate_init=0.5, gates_learnable=False),
+                    seed=3)
+    assert recipe.structure() == Recipe(
+        small_spec(), clsa=ClsaSpec(gates_learnable=False), seed=0)
+    for other in (replace(recipe, clsa=replace(recipe.clsa, strategy="none")),
+                  replace(recipe, clsa=replace(recipe.clsa, gates_learnable=True)),
+                  replace(recipe, backbone=small_spec(selected_visual=(1, 3))),
+                  replace(recipe, adapt=AdaptSpec(reduction=2))):
+        assert other.structure() != recipe.structure()
 
 
 def test_fresh_default_model_draws_are_pinned():

@@ -16,7 +16,7 @@ from fsad import training
 from fsad.backbone import BackboneSpec
 from fsad.clsa import STRATEGIES, ClsaSpec
 from fsad.errors import ContractError, NumericError
-from fsad.model import (FAST_GROUP, init_model, named_parameters,
+from fsad.model import (FAST_GROUP, Recipe, init_model, named_parameters,
                         parameter_groups, stack_models, stack_size,
                         state_checksum)
 from fsad.numcore import GradTape, Tensor
@@ -105,8 +105,8 @@ def assert_replay_matches_reference(make, feats, labels, config=TRAIN):
 
 
 def one(strategy="seq", seed=7, **clsa):
-    return lambda: init_model(small_spec(), seed,
-                              clsa=ClsaSpec(strategy=strategy, **clsa))
+    return lambda: init_model(Recipe(small_spec(), seed=seed,
+                                     clsa=ClsaSpec(strategy=strategy, **clsa)))
 
 
 @pytest.mark.parametrize("k", [4, 16])

@@ -271,6 +271,12 @@ def test_run_episode_untrained_is_fresh_init(world):
     assert state_checksum(run.model) == state_checksum(fresh)
 
 
+def test_a_negative_episode_seed_is_a_config_error():
+    # model.seed + index is the model's seed, and numpy takes no negative one
+    with pytest.raises(ConfigError, match="model seed must be >= 0, got -1"):
+        model_from_config(RunConfig({"model.seed": 0}), RunSpec(index=-1))
+
+
 def test_run_episode_deterministic(world):
     cfg, store, dataset = world
     a = run_episode(cfg, store, dataset, 0)

@@ -1,6 +1,8 @@
 """Episode stacking: E episodes trained in one tape match each trained alone
 bit for bit, and the grids that stack give exactly their unstacked rows."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from fsad.backbone import BackboneSpec
 from fsad.clsa import STRATEGIES, ClsaSpec
 from fsad.config import RunConfig
 from fsad.errors import ContractError, NumericError
-from fsad.model import (init_model, named_parameters, stack_models, stack_size,
-                        state_checksum, unstack_model)
+from fsad.model import (Recipe, init_model, named_parameters, stack_models,
+                        stack_size, state_checksum, unstack_model)
 from fsad.cli import main
 from fsad.runner import (RunSpec, ablate, beta_sweep, build_feature_store,
                          lambda_sweep, run_episode, run_plan, stage_grid,
@@ -62,31 +64,31 @@ def assert_stack_matches_alone(make, episodes=2, config=TRAIN):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_stack_matches_alone_for_every_strategy(strategy):
     assert_stack_matches_alone(
-        lambda e: init_model(small_spec(), seed=10 + e,
-                             clsa=ClsaSpec(strategy=strategy)))
+        lambda e: init_model(Recipe(small_spec(), seed=10 + e,
+                                    clsa=ClsaSpec(strategy=strategy))))
 
 
 def test_stack_matches_alone_for_a_single_pair_stage():
     spec = small_spec(selected_visual=(4,), selected_text=(2,))
-    assert_stack_matches_alone(lambda e: init_model(spec, seed=20 + e))
+    assert_stack_matches_alone(lambda e: init_model(Recipe(spec, seed=20 + e)))
 
 
 def test_stack_matches_alone_with_a_fixed_gate_per_episode():
     gates = (0.25, 1.0, 2.0)
     assert_stack_matches_alone(
-        lambda e: init_model(small_spec(), seed=30 + e,
-                             clsa=ClsaSpec(gate_init=gates[e], gates_learnable=False)),
+        lambda e: init_model(Recipe(small_spec(), seed=30 + e, clsa=ClsaSpec(
+            gate_init=gates[e], gates_learnable=False))),
         episodes=3)
 
 
 def test_stack_matches_alone_over_several_batches_per_epoch():
     config = TrainConfig(epochs=3, lr_fast=0.03, lr_slow=0.003, batch_size=3)
-    assert_stack_matches_alone(lambda e: init_model(small_spec(), seed=40 + e),
+    assert_stack_matches_alone(lambda e: init_model(Recipe(small_spec(), seed=40 + e)),
                                config=config)
 
 
 def test_stack_layout():
-    models = [init_model(small_spec(), seed=s) for s in (1, 2, 3)]
+    models = [init_model(Recipe(small_spec(), seed=s)) for s in (1, 2, 3)]
     stacked = stack_models(models)
     params = named_parameters(stacked)
     assert params["rav.2.down"].shape == (3, 1, D, D // 4)
@@ -104,10 +106,10 @@ def test_stack_layout():
 
 
 def test_unstack_round_trip_and_independence():
-    models = [init_model(small_spec(), seed=s) for s in (4, 5)]
+    models = [init_model(Recipe(small_spec(), seed=s)) for s in (4, 5)]
     before = [state_checksum(m) for m in models]
     stacked = stack_models(models)
-    copies = [init_model(small_spec(), seed=9) for _ in models]
+    copies = [init_model(Recipe(small_spec(), seed=9)) for _ in models]
     unstack_model(stacked, copies)
     assert [state_checksum(m) for m in copies] == before
     named_parameters(copies[0])["logit.rho"].data = np.asarray(0.0)
@@ -118,15 +120,20 @@ def test_unstack_round_trip_and_independence():
 
 def test_stack_rejects_mixed_structure():
     with pytest.raises(ContractError):
-        stack_models([init_model(small_spec(), 1, clsa=ClsaSpec(strategy="seq")),
-                      init_model(small_spec(), 2, clsa=ClsaSpec(strategy="none"))])
-    frozen = init_model(small_spec(), seed=2, clsa=ClsaSpec(gates_learnable=False))
+        stack_models([init_model(Recipe(small_spec(), clsa=ClsaSpec(strategy=s), seed=i))
+                      for i, s in ((1, "seq"), (2, "none"))])
+    frozen = init_model(Recipe(small_spec(), clsa=ClsaSpec(gates_learnable=False), seed=2))
     with pytest.raises(ContractError):
-        stack_models([init_model(small_spec(), seed=1), frozen])
+        stack_models([init_model(Recipe(small_spec(), seed=1)), frozen])
+
+
+def test_an_empty_stack_is_a_contract_error():
+    with pytest.raises(ContractError, match="at least one model"):
+        stack_models([])
 
 
 def test_stacked_divergence_names_the_episode():
-    models = [init_model(small_spec(), seed=s) for s in (1, 2)]
+    models = [init_model(Recipe(small_spec(), seed=s)) for s in (1, 2)]
     named_parameters(models[1])["logit.rho"].data = np.asarray(np.nan)
     sups = [support(s, (2, 4)) for s in (1, 2)]
     feats = {l: np.stack([f[l] for f, _ in sups]) for l in (2, 4)}
@@ -253,6 +260,49 @@ def test_ablate_is_the_two_grids_each_from_its_own_plan(world):
     # one plan over both grids' points, split after the strategy cells,
     # gives exactly each grid's rows and cells, training traces included
     assert ablate(*world) == (strategy_grid(*world), stage_grid(*world))
+
+
+def test_every_plan_spec_scores_the_model_of_its_recipe(world, monkeypatch):
+    cfg = world[0]
+    plan, seen = runner.run_plan, []
+
+    def spying(cfg, store, dataset, specs, read):
+        runs = plan(cfg, store, dataset, specs, lambda run: (run.model.recipe, read(run)))
+        seen.extend(zip(specs, [recipe for recipe, _ in runs]))
+        return [value for _, value in runs]
+
+    monkeypatch.setattr(runner, "run_plan", spying)
+    strategy_grid(*world)
+    beta_sweep(*world)
+    assert len(seen) == (len(runner.STRATEGY_CELLS) + len(runner.BETA_POINTS)) * 3
+    for spec, recipe in seen:
+        assert recipe == spec.recipe(cfg)
+
+
+def test_keys_share_a_stack_exactly_when_their_recipe_structures_agree(world,
+                                                                      monkeypatch):
+    cfg = world[0]
+    clsa, none = cfg.section("clsa"), replace(cfg.section("clsa"), strategy="none")
+    stage = replace(cfg.backbone_spec(), selected_visual=(4,), selected_text=(2,))
+    # gate values stack; a strategy or a tap set of its own does not
+    specs = [RunSpec(0), RunSpec(1, clsa=replace(clsa, gate_init=0.5)),
+             RunSpec(0, clsa=none), RunSpec(1, clsa=none),
+             RunSpec(0, mspec=stage), RunSpec(1, mspec=stage)]
+    stacks, original = [], runner.stack_models
+
+    def recording(models):
+        stacks.append([model.recipe for model in models])
+        return original(models)
+
+    monkeypatch.setattr(runner, "stack_models", recording)
+    run_plan(cfg, *world[1:], specs, lambda run: None)
+    recipes = [spec.recipe(cfg) for spec in specs]
+    assert [len(stack) for stack in stacks] == [2, 2, 2]
+    assert {r for stack in stacks for r in stack} == set(recipes)
+    for a in recipes:
+        for b in recipes:
+            shared = any(a in stack and b in stack for stack in stacks)
+            assert shared == (a.structure() == b.structure())
 
 
 def test_k16_stacks_and_matches_one_at_a_time(stack_sizes, one_at_a_time):

@@ -226,6 +226,20 @@ def test_episode_capacity_error():
         sample_episode(data, k=4, seed=0, query_per_class=5)
 
 
+@pytest.mark.parametrize("k, seed, query_per_class, match", [
+    (-2, 0, 1, "k must be >= 1, got -2"),
+    (0, 0, 5, "k must be >= 1, got 0"),
+    (2, 0, 0, "query_per_class must be >= 1, got 0"),
+    (2, -1, 5, "seed must be >= 0, got -1"),
+    (2, 1.5, 5, "seed must be an integer, got 1.5"),
+], ids=["negative_k", "zero_k", "zero_query", "negative_seed", "float_seed"])
+def test_episode_arguments_are_refused_as_contract_errors(k, seed, query_per_class,
+                                                          match):
+    data = generate_dataset(small_spec(n_normal=10, n_abnormal=10))
+    with pytest.raises(ContractError, match=f"sample_episode: {match}"):
+        sample_episode(data, k, seed, query_per_class)
+
+
 def test_manifest_stable():
     spec = small_spec()
     assert manifest_text(spec) == manifest_text(small_spec())

@@ -7,8 +7,8 @@ from fsad import numcore as nc
 from fsad import training
 from fsad.backbone import BackboneSpec
 from fsad.errors import ConfigError, ContractError, DomainError, NumericError
-from fsad.model import (backbone_checksum, forward, init_model, named_parameters,
-                        stack_models, state_checksum)
+from fsad.model import (Recipe, backbone_checksum, forward, init_model,
+                        named_parameters, stack_models, state_checksum)
 from fsad.inference import semantic_scores
 from fsad.runner import stage_specs
 from fsad.numcore import GradTape, Tensor, backward
@@ -22,7 +22,7 @@ def small_spec():
 
 
 def small_model(seed=7):
-    return init_model(small_spec(), seed=seed)
+    return init_model(Recipe(small_spec(), seed=seed))
 
 
 def support(seed=0, n=8, p=4):
@@ -374,7 +374,7 @@ def k4_support(spec, episodes=()):
 def test_a_stage_step_records_only_the_text_blocks_its_tap_reads(monkeypatch):
     # the text tower stops at the stage's text tap: stage 1 runs one block
     for name, spec in stage_specs(BackboneSpec()):
-        lengths = recorded_tape_lengths(monkeypatch, init_model(spec, seed=1),
+        lengths = recorded_tape_lengths(monkeypatch, init_model(Recipe(spec, seed=1)),
                                         *k4_support(spec), TrainConfig(epochs=1))
         assert lengths == [K4_SEQ_NODES[name]], name
 
@@ -382,7 +382,7 @@ def test_a_stage_step_records_only_the_text_blocks_its_tap_reads(monkeypatch):
 def test_a_stacked_step_records_as_many_nodes_as_one_episode(monkeypatch):
     # the per-episode losses are differentiated as they are, with no sum node
     spec = BackboneSpec()
-    stack = stack_models([init_model(spec, seed) for seed in (1, 2)])
+    stack = stack_models([init_model(Recipe(spec, seed=seed)) for seed in (1, 2)])
     lengths = recorded_tape_lengths(monkeypatch, stack,
                                     *k4_support(spec, episodes=(2,)),
                                     TrainConfig(epochs=1))
@@ -410,7 +410,8 @@ def test_divergence_in_the_last_update_is_reported():
              for l in spec.selected_visual}
     cfg = TrainConfig(epochs=3, lr_fast=1e3, lr_slow=1e3)
     with pytest.raises(NumericError, match="non-finite after the last epoch"):
-        train_episode(init_model(spec, seed=1000), feats, np.arange(8) % 2, cfg)
+        train_episode(init_model(Recipe(spec, seed=1000)), feats, np.arange(8) % 2,
+                      cfg)
 
 
 def test_non_finite_parameter_stops_training_at_its_first_step():
