@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numcore as nc
+from . import inputs, numcore as nc
 from .backbone import CLASSES, WEIGHT_STD, BackboneSpec
 from .errors import ConfigError, DomainError, ShapeError
 from .numcore import Tensor
@@ -35,10 +35,11 @@ class AdaptSpec:
     alpha_init: float = 0.1
 
     def __post_init__(self):
+        inputs.integer(self.prompt_len, "adapt.prompt_len", ConfigError)
+        inputs.real(self.alpha_init, "adapt.alpha_init", ConfigError)
         if self.prompt_len < 0:
             raise ConfigError("adapt.prompt_len must be >= 0")
-        if self.reduction < 1:
-            raise ConfigError(f"adapt.reduction must be >= 1, got {self.reduction}")
+        inputs.integer(self.reduction, "adapt.reduction", ConfigError, least=1)
 
 
 class ResidualAdapter:

@@ -58,6 +58,13 @@ class BackboneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d", "vision_layers", "text_layers", "heads"):
+            inputs.integer(getattr(self, name), f"backbone.{name}", ConfigError)
+        for name, values in (("visual_taps", self.selected_visual),
+                             ("text_taps", self.selected_text),
+                             ("patch_grid", self.patch_grid)):
+            for value in values:
+                inputs.integer(value, f"backbone.{name}", ConfigError)
         if len(self.selected_visual) != len(self.selected_text):
             raise ConfigError(
                 f"tap lists must pair up: {len(self.selected_visual)} visual "
@@ -83,8 +90,8 @@ class BackboneSpec:
             raise ConfigError(f"width {self.d} not divisible by {self.heads} heads")
         if len(self.patch_grid) != 2 or min(self.patch_grid) < 1:
             raise ConfigError(f"bad patch grid {self.patch_grid}")
-        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
-            raise ConfigError(f"backbone.seed must be >= 0, got {self.seed}")
+        # numpy's SeedSequence takes no negative entropy
+        inputs.integer(self.seed, "backbone.seed", ConfigError, least=0)
 
     @property
     def patches(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numcore as nc
+from . import inputs, numcore as nc
 from .backbone import Attention, class_row
 from .errors import ConfigError
 from .numcore import Tensor
@@ -38,8 +38,8 @@ class ClsaSpec:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"clsa.strategy must be one of {STRATEGIES}, "
                               f"got {self.strategy!r}")
-        if self.heads < 1:
-            raise ConfigError(f"clsa.heads must be >= 1, got {self.heads}")
+        inputs.integer(self.heads, "clsa.heads", ConfigError, least=1)
+        inputs.real(self.gate_init, "clsa.gate_init", ConfigError)
 
 
 def gated_attention(x: Tensor, context: Tensor, block: Attention,

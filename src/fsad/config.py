@@ -230,9 +230,6 @@ class RunConfig:
     def dataset_spec(self) -> DatasetSpec:
         return self.section("data")
 
-    def train_config(self) -> TrainConfig:
-        return self.section("train")
-
     def text(self) -> str:
         return effective_text(self.values)
 

@@ -42,14 +42,6 @@ def _metric_inputs(scores, labels, who: str):
     return s, y
 
 
-def _as_threshold(threshold, who: str) -> float:
-    """One finite real number (``inputs.reals``), a 0-d array included."""
-    t = inputs.reals(threshold, f"{who}: threshold", MetricError)
-    if t.ndim:
-        raise MetricError(f"{who}: threshold must be one number, got shape {t.shape}")
-    return float(t)
-
-
 def _tie_groups(ss: np.ndarray, ys: np.ndarray):
     """(start, stop, positives) arrays, one entry per run of equal values
     in sorted scores ``ss``; ``ys`` holds the labels in the same order."""
@@ -141,7 +133,7 @@ def compute_report(scores, labels, threshold: float) -> MetricReport:
     """Ranking metrics, and F1, accuracy and confusion counts for
     predictions score >= threshold, for one batch."""
     s, y = _metric_inputs(scores, labels, "compute_report")
-    threshold = _as_threshold(threshold, "compute_report")
+    threshold = inputs.real(threshold, "compute_report: threshold", MetricError)
     tp, fp, tn, fn = _confusion(s, y, threshold)
     return MetricReport(auc=auc(s, y), ap=average_precision(s, y),
                         f1=_f1_from_counts(tp, fp, fn), acc=(tp + tn) / s.size,

@@ -8,7 +8,6 @@ query batch and the two are blended by a convex weight.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,8 @@ class InferSpec:
     eps: float = 1e-8
 
     def __post_init__(self):
+        for name in ("lam", "eps"):
+            inputs.real(getattr(self, name), f"infer.{name}", ConfigError)
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"infer.lam must lie in [0, 1], got {self.lam}")
         if not 0 < self.eps < np.inf:  # NaN fails this test too
@@ -114,72 +115,50 @@ def summaries(rows) -> tuple[np.ndarray, np.ndarray]:
     return unit, rows.mean(axis=-2)
 
 
-@dataclass(frozen=True)
-class Prototypes(Mapping):
-    """What ``build_prototypes`` gives: per visual tap, the [2, d] class
-    means ``means`` (row c of class c, ``CLASSES`` order), which the
-    mapping reads, and ``dirs``, the same rows each divided by its norm
-    floored at ``NORM_FLOOR``, which ``proto_distance`` reads."""
-
-    means: dict[int, np.ndarray]
-    dirs: dict[int, np.ndarray]
-
-    def __getitem__(self, layer: int) -> np.ndarray:
-        return self.means[layer]
-
-    def __iter__(self):
-        return iter(self.means)
-
-    def __len__(self) -> int:
-        return len(self.means)
-
-
-def build_prototypes(support: Aligned, labels) -> Prototypes:
-    """Per visual tap, a [2, d] array whose row c is the mean, in batch
-    order, of the patch means of the support images labelled c, and its
-    rows' directions (``Prototypes``), built once for every batch scored
-    against them."""
+def build_prototypes(support: Aligned, labels) -> dict[int, np.ndarray]:
+    """Per visual tap, the [2, d] prototype directions: row c is the mean,
+    in batch order, of the patch means of the support images labelled c,
+    divided by its norm floored at ``NORM_FLOOR``, built once for every
+    batch scored against them (``proto_distance``)."""
     labels = inputs.labels(labels, support.ids.shape, "labels", ContractError)
     members = [support.ids[labels == c] for c in range(len(CLASSES))]
     for cls, ids in zip(CLASSES, members):
         if not ids.size:
             raise CapacityError(f"class {cls!r} has no support samples")
-    # a class row is the sum of its rows over axis 0 divided by their count,
-    # as ``ndarray.mean`` computes it, without its Python wrapper
-    means = {layer: np.array([np.add.reduce(mean[ids], axis=0) / ids.size
-                              for ids in members])
-             for layer, mean in support.mean.items()}
     dirs = {}
-    for layer, vecs in means.items():
-        # each class row's norm is its own call: one norm over the [2, d]
-        # array may sum in another order
-        scale = np.array([max(np.linalg.norm(vec), nc.NORM_FLOOR) for vec in vecs])
-        dirs[layer] = vecs / scale[:, None]
-    return Prototypes(means, dirs)
+    for layer, mean in support.mean.items():
+        # a class mean is the sum of its rows over axis 0 divided by their
+        # count, as ``ndarray.mean`` computes it, without its Python wrapper;
+        # each one's norm is its own call, as one norm over the [2, d] array
+        # may sum in another order
+        vecs = [np.add.reduce(mean[ids], axis=0) / ids.size for ids in members]
+        dirs[layer] = np.array([vec / max(np.linalg.norm(vec), nc.NORM_FLOOR)
+                                for vec in vecs])
+    return dirs
 
 
-def proto_distance(batch: Aligned, protos: Prototypes) -> np.ndarray:
-    """Per class row of the prototypes (``CLASSES`` order), the sum over the
-    batch's taps of one minus the mean patch cosine to that row: [2, B]
-    distances, read from the prototypes' directions as built.
+def proto_distance(batch: Aligned, protos: dict[int, np.ndarray]) -> np.ndarray:
+    """Per class row of the prototype directions (``CLASSES`` order,
+    ``build_prototypes``), the sum over the batch's taps of one minus the
+    mean patch cosine to that row: [2, B] distances.
 
     The mean cosine of an image's rows to c is ``unit . c / |c|``, with
     ``unit`` its mean unit row (``summaries``) and ``|c|`` floored at
-    ``NORM_FLOOR``. Each dot is a sum over a contiguous last axis, not a
-    BLAS gemv, so it does not depend on the image's place in the batch
-    (README "Numerics contract").
+    ``NORM_FLOOR``: the dot of ``unit`` with c's direction. Each dot is a
+    sum over a contiguous last axis, not a BLAS gemv, so it does not depend
+    on the image's place in the batch (README "Numerics contract").
     """
     if not batch.unit or set(batch.unit) != set(protos):
         raise ContractError(f"aligned rows at visual taps {sorted(batch.unit)} "
                             f"do not match the prototypes' taps {sorted(protos)}")
     total = None
     for layer, unit in batch.unit.items():
-        vecs = protos[layer]
-        if np.shape(vecs) != (len(CLASSES),) + unit.shape[-1:]:
-            raise ShapeError(f"prototypes {np.shape(vecs)} do not match the "
+        dirs = protos[layer]
+        if np.shape(dirs) != (len(CLASSES),) + unit.shape[-1:]:
+            raise ShapeError(f"prototypes {np.shape(dirs)} do not match the "
                              f"unit rows {unit.shape} at visual tap {layer}")
         rows = unit.take(batch.ids, axis=0)
-        term = 1.0 - np.add.reduce(rows * protos.dirs[layer][:, None], axis=-1)
+        term = 1.0 - np.add.reduce(rows * dirs[:, None], axis=-1)
         total = term if total is None else total + term
     return total
 
@@ -258,7 +237,7 @@ class ScoreReport:
     lam: float
 
 
-def score_batch(batch: Aligned, labels, protos: Prototypes,
+def score_batch(batch: Aligned, labels, protos: dict[int, np.ndarray],
                 infer: InferSpec = InferSpec()) -> ScoreReport:
     """Dual-branch scores of one batch of aligned images.
 

@@ -1,5 +1,5 @@
 """The outside-input contract. Each converter returns exactly
-``np.asarray(values, float64)`` (or int64, or one int), or raises the ``FsadError``
+``np.asarray(values, float64)`` (or int64, or one int or float), or raises the ``FsadError``
 class its caller passes, as "<input> must be <rule>, got <fault>"."""
 
 import operator
@@ -32,6 +32,14 @@ def reals(values, what: str, error: type[FsadError]) -> np.ndarray:
     if bad:
         raise error(f"{what} must be finite, got {bad} non-finite")
     return out
+
+
+def real(value, what: str, error: type[FsadError]) -> float:
+    """``value`` as one finite real number (``reals``), a 0-d array included."""
+    out = reals(value, what, error)
+    if out.ndim:
+        raise error(f"{what} must be one number, got shape {out.shape}")
+    return float(out)
 
 
 def labels(values, shape, what: str, error: type[FsadError]) -> np.ndarray:

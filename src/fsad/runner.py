@@ -143,14 +143,14 @@ def run_episode(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     ep = _sample(episode, dataset, index)
     if model is None:
         model = model_from_config(cfg, RunSpec(index))
-    # the episode's ids become one array here; align checks it and aligns
-    # every image, so the memo's batches are its slices, checked no further
-    ids = np.asarray(ep.support_ids + ep.query_ids)
-    k = len(ep.support_ids)
+    # align checks the episode's ids and aligns every image, so the memo's
+    # batches are slices of them, checked no further
+    ids = np.concatenate((ep.support_ids, ep.query_ids))
+    k = ep.support_ids.size
     labels = store.labels[ids]
     ysup, yq = labels[:k], labels[k:]
     trace = (train_episode(model, store.take(model.spec.selected_visual, ids[:k]),
-                           ysup, cfg.train_config())
+                           ysup, cfg.section("train"))
              if train else [])
     memo = align(model, store, ids)
     sup, qry = memo._take(ids[:k]), memo._take(ids[k:])
@@ -181,7 +181,7 @@ def run_plan(cfg: RunConfig, store: FeatureStore, dataset: list[Sample],
     stack of models is alive at a time and one alignment memo
     (``model.align``) at most.
     """
-    tcfg, episode = cfg.train_config(), cfg.section("episode")
+    tcfg, episode = cfg.section("train"), cfg.section("episode")
     positions: dict[tuple[int, bool, Recipe], list[int]] = {}
     for pos, spec in enumerate(specs):
         positions.setdefault((spec.index, spec.train, spec.recipe(cfg)), []).append(pos)

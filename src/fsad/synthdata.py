@@ -45,8 +45,13 @@ class DatasetSpec:
     n_abnormal: int = 200
 
     def __post_init__(self):
-        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
-            raise ConfigError(f"data.seed must be >= 0, got {self.seed}")
+        # numpy's SeedSequence takes no negative entropy
+        inputs.integer(self.seed, "data.seed", ConfigError, least=0)
+        for name in ("height", "width", "n_normal", "n_abnormal"):
+            inputs.integer(getattr(self, name), f"data.{name}", ConfigError)
+        for name in ("freq_min", "freq_max", "noise_std", "blob_radius_min",
+                     "blob_radius_max", "contrast_shift", "anomaly_freq_factor"):
+            inputs.real(getattr(self, name), f"data.{name}", ConfigError)
         if self.n_normal < 1 or self.n_abnormal < 1:
             raise ConfigError("dataset class counts must be >= 1")
         if not 0 < self.freq_min <= self.freq_max:
@@ -81,9 +86,8 @@ class EpisodeSpec:
 
     def __post_init__(self):
         for name, least in (("k", 1), ("query_per_class", 1), ("count", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"episode.{name} must be >= {least}, "
-                                  f"got {getattr(self, name)}")
+            inputs.integer(getattr(self, name), f"episode.{name}", ConfigError,
+                           least=least)
 
 
 @dataclass(frozen=True)
@@ -118,13 +122,13 @@ class Sample:
         return render([self])[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class Episode:
     """Few-shot task: dataset ids of a balanced labeled support and a disjoint
-    query set."""
+    query set, each a 1-D int64 array, normal ids first."""
 
-    support_ids: list[int]
-    query_ids: list[int]
+    support_ids: np.ndarray
+    query_ids: np.ndarray
     k: int
 
 
@@ -222,9 +226,9 @@ def sample_episode(dataset: list[Sample], k: int, seed: int,
     rng = np.random.default_rng(np.random.SeedSequence((seed, _TAG_EPISODE)))
     picked_n = norm_ids[rng.permutation(norm_ids.size)]
     picked_a = abn_ids[rng.permutation(abn_ids.size)]
-    sup_ids = picked_n[:k].tolist() + picked_a[:k].tolist()
-    qry_ids = picked_n[k:need].tolist() + picked_a[k:need].tolist()
-    return Episode(support_ids=sup_ids, query_ids=qry_ids, k=k)
+    return Episode(support_ids=np.concatenate((picked_n[:k], picked_a[:k])),
+                   query_ids=np.concatenate((picked_n[k:need], picked_a[k:need])),
+                   k=k)
 
 
 def manifest_text(spec: DatasetSpec) -> str:

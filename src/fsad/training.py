@@ -33,6 +33,10 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            inputs.integer(getattr(self, name), f"train.{name}", ConfigError)
+        for name in ("lr_fast", "lr_slow", "weight_decay", "beta1", "beta2", "eps"):
+            inputs.real(getattr(self, name), f"train.{name}", ConfigError)
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.lr_fast <= 0 or self.lr_slow <= 0:

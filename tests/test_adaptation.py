@@ -7,14 +7,10 @@ from fsad import numcore as nc
 from fsad.adaptation import (AdaptSpec, PromptBank, ResidualAdapter,
                              apply_text_adapter, apply_visual_adapter,
                              init_adaptation)
-from fsad.backbone import CLASSES, BackboneSpec
+from fsad.backbone import CLASSES
 from fsad.errors import DomainError, ShapeError
 from fsad.numcore import GradTape, Tensor, backward
-
-
-def small_spec():
-    return BackboneSpec(d=16, vision_layers=4, text_layers=2, selected_visual=(2, 4),
-                        selected_text=(1, 2), patch_grid=(2, 2), heads=4, seed=5)
+from small_spec import small_spec
 
 
 def fresh_adapter(d=16, reduction=4, seed=0):

@@ -15,13 +15,7 @@ from fsad.backbone import (BUNDLE_MAGIC, BUNDLE_VERSION, BackboneSpec,
 from fsad.binio import ByteWriter
 from fsad.errors import ConfigError, FormatError, NumericError, ShapeError
 from fsad.numcore import GradTape, Tensor, backward
-
-
-def small_spec(**kw):
-    base = dict(d=16, vision_layers=4, text_layers=2, selected_visual=(2, 4),
-                selected_text=(1, 2), patch_grid=(2, 2), heads=4, seed=5)
-    base.update(kw)
-    return BackboneSpec(**base)
+from small_spec import small_spec
 
 
 def rand_image(rng, h=8, w=8):

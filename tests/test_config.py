@@ -8,12 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fsad.adaptation import AdaptSpec
+from fsad.backbone import BackboneSpec
 from fsad.clsa import STRATEGIES, ClsaSpec
 from fsad.config import (SCHEMA, RunConfig, config_hash, defaults,
                          effective_text, load_config, parse_config_text)
 from fsad.errors import ConfigError
 from fsad.inference import InferSpec
-from fsad.synthdata import EpisodeSpec
+from fsad.synthdata import DatasetSpec, EpisodeSpec
+from fsad.training import TrainConfig
 
 
 def test_defaults_build_valid_config():
@@ -30,7 +32,7 @@ def test_defaults_build_valid_config():
     assert spec.selected_visual == (2, 4, 6, 8)
     data = cfg.dataset_spec()
     assert data.n_normal == 200 and data.n_abnormal == 200
-    assert cfg.train_config().weight_decay == 0.01
+    assert cfg.section("train").weight_decay == 0.01
 
 
 def test_parse_text_types_and_comments():
@@ -200,6 +202,36 @@ def test_section_spec_owns_its_checks(spec, key, value):
         spec(**{key.split(".")[1]: value})
     with pytest.raises(ConfigError, match=re.escape(key)):
         RunConfig({key: value})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+SPEC_FAULTS = [
+    (AdaptSpec, {"reduction": 1.5}, "adapt.reduction must be an integer"),
+    (TrainConfig, {"epochs": 2.5}, "train.epochs must be an integer"),
+    (TrainConfig, {"batch_size": 1.5}, "train.batch_size must be an integer"),
+    (EpisodeSpec, {"k": 2.5}, "episode.k must be an integer"),
+    (ClsaSpec, {"heads": 2.5}, "clsa.heads must be an integer"),
+    (BackboneSpec, {"selected_visual": (2.0, 4), "selected_text": (1, 2)},
+     "backbone.visual_taps must be an integer"),
+    (TrainConfig, {"lr_fast": NAN}, "train.lr_fast must be finite"),
+    (DatasetSpec, {"noise_std": NAN}, "data.noise_std must be finite"),
+    (AdaptSpec, {"alpha_init": NAN}, "adapt.alpha_init must be finite"),
+    (ClsaSpec, {"gate_init": INF}, "clsa.gate_init must be finite"),
+    (BackboneSpec, {"seed": 1.5}, "backbone.seed must be an integer"),
+    (DatasetSpec, {"seed": 1.5}, "data.seed must be an integer"),
+]
+
+
+@pytest.mark.parametrize("spec, values, match", SPEC_FAULTS,
+                         ids=[f"{spec.__name__}.{next(iter(values))}"
+                              for spec, values, _ in SPEC_FAULTS])
+def test_spec_fields_take_integers_and_finite_reals(spec, values, match):
+    # each was accepted, to fail later as a bare TypeError from range or
+    # numpy, or as a misattributed NumericError or ShapeError
+    with pytest.raises(ConfigError, match=re.escape(match)):
+        spec(**values)
 
 
 @pytest.mark.parametrize("key, value, stored", [

@@ -100,14 +100,19 @@ def support_of(visual, ids=None):
     return aligned_of(visual, np.zeros(n), np.arange(n) if ids is None else ids)
 
 
+def direction(mean):
+    """A class mean's prototype row: divided by its own 1-D norm, floored."""
+    return mean / max(np.linalg.norm(mean), nc.NORM_FLOOR)
+
+
 def test_build_prototypes_hand_mean():
     rng = np.random.default_rng(8)
     feats = {2: rng.normal(size=(6, 5, D))}
     protos = build_prototypes(support_of(feats), [0, 1, 0, 1, 0, 1])
     assert protos[2].shape == (2, D)
     for c, rows in enumerate(([0, 2, 4], [1, 3, 5])):
-        want = feats[2][rows].mean(axis=1).mean(axis=0)
-        np.testing.assert_allclose(protos[2][c], want, rtol=0, atol=1e-12)
+        mean = feats[2][rows].mean(axis=1).mean(axis=0)
+        assert bits(protos[2][c]) == bits(direction(mean)), c
 
 
 def test_build_prototypes_equals_a_per_class_index_mean_oracle():
@@ -121,9 +126,10 @@ def test_build_prototypes_equals_a_per_class_index_mean_oracle():
     assert list(protos) == [4, 1, 3]
     for t, rows in feats.items():
         means = rows[ids].mean(axis=-2)
-        want = np.stack([means[[i for i, y in enumerate(labels) if y == c]].mean(axis=0)
+        want = np.stack([direction(means[[i for i, y in enumerate(labels)
+                                          if y == c]].mean(axis=0))
                          for c in (0, 1)])
-        assert np.array_equal(protos[t], want), t
+        assert bits(protos[t]) == bits(want), t
 
 
 def test_build_prototypes_rejects_empty_class():
@@ -330,13 +336,13 @@ def test_score_batch_cores_equal_the_public_chain_bit_for_bit(data):
 
 def test_prototypes_read_as_their_class_means_with_directions_built_once():
     rng = np.random.default_rng(14)
-    protos = build_prototypes(support_of(aligned_rows(rng, 4)), [0, 1, 0, 1])
-    assert list(protos) == [2, 4] and len(protos) == 2
-    for tap, means in protos.items():
-        assert means is protos.means[tap]
-        for c in range(2):  # each row divided by its own 1-D norm
-            want = means[c] / max(np.linalg.norm(means[c]), nc.NORM_FLOOR)
-            assert bits(protos.dirs[tap][c]) == bits(want)
+    rows = aligned_rows(rng, 4)
+    protos = build_prototypes(support_of(rows), [0, 1, 0, 1])
+    assert list(protos) == [2, 4]
+    for tap, dirs in protos.items():
+        means = rows[tap].mean(axis=-2)
+        for c in range(2):  # each class mean divided by its own 1-D norm
+            assert bits(dirs[c]) == bits(direction(means[c::2].mean(axis=0))), c
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +446,8 @@ def wide_episode(wide_world):
     """The seq scorer's prototypes, the 392 queries' aligned batch and
     labels, and the scores of all of them in one call."""
     store, ep = wide_world
-    memo = align(jittered_model("seq"), store, ep.support_ids + ep.query_ids)
+    memo = align(jittered_model("seq"), store,
+                 np.concatenate((ep.support_ids, ep.query_ids)))
     protos = build_prototypes(memo.take(ep.support_ids),
                               store.labels[ep.support_ids])
     query = memo.take(ep.query_ids)
@@ -681,16 +688,17 @@ def image_alone(visual, protos, image):
     return proto_distance(one, protos)[:, 0]
 
 
-def image_oracle(visual, protos, image):
-    """One image's distance to each class prototype: ``nc.cosine_rows`` on
-    its [P, d] rows alone at each tap, their mean, summed in tap order."""
+def image_oracle(visual, means, image):
+    """One image's distance to each class mean ({tap: [2, d]}):
+    ``nc.cosine_rows`` on its [P, d] rows alone at each tap, their mean,
+    summed in tap order."""
     out = []
     for c in (0, 1):
         total = None
         for layer, rows in visual.items():
             with nc.no_grad():
                 cos = nc.cosine_rows(Tensor(rows[image]),
-                                     Tensor(protos[layer][c])).data
+                                     Tensor(means[layer][c])).data
             term = 1.0 - cos.mean()
             total = term if total is None else total + term
         out.append(total)
@@ -759,14 +767,16 @@ def test_drawn_batches_score_as_each_image_alone_or_raise(fault, data):
             run()
         return
     protos, batch, dists, rep = run()
-    for c in (0, 1):
-        for t in proto_taps:
-            want = np.mean([rows[t][i].mean(axis=0)
-                            for i, y in zip(sup_ids, sup_labels) if y == c], axis=0)
-            assert np.array_equal(protos[t][c], want), (c, t)
+    means = {t: np.array([np.mean([rows[t][i].mean(axis=0)
+                                   for i, y in zip(sup_ids, sup_labels) if y == c],
+                                  axis=0) for c in (0, 1)])
+             for t in proto_taps}
+    for t in proto_taps:
+        for c in (0, 1):
+            assert bits(protos[t][c]) == bits(direction(means[t][c])), (c, t)
     want = np.array([image_alone(visual, protos, i) for i in batch.ids]).T
     assert np.array_equal(dists, want)
-    cosines = np.array([image_oracle(visual, protos, i) for i in batch.ids]).T
+    cosines = np.array([image_oracle(visual, means, i) for i in batch.ids]).T
     np.testing.assert_allclose(dists, cosines, rtol=0, atol=1e-12)
     assert np.array_equal(rep.sem_raw, sem[batch.ids])
     assert np.array_equal(rep.proto_raw, proto_scores(*want, 1e-8))

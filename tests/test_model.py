@@ -23,13 +23,7 @@ from fsad.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, FAST_GROUP,
 from fsad.numcore import Tensor
 from fsad.runner import model_from_config
 from fsad.training import training_scores
-
-
-def small_spec(**kw):
-    base = dict(d=16, vision_layers=4, text_layers=2, selected_visual=(2, 4),
-                selected_text=(1, 2), patch_grid=(2, 2), heads=4, seed=5)
-    base.update(kw)
-    return BackboneSpec(**base)
+from small_spec import small_spec
 
 
 def small_model(**kw):

@@ -13,7 +13,6 @@ import pytest
 
 from fsad import numcore as nc
 from fsad import training
-from fsad.backbone import BackboneSpec
 from fsad.clsa import STRATEGIES, ClsaSpec
 from fsad.errors import ContractError, NumericError
 from fsad.model import (FAST_GROUP, Recipe, init_model, named_parameters,
@@ -23,16 +22,12 @@ from fsad.numcore import GradTape, Tensor
 from fsad.training import (AdamW, TraceRow, TrainConfig, bce_loss, cosine_lr,
                            train_episode, training_scores)
 from reference_backward import reference_backward
+from small_spec import small_spec
 
 D = 16
 TAPS = (2, 4)
 # the benchmark rates: gates and zero up-projections open after step 0
 TRAIN = TrainConfig(epochs=4, lr_fast=0.03, lr_slow=0.003)
-
-
-def small_spec():
-    return BackboneSpec(d=D, vision_layers=4, text_layers=2, selected_visual=TAPS,
-                        selected_text=(1, 2), patch_grid=(2, 2), heads=4, seed=5)
 
 
 def divergence_message(model, losses, epoch, stacked):

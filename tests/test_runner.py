@@ -76,7 +76,7 @@ def test_every_recipe_key_reaches_what_it_configures():
     ep = run.episode
     assert ep.k == 2 and len(ep.support_ids) == 4 and len(ep.query_ids) == 40
     assert run.episode_seed == 6
-    assert ep.query_ids == sample_episode(dataset, 2, 6, 20).query_ids
+    assert np.array_equal(ep.query_ids, sample_episode(dataset, 2, 6, 20).query_ids)
     assert run.report.lam == 0.3
     taps = model.spec.selected_visual
     with nc.no_grad():
@@ -332,7 +332,7 @@ def test_memo_aligns_only_images_not_yet_aligned(world, monkeypatch):
     seen: set[int] = set()
     for index, new_images in ((0, 10), (1, None), (0, 0), (1, 0)):
         run = run_episode(cfg, store, dataset, index, train=False, model=model)
-        ids = set(run.episode.support_ids + run.episode.query_ids)
+        ids = set(run.episode.support_ids) | set(run.episode.query_ids)
         new = len(ids - seen)
         if new_images is None:  # the second episode overlaps the first
             assert 0 < new < len(ids)
@@ -437,7 +437,7 @@ def test_a_memo_full_episode_computes_no_row_norm(world, monkeypatch, tmp_path):
     model = model_from_config(cfg)
     save_checkpoint(run_episode(cfg, store, dataset, 2).model, str(tmp_path / "m.ckpt"))
     first = run_episode(cfg, store, dataset, 0, train=False, model=model)
-    ids = first.episode.support_ids + first.episode.query_ids
+    ids = np.concatenate((first.episode.support_ids, first.episode.query_ids))
     calls = counted_norms(monkeypatch)
     again = run_episode(cfg, store, dataset, 0, train=False, model=model)
     assert calls == {"cosine_rows": 0, "row_norms": 0}

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fsad import runner
-from fsad.backbone import BackboneSpec
 from fsad.clsa import STRATEGIES, ClsaSpec
 from fsad.config import RunConfig
 from fsad.errors import ContractError, NumericError
@@ -19,18 +18,12 @@ from fsad.runner import (RunSpec, ablate, beta_sweep, build_feature_store,
                          strategy_grid)
 from fsad.synthdata import generate_dataset
 from fsad.training import TrainConfig, train_episode
+from small_spec import small_spec
 
 D = 16
 # four epochs at the benchmark rates: the closed gates and zero
 # up-projections of step 0 are open by the later steps
 TRAIN = TrainConfig(epochs=4, lr_fast=0.03, lr_slow=0.003)
-
-
-def small_spec(**kw):
-    base = dict(d=D, vision_layers=4, text_layers=2, selected_visual=(2, 4),
-                selected_text=(1, 2), patch_grid=(2, 2), heads=4, seed=5)
-    base.update(kw)
-    return BackboneSpec(**base)
 
 
 def support(seed, taps, n=8, p=4):

@@ -208,7 +208,16 @@ def test_episode_structure_and_determinism():
     assert set(ep.support_ids).isdisjoint(ep.query_ids)
     assert [s.label for s in support] == [0] * 4 + [1] * 4
     ep2 = sample_episode(data, k=4, seed=9, query_per_class=10)
-    assert ep.support_ids == ep2.support_ids and ep.query_ids == ep2.query_ids
+    assert np.array_equal(ep.support_ids, ep2.support_ids)
+    assert np.array_equal(ep.query_ids, ep2.query_ids)
+
+
+def test_episode_ids_are_the_1d_int64_arrays_drawn():
+    data = generate_dataset(small_spec(n_normal=30, n_abnormal=30))
+    ep = sample_episode(data, k=4, seed=9, query_per_class=10)
+    for ids, size in ((ep.support_ids, 8), (ep.query_ids, 20)):
+        assert isinstance(ids, np.ndarray)
+        assert ids.dtype == np.int64 and ids.shape == (size,)
 
 
 def test_episode_invariants_many_seeds():

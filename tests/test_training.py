@@ -14,11 +14,7 @@ from fsad.runner import stage_specs
 from fsad.numcore import GradTape, Tensor, backward
 from fsad.training import (AdamW, TrainConfig, bce_loss, cosine_lr,
                            train_episode, training_scores)
-
-
-def small_spec():
-    return BackboneSpec(d=16, vision_layers=4, text_layers=2, selected_visual=(2, 4),
-                        selected_text=(1, 2), patch_grid=(2, 2), heads=4, seed=5)
+from small_spec import small_spec
 
 
 def small_model(seed=7):
