@@ -1,6 +1,7 @@
 """The outside-input contract. Each converter returns exactly
-``np.asarray(values, float64)`` (or int64, or one int or float), or raises the ``FsadError``
-class its caller passes, as "<input> must be <rule>, got <fault>"."""
+``np.asarray(values, float64)`` (or int64, or one int or float), or raises
+the ``FsadError`` class its caller passes, as "<input> must be <rule>, got
+<fault>"."""
 
 import operator
 
